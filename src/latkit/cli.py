@@ -24,8 +24,13 @@ EXIT_SIZE = 3
 def _load_files(paths):
     texts = []
     for path in paths:
-        with open(path) as handle:
-            texts.append(handle.read())
+        try:
+            with open(path) as handle:
+                texts.append(handle.read())
+        except OSError as exc:
+            raise ParseError("cannot read %s: %s" % (path, exc.strerror or exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError("cannot read %s: not UTF-8 text" % path) from exc
     return io.load_workspace(texts)
 
 
@@ -195,7 +200,8 @@ def cmd_closure(args):
             raise ParseError("no closure space named %r" % args.space)
         space = ws.cspaces[args.space]
         wanted = [s for s in (args.subset or "").split(",") if s]
-        points = [list(space.labels).index(s) for s in wanted]
+        labels = list(space.labels)
+        points = [io._label_index(labels, s, None, "point") for s in wanted]
         closed = space.closure_of(points)
         _emit({"closure": " ".join(space.labels[p] for p in sorted(closed))}, args.json)
         return EXIT_OK

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     CycleDetected,
@@ -56,24 +57,36 @@ class FinitePoset:
     def elements(self):
         return range(len(self.up))
 
+    @cached_property
+    def down(self):
+        """down[i] is the bitmask of elements j with j <= i."""
+        # Transpose the order matrix.  The rows are written most significant
+        # bit first and listed from the last element to the first, so column
+        # j of the strings, read as a binary number, is down[n-1-j].
+        width = "0%db" % len(self.up)
+        rows = [format(row, width) for row in reversed(self.up)]
+        return tuple(int("".join(column), 2) for column in reversed(list(zip(*rows))))
+
     def validate(self):
         n = self.size
+        up = self.up
         for a in range(n):
-            if not self.leq(a, a):
+            if not up[a] >> a & 1:
                 raise ValidationError("order not reflexive", witness=a)
+        pair = _antisymmetry_witness(up, self.down)
+        if pair is not None:
+            a, b = pair
+            raise CycleDetected(
+                "antisymmetry fails at %s, %s" % (self.labels[a], self.labels[b]),
+                witness=pair,
+            )
         for a in range(n):
-            for b in range(n):
-                if a != b and self.leq(a, b) and self.leq(b, a):
-                    raise CycleDetected(
-                        "antisymmetry fails at %s, %s" % (self.labels[a], self.labels[b]),
-                        witness=(a, b),
-                    )
-        for a in range(n):
-            reach = self.up[a]
-            closed = reach
-            for b in range(n):
-                if reach >> b & 1:
-                    closed |= self.up[b]
+            reach = up[a]
+            closed = rest = reach
+            while rest:
+                low = rest & -rest
+                closed |= up[low.bit_length() - 1]
+                rest ^= low
             if closed != reach:
                 raise NotTransitive(
                     "transitivity fails above %s" % self.labels[a], witness=a
@@ -81,16 +94,26 @@ class FinitePoset:
         return self
 
     def covers(self, a):
-        """Elements covering a: minimal elements strictly above a."""
-        strictly_above = [b for b in self.elements() if b != a and self.leq(a, b)]
-        out = []
-        for b in strictly_above:
-            if not any(c != b and self.leq(c, b) for c in strictly_above):
-                out.append(b)
-        return out
+        """Elements covering a: minimal elements strictly above a, in index order."""
+        above = self.up[a] & ~(1 << a)
+        down = self.down
+        return [
+            b
+            for b in range(len(self.up))
+            if above >> b & 1 and down[b] & above == 1 << b
+        ]
 
     def cover_pairs(self):
         return [(a, b) for a in self.elements() for b in self.covers(a)]
+
+
+def _antisymmetry_witness(up, down):
+    """First (a, b) in row-major order with a != b, a <= b and b <= a."""
+    for a, row in enumerate(up):
+        both = row & down[a] & ~(1 << a)
+        if both:
+            return (a, (both & -both).bit_length() - 1)
+    return None
 
 
 def build_poset(n, pairs, mode="covers", labels=None):
@@ -115,14 +138,13 @@ def build_poset(n, pairs, mode="covers", labels=None):
                 if up[i] >> k & 1:
                     up[i] |= up[k]
         poset = FinitePoset(tuple(up), poset.labels)
-        for a in range(n):
-            for b in range(n):
-                if a != b and poset.leq(a, b) and poset.leq(b, a):
-                    raise CycleDetected(
-                        "cycle through %s and %s"
-                        % (poset.labels[a], poset.labels[b]),
-                        witness=(a, b),
-                    )
+        pair = _antisymmetry_witness(poset.up, poset.down)
+        if pair is not None:
+            a, b = pair
+            raise CycleDetected(
+                "cycle through %s and %s" % (poset.labels[a], poset.labels[b]),
+                witness=pair,
+            )
         return poset
     return poset.validate()
 
@@ -149,7 +171,7 @@ class FiniteLattice:
         return range(self.size)
 
     def leq(self, a, b):
-        return self.poset.leq(a, b)
+        return bool(self.poset.up[a] >> b & 1)
 
     def join2(self, a, b):
         return self.join_table[a][b]
@@ -173,7 +195,10 @@ class FiniteLattice:
         return self.poset.covers(self.bottom)
 
     def coatoms(self):
-        return [a for a in self.elements() if self.top in self.poset.covers(a)]
+        """Elements covered by top, in index order."""
+        target = 1 << self.top
+        up = self.poset.up
+        return [a for a in self.elements() if a != self.top and up[a] == 1 << a | target]
 
     def is_atomistic(self):
         ats = self.atoms()
@@ -189,44 +214,50 @@ class FiniteLattice:
 
 
 def lattice_from_poset(poset):
-    """Compute bounds and join/meet tables; fails if any lub/glb is missing."""
+    """Validate the order, then compute bounds and join/meet tables.
+
+    The join of a and b is the element whose up-set is the intersection of
+    their up-sets, when such an element exists; the meet is the same on
+    down-sets.  With one dictionary from up-mask to element and one from
+    down-mask to element, each table entry is a single lookup, so after
+    validation construction costs O(n^2).  Raises NotALattice at the first
+    pair, in row-major order, that lacks a join (checked first) or a meet.
+    """
     poset.validate()
     n = poset.size
     if n == 0:
         raise NotALattice("empty carrier has no bounds")
-    bottoms = [a for a in range(n) if all(poset.leq(a, b) for b in range(n))]
-    tops = [a for a in range(n) if all(poset.leq(b, a) for b in range(n))]
-    if not bottoms:
+    up, down = poset.up, poset.down
+    full = (1 << n) - 1
+    bottom = next((a for a in range(n) if up[a] == full), None)
+    top = next((a for a in range(n) if down[a] == full), None)
+    if bottom is None:
         raise NotALattice("no bottom element")
-    if not tops:
+    if top is None:
         raise NotALattice("no top element")
-    bottom, top = bottoms[0], tops[0]
+    by_up = {row: a for a, row in enumerate(up)}.get
+    by_down = {row: a for a, row in enumerate(down)}.get
     join_rows = []
     meet_rows = []
     for a in range(n):
-        jrow = []
-        mrow = []
-        for b in range(n):
-            uppers = [c for c in range(n) if poset.leq(a, c) and poset.leq(b, c)]
-            least = [c for c in uppers if all(poset.leq(c, d) for d in uppers)]
-            if not least:
+        ua, da = up[a], down[a]
+        jrow = tuple([by_up(ua & ub) for ub in up])
+        mrow = tuple([by_down(da & db) for db in down])
+        if None in jrow or None in mrow:
+            b = next(b for b in range(n) if jrow[b] is None or mrow[b] is None)
+            if jrow[b] is None:
                 raise NotALattice(
                     "no least upper bound for %s, %s"
                     % (poset.labels[a], poset.labels[b]),
                     witness=(a, b),
                 )
-            jrow.append(least[0])
-            lowers = [c for c in range(n) if poset.leq(c, a) and poset.leq(c, b)]
-            greatest = [c for c in lowers if all(poset.leq(d, c) for d in lowers)]
-            if not greatest:
-                raise NotALattice(
-                    "no greatest lower bound for %s, %s"
-                    % (poset.labels[a], poset.labels[b]),
-                    witness=(a, b),
-                )
-            mrow.append(greatest[0])
-        join_rows.append(tuple(jrow))
-        meet_rows.append(tuple(mrow))
+            raise NotALattice(
+                "no greatest lower bound for %s, %s"
+                % (poset.labels[a], poset.labels[b]),
+                witness=(a, b),
+            )
+        join_rows.append(jrow)
+        meet_rows.append(mrow)
     return FiniteLattice(poset, bottom, top, tuple(join_rows), tuple(meet_rows))
 
 
@@ -265,10 +296,14 @@ class LatticeMap:
         return self.values[a]
 
     def is_isotone(self):
-        for a in self.dom.elements():
-            for b in self.dom.elements():
-                if self.dom.leq(a, b) and not self.cod.leq(self.values[a], self.values[b]):
-                    return False
+        # The elements above a are the a v b, so f is isotone iff
+        # f(a) v f(a v b) == f(a v b) for every pair.
+        values, cod_join = self.values, self.cod.join_table
+        for a, row in enumerate(self.dom.join_table):
+            image_row = cod_join[values[a]]
+            images = [values[x] for x in row]
+            if [image_row[y] for y in images] != images:
+                return False
         return True
 
     def image(self):

@@ -31,28 +31,36 @@ class PreservationProfile:
     top_reflecting: bool  # f(a)=1 only for a=1; the dense notion for meet maps
 
 
+def _failing_pair(values, dom_table, cod_table):
+    """First (a, b) in row-major order where the map sends a op b elsewhere
+    than values[a] op values[b]; op is given by the two tables."""
+    for a, row in enumerate(dom_table):
+        image_row = cod_table[values[a]]
+        images = [image_row[y] for y in values]
+        if [values[x] for x in row] != images:
+            return next(
+                (a, b) for b, x in enumerate(row) if values[x] != images[b]
+            )
+    return None
+
+
 def preservation_profile(f):
     """Decide every flag exhaustively; binary checks suffice on finite carriers."""
     dom, cod = f.dom, f.cod
-    nonempty_joins = all(
-        f(dom.join2(a, b)) == cod.join2(f(a), f(b))
-        for a in dom.elements()
-        for b in dom.elements()
-    )
-    nonempty_meets = all(
-        f(dom.meet2(a, b)) == cod.meet2(f(a), f(b))
-        for a in dom.elements()
-        for b in dom.elements()
-    )
+    values = f.values
+    nonempty_joins = _failing_pair(values, dom.join_table, cod.join_table) is None
+    nonempty_meets = _failing_pair(values, dom.meet_table, cod.meet_table) is None
+    bottom_fixed = values[dom.bottom] == cod.bottom
+    balanced = values[dom.top] == cod.top
     return PreservationProfile(
-        joins=nonempty_joins and f(dom.bottom) == cod.bottom,
+        joins=nonempty_joins and bottom_fixed,
         nonempty_joins=nonempty_joins,
-        meets=nonempty_meets and f(dom.top) == cod.top,
+        meets=nonempty_meets and balanced,
         nonempty_meets=nonempty_meets,
-        balanced=f(dom.top) == cod.top,
-        dense=all(f(a) != cod.bottom for a in dom.elements() if a != dom.bottom),
-        bottom_fixed=f(dom.bottom) == cod.bottom,
-        top_reflecting=all(f(a) != cod.top for a in dom.elements() if a != dom.top),
+        balanced=balanced,
+        dense=all(v != cod.bottom for a, v in enumerate(values) if a != dom.bottom),
+        bottom_fixed=bottom_fixed,
+        top_reflecting=all(v != cod.top for a, v in enumerate(values) if a != dom.top),
     )
 
 
@@ -66,24 +74,16 @@ def preserves_meets(f):
 
 def _join_witness(f):
     dom, cod = f.dom, f.cod
-    if f(dom.bottom) != cod.bottom:
+    if f.values[dom.bottom] != cod.bottom:
         return (dom.bottom,)
-    for a in dom.elements():
-        for b in dom.elements():
-            if f(dom.join2(a, b)) != cod.join2(f(a), f(b)):
-                return (a, b)
-    return None
+    return _failing_pair(f.values, dom.join_table, cod.join_table)
 
 
 def _meet_witness(f):
     dom, cod = f.dom, f.cod
-    if f(dom.top) != cod.top:
+    if f.values[dom.top] != cod.top:
         return (dom.top,)
-    for a in dom.elements():
-        for b in dom.elements():
-            if f(dom.meet2(a, b)) != cod.meet2(f(a), f(b)):
-                return (a, b)
-    return None
+    return _failing_pair(f.values, dom.meet_table, cod.meet_table)
 
 
 def right_adjoint(f):
@@ -92,11 +92,15 @@ def right_adjoint(f):
     if witness is not None:
         raise NotJoinPreserving("map does not preserve joins", witness=witness)
     dom, cod = f.dom, f.cod
-    values = tuple(
-        dom.join([a for a in dom.elements() if cod.leq(f(a), b)])
-        for b in cod.elements()
-    )
-    g = LatticeMap(cod, dom, values)
+    join_table, cod_up = dom.join_table, cod.poset.up
+    values = []
+    for b in cod.elements():
+        out = dom.bottom
+        for a, y in enumerate(f.values):
+            if cod_up[y] >> b & 1:
+                out = join_table[out][a]
+        values.append(out)
+    g = LatticeMap(cod, dom, tuple(values))
     assert check_adjunction(f, g)
     return g
 
@@ -107,11 +111,16 @@ def left_adjoint(g):
     if witness is not None:
         raise NotMeetPreserving("map does not preserve meets", witness=witness)
     dom, cod = g.dom, g.cod
-    values = tuple(
-        dom.meet([b for b in dom.elements() if cod.leq(a, g(b))])
-        for a in cod.elements()
-    )
-    f = LatticeMap(cod, dom, values)
+    meet_table, cod_up = dom.meet_table, cod.poset.up
+    values = []
+    for a in cod.elements():
+        row = cod_up[a]
+        out = dom.top
+        for b, y in enumerate(g.values):
+            if row >> y & 1:
+                out = meet_table[out][b]
+        values.append(out)
+    f = LatticeMap(cod, dom, tuple(values))
     assert check_adjunction(f, g)
     return f
 
@@ -122,13 +131,14 @@ def check_adjunction(f, g):
         raise ShapeMismatch("dom of left map must equal cod of right map")
     if f.cod is not g.dom and f.cod != g.dom:
         raise ShapeMismatch("cod of left map must equal dom of right map")
+    fv, gv = f.values, g.values
+    dom_up, cod_up = f.dom.poset.up, f.cod.poset.up
     pairwise = all(
-        f.cod.leq(f(a), b) == f.dom.leq(a, g(b))
-        for a in f.dom.elements()
-        for b in f.cod.elements()
+        [cod_up[fv[a]] >> b & 1 for b in range(len(gv))] == [row >> y & 1 for y in gv]
+        for a, row in enumerate(dom_up)
     )
-    unit_counit = all(f.dom.leq(a, g(f(a))) for a in f.dom.elements()) and all(
-        f.cod.leq(f(g(b)), b) for b in f.cod.elements()
+    unit_counit = all(row >> gv[fv[a]] & 1 for a, row in enumerate(dom_up)) and all(
+        cod_up[fv[y]] >> b & 1 for b, y in enumerate(gv)
     )
     if f.is_isotone() and g.is_isotone():
         assert pairwise == unit_counit
@@ -138,7 +148,7 @@ def check_adjunction(f, g):
 def compose(f2, f1):
     if f1.cod is not f2.dom and f1.cod != f2.dom:
         raise ShapeMismatch("maps not composable")
-    return LatticeMap(f1.dom, f2.cod, tuple(f2(f1(a)) for a in f1.dom.elements()))
+    return LatticeMap(f1.dom, f2.cod, tuple(f2.values[y] for y in f1.values))
 
 
 def verify_compose_adjoint(f2, f1):

@@ -111,6 +111,28 @@ def test_closure_of_space_subset(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "closure: p q r"
 
 
+def test_closure_subset_unknown_point(tmp_path, capsys):
+    path = tmp_path / "space.cspace"
+    path.write_text("cspace S\npoints: p q r\nclosed: {} {p} {q} {r} {p,q}\n")
+    assert cli.main(["closure", str(path), "--space", "S", "--subset", "zz"]) == 2
+    err = capsys.readouterr().err
+    assert "parse error: unknown point 'zz'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_check_unreadable_file(tmp_path, capsys, kind):
+    path = tmp_path / "input.lat"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"lattice A\nelements: \xff\xfe\n")
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: cannot read %s" % path)
+    assert "Traceback" not in err
+
+
 def test_equiv_roundtrips(doc_file, capsys):
     assert cli.main(["equiv", doc_file]) == 0
     out = capsys.readouterr().out

@@ -1,0 +1,343 @@
+"""The mask-and-table kernel against brute-force definitions.
+
+Each reference below is the plain pairwise definition: lattice tables by
+searching all upper and lower bounds, order checks pair by pair, and map
+properties by quantifying over all pairs of elements.  The kernel must agree
+with it on every input, including the ones it rejects, down to the
+exception type, message and witness.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from latkit import corpus
+from latkit.core import FinitePoset, LatticeMap, build_poset, lattice_from_poset
+from latkit.errors import (
+    CycleDetected,
+    NotALattice,
+    NotJoinPreserving,
+    NotMeetPreserving,
+    NotTransitive,
+    ValidationError,
+)
+from latkit.maps import check_adjunction, left_adjoint, preservation_profile, right_adjoint
+
+# ---------------------------------------------------------------- references
+
+
+def ref_validate(poset):
+    n = poset.size
+    for a in range(n):
+        if not poset.leq(a, a):
+            raise ValidationError("order not reflexive", witness=a)
+    for a in range(n):
+        for b in range(n):
+            if a != b and poset.leq(a, b) and poset.leq(b, a):
+                raise CycleDetected(
+                    "antisymmetry fails at %s, %s" % (poset.labels[a], poset.labels[b]),
+                    witness=(a, b),
+                )
+    for a in range(n):
+        above = [b for b in range(n) if poset.leq(a, b)]
+        for b in above:
+            for c in range(n):
+                if poset.leq(b, c) and not poset.leq(a, c):
+                    raise NotTransitive(
+                        "transitivity fails above %s" % poset.labels[a], witness=a
+                    )
+
+
+def ref_cycle_check(poset):
+    n = poset.size
+    for a in range(n):
+        for b in range(n):
+            if a != b and poset.leq(a, b) and poset.leq(b, a):
+                raise CycleDetected(
+                    "cycle through %s and %s" % (poset.labels[a], poset.labels[b]),
+                    witness=(a, b),
+                )
+
+
+def ref_lattice(poset):
+    """(bottom, top, join rows, meet rows) by searching all bounds."""
+    ref_validate(poset)
+    n = poset.size
+    if n == 0:
+        raise NotALattice("empty carrier has no bounds")
+    bottoms = [a for a in range(n) if all(poset.leq(a, b) for b in range(n))]
+    tops = [a for a in range(n) if all(poset.leq(b, a) for b in range(n))]
+    if not bottoms:
+        raise NotALattice("no bottom element")
+    if not tops:
+        raise NotALattice("no top element")
+    join_rows, meet_rows = [], []
+    for a in range(n):
+        jrow, mrow = [], []
+        for b in range(n):
+            uppers = [c for c in range(n) if poset.leq(a, c) and poset.leq(b, c)]
+            least = [c for c in uppers if all(poset.leq(c, d) for d in uppers)]
+            if not least:
+                raise NotALattice(
+                    "no least upper bound for %s, %s" % (poset.labels[a], poset.labels[b]),
+                    witness=(a, b),
+                )
+            jrow.append(least[0])
+            lowers = [c for c in range(n) if poset.leq(c, a) and poset.leq(c, b)]
+            greatest = [c for c in lowers if all(poset.leq(d, c) for d in lowers)]
+            if not greatest:
+                raise NotALattice(
+                    "no greatest lower bound for %s, %s"
+                    % (poset.labels[a], poset.labels[b]),
+                    witness=(a, b),
+                )
+            mrow.append(greatest[0])
+        join_rows.append(tuple(jrow))
+        meet_rows.append(tuple(mrow))
+    return bottoms[0], tops[0], tuple(join_rows), tuple(meet_rows)
+
+
+def ref_covers(poset, a):
+    above = [b for b in range(poset.size) if b != a and poset.leq(a, b)]
+    return [b for b in above if not any(c != b and poset.leq(c, b) for c in above)]
+
+
+def ref_is_isotone(f):
+    leq_dom, leq_cod = f.dom.poset.leq, f.cod.poset.leq
+    n = f.dom.size
+    return all(
+        leq_cod(f.values[a], f.values[b])
+        for a in range(n)
+        for b in range(n)
+        if leq_dom(a, b)
+    )
+
+
+def ref_preserves(f, dom_table, cod_table):
+    n = f.dom.size
+    v = f.values
+    return all(v[dom_table[a][b]] == cod_table[v[a]][v[b]] for a in range(n) for b in range(n))
+
+
+def ref_witness(f, dom_table, cod_table, unit, cod_unit):
+    if f.values[unit] != cod_unit:
+        return (unit,)
+    n = f.dom.size
+    v = f.values
+    for a in range(n):
+        for b in range(n):
+            if v[dom_table[a][b]] != cod_table[v[a]][v[b]]:
+                return (a, b)
+    return None
+
+
+def ref_fold(table, start, subset):
+    out = start
+    for a in subset:
+        out = table[out][a]
+    return out
+
+
+def ref_adjunction(f, g):
+    leq_dom, leq_cod = f.dom.poset.leq, f.cod.poset.leq
+    return all(
+        leq_cod(f.values[a], b) == leq_dom(a, g.values[b])
+        for a in range(f.dom.size)
+        for b in range(f.cod.size)
+    )
+
+
+def outcome(fn, *args):
+    """A result, or the (type, message, witness) of the error it raised."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return (type(exc), str(exc), exc.witness)
+
+
+# ---------------------------------------------------------------- strategies
+
+
+@st.composite
+def cover_posets(draw):
+    """Acyclic cover relations on up to 9 elements, mostly given a bottom and
+    a top, so that lattices and bounded non-lattices both come up."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    candidates = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    pairs = [pair for pair, keep in zip(candidates, chosen) if keep]
+    bounds = draw(st.sampled_from(["both", "both", "both", "bottom", "top", "none"]))
+    if n and bounds in ("both", "bottom"):
+        pairs += [(0, b) for b in range(1, n)]
+    if n and bounds in ("both", "top"):
+        pairs += [(a, n - 1) for a in range(n - 1)]
+    perm = draw(st.permutations(range(n)))
+    return build_poset(n, [(perm[a], perm[b]) for a, b in pairs])
+
+
+relations = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+    )
+)
+
+SMALL = [name for name, lat in corpus.named_lattices().items() if lat.size <= 9]
+
+
+def renumbered(lattice, draw):
+    """The lattice with its elements in a drawn order, so that index order
+    need not extend the lattice order."""
+    perm = draw(st.permutations(range(lattice.size)))
+    up = [
+        sum(1 << j for j in range(lattice.size) if lattice.leq(perm[i], perm[j]))
+        for i in range(lattice.size)
+    ]
+    labels = [lattice.labels[e] for e in perm]
+    return lattice_from_poset(FinitePoset(tuple(up), tuple(labels)))
+
+
+@st.composite
+def map_pairs(draw):
+    """A map between small corpus lattices: an arbitrary value table, or the
+    join (meet) of values drawn for the elements below (above) each element,
+    which is isotone and often preserves joins (meets)."""
+    table = corpus.named_lattices()
+    dom = renumbered(table[draw(st.sampled_from(SMALL))], draw)
+    cod = renumbered(table[draw(st.sampled_from(SMALL))], draw)
+    kind = draw(st.sampled_from(["any", "join", "meet"]))
+    seeds = draw(st.lists(st.integers(0, cod.size - 1), min_size=dom.size, max_size=dom.size))
+    if kind == "any":
+        values = seeds
+    elif kind == "join":
+        values = [
+            cod.join([seeds[x] for x in dom.elements() if dom.leq(x, a) and x != dom.bottom])
+            for a in dom.elements()
+        ]
+    else:
+        values = [
+            cod.meet([seeds[x] for x in dom.elements() if dom.leq(a, x) and x != dom.top])
+            for a in dom.elements()
+        ]
+    return LatticeMap(dom, cod, tuple(values))
+
+
+# --------------------------------------------------------------------- tests
+
+
+# Elements 0 and 1 have two minimal upper bounds (4, 5) and two maximal
+# lower bounds (2, 3): the first failing pair lacks both, and the join is
+# reported.
+NO_JOIN_NO_MEET = build_poset(
+    8, [(6, 2), (6, 3), (2, 0), (2, 1), (3, 0), (3, 1), (0, 4), (0, 5), (1, 4), (1, 5),
+        (4, 7), (5, 7)]
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(poset=cover_posets())
+@example(poset=NO_JOIN_NO_MEET)
+def test_lattice_from_poset_matches_bound_search(poset):
+    got = outcome(lattice_from_poset, poset)
+    if isinstance(got, tuple):
+        assert got == outcome(ref_lattice, poset)
+    else:
+        assert (got.bottom, got.top, got.join_table, got.meet_table) == ref_lattice(poset)
+
+
+@settings(deadline=None, max_examples=300)
+@given(relation=relations)
+def test_build_poset_errors_match_pairwise_checks(relation):
+    n, pairs = relation
+    given_order = [{i} | {b for a, b in pairs if a == i} for i in range(n)]
+    # covers mode takes the reflexive-transitive closure, then reports a cycle.
+    closure = [set(row) for row in given_order]
+    for _ in range(n):
+        closure = [row.union(*(closure[b] for b in row)) for row in closure]
+    expected = FinitePoset(tuple(sum(1 << b for b in row) for row in closure))
+    failure = outcome(ref_cycle_check, expected)
+    assert outcome(build_poset, n, pairs) == (failure or expected)
+    # full-leq mode validates the relation as given.
+    expected = FinitePoset(tuple(sum(1 << b for b in row) for row in given_order))
+    failure = outcome(ref_validate, expected)
+    assert outcome(build_poset, n, pairs, "full-leq") == (failure or expected)
+
+
+@settings(deadline=None, max_examples=200)
+@given(poset=cover_posets())
+def test_covers_match_definition(poset):
+    n = poset.size
+    assert [poset.covers(a) for a in range(n)] == [ref_covers(poset, a) for a in range(n)]
+    assert poset.cover_pairs() == [(a, b) for a in range(n) for b in ref_covers(poset, a)]
+    try:
+        lattice = lattice_from_poset(poset)
+    except ValidationError:
+        return
+    assert lattice.atoms() == ref_covers(poset, lattice.bottom)
+    assert lattice.coatoms() == [a for a in range(n) if lattice.top in ref_covers(poset, a)]
+
+
+@settings(deadline=None, max_examples=400)
+@given(f=map_pairs())
+def test_map_checks_match_pairwise_definitions(f):
+    dom, cod = f.dom, f.cod
+    v = f.values
+    assert f.is_isotone() == ref_is_isotone(f)
+    joins = ref_preserves(f, dom.join_table, cod.join_table)
+    meets = ref_preserves(f, dom.meet_table, cod.meet_table)
+    profile = preservation_profile(f)
+    assert profile.nonempty_joins == joins
+    assert profile.nonempty_meets == meets
+    assert profile.joins == (joins and v[dom.bottom] == cod.bottom)
+    assert profile.meets == (meets and v[dom.top] == cod.top)
+    assert profile.balanced == (v[dom.top] == cod.top)
+    assert profile.bottom_fixed == (v[dom.bottom] == cod.bottom)
+    assert profile.dense == all(v[a] != cod.bottom for a in dom.elements() if a != dom.bottom)
+    assert profile.top_reflecting == all(v[a] != cod.top for a in dom.elements() if a != dom.top)
+
+
+@settings(deadline=None, max_examples=400)
+@given(f=map_pairs())
+def test_adjoints_match_definitions(f):
+    dom, cod = f.dom, f.cod
+    witness = ref_witness(f, dom.join_table, cod.join_table, dom.bottom, cod.bottom)
+    if witness is None:
+        g = right_adjoint(f)
+        assert g.values == tuple(
+            ref_fold(dom.join_table, dom.bottom,
+                     [a for a in dom.elements() if cod.poset.leq(f.values[a], b)])
+            for b in cod.elements()
+        )
+        assert ref_adjunction(f, g)
+    else:
+        with pytest.raises(NotJoinPreserving) as info:
+            right_adjoint(f)
+        assert info.value.witness == witness
+    witness = ref_witness(f, dom.meet_table, cod.meet_table, dom.top, cod.top)
+    if witness is None:
+        h = left_adjoint(f)
+        assert h.values == tuple(
+            ref_fold(dom.meet_table, dom.top,
+                     [b for b in dom.elements() if cod.poset.leq(a, f.values[b])])
+            for a in cod.elements()
+        )
+        assert ref_adjunction(h, f)
+    else:
+        with pytest.raises(NotMeetPreserving) as info:
+            left_adjoint(f)
+        assert info.value.witness == witness
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    f=map_pairs(),
+    picks=st.lists(st.integers(min_value=0, max_value=10**6), min_size=9, max_size=9),
+)
+def test_check_adjunction_matches_galois_condition(f, picks):
+    # Any table for g: mostly not an adjoint, sometimes one.
+    g = LatticeMap(f.cod, f.dom, tuple(p % f.dom.size for p in picks[: f.cod.size]))
+    assert check_adjunction(f, g) == ref_adjunction(f, g)
+    if ref_witness(f, f.dom.join_table, f.cod.join_table, f.dom.bottom, f.cod.bottom) is None:
+        assert check_adjunction(f, right_adjoint(f))
