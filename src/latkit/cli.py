@@ -55,10 +55,10 @@ def _corpus_lattice(args, name):
         raise ParseError("no lattice named %r in the given files" % name)
     from . import corpus
 
-    table = corpus.named_lattices()
-    if name not in table:
-        raise ParseError("no built-in lattice named %r" % name)
-    return table[name]
+    try:
+        return corpus.named_lattice(name)
+    except KeyError:
+        raise ParseError("no built-in lattice named %r" % name) from None
 
 
 def cmd_check(args):

@@ -151,7 +151,11 @@ def build_poset(n, pairs, mode="covers", labels=None):
 
 @dataclass(frozen=True)
 class FiniteLattice:
-    """Complete lattice on a finite carrier with precomputed tables."""
+    """Complete lattice on a finite carrier with precomputed tables.
+
+    The size, the hash, the upper extension and the lower intervals are
+    computed on first use and kept on the instance.
+    """
 
     poset: FinitePoset
     bottom: int
@@ -159,9 +163,40 @@ class FiniteLattice:
     join_table: tuple[tuple[int, ...], ...]
     meet_table: tuple[tuple[int, ...], ...]
 
-    @property
+    def _key(self):
+        return (self.poset, self.bottom, self.top, self.join_table, self.meet_table)
+
+    def __eq__(self, other):
+        """Structural equality, as the dataclass default, after an identity test."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash(self._key())
+
+    @cached_property
     def size(self):
-        return self.poset.size
+        return len(self.poset.up)
+
+    @cached_property
+    def _upper_extension(self):
+        n = self.size
+        up = [row | 1 << n for row in self.poset.up]
+        up.append(1 << n)
+        labels = self.labels + ("**1**",)
+        return lattice_from_poset(FinitePoset(tuple(up), labels))
+
+    @cached_property
+    def _intervals(self):
+        """a -> lower_interval(self, a), filled on demand."""
+        return {}
 
     @property
     def labels(self):
@@ -286,11 +321,12 @@ class LatticeMap:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.dom.size:
+        values = self.values
+        if len(values) != self.dom.size:
             raise ShapeMismatch("value table does not cover the domain")
-        for v in self.values:
-            if not 0 <= v < self.cod.size:
-                raise ShapeMismatch("value %d outside codomain" % v)
+        if not (0 <= min(values) and max(values) < self.cod.size):
+            bad = next(v for v in values if not 0 <= v < self.cod.size)
+            raise ShapeMismatch("value %d outside codomain" % bad)
 
     def __call__(self, a):
         return self.values[a]
@@ -344,6 +380,10 @@ def sublattice_on(lattice, elems, labels=None):
 
 
 def lower_interval(lattice, a):
+    """The interval [0, a] of lattice; built once per (lattice, a)."""
+    cache = lattice._intervals
+    if a in cache:
+        return cache[a]
     elems = tuple(lattice.downset(a))
     sub = sublattice_on(lattice, elems)
     index = {e: i for i, e in enumerate(elems)}
@@ -351,7 +391,8 @@ def lower_interval(lattice, a):
     projection = LatticeMap(
         lattice, sub, tuple(index[lattice.meet2(x, a)] for x in lattice.elements())
     )
-    return Interval(sub, elems, inclusion, projection)
+    cache[a] = interval = Interval(sub, elems, inclusion, projection)
+    return interval
 
 
 @dataclass(frozen=True)
@@ -486,12 +527,8 @@ def horizontal_sum(factors, max_size=MAX_LATTICE_SIZE):
 
 
 def upper_extension(lattice):
-    """Adjoin a new top strictly above the old one."""
-    n = lattice.size
-    up = [row | 1 << n for row in lattice.poset.up]
-    up.append(1 << n)
-    labels = lattice.labels + ("**1**",)
-    return lattice_from_poset(FinitePoset(tuple(up), labels))
+    """Adjoin a new top strictly above the old one; built once per lattice."""
+    return lattice._upper_extension
 
 
 def lattice_of_sets(family, universe_size, labels=None):

@@ -5,8 +5,9 @@ from __future__ import annotations
 import itertools
 
 from .core import (
-    FinitePoset,
     build_poset,
+    direct_product,
+    horizontal_sum,
     lattice_from_poset,
     lattice_of_sets,
     random_moore_lattice,
@@ -86,30 +87,39 @@ def boolean_ortho(lattice):
     return tuple(index[universe - s] for s in atom_sets)
 
 
+# The shipped corpus: name -> constructor, in report order.
+_CONSTRUCTORS = {
+    "C1": lambda: chain(1),
+    "C2": lambda: chain(2),
+    "C3": lambda: chain(3),
+    "C4": lambda: chain(4),
+    "C5": lambda: chain(5),
+    "D4": diamond,
+    "B4": lambda: boolean_lattice(2),
+    "B8": lambda: boolean_lattice(3),
+    "B16": lambda: boolean_lattice(4),
+    "N5": n5,
+    "M3": m3,
+    "O6": lambda: o6()[0],
+    "C2xC3": lambda: direct_product([chain(2), chain(3)]).lattice,
+    "C3xC3": lambda: direct_product([chain(3), chain(3)]).lattice,
+    "C3+C3": lambda: horizontal_sum([chain(3), chain(3)]).lattice,
+    "C4+C3": lambda: horizontal_sum([chain(4), chain(3)]).lattice,
+}
+_CONSTRUCTORS.update(
+    ("R%02d" % k, lambda k=k: random_moore_lattice(seed=1000 + k, n_points=5, n_generators=3))
+    for k in range(20)
+)
+
+
+def named_lattice(name):
+    """Build the one corpus lattice called name; KeyError if there is none."""
+    return _CONSTRUCTORS[name]()
+
+
 def named_lattices(max_size=None):
     """The shipped corpus, name -> lattice."""
-    from .core import direct_product, horizontal_sum
-
-    out = {
-        "C1": chain(1),
-        "C2": chain(2),
-        "C3": chain(3),
-        "C4": chain(4),
-        "C5": chain(5),
-        "D4": diamond(),
-        "B4": boolean_lattice(2),
-        "B8": boolean_lattice(3),
-        "B16": boolean_lattice(4),
-        "N5": n5(),
-        "M3": m3(),
-        "O6": o6()[0],
-        "C2xC3": direct_product([chain(2), chain(3)]).lattice,
-        "C3xC3": direct_product([chain(3), chain(3)]).lattice,
-        "C3+C3": horizontal_sum([chain(3), chain(3)]).lattice,
-        "C4+C3": horizontal_sum([chain(4), chain(3)]).lattice,
-    }
-    for k in range(20):
-        out["R%02d" % k] = random_moore_lattice(seed=1000 + k, n_points=5, n_generators=3)
+    out = {name: build() for name, build in _CONSTRUCTORS.items()}
     if max_size is not None:
         out = {name: lat for name, lat in out.items() if lat.size <= max_size}
     return out

@@ -160,10 +160,18 @@ def _build_lattice(block):
     return lattice, ortho
 
 
-def _build_ospace(block):
+def _point_labels(block):
     if "points" not in block.fields:
-        raise ParseError("ospace block needs a points field", line=block.line)
-    labels = block.fields["points"][0].split()
+        raise ParseError("%s block needs a points field" % block.kind, line=block.line)
+    text, lineno = block.fields["points"]
+    labels = text.split()
+    if len(set(labels)) != len(labels):
+        raise ParseError("duplicate point labels", line=lineno)
+    return labels
+
+
+def _build_ospace(block):
+    labels = _point_labels(block)
     rows = [0] * len(labels)
     if "orth" in block.fields:
         text, lineno = block.fields["orth"]
@@ -179,9 +187,7 @@ def _build_ospace(block):
 
 
 def _build_cspace(block):
-    if "points" not in block.fields:
-        raise ParseError("cspace block needs a points field", line=block.line)
-    labels = block.fields["points"][0].split()
+    labels = _point_labels(block)
     closed = []
     if "closed" in block.fields:
         text, lineno = block.fields["closed"]

@@ -64,14 +64,6 @@ def preservation_profile(f):
     )
 
 
-def preserves_joins(f):
-    return preservation_profile(f).joins
-
-
-def preserves_meets(f):
-    return preservation_profile(f).meets
-
-
 def _join_witness(f):
     dom, cod = f.dom, f.cod
     if f.values[dom.bottom] != cod.bottom:
@@ -87,7 +79,14 @@ def _meet_witness(f):
 
 
 def right_adjoint(f):
-    """f*(b) = join of everything f sends below b.  Requires all joins."""
+    """f*(b) = join of everything f sends below b.  Requires all joins.
+
+    The result is kept on f, so each map computes and checks its adjoint
+    once; a failure is raised again on every call.
+    """
+    memo = f.__dict__
+    if "right_adjoint" in memo:
+        return memo["right_adjoint"]
     witness = _join_witness(f)
     if witness is not None:
         raise NotJoinPreserving("map does not preserve joins", witness=witness)
@@ -102,11 +101,19 @@ def right_adjoint(f):
         values.append(out)
     g = LatticeMap(cod, dom, tuple(values))
     assert check_adjunction(f, g)
+    memo["right_adjoint"] = g
     return g
 
 
 def left_adjoint(g):
-    """g_*(a) = meet of everything g sends above a.  Requires all meets."""
+    """g_*(a) = meet of everything g sends above a.  Requires all meets.
+
+    Kept on g as right_adjoint keeps its result.  Neither links the result
+    back to its source: left_adjoint(right_adjoint(f)) is computed afresh.
+    """
+    memo = g.__dict__
+    if "left_adjoint" in memo:
+        return memo["left_adjoint"]
     witness = _meet_witness(g)
     if witness is not None:
         raise NotMeetPreserving("map does not preserve meets", witness=witness)
@@ -122,6 +129,7 @@ def left_adjoint(g):
         values.append(out)
     f = LatticeMap(cod, dom, tuple(values))
     assert check_adjunction(f, g)
+    memo["left_adjoint"] = f
     return f
 
 
@@ -149,11 +157,6 @@ def compose(f2, f1):
     if f1.cod is not f2.dom and f1.cod != f2.dom:
         raise ShapeMismatch("maps not composable")
     return LatticeMap(f1.dom, f2.cod, tuple(f2.values[y] for y in f1.values))
-
-
-def verify_compose_adjoint(f2, f1):
-    """(f2 o f1)* equals f1* o f2*."""
-    return right_adjoint(compose(f2, f1)) == compose(right_adjoint(f1), right_adjoint(f2))
 
 
 def map_leq(f, g):

@@ -4,6 +4,7 @@ corpus (or a user-supplied workspace) and reported one object at a time."""
 from __future__ import annotations
 
 import functools
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
@@ -1012,12 +1013,12 @@ def run_suite(bundle=None, filter_text=None, max_size=None, seed=0):
     reports = []
     for check in ALL_CHECKS:
         kwargs = {}
-        code = check.__code__
-        if "seed" in code.co_varnames[: code.co_argcount]:
+        params = inspect.signature(check).parameters
+        if "seed" in params:
             kwargs["seed"] = seed
-        if max_size is not None and "max_size" in code.co_varnames[: code.co_argcount]:
-            default = check.__defaults__[0] if check.__defaults__ else max_size
-            kwargs["max_size"] = min(max_size, default)
+        if max_size is not None and "max_size" in params:
+            # max_size only lowers each law's own size bound.
+            kwargs["max_size"] = min(max_size, params["max_size"].default)
         checks = [
             (prop, obj, fn)
             for prop, obj, fn in check(bundle, **kwargs)

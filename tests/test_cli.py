@@ -133,6 +133,19 @@ def test_check_unreadable_file(tmp_path, capsys, kind):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["ospace P\npoints: p p\n", "cspace S\npoints: p q p\nclosed: {} {p}\n"],
+)
+def test_check_duplicate_point_labels(tmp_path, capsys, text):
+    path = tmp_path / "space.lat"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error: line 2: duplicate point labels" in err
+    assert "Traceback" not in err
+
+
 def test_equiv_roundtrips(doc_file, capsys):
     assert cli.main(["equiv", doc_file]) == 0
     out = capsys.readouterr().out

@@ -94,6 +94,20 @@ def test_unknown_label_rejected():
         io.load_workspace(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ospace P\npoints: p q p\northo: p~q\n",
+        "cspace S\npoints: p q q\nclosed: {} {p}\n",
+    ],
+)
+def test_duplicate_point_labels_rejected(text):
+    with pytest.raises(ParseError) as err:
+        io.load_workspace(text)
+    assert "duplicate point labels" in str(err.value)
+    assert "line 2" in str(err.value)
+
+
 def test_partial_map_blocks():
     text = (
         "lattice C3\nelements: 0 m 1\ncovers: 0<m m<1\n"

@@ -38,6 +38,17 @@ def test_max_size_caps_sweeps():
     assert len(capped) <= len(uncapped)
 
 
+def test_max_size_clamps_to_the_laws_own_size_bound():
+    # check_space_equivalence's first parameter is max_points=3; the clamp
+    # must use its max_size=8, so max_size=8 keeps every report.
+    def keys(reports):
+        return {(r.prop, r.object) for r in reports if r.prop == "space-equivalence"}
+
+    default = suite.run_suite(filter_text="space-equivalence")
+    assert any(r.object.startswith("B") for r in default)
+    assert keys(suite.run_suite(max_size=8, filter_text="space-equivalence")) == keys(default)
+
+
 def test_report_dict_schema():
     report = suite.Report("prop-name", "obj", "fail", witness="w", millis=1.25)
     payload = report.to_dict()
