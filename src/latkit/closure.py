@@ -125,14 +125,6 @@ class ClosureSpace:
         return all(frozenset([p]) in self.closed for p in self.points())
 
 
-def closure_of(space, subset):
-    return space.closure_of(subset)
-
-
-def is_simple(space):
-    return space.is_simple()
-
-
 def discrete_space(n):
     family = frozenset(
         frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)

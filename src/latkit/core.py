@@ -296,22 +296,6 @@ def lattice_from_poset(poset):
     return FiniteLattice(poset, bottom, top, tuple(join_rows), tuple(meet_rows))
 
 
-def join(lattice, subset):
-    return lattice.join(subset)
-
-
-def meet(lattice, subset):
-    return lattice.meet(subset)
-
-
-def atoms(lattice):
-    return lattice.atoms()
-
-
-def is_atomistic(lattice):
-    return lattice.is_atomistic()
-
-
 @dataclass(frozen=True)
 class LatticeMap:
     """Total map between lattice carriers, stored as a value table."""

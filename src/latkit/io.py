@@ -124,9 +124,17 @@ def _label_index(labels, token, lineno, what):
         raise ParseError("unknown %s %r" % (what, token), line=lineno)
 
 
+def _reject_unknown_fields(block, known):
+    """ParseError at the first field, in line order, that the block does not read."""
+    for key, (_, lineno) in block.fields.items():
+        if key not in known:
+            raise ParseError("unknown field %r in %s block" % (key, block.kind), line=lineno)
+
+
 def _build_lattice(block):
     if "elements" not in block.fields:
         raise ParseError("lattice block needs an elements field", line=block.line)
+    _reject_unknown_fields(block, ("elements", "covers", "ortho"))
     labels, _ = block.fields["elements"]
     labels = labels.split()
     if len(set(labels)) != len(labels):
@@ -172,6 +180,7 @@ def _point_labels(block):
 
 def _build_ospace(block):
     labels = _point_labels(block)
+    _reject_unknown_fields(block, ("points", "orth"))
     rows = [0] * len(labels)
     if "orth" in block.fields:
         text, lineno = block.fields["orth"]
@@ -188,6 +197,7 @@ def _build_ospace(block):
 
 def _build_cspace(block):
     labels = _point_labels(block)
+    _reject_unknown_fields(block, ("points", "closed"))
     closed = []
     if "closed" in block.fields:
         text, lineno = block.fields["closed"]
@@ -249,6 +259,7 @@ def _resolve_map(ws, block):
             "map references unknown lattice %r" % (dom_name if dom_name not in ws.lattices else cod_name),
             line=block.line,
         )
+    _reject_unknown_fields(block, ("anchor",))
     dom, cod = ws.lattices[dom_name], ws.lattices[cod_name]
     entries = {}
     for lhs, op, rhs, lineno in block.arrows:
@@ -280,6 +291,7 @@ def _resolve_map(ws, block):
 def _resolve_cmap(ws, block, dom_name, cod_name):
     if dom_name not in ws.cspaces or cod_name not in ws.cspaces:
         raise ParseError("continuous map needs two closure spaces", line=block.line)
+    _reject_unknown_fields(block, ("kernel",))
     src, tgt = ws.cspaces[dom_name], ws.cspaces[cod_name]
     kernel = []
     if "kernel" in block.fields:
@@ -306,6 +318,7 @@ def _resolve_umap(ws, block):
     ws.signatures[block.name] = (dom_name, cod_name)
     if dom_name not in ws.lattices or cod_name not in ws.lattices:
         raise ParseError("umap references an unknown lattice", line=block.line)
+    _reject_unknown_fields(block, ())
     dom, cod = ws.lattices[dom_name], ws.lattices[cod_name]
     images = {}
     for lhs, op, rhs, lineno in block.arrows:
@@ -329,6 +342,7 @@ def _resolve_causal(ws, block):
     ws.signatures[block.name] = (dom_name, cod_name)
     if dom_name not in ws.lattices or cod_name not in ws.lattices:
         raise ParseError("causal block references an unknown lattice", line=block.line)
+    _reject_unknown_fields(block, ())
     src, tgt = ws.lattices[dom_name], ws.lattices[cod_name]
     pairs = set()
     for lhs, op, rhs, lineno in block.arrows:
@@ -366,16 +380,6 @@ def format_map(name, f, dom_name, cod_name):
     lines = ["map %s : %s -> %s" % (name, dom_name, cod_name)]
     for a in f.dom.elements():
         lines.append("%s |-> %s" % (f.dom.labels[a], f.cod.labels[f(a)]))
-    return "\n".join(lines) + "\n"
-
-
-def format_partial_map(name, partial, dom_name, cod_name):
-    lines = ["map %s : %s -> %s" % (name, dom_name, cod_name)]
-    lines.append("anchor: %s" % partial.source.labels[partial.anchor])
-    for x, value in partial.values:
-        lines.append(
-            "%s |-> %s" % (partial.source.labels[x], partial.target.labels[value])
-        )
     return "\n".join(lines) + "\n"
 
 

@@ -3,7 +3,6 @@ special morphisms, classification, and Hom-set enumeration."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import FiniteLattice, LatticeMap, identity_map, lower_interval
@@ -262,26 +261,15 @@ def special_maps(lattice, a, two=None):
 
 
 def join_irreducibles(lattice):
-    """Nonzero elements that are not the join of the elements strictly below."""
-    out = []
-    for a in lattice.elements():
-        if a == lattice.bottom:
-            continue
-        below = [x for x in lattice.elements() if lattice.leq(x, a) and x != a]
-        if lattice.join(below) != a:
-            out.append(a)
-    return out
+    """Elements with exactly one lower cover, in index order."""
+    lower = [b for _, b in lattice.poset.cover_pairs()]
+    return [a for a in lattice.elements() if lower.count(a) == 1]
 
 
 def meet_irreducibles(lattice):
-    out = []
-    for a in lattice.elements():
-        if a == lattice.top:
-            continue
-        above = [x for x in lattice.elements() if lattice.leq(a, x) and x != a]
-        if lattice.meet(above) != a:
-            out.append(a)
-    return out
+    """Elements with exactly one upper cover, in index order."""
+    covers = lattice.poset.covers
+    return [a for a in lattice.elements() if len(covers(a)) == 1]
 
 
 def _guard(candidates, bound):
@@ -318,42 +306,64 @@ def _enumerate_isotone(dom, cod, bound):
     return out
 
 
-def _enumerate_join_maps(dom, cod, bound):
-    irr = join_irreducibles(dom)
+def _enumerate_preserving(dom, cod, irr, masks, dom_table, cod_table, unit, bound):
+    """Every map dom -> cod preserving the operation of the two tables.
+
+    Stated for joins (masks = up, unit = bottom); meets are the same search
+    in the dual order (masks = down, unit = top).  A join-preserving map is
+    the join-extension of its isotone restriction to the join-irreducibles,
+    so the search assigns the irreducibles in a linear extension, gives each
+    one only values at or above the join of its predecessors' values, and
+    keeps the extensions whose tables pass the pairwise check.  Each map is
+    made exactly once.
+    """
     _guard(cod.size ** len(irr), bound)
-    seen = set()
+    # An element's order mask shrinks as it rises, so this is a linear extension.
+    order = sorted(irr, key=lambda j: -masks[j].bit_count())
+    preds = [
+        [i for i in range(k) if masks[order[i]] >> j & 1] for k, j in enumerate(order)
+    ]
+    below = [
+        [k for k, j in enumerate(order) if masks[j] >> a & 1] for a in dom.elements()
+    ]
+    choice = [unit] * len(order)
     out = []
-    for choice in itertools.product(cod.elements(), repeat=len(irr)):
-        values = tuple(
-            cod.join([v for j, v in zip(irr, choice) if dom.leq(j, a)])
-            for a in dom.elements()
-        )
-        if values in seen:
-            continue
-        f = LatticeMap(dom, cod, values)
-        if preservation_profile(f).joins:
-            seen.add(values)
-            out.append(f)
+
+    def assign(k):
+        if k == len(order):
+            values = []
+            for ks in below:
+                v = unit
+                for i in ks:
+                    v = cod_table[v][choice[i]]
+                values.append(v)
+            if _failing_pair(values, dom_table, cod_table) is None:
+                out.append(LatticeMap(dom, cod, tuple(values)))
+            return
+        floor = unit
+        for i in preds[k]:
+            floor = cod_table[floor][choice[i]]
+        for v, w in enumerate(cod_table[floor]):
+            if w == v:
+                choice[k] = v
+                assign(k + 1)
+
+    assign(0)
     return out
+
+
+def _enumerate_join_maps(dom, cod, bound):
+    return _enumerate_preserving(
+        dom, cod, join_irreducibles(dom), dom.poset.up, dom.join_table, cod.join_table,
+        cod.bottom, bound,
+    )
 
 
 def _enumerate_meet_maps(dom, cod, bound):
-    irr = meet_irreducibles(dom)
-    _guard(cod.size ** len(irr), bound)
-    seen = set()
-    out = []
-    for choice in itertools.product(cod.elements(), repeat=len(irr)):
-        values = tuple(
-            cod.meet([v for m, v in zip(irr, choice) if dom.leq(a, m)])
-            for a in dom.elements()
-        )
-        if values in seen:
-            continue
-        f = LatticeMap(dom, cod, values)
-        if preservation_profile(f).meets:
-            seen.add(values)
-            out.append(f)
-    return out
+    return _enumerate_preserving(
+        dom, cod, meet_irreducibles(dom), dom.poset.down, dom.meet_table, cod.meet_table,
+        cod.top, bound,
+    )
 
 
 def hom_set(dom, cod, cls="join", bound=HOM_SET_CANDIDATE_BOUND):

@@ -36,9 +36,6 @@ class StatePropertySystem:
         L = self.properties.lattice
         return frozenset(p for p in self.states if L.leq(p, a))
 
-    def property_of_state(self, p):
-        return p
-
     def state_orthogonal(self, p, q):
         """p and q orthogonal as states: p below the complement of q."""
         return self.properties.lattice.leq(p, self.properties.comp(q))

@@ -17,6 +17,7 @@ from .maps import (
     classify_morphism,
     compose,
     hom_set,
+    left_adjoint,
     map_leq,
     pointwise_join,
     pointwise_meet,
@@ -135,7 +136,7 @@ def check_duality(bundle, max_size=4):
                 joins = _homs(l1, l2, "join")
                 for f in joins:
                     g = right_adjoint(f)
-                    if left_adjoint_of(g) != f:
+                    if left_adjoint(g) != f:
                         return "double dual differs for %s" % (f.values,)
                 for f in joins:
                     for h in joins:
@@ -144,12 +145,6 @@ def check_duality(bundle, max_size=4):
                 return None
 
             yield "duality-involution", "%s->%s" % (name1, name2), body
-
-
-def left_adjoint_of(g):
-    from .maps import left_adjoint
-
-    return left_adjoint(g)
 
 
 def check_contravariance(bundle, max_size=4):

@@ -190,18 +190,19 @@ def compose_union(second, first):
     return union_map(first.source, second.target, images)
 
 
-def based_hull(theta, bound=None):
-    """Union of every power map dominated by theta; theta is based iff this
-    reproduces it (based Hom-sets are exactly unions of power maps)."""
-    candidates = [
-        power_map(g)
-        for g in hom_set(theta.source, theta.target, "join")
-    ]
-    dominated = [p for p in candidates if union_leq(p, theta)]
+def _hull(theta, power_maps):
+    """Union of the power maps dominated by theta."""
+    dominated = [p for p in power_maps if union_leq(p, theta)]
     if not dominated:
         # The empty union is the everywhere-empty map (the zero power map).
         return union_map(theta.source, theta.target, {a: frozenset() for a in nonzero(theta.source)})
     return union_of(dominated)
+
+
+def based_hull(theta, bound=None):
+    """Union of every power map dominated by theta; theta is based iff this
+    reproduces it (based Hom-sets are exactly unions of power maps)."""
+    return _hull(theta, [power_map(g) for g in hom_set(theta.source, theta.target, "join")])
 
 
 def is_based(theta):
@@ -254,17 +255,7 @@ def hom_count(category, source, target, bound=ENUMERATION_BOUND):
         if category == "TS":
             return sum(1 for t in maps if is_strongly_isotone(t))
         power_maps = [power_map(g) for g in hom_set(source, target, "join")]
-        count = 0
-        for t in maps:
-            dominated = [p for p in power_maps if union_leq(p, t)]
-            hull = (
-                union_of(dominated)
-                if dominated
-                else union_map(source, target, {a: frozenset() for a in nonzero(source)})
-            )
-            if hull == t:
-                count += 1
-        return count
+        return sum(1 for t in maps if _hull(t, power_maps) == t)
     raise ValueError("category must be one of PS, BS, TS, FS")
 
 

@@ -146,6 +146,15 @@ def test_check_duplicate_point_labels(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+def test_check_unknown_field(tmp_path, capsys):
+    path = tmp_path / "space.lat"
+    path.write_text("ospace P\npoints: p q\northo: p~q\n")
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error: line 3: unknown field 'ortho' in ospace block" in err
+    assert "Traceback" not in err
+
+
 def test_equiv_roundtrips(doc_file, capsys):
     assert cli.main(["equiv", doc_file]) == 0
     out = capsys.readouterr().out

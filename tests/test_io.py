@@ -108,6 +108,24 @@ def test_duplicate_point_labels_rejected(text):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, field, line",
+    [
+        ("ospace P\npoints: p q\northo: p~q\n", "ortho", 3),
+        ("lattice A\nelements: 0 1\ncover: 0<1\n", "cover", 3),
+        ("cspace S\npoints: p q\nclosed: {} {p}\nclose: {q}\n", "close", 4),
+        ("lattice A\nelements: 0 1\ncovers: 0<1\nmap f : A -> A\nanchr: 1\n", "anchr", 5),
+        ("cspace S\npoints: p\nclosed: {}\nmap a : S -> S\nanchor: p\n", "anchor", 5),
+        ("lattice A\nelements: 0\numap t : A -> A\nkernel: 0\n", "kernel", 4),
+        ("lattice A\nelements: 0\ncausal r : A -> A\npairs: 0\n0 ~> 0\n", "pairs", 4),
+    ],
+)
+def test_unknown_fields_rejected(text, field, line):
+    with pytest.raises(ParseError) as err:
+        io.load_workspace(text)
+    assert str(err.value).startswith("line %d: unknown field %r" % (line, field))
+
+
 def test_partial_map_blocks():
     text = (
         "lattice C3\nelements: 0 m 1\ncovers: 0<m m<1\n"
