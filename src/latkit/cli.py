@@ -282,7 +282,7 @@ def cmd_suite(args):
         max_size=args.max_size,
         seed=args.seed,
     )
-    failed = [r for r in reports if r.status == "fail"]
+    failed = [r for r in reports if r.status != "pass"]  # fail or error
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
     else:

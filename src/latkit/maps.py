@@ -80,8 +80,8 @@ def _meet_witness(f):
 def right_adjoint(f):
     """f*(b) = join of everything f sends below b.  Requires all joins.
 
-    The result is kept on f, so each map computes and checks its adjoint
-    once; a failure is raised again on every call.
+    The result is kept on f, so each map computes its adjoint once; a
+    failure is raised again on every call.
     """
     memo = f.__dict__
     if "right_adjoint" in memo:
@@ -99,7 +99,6 @@ def right_adjoint(f):
                 out = join_table[out][a]
         values.append(out)
     g = LatticeMap(cod, dom, tuple(values))
-    assert check_adjunction(f, g)
     memo["right_adjoint"] = g
     return g
 
@@ -127,29 +126,22 @@ def left_adjoint(g):
                 out = meet_table[out][b]
         values.append(out)
     f = LatticeMap(cod, dom, tuple(values))
-    assert check_adjunction(f, g)
     memo["left_adjoint"] = f
     return f
 
 
 def check_adjunction(f, g):
-    """f(a) <= b iff a <= g(b), cross-checked against the unit/counit form."""
+    """f(a) <= b iff a <= g(b), for every a and b."""
     if f.dom is not g.cod and f.dom != g.cod:
         raise ShapeMismatch("dom of left map must equal cod of right map")
     if f.cod is not g.dom and f.cod != g.dom:
         raise ShapeMismatch("cod of left map must equal dom of right map")
     fv, gv = f.values, g.values
     dom_up, cod_up = f.dom.poset.up, f.cod.poset.up
-    pairwise = all(
+    return all(
         [cod_up[fv[a]] >> b & 1 for b in range(len(gv))] == [row >> y & 1 for y in gv]
         for a, row in enumerate(dom_up)
     )
-    unit_counit = all(row >> gv[fv[a]] & 1 for a, row in enumerate(dom_up)) and all(
-        cod_up[fv[y]] >> b & 1 for b, y in enumerate(gv)
-    )
-    if f.is_isotone() and g.is_isotone():
-        assert pairwise == unit_counit
-    return pairwise
 
 
 def compose(f2, f1):

@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
+import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import closure, corpus, ortho, stateprop, transition, weak
+from . import closure, corpus, io, ortho, stateprop, transition, weak
 from .core import direct_product, horizontal_sum, identity_map
-from .errors import LatkitError, SizeLimit
+from .errors import LatkitError, ParseError
 from .maps import (
     check_adjunction,
     classify_morphism,
@@ -32,7 +34,7 @@ from .maps import (
 class Report:
     prop: str
     object: str
-    status: str  # "pass" or "fail"
+    status: str  # "pass", "fail", or "error" for an unexpected exception
     witness: str | None = None
     millis: float = 0.0
 
@@ -66,10 +68,10 @@ def _collect(checks, reports):
             witness = fn()
             status = "pass" if witness is None else "fail"
             witness = None if witness is None else str(witness)
-        except AssertionError as exc:
-            status, witness = "fail", str(exc) or "internal assertion failed"
         except LatkitError as exc:
             status, witness = "fail", "%s: %s" % (type(exc).__name__, exc)
+        except Exception as exc:
+            status, witness = "error", "%s: %s" % (type(exc).__name__, exc)
         millis = (time.perf_counter() - start) * 1000.0
         reports.append(Report(prop, obj, status, witness, millis))
 
@@ -117,9 +119,21 @@ def check_adjoint_uniqueness(bundle, max_size=4):
         for name2, l2 in pool:
 
             def body(l1=l1, l2=l2):
+                up1, up2 = l1.poset.up, l2.poset.up
                 meets = _homs(l2, l1, "meet")
                 for f in _homs(l1, l2, "join"):
-                    matches = [g for g in meets if check_adjunction(f, g)]
+                    matches = []
+                    for g in meets:
+                        adjoint = check_adjunction(f, g)
+                        # Second oracle for isotone maps: a <= g(f(a)) and f(g(b)) <= b.
+                        fv, gv = f.values, g.values
+                        unit_counit = all(
+                            row >> gv[fv[a]] & 1 for a, row in enumerate(up1)
+                        ) and all(up2[fv[y]] >> b & 1 for b, y in enumerate(gv))
+                        if adjoint != unit_counit:
+                            return "adjunction oracles disagree for %s, %s" % (f.values, g.values)
+                        if adjoint:
+                            matches.append(g)
                     if len(matches) != 1:
                         return "%d adjoint candidates for %s" % (len(matches), f.values)
                 return None
@@ -346,8 +360,15 @@ def check_isometries(bundle, max_size=8):
     for name, ol in _ortho_pool(bundle, max_size):
 
         def body(ol=ol):
-            for u in _homs(ol.lattice, ol.lattice, "join"):
-                ortho.is_isometry(u, ol, ol)  # asserts two-oracle agreement
+            lat = ol.lattice
+            for u in _homs(lat, lat, "join"):
+                via_order = all(
+                    lat.leq(a, ol.comp(b)) == lat.leq(u(a), ol.comp(u(b)))
+                    for a in lat.elements()
+                    for b in lat.elements()
+                )
+                if ortho.is_isometry(u, ol, ol) != via_order:
+                    return "isometry oracles disagree for %s" % (u.values,)
             return None
 
         yield "isometry-agreement", name, body
@@ -372,6 +393,15 @@ def check_ortho_morphisms(bundle, max_size=8):
         yield "ortho-morphism", name, body
 
 
+def _top_witness(ol):
+    """First a with a \\/ a' != 1; validate_ortho derives this law but does not check it."""
+    lat = ol.lattice
+    for a in lat.elements():
+        if lat.join2(a, ol.comp(a)) != lat.top:
+            return "a \\/ a' is not top at %s" % lat.labels[a]
+    return None
+
+
 def check_orthospace_equivalence(bundle, max_size=16):
     for name, ol in _ortho_pool(bundle, max_size):
         if not ol.lattice.is_atomistic():
@@ -380,6 +410,9 @@ def check_orthospace_equivalence(bundle, max_size=16):
         def body(ol=ol):
             space, _ = ortho.orthospace_from_lattice(ol)
             rebuilt, _ = ortho.biortho_lattice(space)
+            witness = _top_witness(ol) or _top_witness(rebuilt)
+            if witness:
+                return witness
             if rebuilt.size != ol.size:
                 return "rebuilt carrier has %d elements" % rebuilt.size
             if ol.size <= 8 and ortho.lattice_isomorphic_with_ortho(ol, rebuilt) is None:
@@ -391,6 +424,9 @@ def check_orthospace_equivalence(bundle, max_size=16):
 
         def body(space=space):
             rebuilt_lat, _ = ortho.biortho_lattice(space)
+            witness = _top_witness(rebuilt_lat)
+            if witness:
+                return witness
             back, _ = ortho.orthospace_from_lattice(rebuilt_lat)
             if back.size != space.size:
                 return "point counts differ"
@@ -478,8 +514,16 @@ def check_closure_monads(bundle, max_size=5):
                     g = right_adjoint(f)
                     operator = closure.monad_from_adjunction(f, g)
                     fixed = closure.fixed_points(operator)
-                    if sorted(fixed.elements) != g.image():
+                    elems, sub = fixed.elements, fixed.lattice
+                    if sorted(elems) != g.image():
                         return "fixed points differ from the image"
+                    # Meets are inherited; joins are closures of ambient joins.
+                    for i, a in enumerate(elems):
+                        for j, b in enumerate(elems):
+                            if elems[sub.meet2(i, j)] != l1.meet2(a, b):
+                                return "fixed-point meet differs for %s" % (f.values,)
+                            if elems[sub.join2(i, j)] != operator(l1.join2(a, b)):
+                                return "fixed-point join differs for %s" % (f.values,)
                 return None
 
             yield "closure-monad", "%s->%s" % (name1, name2), body
@@ -502,6 +546,8 @@ def check_space_equivalence(bundle, max_points=3, max_size=8):
             continue
 
         def body(lat=lat):
+            if not closure.lattice_to_space(lat)[0].is_simple():
+                return "space of atoms is not simple"
             report, _ = closure.lattice_roundtrip(lat)
             if not report.passed:
                 return report.detail
@@ -511,8 +557,6 @@ def check_space_equivalence(bundle, max_points=3, max_size=8):
 
 
 def _continuous_maps(s1, s2):
-    import itertools
-
     out = []
     points = list(s1.points())
     for kernel_mask in range(1 << s1.size):
@@ -570,14 +614,14 @@ def check_space_functors(bundle, max_points=3):
 
 
 def check_power_functors(bundle, max_points=3, seed=0):
-    import itertools
-
     for n1 in range(1, max_points + 1):
         for n2 in range(1, max_points + 1):
 
             def body(n1=n1, n2=n2):
                 for mapping in itertools.product(range(n2), repeat=n1):
                     direct, inverse = closure.power_functors(mapping, n1, n2)
+                    if not check_adjunction(direct, inverse):
+                        return "direct image not adjoint to preimage for %s" % (mapping,)
                     injective = len(set(mapping)) == n1
                     surjective = len(set(mapping)) == n2
                     if injective != (
@@ -633,6 +677,11 @@ def check_transition_resolution(bundle, max_size=5):
 
         def body(lat=lat):
             res = transition.resolution(lat)
+            if not check_adjunction(res.collapse, res.expand):
+                return "join not adjoint to the interval map"
+            for a in lat.elements():
+                if res.collapse(res.expand(a)) != a:
+                    return "join of the interval below %s differs from it" % lat.labels[a]
             for i in range(res.power_lattice.size):
                 subset = res.sets[i]
                 if not subset <= res.sets[res.expand(res.collapse(i))]:
@@ -674,18 +723,17 @@ def check_transition_coherence(bundle, max_size=4):
                     theta = transition.power_map(f)
                     if transition.underlying_map(theta) != f:
                         return "power map does not recover its join map"
+                    if not transition.coherence_check(f, theta, method="fast"):
+                        return "join map not coherent with its power map"
                     if not transition.is_based(theta):
                         return "power map not recognized as based"
                 sample = transition.all_union_maps(l1, l2, bound=1 << 12)
                 for theta in sample[:: max(1, len(sample) // 64)]:
-                    fast_ok = None
                     try:
                         f = transition.underlying_map(theta)
-                        fast_ok = transition.coherence_check(f, theta, method="fast")
-                        exhaustive = transition.coherence_check(
-                            f, theta, method="exhaustive"
-                        )
-                        if fast_ok != exhaustive:
+                        if not transition.coherence_check(f, theta, method="fast"):
+                            return "underlying map not coherent with its union map"
+                        if not transition.coherence_check(f, theta, method="exhaustive"):
                             return "coherence oracles disagree"
                     except LatkitError:
                         continue
@@ -752,7 +800,19 @@ def check_state_systems(bundle, max_size=16):
             continue
 
         def body(ol=ol):
-            stateprop.build_system(ol)  # verifies the support invariants
+            system = stateprop.build_system(ol)
+            lat = ol.lattice
+            supports = [system.atom_support(a) for a in lat.elements()]
+            # The support of a meet is the intersection of supports, for every subset.
+            for mask in range(1 << lat.size):
+                subset = [a for a in lat.elements() if mask >> a & 1]
+                inter = frozenset(system.states)
+                for a in subset:
+                    inter &= supports[a]
+                if system.atom_support(lat.meet(subset)) != inter:
+                    return "support of the meet of %s is not the intersection" % (
+                        [lat.labels[a] for a in subset],
+                    )
             return None
 
         yield "state-system", name, body
@@ -764,14 +824,22 @@ def check_state_center(bundle, max_size=16):
             continue
 
         def body(ol=ol):
+            lat = ol.lattice
             elems = set(stateprop.center(ol))
             for z in elems:
                 if ol.comp(z) not in elems:
                     return "center not closed under complement at %d" % z
-            stateprop.center_sublattice(ol)  # asserts sublattice closure
+                for w in elems:
+                    if lat.join2(z, w) not in elems or lat.meet2(z, w) not in elems:
+                        return "center not closed under join and meet at %d, %d" % (z, w)
             decomposition = stateprop.classical_decomposition(ol)
             if decomposition.product.size != ol.size:
                 return "decomposition changes cardinality"
+            iso, product = decomposition.iso, decomposition.product
+            for a in lat.elements():
+                for b in lat.elements():
+                    if lat.leq(a, b) != product.leq(iso(a), iso(b)):
+                        return "decomposition not an order isomorphism at %d, %d" % (a, b)
             return None
 
         yield "state-center", name, body
@@ -783,7 +851,15 @@ def check_state_spectrum(bundle, max_size=16):
             continue
 
         def body(ol=ol):
-            report = stateprop.observable_spectrum(identity_map(ol.lattice), ol, ol)
+            lat = ol.lattice
+            report = stateprop.observable_spectrum(identity_map(lat), ol, ol)
+            null, discrete = report.null_part, report.discrete_part
+            if lat.meet2(null, discrete) != lat.bottom:
+                return "null and discrete parts overlap"
+            if lat.join([null, discrete, report.continuous_part]) != lat.top:
+                return "spectrum parts do not join to the top"
+            if not report.discrete_interval.lattice.is_atomistic():
+                return "discrete part is not atomistic"
             if report.null_part != ol.lattice.bottom:
                 return "identity observable has a nonzero null part"
             if report.discrete_part != ol.lattice.top:
@@ -844,8 +920,6 @@ def check_state_evolution(bundle, max_size=4):
 
 
 def check_io_roundtrip(bundle, max_size=8):
-    from . import io
-
     for name, lat in _lattices(bundle, max_size):
 
         def body(name=name, lat=lat):
@@ -865,8 +939,6 @@ def check_io_roundtrip(bundle, max_size=8):
     for name, space in bundle["cspaces"].items():
 
         def body(name=name, space=space):
-            from . import io
-
             text = io.format_cspace(name, space)
             back = io.load_workspace(text).cspaces[name]
             if back.closed != space.closed or back.labels != space.labels:
@@ -877,8 +949,6 @@ def check_io_roundtrip(bundle, max_size=8):
     for name, space in bundle["ospaces"].items():
 
         def body(name=name, space=space):
-            from . import io
-
             text = io.format_ospace(name, space)
             back = io.load_workspace(text).ospaces[name]
             if back.orth != space.orth or back.labels != space.labels:
@@ -927,10 +997,6 @@ ALL_CHECKS = (
 
 def write_corpus(directory):
     """Write the built-in corpus to one file per object in text format."""
-    import os
-
-    from . import io
-
     bundle = default_bundle()
     os.makedirs(directory, exist_ok=True)
     written = []
@@ -959,11 +1025,6 @@ def load_corpus_dir(directory):
     Parse failures raise immediately; validation failures are collected as
     failing reports naming the offending file.
     """
-    import os
-
-    from . import io
-    from .errors import ParseError
-
     bundle = {
         "lattices": {},
         "orthos": {},

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .core import FiniteLattice, LatticeMap, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from .maps import check_adjunction, left_adjoint, preservation_profile, right_adjoint
+from .maps import left_adjoint, preservation_profile, right_adjoint
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,6 @@ def restrict_codomain(weak):
     interval = lower_interval(g.cod, anchor)
     index = {e: i for i, e in enumerate(interval.elements)}
     restricted = LatticeMap(g.dom, interval.lattice, tuple(index[g(b)] for b in g.dom.elements()))
-    assert preservation_profile(restricted).meets
     partial_left = left_adjoint(restricted)
     # The left adjoint lands back in the big lattice through the inclusion.
     mapping = {e: partial_left(index[e]) for e in interval.elements}
@@ -116,7 +115,6 @@ def pointed_extend(weak):
     ext_cod = upper_extension(g.cod)
     values = tuple(g(b) for b in g.dom.elements()) + (g.cod.size,)
     extended = LatticeMap(ext_dom, ext_cod, values)
-    assert preservation_profile(extended).meets
     left = left_adjoint(extended)
     upper = UpperMap(g.cod, g.dom, left)
     return extended, upper
@@ -143,7 +141,6 @@ def upper_to_partial(upper):
     adj = right_adjoint(upper.map)
     old_top = upper.base_target.top
     anchor = adj(old_top)
-    assert anchor < upper.base_source.size, "anchor must lie in the base lattice"
     mapping = {x: upper(x) for x in upper.base_source.downset(anchor)}
     return partial_from_table(upper.base_source, upper.base_target, anchor, mapping)
 

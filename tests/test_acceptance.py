@@ -114,8 +114,14 @@ def test_criterion_03_dagger_calculus():
                     d = daggers[(i, j)][f.values]
                     # Involution.
                     assert ortho.dagger(d, cod, dom) == f
-                    # Isometry oracle agreement is asserted inside.
-                    ortho.is_isometry(f, dom, cod)
+                    # The dagger and order oracles for isometries agree.
+                    via_order = all(
+                        dom.lattice.leq(a, dom.comp(b))
+                        == cod.lattice.leq(f(a), cod.comp(f(b)))
+                        for a in dom.lattice.elements()
+                        for b in dom.lattice.elements()
+                    )
+                    assert ortho.is_isometry(f, dom, cod) == via_order
         # Antihomomorphism over all composable pairs.
         for (a, da), (b, db), (c, dc) in itertools.product(
             enumerate(carriers), repeat=3
@@ -250,6 +256,7 @@ def test_criterion_08_power_and_boolean_functors():
             for n2 in range(1, 5):
                 for mapping in itertools.product(range(n2), repeat=n1):
                     direct, inverse = closure.power_functors(mapping, n1, n2)
+                    assert check_adjunction(direct, inverse)
                     injective = len(set(mapping)) == n1
                     surjective = set(mapping) == set(range(n2))
                     assert injective == (
@@ -314,10 +321,18 @@ def test_criterion_10_state_property_layer():
     with criterion(10, "state-property-layer"):
         orthos = corpus.ortho_lattices()
         for name, ol in orthos.items():
-            system = stateprop.build_system(ol)  # meet-to-intersection inside
+            system = stateprop.build_system(ol)
+            lat = ol.lattice
+            # The support of the meet of any subset is the intersection.
+            supports = [system.atom_support(a) for a in lat.elements()]
+            for mask in range(1 << lat.size):
+                subset = [a for a in lat.elements() if mask >> a & 1]
+                inter = frozenset(system.states)
+                for a in subset:
+                    inter &= supports[a]
+                assert system.atom_support(lat.meet(subset)) == inter
             for z in stateprop.center(ol):
                 assert ol.comp(z) in stateprop.center(ol)
-            del system
         decomposition = stateprop.classical_decomposition(orthos["B8"])
         assert len(decomposition.factors) == 3
         assert all(f.size == 2 for f in decomposition.factors)

@@ -161,6 +161,36 @@ def test_equiv_roundtrips(doc_file, capsys):
     assert "PASS D4" in out and "PASS D4(ortho)" in out
 
 
+def test_equiv_biortho_size_guard(tmp_path, capsys):
+    # MO9: nine pairs of complementary atoms, so the orthospace has 18 points.
+    pairs = ["a%d b%d" % (i, i) for i in range(9)]
+    atoms = " ".join(pairs).split()
+    path = tmp_path / "mo9.lat"
+    path.write_text(
+        "lattice MO9\nelements: 0 %s 1\ncovers: %s\northo: 0->1 1->0 %s\n"
+        % (
+            " ".join(atoms),
+            " ".join("0<%s %s<1" % (x, x) for x in atoms),
+            " ".join("a%d->b%d b%d->a%d" % (i, i, i, i) for i in range(9)),
+        )
+    )
+    assert cli.main(["equiv", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "size limit: 18 points exceed powerset bound 16" in err
+    assert "Traceback" not in err
+
+
+def test_suite_error_report_exits_1(monkeypatch, capsys):
+    def run_suite(**kwargs):
+        return [suite.Report("some-law", "X", "error", "IndexError: boom")]
+
+    monkeypatch.setattr(suite, "run_suite", run_suite)
+    assert cli.main(["suite"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "ERROR some-law X (0.0 ms)  [IndexError: boom]"
+    assert out[-1] == "1 checks, 1 failed"
+
+
 def test_witness_reports_basedness(capsys):
     assert cli.main(["witness", "M3", "a", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -36,7 +36,7 @@ from latkit.errors import (
     NotContinuous,
     NotSimple,
 )
-from latkit.maps import compose, hom_set, right_adjoint
+from latkit.maps import check_adjunction, compose, hom_set, right_adjoint
 
 
 def test_validate_closure_rejects_each_axiom():
@@ -183,6 +183,7 @@ def test_power_functors_adjoint_and_one_sided_identities():
         for n_target in range(1, 4):
             for mapping in itertools.product(range(n_target), repeat=n_source):
                 direct, inverse = power_functors(mapping, n_source, n_target)
+                assert check_adjunction(direct, inverse)
                 injective = len(set(mapping)) == n_source
                 surjective = set(mapping) == set(range(n_target))
                 assert (compose(inverse, direct) == identity_map(direct.dom)) == injective

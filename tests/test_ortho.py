@@ -73,11 +73,17 @@ def test_dagger_contravariance_on_b4():
 
 def test_isometry_oracle_agreement():
     o6 = ORTHOS["O6"]
+    lat = o6.lattice
     found = 0
-    for u in hom_set(o6.lattice, o6.lattice, "join"):
-        # is_isometry asserts internally that both oracles agree.
-        if is_isometry(u, o6, o6):
-            found += 1
+    for u in hom_set(lat, lat, "join"):
+        # Order oracle: u preserves orthogonality a <= b' both ways.
+        via_order = all(
+            lat.leq(a, o6.comp(b)) == lat.leq(u(a), o6.comp(u(b)))
+            for a in lat.elements()
+            for b in lat.elements()
+        )
+        assert is_isometry(u, o6, o6) == via_order
+        found += via_order
     assert found >= 1  # the identity at least
 
 

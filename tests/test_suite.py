@@ -1,5 +1,10 @@
-"""The report sweep itself: determinism, filtering, size capping."""
+"""The report sweep itself: determinism, filtering, size capping, error
+reports, and the rule that library code carries no assert statements."""
 
+import ast
+import pathlib
+
+import latkit
 from latkit import corpus, suite
 
 
@@ -59,3 +64,24 @@ def test_report_dict_schema():
         "millis": 1.25,
         "witness": "w",
     }
+
+
+def test_unexpected_exception_is_an_error_report():
+    def broken():
+        return [][0]
+
+    checks = [("law-a", "X", broken), ("law-b", "Y", lambda: None)]
+    reports = []
+    suite._collect(checks, reports)
+    assert [(r.prop, r.status) for r in reports] == [("law-a", "error"), ("law-b", "pass")]
+    assert reports[0].witness == "IndexError: list index out of range"
+
+
+def test_library_has_no_assert_statements():
+    # Laws are checked by the suite; python -O strips assert statements.
+    found = []
+    for path in sorted(pathlib.Path(latkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

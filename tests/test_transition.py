@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from latkit import corpus
 from latkit.core import identity_map
 from latkit.errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
-from latkit.maps import compose, hom_set, pointwise_join
+from latkit.maps import check_adjunction, compose, hom_set, pointwise_join
 from latkit.transition import (
     TransitionPair,
     all_subsets,
@@ -37,6 +37,7 @@ def test_resolution_adjunction_and_retraction():
     for lattice in (corpus.chain(3), corpus.diamond(), corpus.m3()):
         res = resolution(lattice)
         assert res.power_lattice.size == 1 << (lattice.size - 1)
+        assert check_adjunction(res.collapse, res.expand)
         for a in lattice.elements():
             assert res.collapse(res.expand(a)) == a
 
