@@ -1,14 +1,15 @@
 """Command-line front end: parse object files, run constructions, emit
 reports, and drive the full proposition sweep.
 
-Exit codes: 0 success, 1 validation or proposition failure, 2 parse error,
-3 size limit exceeded.
+Exit codes: 0 success, 1 validation or proposition failure (or stdout closed
+before all output was written), 2 parse error, 3 size limit exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import closure, io, ortho, stateprop, suite, transition
@@ -370,7 +371,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as `latkit suite | head -1` does.
+        # Point stdout at devnull so the flush at exit fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -153,8 +153,9 @@ def build_poset(n, pairs, mode="covers", labels=None):
 class FiniteLattice:
     """Complete lattice on a finite carrier with precomputed tables.
 
-    The size, the hash, the upper extension and the lower intervals are
-    computed on first use and kept on the instance.
+    The size, the hash, the upper extension, the lower intervals and the
+    Hom-sets out of the lattice are computed on first use and kept on the
+    instance.
     """
 
     poset: FinitePoset
@@ -196,6 +197,11 @@ class FiniteLattice:
     @cached_property
     def _intervals(self):
         """a -> lower_interval(self, a), filled on demand."""
+        return {}
+
+    @cached_property
+    def _hom_sets(self):
+        """(cod, cls, bound) -> maps.hom_set(self, cod, cls, bound) as a tuple."""
         return {}
 
     @property

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteLattice, LatticeMap, identity_map, lower_interval
+from .core import FiniteLattice, LatticeMap, lower_interval
 from .errors import (
     EmptyFamily,
     NotInClass,
@@ -151,10 +151,15 @@ def compose(f2, f1):
 
 
 def map_leq(f, g):
-    """Pointwise order on a Hom-set."""
-    if f.dom != g.dom or f.cod != g.cod:
+    """Pointwise order on a Hom-set: f(a) <= g(a) for every a, read off the
+    two value tables."""
+    if f.dom is not g.dom and f.dom != g.dom or f.cod is not g.cod and f.cod != g.cod:
         raise ShapeMismatch("maps live in different Hom-sets")
-    return all(f.cod.leq(f(a), g(a)) for a in f.dom.elements())
+    up = f.cod.poset.up
+    for x, y in zip(f.values, g.values):
+        if not up[x] >> y & 1:
+            return False
+    return True
 
 
 def pointwise_join(fs):
@@ -270,9 +275,20 @@ def _guard(candidates, bound):
 
 
 def _enumerate_isotone(dom, cod, bound):
-    order = sorted(dom.elements(), key=lambda a: len(dom.downset(a)))
-    values = [None] * dom.size
+    """Every isotone map dom -> cod.
+
+    The elements are assigned in a linear extension, so an element's lower
+    covers have their values when its turn comes and none of the elements
+    above it has one yet; its candidates are the values at or above every
+    lower cover's value, one mask intersection of cod.poset.up rows.
+    """
+    order = sorted(dom.elements(), key=lambda a: dom.poset.down[a].bit_count())
     _guard(cod.size ** dom.size, bound)
+    covered = [[] for _ in dom.elements()]
+    for a, b in dom.poset.cover_pairs():
+        covered[b].append(a)
+    cod_up, full = cod.poset.up, (1 << cod.size) - 1
+    values = [None] * dom.size
     out = []
 
     def assign(k):
@@ -280,19 +296,13 @@ def _enumerate_isotone(dom, cod, bound):
             out.append(LatticeMap(dom, cod, tuple(values)))
             return
         x = order[k]
+        allowed = full
+        for y in covered[x]:
+            allowed &= cod_up[values[y]]
         for v in cod.elements():
-            ok = True
-            for y in order[:k]:
-                if dom.leq(y, x) and not cod.leq(values[y], v):
-                    ok = False
-                    break
-                if dom.leq(x, y) and not cod.leq(v, values[y]):
-                    ok = False
-                    break
-            if ok:
+            if allowed >> v & 1:
                 values[x] = v
                 assign(k + 1)
-        values[x] = None
 
     assign(0)
     return out
@@ -358,32 +368,45 @@ def _enumerate_meet_maps(dom, cod, bound):
     )
 
 
-def hom_set(dom, cod, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
-    """Complete, duplicate-free enumeration in lexicographic table order."""
+def _enumerate(dom, cod, cls, bound):
     if cls == "isotone":
-        maps = _enumerate_isotone(dom, cod, bound)
-    elif cls == "join":
-        maps = _enumerate_join_maps(dom, cod, bound)
-    elif cls == "meet":
-        maps = _enumerate_meet_maps(dom, cod, bound)
-    elif cls == "balanced-join":
-        maps = [f for f in _enumerate_join_maps(dom, cod, bound) if f(dom.top) == cod.top]
-    elif cls == "dense-join":
-        maps = [
+        return _enumerate_isotone(dom, cod, bound)
+    if cls == "join":
+        return _enumerate_join_maps(dom, cod, bound)
+    if cls == "meet":
+        return _enumerate_meet_maps(dom, cod, bound)
+    if cls == "balanced-join":
+        return [f for f in _enumerate_join_maps(dom, cod, bound) if f(dom.top) == cod.top]
+    if cls == "dense-join":
+        return [
             f
             for f in _enumerate_join_maps(dom, cod, bound)
             if preservation_profile(f).dense
         ]
-    elif cls == "atomic-join":
+    if cls == "atomic-join":
         targets = set(cod.atoms()) | {cod.bottom}
-        maps = [
+        return [
             f
             for f in _enumerate_join_maps(dom, cod, bound)
             if all(f(p) in targets for p in dom.atoms())
         ]
-    else:
-        raise ValueError("unknown map class %r" % cls)
-    return sorted(maps, key=lambda f: f.values)
+    raise ValueError("unknown map class %r" % cls)
+
+
+def hom_set(dom, cod, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
+    """Complete, duplicate-free enumeration in lexicographic table order.
+
+    Each Hom-set is enumerated once per domain instance and kept on it, keyed
+    by (cod, cls, bound); every call returns a fresh list of the shared maps.
+    A SizeLimit is not kept: it is raised again on every call.
+    """
+    cache = dom._hom_sets
+    key = (cod, cls, bound)
+    maps = cache.get(key)
+    if maps is None:
+        maps = tuple(sorted(_enumerate(dom, cod, cls, bound), key=lambda f: f.values))
+        cache[key] = maps
+    return list(maps)
 
 
 @dataclass(frozen=True)
@@ -398,6 +421,15 @@ class MorphismFlags:
     dense: bool
 
 
+def _inverts(h, f):
+    """h o f is the identity on f's domain, read off the value tables."""
+    hv = h.values
+    for a, y in enumerate(f.values):
+        if hv[y] != a:
+            return False
+    return True
+
+
 def classify_morphism(f, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
     """Classification via the adjoint criteria; one-sided inverses by search."""
     profile = preservation_profile(f)
@@ -405,26 +437,20 @@ def classify_morphism(f, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
         if not profile.joins:
             raise NotInClass("map does not preserve joins", witness=_join_witness(f))
         g = right_adjoint(f)
-        epic = compose(f, g) == identity_map(f.cod)
-        monic = compose(g, f) == identity_map(f.dom)
     elif cls == "meet":
         if not profile.meets:
             raise NotInClass("map does not preserve meets", witness=_meet_witness(f))
         g = left_adjoint(f)
-        epic = compose(f, g) == identity_map(f.cod)
-        monic = compose(g, f) == identity_map(f.dom)
     else:
         raise ValueError("cls must be 'join' or 'meet'")
     injective = len(set(f.values)) == f.dom.size
     surjective = len(set(f.values)) == f.cod.size
     inverses = hom_set(f.cod, f.dom, cls, bound)
-    section = any(compose(h, f) == identity_map(f.dom) for h in inverses)
-    retraction = any(compose(f, h) == identity_map(f.cod) for h in inverses)
     return MorphismFlags(
-        epic=epic,
-        monic=monic,
-        section=section,
-        retraction=retraction,
+        epic=_inverts(f, g),
+        monic=_inverts(g, f),
+        section=any(_inverts(h, f) for h in inverses),
+        retraction=any(_inverts(f, h) for h in inverses),
         injective=injective,
         surjective=surjective,
         balanced=profile.balanced,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import MAX_POWER_BASE, FiniteLattice, LatticeMap, lattice_of_sets
+from .core import MAX_POWER_BASE, FiniteLattice, LatticeMap, identity_map, lattice_of_sets
 from .errors import (
     NotAtomistic,
     NotCOLattMorphism,
@@ -17,7 +17,6 @@ from .errors import (
 )
 from .maps import (
     compose,
-    identity_map,
     left_adjoint,
     preservation_profile,
     right_adjoint,

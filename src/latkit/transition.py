@@ -185,19 +185,29 @@ def compose_union(second, first):
     return union_map(first.source, second.target, images)
 
 
-def _hull(theta, power_maps):
-    """Union of the power maps dominated by theta."""
-    dominated = [p for p in power_maps if union_leq(p, theta)]
-    if not dominated:
-        # The empty union is the everywhere-empty map (the zero power map).
-        return union_map(theta.source, theta.target, {a: frozenset() for a in nonzero(theta.source)})
-    return union_of(dominated)
+def _hull(theta, joins):
+    """Union of the power maps of the join maps dominated by theta.
+
+    The power map of g sends {a} to {g(a)}, or to the empty set when g(a) is
+    the bottom, so theta dominates it when every g(a) is the bottom or lies
+    in theta({a}); both are read off g's value table.
+    """
+    bottom = theta.target.bottom
+    table = theta.singleton_images
+    images = {a: set() for a, _ in table}
+    for g in joins:
+        values = g.values
+        if all(values[a] == bottom or values[a] in image for a, image in table):
+            for a, _ in table:
+                if values[a] != bottom:
+                    images[a].add(values[a])
+    return union_map(theta.source, theta.target, images)
 
 
-def based_hull(theta, bound=None):
+def based_hull(theta):
     """Union of every power map dominated by theta; theta is based iff this
     reproduces it (based Hom-sets are exactly unions of power maps)."""
-    return _hull(theta, [power_map(g) for g in hom_set(theta.source, theta.target, "join")])
+    return _hull(theta, hom_set(theta.source, theta.target, "join"))
 
 
 def is_based(theta):
@@ -245,8 +255,8 @@ def hom_count(category, source, target, bound=ENUMERATION_BOUND):
         maps = all_union_maps(source, target, bound)
         if category == "TS":
             return sum(1 for t in maps if is_strongly_isotone(t))
-        power_maps = [power_map(g) for g in hom_set(source, target, "join")]
-        return sum(1 for t in maps if _hull(t, power_maps) == t)
+        joins = hom_set(source, target, "join")
+        return sum(1 for t in maps if _hull(t, joins) == t)
     raise ValueError("category must be one of PS, BS, TS, FS")
 
 

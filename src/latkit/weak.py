@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .core import FiniteLattice, LatticeMap, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from .maps import left_adjoint, preservation_profile, right_adjoint
+from .maps import _failing_pair, _join_witness, left_adjoint, right_adjoint
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,8 @@ class WeakMeetMap:
     map: LatticeMap
 
     def __post_init__(self):
-        if not preservation_profile(self.map).nonempty_meets:
+        m = self.map
+        if _failing_pair(m.values, m.dom.meet_table, m.cod.meet_table) is not None:
             raise NotWeakMeet("map does not preserve non-empty meets")
 
     @property
@@ -50,7 +51,7 @@ class PartialJoinMap:
         interval = lower_interval(self.source, self.anchor)
         table = tuple(domain[e] for e in interval.elements)
         inner = LatticeMap(interval.lattice, self.target, table)
-        if not preservation_profile(inner).joins:
+        if _join_witness(inner) is not None:
             raise NotJoinPreserving("partial map not join preserving on its interval")
 
     def __call__(self, x):
@@ -84,10 +85,9 @@ class UpperMap:
         ext2 = upper_extension(self.base_target)
         if self.map.dom != ext1 or self.map.cod != ext2:
             raise ShapeMismatch("upper map must act on the pointed extensions")
-        profile = preservation_profile(self.map)
-        if not profile.joins:
+        if _join_witness(self.map) is not None:
             raise NotJoinPreserving("upper map must preserve joins")
-        if not profile.balanced:
+        if self.map.values[ext1.top] != ext2.top:
             raise ShapeMismatch("upper map must send the adjoined top to the adjoined top")
 
     def __call__(self, x):

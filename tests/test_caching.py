@@ -1,6 +1,6 @@
 """Derived structures are built once per instance and behave as before:
-upper extensions, lower intervals, adjoints, lattice equality and hashing,
-and the corpus lookup by name."""
+upper extensions, lower intervals, adjoints, Hom-sets, lattice equality and
+hashing, and the corpus lookup by name."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from latkit.core import (
     lower_interval,
     upper_extension,
 )
-from latkit.errors import NotJoinPreserving, NotMeetPreserving, ShapeMismatch
+from latkit.errors import NotJoinPreserving, NotMeetPreserving, ShapeMismatch, SizeLimit
 from latkit.maps import hom_set, left_adjoint, right_adjoint
 
 
@@ -63,6 +63,52 @@ def test_right_adjoint_kept_on_the_map():
         back = left_adjoint(g)
         assert back == f and back is not f
         assert left_adjoint(g) is back
+
+
+@pytest.mark.parametrize("cls", ["isotone", "join", "meet", "dense-join"])
+def test_hom_set_calls_return_equal_fresh_lists(cls):
+    d4, c3 = corpus.diamond(), corpus.chain(3)
+    first = hom_set(d4, c3, cls)
+    second = hom_set(d4, c3, cls)
+    assert type(first) is list and type(second) is list
+    assert first == second and first is not second
+    # The maps themselves are shared between calls.
+    assert all(f is g for f, g in zip(first, second))
+
+
+def test_mutating_a_hom_set_leaves_the_next_call_alone():
+    d4, c3 = corpus.diamond(), corpus.chain(3)
+    maps = hom_set(d4, c3, "join")
+    expected = list(maps)
+    maps.pop()
+    maps.reverse()
+    maps.append(constant_map(d4, c3, c3.top))
+    assert hom_set(d4, c3, "join") == expected
+
+
+def test_hom_set_size_limit_raised_on_every_call():
+    b16 = corpus.boolean_lattice(4)
+    messages = []
+    for _ in range(3):
+        with pytest.raises(SizeLimit) as err:
+            hom_set(b16, b16, "isotone", bound=1000)
+        messages.append(str(err.value))
+    assert messages == ["%d candidate maps exceed bound 1000" % 16 ** 16] * 3
+
+
+def test_hom_set_bound_is_part_of_the_key():
+    d4, c3 = corpus.diamond(), corpus.chain(3)
+    assert len(hom_set(d4, c3, "join", bound=9)) == len(hom_set(d4, c3, "join"))
+    # 3 ** 2 candidates on the two join-irreducibles of D4.
+    with pytest.raises(SizeLimit):
+        hom_set(d4, c3, "join", bound=8)
+
+
+def test_hom_set_into_an_equal_codomain_built_apart():
+    d4 = corpus.diamond()
+    first = hom_set(d4, corpus.n5(), "join")
+    second = hom_set(d4, corpus.n5(), "join")
+    assert first == second
 
 
 def test_adjoint_failures_raise_again_with_the_same_witness():

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import latkit
 from latkit import cli, corpus, io, suite
 
 DOC = """
@@ -189,6 +193,34 @@ def test_suite_error_report_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "ERROR some-law X (0.0 ms)  [IndexError: boom]"
     assert out[-1] == "1 checks, 1 failed"
+
+
+def test_suite_into_a_closed_pipe(tmp_path):
+    # 60 two-element lattices give 3,600 adjoint-laws lines, about 150 kB:
+    # more than a pipe holds, so the writer is still writing when the
+    # reader goes away, as in `latkit suite | head -1`.
+    for k in range(60):
+        (tmp_path / ("L%02d.lat" % k)).write_text(
+            "lattice L%02d\nelements: 0 1\ncovers: 0<1\n" % k
+        )
+    src = os.path.dirname(os.path.dirname(latkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latkit.cli", "suite", str(tmp_path), "--filter", "adjoint-laws"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"PASS adjoint-laws")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_witness_reports_basedness(capsys):

@@ -17,7 +17,7 @@ from latkit.core import FinitePoset, build_poset, lattice_from_poset
 from latkit.errors import NotALattice, SizeLimit
 from latkit.maps import hom_set, join_irreducibles, meet_irreducibles
 
-CLASSES = ("join", "meet", "balanced-join", "dense-join", "atomic-join")
+CLASSES = ("isotone", "join", "meet", "balanced-join", "dense-join", "atomic-join")
 
 # ---------------------------------------------------------------- references
 
@@ -72,8 +72,11 @@ def ref_hom_sets(dom, cod):
     """class -> the value tables of the class, in lexicographic order."""
     dom_atoms = ref_atoms(dom)
     targets = set(ref_atoms(cod)) | {cod.bottom}
+    comparable = [(a, b) for a in dom.elements() for b in dom.elements() if dom.leq(a, b)]
     out = {cls: [] for cls in CLASSES}
     for values in itertools.product(range(cod.size), repeat=dom.size):
+        if all(cod.leq(values[a], values[b]) for a, b in comparable):
+            out["isotone"].append(values)
         if ref_preserves(values, dom.meet_table, cod.meet_table, dom.top, cod.top):
             out["meet"].append(values)
         if not ref_preserves(values, dom.join_table, cod.join_table, dom.bottom, cod.bottom):
@@ -147,8 +150,11 @@ def test_irreducibles_match_definition(lattice):
     slack=st.integers(min_value=-2, max_value=2),
 )
 def test_size_limit_depends_only_on_candidate_count(dom, cod, cls, slack):
-    irr = ref_meet_irreducibles(dom) if cls == "meet" else ref_join_irreducibles(dom)
-    candidates = cod.size ** len(irr)
+    if cls == "isotone":
+        candidates = cod.size ** dom.size
+    else:
+        irr = ref_meet_irreducibles(dom) if cls == "meet" else ref_join_irreducibles(dom)
+        candidates = cod.size ** len(irr)
     bound = max(0, candidates + slack)
     if candidates > bound:
         with pytest.raises(SizeLimit) as info:

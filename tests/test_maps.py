@@ -164,6 +164,48 @@ def test_classification_matches_categorical_oracle():
         assert flags.monic == flags.injective
 
 
+SMALL_PAIRS = [
+    (l1, l2)
+    for l1 in corpus.named_lattices(max_size=4).values()
+    for l2 in corpus.named_lattices(max_size=4).values()
+]
+
+
+def ref_classify(f, cls):
+    """The classification by its definition: composites against identity maps."""
+    g = right_adjoint(f) if cls == "join" else left_adjoint(f)
+    inverses = hom_set(f.cod, f.dom, cls)
+    return (
+        compose(f, g) == identity_map(f.cod),
+        compose(g, f) == identity_map(f.dom),
+        any(compose(h, f) == identity_map(f.dom) for h in inverses),
+        any(compose(f, h) == identity_map(f.cod) for h in inverses),
+    )
+
+
+@pytest.mark.parametrize("cls", ["join", "meet"])
+def test_classification_matches_composite_definition(cls):
+    for l1, l2 in SMALL_PAIRS:
+        for f in hom_set(l1, l2, cls):
+            flags = classify_morphism(f, cls)
+            got = (flags.epic, flags.monic, flags.section, flags.retraction)
+            assert got == ref_classify(f, cls), (cls, f.values)
+
+
+def test_map_leq_matches_pointwise_definition():
+    for l1, l2 in SMALL_PAIRS:
+        fs = hom_set(l1, l2, "isotone")
+        for f in fs:
+            for g in fs:
+                expected = all(l2.leq(f(a), g(a)) for a in l1.elements())
+                assert map_leq(f, g) == expected
+    d4, c2 = corpus.diamond(), corpus.chain(2)
+    with pytest.raises(ShapeMismatch):
+        map_leq(identity_map(d4), hom_set(d4, c2, "join")[0])
+    with pytest.raises(ShapeMismatch):
+        map_leq(identity_map(c2), hom_set(d4, c2, "join")[0])
+
+
 class TestAdjunctionLaws:
     """Random-sample law checks over the small corpus."""
 

@@ -1,5 +1,6 @@
 """The report sweep itself: determinism, filtering, size capping, error
-reports, and the rule that library code carries no assert statements."""
+reports, the Hom-set cache statistics the benchmark reads, and the rule
+that library code carries no assert statements."""
 
 import ast
 import pathlib
@@ -85,3 +86,13 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_homs_cache_info_available():
+    # perfbench's sweep and full_sweep read suite._homs.cache_info().
+    c2 = corpus.chain(2)
+    suite._homs(c2, c2, "join")
+    suite._homs(c2, c2, "join")
+    info = suite._homs.cache_info()
+    assert info.maxsize == 4096
+    assert info.hits >= 1 and info.currsize >= 1

@@ -149,6 +149,39 @@ def test_strictness_witness_based_on_distributive_lattices():
         assert explicit == theta
 
 
+def ref_based_hull(theta, power_tables):
+    """The hull by its definition: the union of the power maps that theta
+    dominates, or the everywhere-empty map when it dominates none."""
+    mine = theta.table()
+    images = {a: frozenset() for a in mine}
+    for table in power_tables:
+        if all(table[a] <= mine[a] for a in mine):
+            images = {a: images[a] | table[a] for a in mine}
+    return union_map(theta.source, theta.target, images)
+
+
+def test_hull_matches_the_power_map_union_on_small_corpus_pairs():
+    # Every pair of corpus lattices of at most 4 elements, with every union
+    # map: at most 8 ** 3 of them, inside all_union_maps' bound of 1 << 12.
+    pool = list(corpus.named_lattices(max_size=4).values())
+    for source in pool:
+        for target in pool:
+            power_tables = [power_map(g).table() for g in hom_set(source, target, "join")]
+            based = 0
+            for theta in all_union_maps(source, target, bound=1 << 12):
+                hull = ref_based_hull(theta, power_tables)
+                assert based_hull(theta) == hull
+                assert is_based(theta) == (hull == theta)
+                based += hull == theta
+            assert hom_count("BS", source, target) == based
+
+
+def test_based_counts_frozen():
+    table = corpus.named_lattices()
+    assert hom_count("BS", table["C2"], table["B8"]) == 128
+    assert hom_count("BS", table["D4"], table["C3"]) == 21
+
+
 def test_strictness_witness_rejects_bottom_parameter():
     with pytest.raises(ShapeMismatch):
         strictness_witness(corpus.diamond(), corpus.diamond().bottom)
