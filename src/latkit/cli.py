@@ -65,10 +65,7 @@ def _corpus_lattice(args, name):
 def cmd_check(args):
     reports = []
     ok = True
-    try:
-        ws = _load_files(args.files)
-    except ParseError:
-        raise
+    ws = _load_files(args.files)
     for name, lat in ws.lattices.items():
         reports.append({"object": name, "kind": "lattice", "status": "pass"})
     for name in ws.orthos:
@@ -221,12 +218,8 @@ def cmd_equiv(args):
         ok = ok and report.passed
         if name in ws.orthos:
             space, _ = ortho.orthospace_from_lattice(ws.orthos[name])
-            rebuilt, _ = ortho.biortho_lattice(space)
-            good = rebuilt.size == lat.size and (
-                lat.size > 8
-                or ortho.lattice_isomorphic_with_ortho(ws.orthos[name], rebuilt)
-                is not None
-            )
+            rebuilt, sets = ortho.biortho_lattice(space)
+            good = ortho.atom_isomorphism(ws.orthos[name], rebuilt, sets) is not None
             results.append(
                 {"object": "%s(ortho)" % name, "status": "pass" if good else "fail"}
             )

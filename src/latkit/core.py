@@ -153,9 +153,9 @@ def build_poset(n, pairs, mode="covers", labels=None):
 class FiniteLattice:
     """Complete lattice on a finite carrier with precomputed tables.
 
-    The size, the hash, the upper extension, the lower intervals and the
-    Hom-sets out of the lattice are computed on first use and kept on the
-    instance.
+    The size, the hash, the dual, the upper extension, the lower intervals
+    and the Hom-sets out of the lattice are computed on first use and kept on
+    the instance.
     """
 
     poset: FinitePoset
@@ -204,6 +204,16 @@ class FiniteLattice:
         """(cod, cls, bound) -> maps.hom_set(self, cod, cls, bound) as a tuple."""
         return {}
 
+    @cached_property
+    def dual(self):
+        """The same carrier in the reversed order: up and down, join and meet,
+        top and bottom swapped.  L.dual.dual is L."""
+        poset = FinitePoset(self.poset.down, self.labels)
+        poset.__dict__["down"] = self.poset.up
+        dual = FiniteLattice(poset, self.top, self.bottom, self.meet_table, self.join_table)
+        dual.__dict__["dual"] = self
+        return dual
+
     @property
     def labels(self):
         return self.poset.labels
@@ -236,10 +246,8 @@ class FiniteLattice:
         return self.poset.covers(self.bottom)
 
     def coatoms(self):
-        """Elements covered by top, in index order."""
-        target = 1 << self.top
-        up = self.poset.up
-        return [a for a in self.elements() if a != self.top and up[a] == 1 << a | target]
+        """Elements covered by top, in index order: the atoms of the dual."""
+        return self.dual.atoms()
 
     def is_atomistic(self):
         ats = self.atoms()
@@ -320,6 +328,13 @@ class LatticeMap:
 
     def __call__(self, a):
         return self.values[a]
+
+    @cached_property
+    def dual(self):
+        """The same value table between the dual lattices.  f.dual.dual is f."""
+        dual = LatticeMap(self.dom.dual, self.cod.dual, self.values)
+        dual.__dict__["dual"] = self
+        return dual
 
     def is_isotone(self):
         # The elements above a are the a v b, so f is isotone iff

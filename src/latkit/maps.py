@@ -70,13 +70,6 @@ def _join_witness(f):
     return _failing_pair(f.values, dom.join_table, cod.join_table)
 
 
-def _meet_witness(f):
-    dom, cod = f.dom, f.cod
-    if f.values[dom.top] != cod.top:
-        return (dom.top,)
-    return _failing_pair(f.values, dom.meet_table, cod.meet_table)
-
-
 def right_adjoint(f):
     """f*(b) = join of everything f sends below b.  Requires all joins.
 
@@ -106,28 +99,14 @@ def right_adjoint(f):
 def left_adjoint(g):
     """g_*(a) = meet of everything g sends above a.  Requires all meets.
 
-    Kept on g as right_adjoint keeps its result.  Neither links the result
-    back to its source: left_adjoint(right_adjoint(f)) is computed afresh.
+    This is the right adjoint of g in the dual order, so it is kept on
+    g.dual.  Neither adjoint links its result back to its source:
+    left_adjoint(right_adjoint(f)) is computed afresh.
     """
-    memo = g.__dict__
-    if "left_adjoint" in memo:
-        return memo["left_adjoint"]
-    witness = _meet_witness(g)
-    if witness is not None:
-        raise NotMeetPreserving("map does not preserve meets", witness=witness)
-    dom, cod = g.dom, g.cod
-    meet_table, cod_up = dom.meet_table, cod.poset.up
-    values = []
-    for a in cod.elements():
-        row = cod_up[a]
-        out = dom.top
-        for b, y in enumerate(g.values):
-            if row >> y & 1:
-                out = meet_table[out][b]
-        values.append(out)
-    f = LatticeMap(cod, dom, tuple(values))
-    memo["left_adjoint"] = f
-    return f
+    try:
+        return right_adjoint(g.dual).dual
+    except NotJoinPreserving as exc:
+        raise NotMeetPreserving("map does not preserve meets", witness=exc.witness) from None
 
 
 def check_adjunction(f, g):
@@ -174,14 +153,10 @@ def pointwise_join(fs):
 
 
 def pointwise_meet(gs):
-    gs = list(gs)
-    if not gs:
+    duals = [g.dual for g in gs]
+    if not duals:
         raise EmptyFamily("pointwise meet of no maps")
-    dom, cod = gs[0].dom, gs[0].cod
-    for g in gs:
-        if g.dom != dom or g.cod != cod:
-            raise ShapeMismatch("family does not share dom/cod")
-    return LatticeMap(dom, cod, tuple(cod.meet([g(a) for g in gs]) for a in dom.elements()))
+    return pointwise_join(duals).dual
 
 
 def dualize(f, direction="join"):
@@ -265,8 +240,7 @@ def join_irreducibles(lattice):
 
 def meet_irreducibles(lattice):
     """Elements with exactly one upper cover, in index order."""
-    covers = lattice.poset.covers
-    return [a for a in lattice.elements() if len(covers(a)) == 1]
+    return join_irreducibles(lattice.dual)
 
 
 def _guard(candidates, bound):
@@ -275,7 +249,7 @@ def _guard(candidates, bound):
 
 
 def _enumerate_isotone(dom, cod, bound):
-    """Every isotone map dom -> cod.
+    """Value table of every isotone map dom -> cod.
 
     The elements are assigned in a linear extension, so an element's lower
     covers have their values when its turn comes and none of the elements
@@ -293,7 +267,7 @@ def _enumerate_isotone(dom, cod, bound):
 
     def assign(k):
         if k == len(order):
-            out.append(LatticeMap(dom, cod, tuple(values)))
+            out.append(tuple(values))
             return
         x = order[k]
         allowed = full
@@ -308,17 +282,18 @@ def _enumerate_isotone(dom, cod, bound):
     return out
 
 
-def _enumerate_preserving(dom, cod, irr, masks, dom_table, cod_table, unit, bound):
-    """Every map dom -> cod preserving the operation of the two tables.
+def _enumerate_preserving(dom, cod, bound):
+    """Value table of every join-preserving map dom -> cod.
 
-    Stated for joins (masks = up, unit = bottom); meets are the same search
-    in the dual order (masks = down, unit = top).  A join-preserving map is
-    the join-extension of its isotone restriction to the join-irreducibles,
-    so the search assigns the irreducibles in a linear extension, gives each
-    one only values at or above the join of its predecessors' values, and
-    keeps the extensions whose tables pass the pairwise check.  Each map is
-    made exactly once.
+    Meets are the same search on the dual lattices.  A join-preserving map
+    is the join-extension of its isotone restriction to the
+    join-irreducibles, so the search assigns the irreducibles in a linear
+    extension, gives each one only values at or above the join of its
+    predecessors' values, and keeps the extensions whose tables pass the
+    pairwise check.  Each table is made exactly once.
     """
+    irr, masks, unit = join_irreducibles(dom), dom.poset.up, cod.bottom
+    dom_table, cod_table = dom.join_table, cod.join_table
     _guard(cod.size ** len(irr), bound)
     # An element's order mask shrinks as it rises, so this is a linear extension.
     order = sorted(irr, key=lambda j: -masks[j].bit_count())
@@ -340,7 +315,7 @@ def _enumerate_preserving(dom, cod, irr, masks, dom_table, cod_table, unit, boun
                     v = cod_table[v][choice[i]]
                 values.append(v)
             if _failing_pair(values, dom_table, cod_table) is None:
-                out.append(LatticeMap(dom, cod, tuple(values)))
+                out.append(tuple(values))
             return
         floor = unit
         for i in preds[k]:
@@ -354,41 +329,25 @@ def _enumerate_preserving(dom, cod, irr, masks, dom_table, cod_table, unit, boun
     return out
 
 
-def _enumerate_join_maps(dom, cod, bound):
-    return _enumerate_preserving(
-        dom, cod, join_irreducibles(dom), dom.poset.up, dom.join_table, cod.join_table,
-        cod.bottom, bound,
-    )
-
-
-def _enumerate_meet_maps(dom, cod, bound):
-    return _enumerate_preserving(
-        dom, cod, meet_irreducibles(dom), dom.poset.down, dom.meet_table, cod.meet_table,
-        cod.top, bound,
-    )
-
-
 def _enumerate(dom, cod, cls, bound):
+    """Value tables of the maps dom -> cod in class cls, in any order."""
     if cls == "isotone":
         return _enumerate_isotone(dom, cod, bound)
-    if cls == "join":
-        return _enumerate_join_maps(dom, cod, bound)
     if cls == "meet":
-        return _enumerate_meet_maps(dom, cod, bound)
+        return _enumerate_preserving(dom.dual, cod.dual, bound)
+    if cls == "join":
+        return _enumerate_preserving(dom, cod, bound)
     if cls == "balanced-join":
-        return [f for f in _enumerate_join_maps(dom, cod, bound) if f(dom.top) == cod.top]
+        return [v for v in _enumerate_preserving(dom, cod, bound) if v[dom.top] == cod.top]
     if cls == "dense-join":
-        return [
-            f
-            for f in _enumerate_join_maps(dom, cod, bound)
-            if preservation_profile(f).dense
-        ]
+        # A join map sends bottom to bottom, so it is dense iff nothing else goes there.
+        return [v for v in _enumerate_preserving(dom, cod, bound) if v.count(cod.bottom) == 1]
     if cls == "atomic-join":
         targets = set(cod.atoms()) | {cod.bottom}
         return [
-            f
-            for f in _enumerate_join_maps(dom, cod, bound)
-            if all(f(p) in targets for p in dom.atoms())
+            v
+            for v in _enumerate_preserving(dom, cod, bound)
+            if all(v[p] in targets for p in dom.atoms())
         ]
     raise ValueError("unknown map class %r" % cls)
 
@@ -404,7 +363,7 @@ def hom_set(dom, cod, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
     key = (cod, cls, bound)
     maps = cache.get(key)
     if maps is None:
-        maps = tuple(sorted(_enumerate(dom, cod, cls, bound), key=lambda f: f.values))
+        maps = tuple(LatticeMap(dom, cod, v) for v in sorted(_enumerate(dom, cod, cls, bound)))
         cache[key] = maps
     return list(maps)
 
@@ -439,7 +398,7 @@ def classify_morphism(f, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
         g = right_adjoint(f)
     elif cls == "meet":
         if not profile.meets:
-            raise NotInClass("map does not preserve meets", witness=_meet_witness(f))
+            raise NotInClass("map does not preserve meets", witness=_join_witness(f.dual))
         g = left_adjoint(f)
     else:
         raise ValueError("cls must be 'join' or 'meet'")

@@ -195,6 +195,33 @@ def biortho_lattice(space):
     return validate_ortho(lattice, ortho), sets
 
 
+def atom_isomorphism(ol, rebuilt, sets):
+    """The map a |-> {atoms p <= a} from ol onto the biorthogonal lattice
+    that biortho_lattice built, with its sets, from ol's orthospace.
+
+    Returns the map as a tuple when it is an order isomorphism that carries
+    a' to the orthocomplement of the image of a, and None otherwise.  No
+    search: O(n^2) table lookups, so no size cap.
+    """
+    lat, new = ol.lattice, rebuilt.lattice
+    if new.size != lat.size:
+        return None
+    index = {s: i for i, s in enumerate(sets)}
+    ats = lat.atoms()  # point j of the orthospace is the atom ats[j]
+    iso = tuple(
+        index.get(frozenset(j for j, p in enumerate(ats) if lat.leq(p, a)))
+        for a in lat.elements()
+    )
+    if None in iso or len(set(iso)) != lat.size:
+        return None
+    for a in lat.elements():
+        if iso[ol.comp(a)] != rebuilt.comp(iso[a]):
+            return None
+        if any(lat.leq(a, b) != new.leq(iso[a], iso[b]) for b in lat.elements()):
+            return None
+    return iso
+
+
 def lattice_isomorphic_with_ortho(left, right):
     """Search for an order isomorphism preserving the orthocomplement."""
     if left.size != right.size:

@@ -5,6 +5,7 @@ so a plain ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 """
 
 import itertools
+import os
 import random
 import time
 from contextlib import contextmanager
@@ -29,6 +30,10 @@ from latkit.maps import (
 )
 
 TWO = two_element_lattice()
+# The benchmark's record of the full seed-0 sweep, read here and never written.
+GOLDEN_SWEEP = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "golden", "sweep_seed0.tsv"
+)
 
 
 def homs(dom, cod, cls="join"):
@@ -379,6 +384,14 @@ def test_criterion_11_cli_suite(tmp_path, capsys):
         assert code == 0
         assert elapsed < 300
         assert out.strip().endswith("0 failed")
+        # Every (prop, object, status) matches the golden sweep, line for line.
+        with open(GOLDEN_SWEEP) as handle:
+            golden = [tuple(line.split("\t")[:3]) for line in handle if line.strip()]
+        got = []
+        for line in out.splitlines()[:-1]:
+            status, prop, rest = line.split(" ", 2)
+            got.append((prop, rest.rsplit(" (", 1)[0], status.lower()))
+        assert got == golden
 
         # Corrupting a single invariant must flip the exit code and name
         # the offending file in a witness.

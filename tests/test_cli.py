@@ -4,8 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latkit
 from latkit import cli, corpus, io, suite
@@ -275,3 +280,70 @@ def test_write_corpus_parses_back(tmp_path):
     assert not failures
     assert set(bundle["lattices"]) == set(corpus.named_lattices())
     assert set(bundle["orthos"]) == set(corpus.ortho_lattices())
+
+
+@st.composite
+def object_files(draw):
+    """A document of small lattices, an ortho table, a map, a partial map and
+    a closure space, then a few random edits that may break any of them."""
+    n = draw(st.integers(1, 5))
+    labels = ["x%d" % i for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    covers = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    lines = ["lattice L", "elements: " + " ".join(labels)]
+    if covers:
+        lines.append("covers: " + " ".join("x%d<x%d" % c for c in covers))
+    if draw(st.booleans()):
+        image = draw(st.permutations(range(n)))
+        lines.append("ortho: " + " ".join("x%d->x%d" % (i, v) for i, v in enumerate(image)))
+    lines += ["", "lattice C2", "elements: 0 1", "covers: 0<1", "ortho: 0->1 1->0", ""]
+    cod, cod_labels = draw(st.sampled_from([("C2", ["0", "1"]), ("L", labels)]))
+    lines.append("map f : L -> %s" % cod)
+    for i in range(n):
+        lines.append("x%d |-> %s" % (i, draw(st.sampled_from(cod_labels))))
+    lines += ["", "map p : C2 -> L", "anchor: 0", "0 |-> %s" % draw(st.sampled_from(labels)), ""]
+    closed = draw(st.lists(st.sets(st.sampled_from("pqr")), max_size=4))
+    lines += ["cspace S", "points: p q r"]
+    lines.append("closed: " + " ".join("{%s}" % ",".join(sorted(c)) for c in closed))
+    edits = draw(st.lists(st.tuples(st.sampled_from("dxrs"), st.integers(0, 10 ** 6)), max_size=3))
+    tokens = ["", "->", "<", "|->", "~", "{", "}", "x0", "x9", "0", "1", ":", "#", "lattice", "map"]
+    for kind, where in edits:
+        k = where % len(lines)
+        if kind == "d":  # drop a line
+            del lines[k]
+        elif kind == "x":  # duplicate a line
+            lines.insert(k, lines[k])
+        elif kind == "s":  # swap two lines
+            j = where // len(lines) % len(lines)
+            lines[k], lines[j] = lines[j], lines[k]
+        else:  # replace one token of a line
+            words = lines[k].split(" ")
+            words[where % len(words)] = tokens[where % len(tokens)]
+            lines[k] = " ".join(words)
+        if not lines:
+            lines = [""]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(object_files())
+def test_cli_exit_contract_on_generated_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "objects.lat")
+        with open(path, "w") as handle:
+            handle.write(text)
+        commands = [
+            ["check", path],
+            ["adjoint", path, "--name", "f"],
+            ["adjoint", path, "--name", "f", "--direction", "left"],
+            ["adjoint", path, "--name", "f", "--direction", "dagger"],
+            ["equiv", path],
+            ["closure", path, "--map", "f"],
+            ["closure", path, "--space", "S", "--subset", "p,r"],
+        ]
+        for argv in commands:
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in {0, 1, 2, 3}, (argv, code)
+            assert "Traceback" not in out.getvalue() + err.getvalue(), argv

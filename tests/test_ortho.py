@@ -7,7 +7,9 @@ from latkit.core import LatticeMap, identity_map
 from latkit.errors import NotSeparating, OrthoAxiomFailed
 from latkit.maps import compose, hom_set, right_adjoint
 from latkit.ortho import (
+    OrthoLattice,
     OrthoSpace,
+    atom_isomorphism,
     biortho_lattice,
     colatt_check,
     conjugate,
@@ -141,11 +143,36 @@ def test_biortho_lattice_of_pair_space_is_o6():
 def test_orthospace_roundtrip_on_corpus():
     for name, ol in ORTHOS.items():
         space, _ = orthospace_from_lattice(ol)
-        rebuilt, _ = biortho_lattice(space)
+        rebuilt, sets = biortho_lattice(space)
+        iso = atom_isomorphism(ol, rebuilt, sets)
+        assert iso is not None, name
         if ol.size <= 8:
-            assert lattice_isomorphic_with_ortho(ol, rebuilt) is not None
-        else:
-            assert rebuilt.size == ol.size
+            # The permutation search is the oracle where it is affordable.
+            assert lattice_isomorphic_with_ortho(ol, rebuilt) is not None, name
+            lat, new = ol.lattice, rebuilt.lattice
+            assert all(
+                lat.leq(a, b) == new.leq(iso[a], iso[b])
+                for a in lat.elements()
+                for b in lat.elements()
+            ) and all(iso[ol.comp(a)] == rebuilt.comp(iso[a]) for a in lat.elements()), name
+
+
+def test_atom_isomorphism_rejects_what_the_search_rejects():
+    for name, ol in ORTHOS.items():
+        if ol.size > 8:
+            continue
+        space, _ = orthospace_from_lattice(ol)
+        rebuilt, sets = biortho_lattice(space)
+        # An identity table is no orthocomplement, so no map carries ' to it.
+        fixed = OrthoLattice(rebuilt.lattice, tuple(rebuilt.lattice.elements()))
+        assert lattice_isomorphic_with_ortho(ol, fixed) is None, name
+        assert atom_isomorphism(ol, fixed, sets) is None, name
+        # The sets in reverse order name a different map, which reverses the order.
+        if ol.size > 1:
+            assert atom_isomorphism(ol, rebuilt, sets[::-1]) is None, name
+    b4, b8 = ORTHOS["B4"], ORTHOS["B8"]
+    rebuilt, sets = biortho_lattice(orthospace_from_lattice(b8)[0])
+    assert atom_isomorphism(b4, rebuilt, sets) is None
 
 
 def test_complete_orthospace_gives_boolean():
