@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import closure, io, ortho, stateprop, suite, transition
+from .core import identity_map
 from .errors import LatkitError, ParseError, SizeLimit, ValidationError
 from .maps import dualize, hom_set, left_adjoint, right_adjoint
 
@@ -245,6 +246,7 @@ def cmd_witness(args):
     except ValueError:
         raise ParseError("no element labelled %r" % args.element)
     theta = transition.strictness_witness(lattice, element)
+    coherent = transition.coherence_check(identity_map(lattice), theta)
     based = transition.is_based(theta)
     if args.json:
         print(
@@ -252,7 +254,7 @@ def cmd_witness(args):
                 {
                     "lattice": args.lattice,
                     "element": args.element,
-                    "coherent_with_identity": True,
+                    "coherent_with_identity": coherent,
                     "based": based,
                 }
             )
@@ -261,7 +263,7 @@ def cmd_witness(args):
         sys.stdout.write(
             io.format_umap("witness_%s" % args.element, theta, args.lattice, args.lattice)
         )
-        print("# coherent with the identity; based: %s" % based)
+        print("# coherent with the identity: %s; based: %s" % (coherent, based))
     return EXIT_OK
 
 

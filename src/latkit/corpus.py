@@ -77,14 +77,18 @@ def boolean_ortho(lattice):
     """Set-complement orthocomplementation for a lattice built from subsets.
 
     Works for any lattice whose carrier is closed under set complement in
-    its own top element; used for the Boolean corpus members.
+    its own top element; used for the Boolean corpus members.  The result is
+    kept on the lattice, so each lattice computes it once.
     """
-    # Recover each element's atom set from the order.
-    ats = lattice.atoms()
-    atom_sets = [frozenset(p for p in ats if lattice.leq(p, a)) for a in lattice.elements()]
-    index = {s: i for i, s in enumerate(atom_sets)}
-    universe = atom_sets[lattice.top]
-    return tuple(index[universe - s] for s in atom_sets)
+    memo = lattice.__dict__
+    if "boolean_ortho" not in memo:
+        # Recover each element's atom set from the order.
+        ats = lattice.atoms()
+        atom_sets = [frozenset(p for p in ats if lattice.leq(p, a)) for a in lattice.elements()]
+        index = {s: i for i, s in enumerate(atom_sets)}
+        universe = atom_sets[lattice.top]
+        memo["boolean_ortho"] = tuple(index[universe - s] for s in atom_sets)
+    return memo["boolean_ortho"]
 
 
 # The shipped corpus: name -> constructor, in report order.

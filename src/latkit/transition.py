@@ -5,35 +5,83 @@ strictness witnesses separating the four enrichment levels."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import LatticeMap, lattice_of_sets, MAX_POWER_BASE
 from .errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
-from .maps import compose, hom_set, pointwise_join, preservation_profile
+from .maps import _join_witness, compose, hom_set, pointwise_join
 
 ENUMERATION_BOUND = 1 << 17
 
 
 def nonzero(lattice):
-    return [a for a in lattice.elements() if a != lattice.bottom]
+    out = list(lattice.elements())
+    del out[lattice.bottom]
+    return out
+
+
+# Subsets of nonzero(L) are bitmasks: bit i stands for nonzero(L)[i], so the
+# masks in increasing order list the subsets in all_subsets order.
+
+
+def _subset(elems, mask):
+    return frozenset(a for i, a in enumerate(elems) if mask >> i & 1)
+
+
+def _joins_by_doubling(lattice, values):
+    """out[m] = the join of the values at the set bits of m; the table for
+    the first i values is extended by its join with the next one."""
+    out = [lattice.bottom]
+    for v in values:
+        row = lattice.join_table[v]
+        out += [row[x] for x in out]
+    return out
+
+
+def _check_subset_count(lattice, bound):
+    if 1 << (lattice.size - 1) > bound:
+        raise SizeLimit("2^%d subsets exceed bound" % (lattice.size - 1))
+
+
+def _subset_joins(lattice, bound):
+    """joins[m] = the join of the subset of nonzero elements with mask m,
+    kept on the lattice instance."""
+    _check_subset_count(lattice, bound)
+    memo = lattice.__dict__
+    if "subset_joins" not in memo:
+        memo["subset_joins"] = tuple(_joins_by_doubling(lattice, nonzero(lattice)))
+    return memo["subset_joins"]
 
 
 @dataclass(frozen=True)
 class UnionMap:
-    """Union-preserving map on truncated powersets, stored by singleton images."""
+    """Union-preserving map on truncated powersets, stored by singleton images.
+
+    masks[i] is the image of the i-th nonzero source element as a mask over
+    the target's nonzero elements.
+    """
 
     source: "object"  # FiniteLattice
     target: "object"
     singleton_images: tuple[tuple[int, frozenset[int]], ...]
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         keys = [a for a, _ in self.singleton_images]
         if keys != nonzero(self.source):
             raise ShapeMismatch("singleton images must cover the nonzero carrier in order")
-        allowed = set(nonzero(self.target))
+        carrier, bottom = self.target.elements(), self.target.bottom
+        masks = []
         for _, image in self.singleton_images:
-            if not set(image) <= allowed:
-                raise ShapeMismatch("image contains zero or out-of-range elements")
+            mask = 0
+            for b in image:
+                if b == bottom or b not in carrier:
+                    raise ShapeMismatch("image contains zero or out-of-range elements")
+                mask |= 1 << b - (b > bottom)
+            masks.append(mask)
+        object.__setattr__(self, "masks", tuple(masks))
 
     def __call__(self, subset):
         table = dict(self.singleton_images)
@@ -45,6 +93,14 @@ class UnionMap:
     def table(self):
         return dict(self.singleton_images)
 
+    @cached_property
+    def _joins(self):
+        """_joins[m] = the join of theta(A) for the source subset A with mask
+        m: the join of the joins of its singleton images.  Callers bound the
+        source size first."""
+        tgt = self.target
+        return _joins_by_doubling(tgt, [tgt.join(image) for _, image in self.singleton_images])
+
 
 def union_map(source, target, images):
     return UnionMap(
@@ -53,13 +109,9 @@ def union_map(source, target, images):
 
 
 def all_subsets(lattice, bound=ENUMERATION_BOUND):
+    _check_subset_count(lattice, bound)
     elems = nonzero(lattice)
-    if 1 << len(elems) > bound:
-        raise SizeLimit("2^%d subsets exceed bound" % len(elems))
-    out = []
-    for mask in range(1 << len(elems)):
-        out.append(frozenset(e for i, e in enumerate(elems) if mask >> i & 1))
-    return out
+    return [_subset(elems, mask) for mask in range(1 << len(elems))]
 
 
 @dataclass(frozen=True)
@@ -101,34 +153,55 @@ def coherence_check(f, theta, method="auto", bound=ENUMERATION_BOUND):
     if method == "auto":
         method = "exhaustive" if 1 << (f.dom.size - 1) <= 4096 else "fast"
     if method == "fast":
-        if not preservation_profile(f).joins:
+        if _join_witness(f) is not None:
             return False
-        return all(f(a) == f.cod.join(theta(frozenset([a]))) for a in nonzero(f.dom))
+        return all(f(a) == f.cod.join(image) for a, image in theta.singleton_images)
     if method == "exhaustive":
+        values = f.values
         return all(
-            f(f.dom.join(subset)) == f.cod.join(theta(subset))
-            for subset in all_subsets(f.dom, bound)
+            values[s] == t for s, t in zip(_subset_joins(f.dom, bound), theta._joins)
         )
     raise ValueError("method must be auto, fast or exhaustive")
 
 
-def strong_isotonicity_witness(theta, bound=ENUMERATION_BOUND):
-    """A pair (A, B) with join A <= join B but join theta(A) not<= join theta(B)."""
-    subsets = all_subsets(theta.source, bound)
+def _factor(theta, bound):
+    """Factor the joins of theta's images through the joins of its subsets.
+
+    Returns (best, witness).  best[u] is the join of theta(A) over the
+    subsets A that join to u.  theta is strongly isotone iff theta(A) joins
+    to best[u] for every such A: given join A <= join B, the union of A and
+    B joins to join B, and theta preserves that union.  best is then the
+    coherent join map and witness is None.  Otherwise witness is the pair
+    (A, B) of strong_isotonicity_witness.
+    """
     src, tgt = theta.source, theta.target
-    pairs = [(src.join(s), tgt.join(theta(s)), s) for s in subsets]
-    # max of theta-joins dominated by each source value
-    reach = {}
-    for ja, ta, _ in pairs:
-        for v in src.elements():
-            if src.leq(ja, v):
-                reach[v] = tgt.join2(reach.get(v, tgt.bottom), ta)
-    for jb, tb, b in pairs:
-        if not tgt.leq(reach.get(jb, tgt.bottom), tb):
-            for ja, ta, a in pairs:
-                if src.leq(ja, jb) and not tgt.leq(ta, tb):
-                    return (a, b)
-    return None
+    sj = _subset_joins(src, bound)
+    tj = theta._joins
+    join = tgt.join_table
+    best = [tgt.bottom] * src.size
+    for s, t in zip(sj, tj):
+        best[s] = join[best[s]][t]
+    if all(best[s] == t for s, t in zip(sj, tj)):
+        return best, None
+    src_up, tgt_up = src.poset.up, tgt.poset.up
+    b = next(m for m, (s, t) in enumerate(zip(sj, tj)) if best[s] != t)
+    sb, tb = sj[b], tj[b]
+    a = next(
+        m
+        for m, (s, t) in enumerate(zip(sj, tj))
+        if src_up[s] >> sb & 1 and not tgt_up[t] >> tb & 1
+    )
+    elems = nonzero(src)
+    return best, (_subset(elems, a), _subset(elems, b))
+
+
+def strong_isotonicity_witness(theta, bound=ENUMERATION_BOUND):
+    """A pair (A, B) with join A <= join B but join theta(A) not<= join theta(B).
+
+    The first such B in all_subsets order, then the first A for it; None
+    when theta is strongly isotone.
+    """
+    return _factor(theta, bound)[1]
 
 
 def is_strongly_isotone(theta, bound=ENUMERATION_BOUND):
@@ -137,17 +210,10 @@ def is_strongly_isotone(theta, bound=ENUMERATION_BOUND):
 
 def underlying_map(theta, bound=ENUMERATION_BOUND):
     """The unique join map coherent with theta; exists iff strongly isotone."""
-    witness = strong_isotonicity_witness(theta, bound)
+    values, witness = _factor(theta, bound)
     if witness is not None:
         raise NotStronglyIsotone("no coherent join map exists", witness=witness)
-    src, tgt = theta.source, theta.target
-    values = []
-    for a in src.elements():
-        if a == src.bottom:
-            values.append(tgt.bottom)
-        else:
-            values.append(tgt.join(theta(frozenset([a]))))
-    return LatticeMap(src, tgt, tuple(values))
+    return LatticeMap(theta.source, theta.target, tuple(values))
 
 
 def power_map(f):
@@ -185,33 +251,47 @@ def compose_union(second, first):
     return union_map(first.source, second.target, images)
 
 
-def _hull(theta, joins):
-    """Union of the power maps of the join maps dominated by theta.
+def _pack(theta):
+    """theta's masks packed into one integer, len(nonzero(target)) bits each."""
+    width = theta.target.size - 1
+    out = 0
+    for i, mask in enumerate(theta.masks):
+        out |= mask << i * width
+    return out
 
-    The power map of g sends {a} to {g(a)}, or to the empty set when g(a) is
-    the bottom, so theta dominates it when every g(a) is the bottom or lies
-    in theta({a}); both are read off g's value table.
-    """
-    bottom = theta.target.bottom
-    table = theta.singleton_images
-    images = {a: set() for a, _ in table}
-    for g in joins:
-        values = g.values
-        if all(values[a] == bottom or values[a] in image for a, image in table):
-            for a, _ in table:
-                if values[a] != bottom:
-                    images[a].add(values[a])
-    return union_map(theta.source, theta.target, images)
+
+def _power_packs(source, target):
+    """The packed power map of every join map source -> target, kept on the
+    source per target."""
+    memo = source.__dict__.setdefault("power_packs", {})
+    if target not in memo:
+        memo[target] = [_pack(power_map(g)) for g in hom_set(source, target, "join")]
+    return memo[target]
+
+
+def _hull(pack, powers):
+    """The packed union of the power maps dominated by the packed map pack:
+    p is dominated when p & ~pack == 0, and a union is a bitwise or."""
+    out = 0
+    for p in powers:
+        if not p & ~pack:
+            out |= p
+    return out
 
 
 def based_hull(theta):
     """Union of every power map dominated by theta; theta is based iff this
     reproduces it (based Hom-sets are exactly unions of power maps)."""
-    return _hull(theta, hom_set(theta.source, theta.target, "join"))
+    src, tgt = theta.source, theta.target
+    hull = _hull(_pack(theta), _power_packs(src, tgt))
+    width, elems = tgt.size - 1, nonzero(tgt)
+    images = {a: _subset(elems, hull >> i * width) for i, a in enumerate(nonzero(src))}
+    return union_map(src, tgt, images)
 
 
 def is_based(theta):
-    return based_hull(theta) == theta
+    pack = _pack(theta)
+    return _hull(pack, _power_packs(theta.source, theta.target)) == pack
 
 
 def strictness_witness(lattice, a):
@@ -231,18 +311,47 @@ def strictness_witness(lattice, a):
     return union_map(lattice, lattice, images)
 
 
+class _UnionMaps(Sequence):
+    """Every union map source -> target, indexed in itertools.product order
+    over the choices of singleton image; a map is built when it is read."""
+
+    def __init__(self, source, target, choices):
+        self.source, self.target = source, target
+        self._elems = nonzero(source)
+        self._choices = choices
+        self._len = len(choices) ** len(self._elems)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(self._len)[index]]
+        i = range(self._len)[index]  # IndexError past either end
+        radix = len(self._choices)
+        picks = []
+        for _ in self._elems:
+            i, digit = divmod(i, radix)
+            picks.append(self._choices[digit])
+        return self._map(reversed(picks))
+
+    def __iter__(self):
+        for picks in itertools.product(self._choices, repeat=len(self._elems)):
+            yield self._map(picks)
+
+    def _map(self, picks):
+        return UnionMap(self.source, self.target, tuple(zip(self._elems, picks)))
+
+
 def all_union_maps(source, target, bound=ENUMERATION_BOUND):
-    """Every assignment of singleton images, in deterministic order."""
-    elems = nonzero(source)
+    """Every assignment of singleton images, in deterministic order, as a
+    sequence that builds each map on access."""
     choices = all_subsets(target, bound)
     choices.sort(key=lambda s: (len(s), sorted(s)))
-    total = len(choices) ** len(elems)
+    total = len(choices) ** (source.size - 1)
     if total > bound:
         raise SizeLimit("%d union maps exceed bound %d" % (total, bound))
-    out = []
-    for pick in itertools.product(choices, repeat=len(elems)):
-        out.append(union_map(source, target, dict(zip(elems, pick))))
-    return out
+    return _UnionMaps(source, target, choices)
 
 
 def hom_count(category, source, target, bound=ENUMERATION_BOUND):
@@ -253,10 +362,8 @@ def hom_count(category, source, target, bound=ENUMERATION_BOUND):
         return (1 << (target.size - 1)) ** (source.size - 1)
     if category in ("TS", "BS"):
         maps = all_union_maps(source, target, bound)
-        if category == "TS":
-            return sum(1 for t in maps if is_strongly_isotone(t))
-        joins = hom_set(source, target, "join")
-        return sum(1 for t in maps if _hull(t, joins) == t)
+        test = is_strongly_isotone if category == "TS" else is_based
+        return sum(1 for t in maps if test(t))
     raise ValueError("category must be one of PS, BS, TS, FS")
 
 

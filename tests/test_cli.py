@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latkit
-from latkit import cli, corpus, io, suite
+from latkit import cli, corpus, io, suite, transition
 
 DOC = """
 lattice D4
@@ -235,6 +235,25 @@ def test_witness_reports_basedness(capsys):
     assert payload["based"] is False
     assert cli.main(["witness", "D4", "a", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["based"] is True
+
+
+def test_witness_checks_coherence_with_the_identity(capsys, monkeypatch):
+    # A witness whose top no longer reaches the top is not coherent with the
+    # identity, and both outputs must say so.
+    real = transition.strictness_witness
+
+    def dropped_top(lattice, a):
+        images = real(lattice, a).table()
+        images[lattice.top] -= {lattice.top}
+        return transition.union_map(lattice, lattice, images)
+
+    assert cli.main(["witness", "M3", "a"]) == 0
+    assert "# coherent with the identity: True; based: False" in capsys.readouterr().out
+    monkeypatch.setattr(transition, "strictness_witness", dropped_top)
+    assert cli.main(["witness", "M3", "a", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["coherent_with_identity"] is False
+    assert cli.main(["witness", "M3", "a"]) == 0
+    assert "# coherent with the identity: False;" in capsys.readouterr().out
 
 
 def test_witness_unknown_element(capsys):

@@ -96,3 +96,26 @@ def test_homs_cache_info_available():
     info = suite._homs.cache_info()
     assert info.maxsize == 4096
     assert info.hits >= 1 and info.currsize >= 1
+
+
+def test_pairwise_labels_name_the_checked_objects_in_order():
+    # Report identity cannot tell "X~>Y" from "Y~>X": the product of a pool
+    # with itself yields the same labels either way.  In weak-roundtrips and
+    # state-evolution X~>Y names the weak meet maps from X to Y, and the body
+    # takes (Y, X); in state-causal it names causal relations from X to Y,
+    # and the body takes (X, Y).
+    bundle = suite.default_bundle()
+    lattices = bundle["lattices"]
+    orders = {
+        suite.check_weak_roundtrips: lambda x, y: (y, x),
+        suite.check_state_evolution: lambda x, y: (y, x),
+        suite.check_state_causal: lambda x, y: (x, y),
+    }
+    for law, order in orders.items():
+        checks = list(law(bundle))
+        assert any(x != y for _, label, _ in checks for x, y in [label.split("~>")])
+        for prop, label, check in checks:
+            x, y = label.split("~>")
+            expected = order(lattices[x], lattices[y])
+            assert len(check.args) == 2, (prop, label)
+            assert all(got is want for got, want in zip(check.args, expected)), (prop, label)

@@ -1,13 +1,15 @@
 """Union maps, coherence, counting, basedness, and the strictness witnesses."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkit import corpus
-from latkit.core import identity_map
+from latkit.core import LatticeMap, identity_map
 from latkit.errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
-from latkit.maps import check_adjunction, compose, hom_set, pointwise_join
+from latkit.maps import check_adjunction, compose, hom_set, pointwise_join, preservation_profile
 from latkit.transition import (
     TransitionPair,
     all_subsets,
@@ -21,6 +23,7 @@ from latkit.transition import (
     nonzero,
     power_map,
     resolution,
+    strong_isotonicity_witness,
     strictness_witness,
     transition_compose,
     transition_join,
@@ -241,3 +244,116 @@ class TestBasedness:
         fs = hom_set(lattice, lattice, "join")
         theta = union_of([power_map(fs[k % len(fs)]) for k in picks])
         assert is_based(theta)
+
+
+# Reference implementations on frozensets, joined element by element, kept as
+# oracles for the mask kernels; subsets is all_subsets of the source.
+
+
+def ref_strong_isotonicity_witness(theta, subsets):
+    src, tgt = theta.source, theta.target
+    pairs = [(src.join(s), tgt.join(theta(s)), s) for s in subsets]
+    reach = {}
+    for ja, ta, _ in pairs:
+        for v in src.elements():
+            if src.leq(ja, v):
+                reach[v] = tgt.join2(reach.get(v, tgt.bottom), ta)
+    for jb, tb, b in pairs:
+        if not tgt.leq(reach.get(jb, tgt.bottom), tb):
+            for ja, ta, a in pairs:
+                if src.leq(ja, jb) and not tgt.leq(ta, tb):
+                    return (a, b)
+    return None
+
+
+def ref_underlying_map(theta):
+    """The join map coherent with theta; call only when it is strongly isotone."""
+    src, tgt = theta.source, theta.target
+    values = [
+        tgt.bottom if a == src.bottom else tgt.join(theta(frozenset([a])))
+        for a in src.elements()
+    ]
+    return LatticeMap(src, tgt, tuple(values))
+
+
+def ref_coherence_fast(f, theta):
+    if not preservation_profile(f).joins:
+        return False
+    return all(f(a) == f.cod.join(theta(frozenset([a]))) for a in nonzero(f.dom))
+
+
+def ref_coherence_exhaustive(f, theta, subsets):
+    return all(f(f.dom.join(subset)) == f.cod.join(theta(subset)) for subset in subsets)
+
+
+def ref_union_maps(source, target):
+    choices = sorted(all_subsets(target), key=lambda s: (len(s), sorted(s)))
+    elems = nonzero(source)
+    return [
+        union_map(source, target, dict(zip(elems, pick)))
+        for pick in itertools.product(choices, repeat=len(elems))
+    ]
+
+
+def test_mask_kernels_match_frozenset_references():
+    # Every pair of corpus lattices of at most 4 elements has at most
+    # 8 ** 3 = 512 union maps, so every map is compared, including the
+    # stride sample that the transition-coherence law reads.
+    pool = corpus.named_lattices(max_size=4).values()
+    for source, target in itertools.product(pool, repeat=2):
+        homs = hom_set(source, target, "join")
+        subsets = all_subsets(source)
+        for k, theta in enumerate(all_union_maps(source, target, bound=1 << 12)):
+            witness = ref_strong_isotonicity_witness(theta, subsets)
+            assert strong_isotonicity_witness(theta) == witness
+            if witness is None:
+                expected = ref_underlying_map(theta)
+                assert underlying_map(theta) == expected
+            else:
+                expected = None
+                with pytest.raises(NotStronglyIsotone):
+                    underlying_map(theta)
+            for f in {expected, homs[k % len(homs)]} - {None}:
+                assert coherence_check(f, theta, "fast") == ref_coherence_fast(f, theta)
+                assert coherence_check(f, theta, "exhaustive") == ref_coherence_exhaustive(
+                    f, theta, subsets
+                )
+
+
+def test_all_union_maps_is_an_indexed_product():
+    pool = corpus.named_lattices(max_size=4)
+    for source, target in itertools.product(pool.values(), repeat=2):
+        maps = all_union_maps(source, target, bound=1 << 12)
+        expected = ref_union_maps(source, target)
+        assert len(maps) == len(expected)
+        assert list(maps) == expected
+        assert [maps[i] for i in range(len(maps))] == expected
+        assert maps[-1] == expected[-1]
+        for step in (1, 3, max(1, len(expected) // 64)):
+            assert maps[::step] == expected[::step]
+        assert maps[-2::-5] == expected[-2::-5]
+        for past in (len(maps), -len(maps) - 1):
+            with pytest.raises(IndexError):
+                maps[past]
+
+
+def test_all_union_maps_guards_keep_their_messages():
+    b16 = corpus.boolean_lattice(4)
+    with pytest.raises(SizeLimit, match="2\\^15 subsets exceed bound"):
+        all_union_maps(TWO, b16, bound=1 << 12)
+    with pytest.raises(SizeLimit, match="512 union maps exceed bound 256"):
+        all_union_maps(corpus.diamond(), corpus.diamond(), bound=1 << 8)
+
+
+def test_union_map_masks_follow_the_images():
+    m3 = corpus.m3()
+    for theta in all_union_maps(TWO, m3):
+        (a, image), = theta.singleton_images
+        assert theta.masks == (sum(1 << i for i, b in enumerate(nonzero(m3)) if b in image),)
+    with pytest.raises(ShapeMismatch, match="zero or out-of-range"):
+        union_map(m3, m3, {a: frozenset([m3.bottom]) for a in nonzero(m3)})
+    theta = power_map(identity_map(m3))
+    assert "masks" not in repr(theta)
+    assert theta == union_map(m3, m3, theta.table()) and hash(theta) == hash(
+        union_map(m3, m3, theta.table())
+    )
