@@ -48,19 +48,24 @@ def _emit(payload, as_json):
                 print(item)
 
 
-def _corpus_lattice(args, name):
-    """Resolve a lattice by name from files, or from the built-in corpus."""
+def _corpus_lattices(args, *names):
+    """Resolve lattices by name from files, read once, or from the built-in
+    corpus."""
     if args.files:
-        ws = _load_files(args.files)
-        if name in ws.lattices:
-            return ws.lattices[name]
-        raise ParseError("no lattice named %r in the given files" % name)
+        lattices = _load_files(args.files).lattices
+        missing = [name for name in names if name not in lattices]
+        if missing:
+            raise ParseError("no lattice named %r in the given files" % missing[0])
+        return [lattices[name] for name in names]
     from . import corpus
 
-    try:
-        return corpus.named_lattice(name)
-    except KeyError:
-        raise ParseError("no built-in lattice named %r" % name) from None
+    out = []
+    for name in names:
+        try:
+            out.append(corpus.named_lattice(name))
+        except KeyError:
+            raise ParseError("no built-in lattice named %r" % name) from None
+    return out
 
 
 def cmd_check(args):
@@ -149,8 +154,7 @@ def cmd_adjoint(args):
 
 
 def cmd_hom(args):
-    dom = _corpus_lattice(args, args.dom)
-    cod = _corpus_lattice(args, args.cod)
+    dom, cod = _corpus_lattices(args, args.dom, args.cod)
     if args.max_size and max(dom.size, cod.size) > args.max_size:
         raise SizeLimit("lattice exceeds --max-size %d" % args.max_size)
     maps = hom_set(dom, cod, args.cls)
@@ -167,8 +171,7 @@ def cmd_hom(args):
 
 
 def cmd_count(args):
-    dom = _corpus_lattice(args, args.dom)
-    cod = _corpus_lattice(args, args.cod)
+    dom, cod = _corpus_lattices(args, args.dom, args.cod)
     if args.max_size and max(dom.size, cod.size) > args.max_size:
         raise SizeLimit("lattice exceeds --max-size %d" % args.max_size)
     count = transition.hom_count(args.category, dom, cod)
@@ -240,7 +243,7 @@ def cmd_equiv(args):
 
 
 def cmd_witness(args):
-    lattice = _corpus_lattice(args, args.lattice)
+    (lattice,) = _corpus_lattices(args, args.lattice)
     try:
         element = list(lattice.labels).index(args.element)
     except ValueError:

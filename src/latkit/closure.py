@@ -18,7 +18,7 @@ from .errors import (
     NotSimple,
     ShapeMismatch,
 )
-from .maps import check_adjunction, compose
+from .maps import check_adjunction
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,8 @@ def lattice_to_space(lattice):
     if not lattice.is_atomistic():
         raise NotAtomistic("lattice must be atomistic")
     ats = lattice.atoms()
-    position = {p: i for i, p in enumerate(ats)}
-    family = set()
-    for a in lattice.elements():
-        family.add(frozenset(position[p] for p in ats if lattice.leq(p, a)))
-    space = ClosureSpace(len(ats), frozenset(family), tuple(lattice.labels[p] for p in ats))
-    return space, ats
+    labels = tuple(lattice.labels[p] for p in ats)
+    return ClosureSpace(len(ats), frozenset(lattice.atom_sets), labels), ats
 
 
 def join_map_to_partial(f):
@@ -260,23 +256,23 @@ def space_roundtrip(space):
         atom_of[point] = i
     if sorted(atom_of) != list(space.points()):
         return RoundtripReport(False, "atom/point mismatch")
-    for mask in range(1 << space.size):
-        subset = frozenset(p for p in space.points() if mask >> p & 1)
-        transported = frozenset(atom_of[p] for p in subset)
-        if (subset in space.closed) != (transported in back.closed):
-            return RoundtripReport(False, "closed families differ at %s" % sorted(subset))
+    point_of = {i: p for p, i in atom_of.items()}
+    pulled = {frozenset(point_of[i] for i in s) for s in back.closed}
+    differ = pulled ^ space.closed
+    if differ:
+        # Report the first differing subset in bitmask order.
+        first = min(differ, key=lambda s: sum(1 << p for p in s))
+        return RoundtripReport(False, "closed families differ at %s" % sorted(first))
     return RoundtripReport(True, "bijective and bicontinuous")
 
 
 def lattice_roundtrip(lattice):
     """a |-> atoms below a must be an order isomorphism onto closed sets."""
-    space, ats = lattice_to_space(lattice)
+    space, _ = lattice_to_space(lattice)
     closed_lattice, sets = space_to_lattice(space)
-    position = {p: i for i, p in enumerate(ats)}
     index = {s: i for i, s in enumerate(sets)}
     psi = []
-    for a in lattice.elements():
-        image = frozenset(position[p] for p in ats if lattice.leq(p, a))
+    for a, image in enumerate(lattice.atom_sets):
         if image not in index:
             return RoundtripReport(False, "image of %s not closed" % lattice.labels[a]), None
         psi.append(index[image])
@@ -319,8 +315,6 @@ def is_boolean(lattice):
 
 @dataclass(frozen=True)
 class BooleanDualityReport:
-    atom_unit_identity: bool  # atom-set map composed with join is the identity
-    set_unit_identity: bool  # join composed with atom-set map is the identity
     atoms_to_atoms: bool
     ortho_preserved_by_adjoint: bool
     agree: bool
@@ -337,18 +331,9 @@ def atom_set_maps(lattice):
     if not is_boolean(lattice):
         raise NotBoolean("lattice is not a finite Boolean algebra")
     ats = lattice.atoms()
-    position = {p: i for i, p in enumerate(ats)}
-    space = discrete_space(len(ats))
-    powerset, sets = closed_set_lattice(space)
+    powerset, sets = closed_set_lattice(discrete_space(len(ats)))
     index = {s: i for i, s in enumerate(sets)}
-    mu = LatticeMap(
-        lattice,
-        powerset,
-        tuple(
-            index[frozenset(position[p] for p in ats if lattice.leq(p, a))]
-            for a in lattice.elements()
-        ),
-    )
+    mu = LatticeMap(lattice, powerset, tuple(index[s] for s in lattice.atom_sets))
     rho = LatticeMap(
         powerset, lattice, tuple(lattice.join([ats[i] for i in s]) for s in sets)
     )
@@ -369,10 +354,7 @@ def boolean_duality(f, g):
     ortho1 = boolean_ortho(f.dom)
     atoms_to_atoms = all(f(p) in set(f.cod.atoms()) for p in f.dom.atoms())
     ortho_preserved = all(g(ortho2[b]) == ortho1[g(b)] for b in f.cod.elements())
-    mu1, rho1 = atom_set_maps(f.dom)
     return BooleanDualityReport(
-        atom_unit_identity=compose(rho1, mu1).values == tuple(f.dom.elements()),
-        set_unit_identity=compose(mu1, rho1).values == tuple(mu1.cod.elements()),
         atoms_to_atoms=atoms_to_atoms,
         ortho_preserved_by_adjoint=ortho_preserved,
         agree=atoms_to_atoms == ortho_preserved,

@@ -153,9 +153,9 @@ def build_poset(n, pairs, mode="covers", labels=None):
 class FiniteLattice:
     """Complete lattice on a finite carrier with precomputed tables.
 
-    The size, the hash, the dual, the upper extension, the lower intervals
-    and the Hom-sets out of the lattice are computed on first use and kept on
-    the instance.
+    The size, the hash, the dual, the atom sets, the upper extension, the
+    lower intervals and the Hom-sets out of the lattice are computed on first
+    use and kept on the instance.
     """
 
     poset: FinitePoset
@@ -214,6 +214,16 @@ class FiniteLattice:
         dual.__dict__["dual"] = self
         return dual
 
+    @cached_property
+    def atom_sets(self):
+        """Entry a is the frozenset of positions, in atoms() order, of the
+        atoms below a."""
+        down = self.poset.down
+        ats = self.atoms()
+        return tuple(
+            frozenset(i for i, p in enumerate(ats) if row >> p & 1) for row in down
+        )
+
     @property
     def labels(self):
         return self.poset.labels
@@ -250,12 +260,9 @@ class FiniteLattice:
         return self.dual.atoms()
 
     def is_atomistic(self):
-        ats = self.atoms()
-        for a in self.elements():
-            below = [p for p in ats if self.leq(p, a)]
-            if self.join(below) != a:
-                return False
-        return True
+        # The join b of the atoms below a has the same atom set as a, so
+        # a == b for every a iff no two elements share an atom set.
+        return len(set(self.atom_sets)) == self.size
 
     def downset(self, a):
         """Elements <= a, in index order."""

@@ -82,9 +82,7 @@ def boolean_ortho(lattice):
     """
     memo = lattice.__dict__
     if "boolean_ortho" not in memo:
-        # Recover each element's atom set from the order.
-        ats = lattice.atoms()
-        atom_sets = [frozenset(p for p in ats if lattice.leq(p, a)) for a in lattice.elements()]
+        atom_sets = lattice.atom_sets
         index = {s: i for i, s in enumerate(atom_sets)}
         universe = atom_sets[lattice.top]
         memo["boolean_ortho"] = tuple(index[universe - s] for s in atom_sets)

@@ -180,16 +180,13 @@ def biortho_lattice(space):
     for p in space.points():
         if space.biclosure(frozenset([p])) != frozenset([p]):
             raise NotSeparating("singleton %d not biorthogonal" % p, witness=p)
-    subsets = []
-    seen = set()
-    # Every biorthogonal set is an orthogonal-set of something.
-    for mask in range(1 << space.size):
-        subset = frozenset(p for p in space.points() if mask >> p & 1)
-        closed = space.biclosure(subset)
-        if closed not in seen:
-            seen.add(closed)
-            subsets.append(closed)
-    lattice, sets = lattice_of_sets(subsets, space.size)
+    # The biorthogonal sets are the sets T-perp, the intersections of the
+    # point-perps over every T: close the full set under each point-perp.
+    family = {frozenset(space.points())}
+    for p in space.points():
+        perp = space.orthogonal_set([p])
+        family |= {s & perp for s in family}
+    lattice, sets = lattice_of_sets(family, space.size)
     index = {s: i for i, s in enumerate(sets)}
     ortho = tuple(index[space.orthogonal_set(s)] for s in sets)
     return validate_ortho(lattice, ortho), sets
@@ -207,11 +204,8 @@ def atom_isomorphism(ol, rebuilt, sets):
     if new.size != lat.size:
         return None
     index = {s: i for i, s in enumerate(sets)}
-    ats = lat.atoms()  # point j of the orthospace is the atom ats[j]
-    iso = tuple(
-        index.get(frozenset(j for j, p in enumerate(ats) if lat.leq(p, a)))
-        for a in lat.elements()
-    )
+    # Point j of the orthospace is atom j of lat, so an atom set is a point set.
+    iso = tuple(index.get(s) for s in lat.atom_sets)
     if None in iso or len(set(iso)) != lat.size:
         return None
     for a in lat.elements():

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .closure import is_boolean
 from .core import FiniteLattice, LatticeMap, direct_product, lower_interval, sublattice_on
 from .errors import (
     NotAtomistic,
@@ -31,8 +32,7 @@ class StatePropertySystem:
 
     def atom_support(self, a):
         """The set of states actualizing property a."""
-        L = self.properties.lattice
-        return frozenset(p for p in self.states if L.leq(p, a))
+        return frozenset(self.states[i] for i in self.properties.lattice.atom_sets[a])
 
     def state_orthogonal(self, p, q):
         """p and q orthogonal as states: p below the complement of q."""
@@ -43,11 +43,7 @@ def build_system(ortho_lattice):
     lattice = ortho_lattice.lattice
     if not lattice.is_atomistic():
         raise NotAtomistic("property lattice must be atomistic")
-    system = StatePropertySystem(ortho_lattice, tuple(lattice.atoms()))
-    supports = [system.atom_support(a) for a in lattice.elements()]
-    if len(set(supports)) != lattice.size:
-        raise NotAtomistic("atom support map is not injective")
-    return system
+    return StatePropertySystem(ortho_lattice, tuple(lattice.atoms()))
 
 
 def center(ortho_lattice):
@@ -55,12 +51,9 @@ def center(ortho_lattice):
     L = ortho_lattice.lattice
     if not L.is_atomistic():
         raise NotAtomistic("center computation requires an atomistic carrier")
-    ats = L.atoms()
-    out = []
-    for z in L.elements():
-        if all(L.leq(p, z) or L.leq(p, ortho_lattice.comp(z)) for p in ats):
-            out.append(z)
-    return out
+    sets = L.atom_sets
+    every = sets[L.top]
+    return [z for z in L.elements() if sets[z] | sets[ortho_lattice.comp(z)] == every]
 
 
 def center_sublattice(ortho_lattice):
@@ -104,11 +97,6 @@ def classical_decomposition(ortho_lattice):
     return Decomposition(product.lattice, tuple(factors), tuple(center_atoms), iso)
 
 
-def is_boolean_ortho(ortho_lattice):
-    L = ortho_lattice.lattice
-    return L.is_atomistic() and L.size == 1 << len(L.atoms())
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     null_part: int  # N: largest property reported impossible
@@ -125,7 +113,7 @@ def observable_spectrum(m, dom_ortho, cod_ortho):
     preserve joins, meets and the orthocomplement.
     """
     B = m.dom
-    if not is_boolean_ortho(dom_ortho) or dom_ortho.lattice != B:
+    if not is_boolean(dom_ortho.lattice) or dom_ortho.lattice != B:
         raise NotBoolean("observable domain must be a Boolean ortholattice")
     profile = preservation_profile(m)
     if not (profile.joins and profile.meets):

@@ -787,7 +787,7 @@ def check_state_center(bundle, max_size=16):
 
 def check_state_spectrum(bundle, max_size=16):
     pool = [
-        (name, ol) for name, ol in _ortho_pool(bundle, max_size) if stateprop.is_boolean_ortho(ol)
+        (name, ol) for name, ol in _ortho_pool(bundle, max_size) if closure.is_boolean(ol.lattice)
     ]
 
     def body(ol):

@@ -141,17 +141,16 @@ def resolution(lattice, max_base=MAX_POWER_BASE):
     return Resolution(power_lattice, tuple(sets), collapse, expand)
 
 
-def coherence_check(f, theta, method="auto", bound=ENUMERATION_BOUND):
+def coherence_check(f, theta, method="fast", bound=ENUMERATION_BOUND):
     """f applied to the join of A must equal the join of theta(A), for all A.
 
-    The fast path (f join preserving and agreeing with theta on singletons)
-    is equivalent on finite lattices; the exhaustive path checks every
-    subset directly.
+    The fast path, the default (f join preserving and agreeing with theta
+    on singletons), is equivalent on finite lattices; the exhaustive path
+    checks every subset directly and is the transition-coherence law's
+    oracle.
     """
     if f.dom != theta.source or f.cod != theta.target:
         raise ShapeMismatch("join map and union map shapes differ")
-    if method == "auto":
-        method = "exhaustive" if 1 << (f.dom.size - 1) <= 4096 else "fast"
     if method == "fast":
         if _join_witness(f) is not None:
             return False
@@ -161,7 +160,7 @@ def coherence_check(f, theta, method="auto", bound=ENUMERATION_BOUND):
         return all(
             values[s] == t for s, t in zip(_subset_joins(f.dom, bound), theta._joins)
         )
-    raise ValueError("method must be auto, fast or exhaustive")
+    raise ValueError("method must be fast or exhaustive")
 
 
 def _factor(theta, bound):

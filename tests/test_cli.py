@@ -94,6 +94,23 @@ def test_hom_counts_against_library(doc_file, capsys):
     assert len(tables) == len(hom_set(d4, c2, "join"))
 
 
+def test_hom_and_count_read_the_files_once(doc_file, capsys, monkeypatch):
+    calls = []
+    real = io.load_workspace
+
+    def counting(texts):
+        calls.append(len(texts))
+        return real(texts)
+
+    monkeypatch.setattr(io, "load_workspace", counting)
+    assert cli.main(["hom", "D4", "C2", "--files", doc_file]) == 0
+    assert calls == [1]
+    assert cli.main(["count", "TS", "D4", "C2", "--files", doc_file]) == 0
+    assert calls == [1, 1]
+    assert cli.main(["hom", "D4", "X9", "--files", doc_file]) == 2
+    assert "no lattice named 'X9' in the given files" in capsys.readouterr().err
+
+
 def test_hom_size_guard(capsys):
     assert cli.main(["hom", "B16", "B16", "--max-size", "8"]) == 3
     assert "size limit" in capsys.readouterr().err

@@ -1,14 +1,17 @@
 """Closure operators, closure spaces, the space/lattice equivalence, and
 the power and Boolean functors."""
 
+import functools
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
-from latkit import corpus
+from latkit import closure, corpus
 from latkit.closure import (
     BooleanDualityReport,
     ClosureSpace,
+    RoundtripReport,
     atom_set_maps,
     boolean_duality,
     check_continuity,
@@ -146,6 +149,68 @@ def test_space_lattice_equivalence_roundtrips():
             assert psi is not None
 
 
+def ref_space_roundtrip(space):
+    """Closedness compared subset by subset, in bitmask order."""
+    lattice, sets = closure.space_to_lattice(space)
+    back, ats = closure.lattice_to_space(lattice)
+    atom_of = {}
+    for i, a in enumerate(ats):
+        (point,) = sets[a]
+        atom_of[point] = i
+    if sorted(atom_of) != list(space.points()):
+        return RoundtripReport(False, "atom/point mismatch")
+    for mask in range(1 << space.size):
+        subset = frozenset(p for p in space.points() if mask >> p & 1)
+        transported = frozenset(atom_of[p] for p in subset)
+        if (subset in space.closed) != (transported in back.closed):
+            return RoundtripReport(False, "closed families differ at %s" % sorted(subset))
+    return RoundtripReport(True, "bijective and bicontinuous")
+
+
+def simple_spaces(max_points):
+    """Every simple closure space on at most max_points points."""
+    for n in range(max_points + 1):
+        base = {frozenset(), frozenset(range(n))} | {frozenset([p]) for p in range(n)}
+        middle = [frozenset(c) for k in range(2, n) for c in itertools.combinations(range(n), k)]
+        for mask in range(1 << len(middle)):
+            family = base | {s for j, s in enumerate(middle) if mask >> j & 1}
+            if all(a & b in family for a in family for b in family):
+                yield ClosureSpace(n, frozenset(family))
+
+
+def test_space_roundtrip_matches_the_subset_loop(monkeypatch):
+    # The real rebuilt space numbers its atoms as the points, so the
+    # transport is the identity and every roundtrip passes.  Renumber the
+    # atoms by a rotation and toggle one closed set of the rebuilt family,
+    # so that the transport direction and the reported subset both matter.
+    # Each space's lattice and rebuilt space are built once for all variants.
+    real = functools.lru_cache(maxsize=None)(closure.lattice_to_space)
+    variant = {}
+    monkeypatch.setattr(
+        closure, "space_to_lattice", functools.lru_cache(maxsize=None)(closure.space_to_lattice)
+    )
+
+    def rebuilt(lattice):
+        space, ats = real(lattice)
+        k, shift = len(ats), variant["shift"]
+        moved = [ats[(i - shift) % k] for i in range(k)]
+        closed = {frozenset((i + shift) % k for i in s) for s in space.closed}
+        return SimpleNamespace(closed=frozenset(closed ^ variant["toggle"])), moved
+
+    monkeypatch.setattr(closure, "lattice_to_space", rebuilt)
+    details = set()
+    for space in simple_spaces(4):
+        subsets = [frozenset(itertools.compress(range(space.size), bits))
+                   for bits in itertools.product((0, 1), repeat=space.size)]
+        for shift in (0, 1):
+            for toggle in [set()] + [{s} for s in subsets]:
+                variant.update(shift=shift, toggle=toggle)
+                report = space_roundtrip(space)
+                assert report == ref_space_roundtrip(space), (space, shift, toggle)
+                details.add(report.detail.split(" at ")[0])
+    assert details == {"bijective and bicontinuous", "closed families differ"}
+
+
 def test_space_to_lattice_requires_simple():
     not_simple = ClosureSpace(2, frozenset([frozenset(), frozenset([0, 1])]))
     with pytest.raises(NotSimple):
@@ -212,7 +277,6 @@ def test_boolean_duality_agreement():
             report = boolean_duality(f, right_adjoint(f))
             assert isinstance(report, BooleanDualityReport)
             assert report.agree
-            assert report.atom_unit_identity and report.set_unit_identity
 
 
 def test_closed_set_lattice_of_discrete_space_is_boolean():

@@ -14,7 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latkit import corpus
-from latkit.core import FinitePoset, LatticeMap, build_poset, lattice_from_poset
+from latkit.core import (
+    FinitePoset,
+    LatticeMap,
+    build_poset,
+    lattice_from_poset,
+    random_moore_lattice,
+)
 from latkit.errors import (
     CycleDetected,
     NotALattice,
@@ -146,6 +152,21 @@ def ref_adjunction(f, g):
         leq_cod(f.values[a], b) == leq_dom(a, g.values[b])
         for a in range(f.dom.size)
         for b in range(f.cod.size)
+    )
+
+
+def ref_atom_sets(lattice):
+    ats = lattice.atoms()
+    return tuple(
+        frozenset(i for i, p in enumerate(ats) if lattice.leq(p, a))
+        for a in lattice.elements()
+    )
+
+
+def ref_is_atomistic(lattice):
+    ats = lattice.atoms()
+    return all(
+        lattice.join([p for p in ats if lattice.leq(p, a)]) == a for a in lattice.elements()
     )
 
 
@@ -341,3 +362,15 @@ def test_check_adjunction_matches_galois_condition(f, picks):
     assert check_adjunction(f, g) == ref_adjunction(f, g)
     if ref_witness(f, f.dom.join_table, f.cod.join_table, f.dom.bottom, f.cod.bottom) is None:
         assert check_adjunction(f, right_adjoint(f))
+
+
+def test_atom_sets_match_the_join_of_atoms_definition():
+    lattices = list(corpus.named_lattices().values())
+    lattices += [random_moore_lattice(seed, 2 + seed % 5, seed % 7) for seed in range(200)]
+    verdicts = set()
+    for lattice in lattices:
+        for lat in (lattice, lattice.dual):
+            assert lat.atom_sets == ref_atom_sets(lat)
+            assert lat.is_atomistic() == ref_is_atomistic(lat)
+            verdicts.add(lat.is_atomistic())
+    assert verdicts == {True, False}

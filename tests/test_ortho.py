@@ -1,10 +1,12 @@
 """Ortholattices, conjugation, dagger calculus, orthospaces."""
 
+import itertools
+
 import pytest
 
 from latkit import corpus
-from latkit.core import LatticeMap, identity_map
-from latkit.errors import NotSeparating, OrthoAxiomFailed
+from latkit.core import MAX_POWER_BASE, LatticeMap, identity_map, lattice_of_sets
+from latkit.errors import LatkitError, NotSeparating, OrthoAxiomFailed, SizeLimit
 from latkit.maps import compose, hom_set, right_adjoint
 from latkit.ortho import (
     OrthoLattice,
@@ -138,6 +140,56 @@ def test_biortho_lattice_of_pair_space_is_o6():
     lat, ortho = corpus.o6()
     reference = validate_ortho(lat, ortho)
     assert lattice_isomorphic_with_ortho(ol, reference) is not None
+
+
+def ref_biortho_lattice(space):
+    """The biclosure of every subset, in bitmask order."""
+    if space.size > MAX_POWER_BASE:
+        raise SizeLimit("%d points exceed powerset bound %d" % (space.size, MAX_POWER_BASE))
+    for p in space.points():
+        if space.biclosure(frozenset([p])) != frozenset([p]):
+            raise NotSeparating("singleton %d not biorthogonal" % p, witness=p)
+    subsets = []
+    seen = set()
+    for mask in range(1 << space.size):
+        subset = frozenset(p for p in space.points() if mask >> p & 1)
+        closed = space.biclosure(subset)
+        if closed not in seen:
+            seen.add(closed)
+            subsets.append(closed)
+    lattice, sets = lattice_of_sets(subsets, space.size)
+    index = {s: i for i, s in enumerate(sets)}
+    ortho = tuple(index[space.orthogonal_set(s)] for s in sets)
+    return validate_ortho(lattice, ortho), sets
+
+
+def biortho_outcome(build, space):
+    try:
+        ol, sets = build(space)
+    except LatkitError as exc:
+        return (type(exc), str(exc), getattr(exc, "witness", None))
+    return sets, ol.ortho, ol.lattice.poset.up, ol.lattice.labels
+
+
+def test_biortho_lattice_matches_the_subset_loop():
+    # Every symmetric antireflexive relation on at most 5 points, separating
+    # or not, and one space past the powerset bound.
+    spaces = [OrthoSpace(MAX_POWER_BASE + 1, (0,) * (MAX_POWER_BASE + 1))]
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            rows = [0] * n
+            for j, (p, q) in enumerate(pairs):
+                if mask >> j & 1:
+                    rows[p] |= 1 << q
+                    rows[q] |= 1 << p
+            spaces.append(OrthoSpace(n, tuple(rows)))
+    kinds = set()
+    for space in spaces:
+        got = biortho_outcome(biortho_lattice, space)
+        assert got == biortho_outcome(ref_biortho_lattice, space), space
+        kinds.add(got[0] if isinstance(got[0], type) else "built")
+    assert kinds == {"built", NotSeparating, SizeLimit}
 
 
 def test_orthospace_roundtrip_on_corpus():

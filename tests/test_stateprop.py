@@ -6,6 +6,7 @@ import random
 import pytest
 
 from latkit import corpus
+from latkit.closure import is_boolean
 from latkit.core import LatticeMap, identity_map
 from latkit.errors import (
     NotAtomistic,
@@ -25,7 +26,6 @@ from latkit.stateprop import (
     center_sublattice,
     classical_decomposition,
     evolution_adjoint,
-    is_boolean_ortho,
     map_to_causal,
     observable_spectrum,
     propagation,
@@ -95,7 +95,7 @@ def test_classical_decomposition_o6_single_factor():
 
 def test_spectrum_on_boolean_observables():
     b4, b8 = ORTHOS["B4"], ORTHOS["B8"]
-    assert is_boolean_ortho(b4) and not is_boolean_ortho(ORTHOS["O6"])
+    assert is_boolean(b4.lattice) and not is_boolean(ORTHOS["O6"].lattice)
     # Complement-preserving join/meet maps b4 -> b8.
     count = 0
     for m in hom_set(b4.lattice, b8.lattice, "join"):
