@@ -564,19 +564,17 @@ def random_moore_lattice(seed, n_points, n_generators, max_points=MAX_POWER_BASE
     if n_points > max_points:
         raise SizeLimit("%d points exceeds bound %d" % (n_points, max_points))
     rng = random.Random(seed)
-    universe = frozenset(range(n_points))
-    family = {universe}
-    for _ in range(n_generators):
-        subset = frozenset(p for p in range(n_points) if rng.random() < 0.5)
-        family.add(subset)
-    # Close under pairwise intersection to a Moore family.
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(family), 2):
-            c = a & b
-            if c not in family:
-                family.add(c)
-                changed = True
-    lattice, _ = lattice_of_sets(family, n_points)
+    generators = [
+        frozenset(p for p in range(n_points) if rng.random() < 0.5) for _ in range(n_generators)
+    ]
+    lattice, _ = lattice_of_sets(intersection_closure(range(n_points), generators), n_points)
     return lattice
+
+
+def intersection_closure(universe, generators):
+    """The Moore family of the generators: the universe and every
+    intersection of generators, closing under one generator at a time."""
+    family = {frozenset(universe)}
+    for g in generators:
+        family |= {s & g for s in family}
+    return family

@@ -6,7 +6,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import MAX_POWER_BASE, FiniteLattice, LatticeMap, identity_map, lattice_of_sets
+from .core import (
+    MAX_POWER_BASE,
+    FiniteLattice,
+    LatticeMap,
+    identity_map,
+    intersection_closure,
+    lattice_of_sets,
+)
 from .errors import (
     NotAtomistic,
     NotCOLattMorphism,
@@ -162,13 +169,11 @@ def orthospace_from_lattice(ol):
     if not lattice.is_atomistic():
         raise NotAtomistic("carrier is not atomistic")
     ats = lattice.atoms()
-    rows = []
-    for p in ats:
-        row = 0
-        for j, q in enumerate(ats):
-            if lattice.leq(p, ol.comp(q)):
-                row |= 1 << j
-        rows.append(row)
+    # Bit j of row i is set iff atom i lies below the complement of atom j.
+    rows = [0] * len(ats)
+    for j, q in enumerate(ats):
+        for i in lattice.atom_sets[ol.comp(q)]:
+            rows[i] |= 1 << j
     space = OrthoSpace(len(ats), tuple(rows), tuple(lattice.labels[p] for p in ats))
     return validate_orthospace(space), ats
 
@@ -182,11 +187,8 @@ def biortho_lattice(space):
             raise NotSeparating("singleton %d not biorthogonal" % p, witness=p)
     # The biorthogonal sets are the sets T-perp, the intersections of the
     # point-perps over every T: close the full set under each point-perp.
-    family = {frozenset(space.points())}
-    for p in space.points():
-        perp = space.orthogonal_set([p])
-        family |= {s & perp for s in family}
-    lattice, sets = lattice_of_sets(family, space.size)
+    perps = [space.orthogonal_set([p]) for p in space.points()]
+    lattice, sets = lattice_of_sets(intersection_closure(space.points(), perps), space.size)
     index = {s: i for i, s in enumerate(sets)}
     ortho = tuple(index[space.orthogonal_set(s)] for s in sets)
     return validate_ortho(lattice, ortho), sets

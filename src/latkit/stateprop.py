@@ -123,9 +123,9 @@ def observable_spectrum(m, dom_ortho, cod_ortho):
             raise NotCOLattMorphism("observable does not preserve complement", witness=a)
     adj = right_adjoint(m)
     null_part = adj(m.cod.bottom)
-    comp_null = dom_ortho.comp(null_part)
-    discrete = B.join([e for e in B.atoms() if B.leq(e, comp_null)])
-    continuous = B.meet2(dom_ortho.comp(discrete), comp_null)
+    # B is Boolean, so atomistic: the join of the atoms below null' is null'.
+    discrete = dom_ortho.comp(null_part)
+    continuous = B.meet2(dom_ortho.comp(discrete), discrete)
     # A finite interval with no atoms is trivial, so the leftover part must
     # vanish; anything else means the input does not model a finite system.
     if continuous != B.bottom:

@@ -1,10 +1,13 @@
 """Weak morphisms (non-empty meet/join preserving) and their two equivalent
 adjoint extensions: codomain restriction to an interval, and pointed
-extension with an adjoined universal top."""
+extension with an adjoined universal top.
+
+WeakMeetMap checks meets and partial_from_table checks joins on file input;
+maps derived here preserve joins by theorem, so they are built unchecked."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import FiniteLattice, LatticeMap, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
@@ -36,36 +39,41 @@ class WeakMeetMap:
 
 @dataclass(frozen=True)
 class PartialJoinMap:
-    """Join-preserving map defined on the lower interval below an anchor."""
+    """Join-preserving map defined on the lower interval below an anchor.
+
+    inner is the same map as a LatticeMap on the interval, built once.
+    """
 
     source: FiniteLattice
     target: FiniteLattice
     anchor: int
     values: tuple[tuple[int, int], ...]  # (source element <= anchor, target element)
+    inner: LatticeMap = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         domain = dict(self.values)
-        for x in self.source.downset(self.anchor):
-            if x not in domain:
-                raise ShapeMismatch("partial map missing value below its anchor")
         interval = lower_interval(self.source, self.anchor)
-        table = tuple(domain[e] for e in interval.elements)
-        inner = LatticeMap(interval.lattice, self.target, table)
-        if _join_witness(inner) is not None:
-            raise NotJoinPreserving("partial map not join preserving on its interval")
+        if not all(x in domain for x in interval.elements):
+            raise ShapeMismatch("partial map missing value below its anchor")
+        table = tuple(domain[x] for x in interval.elements)
+        object.__setattr__(self, "inner", LatticeMap(interval.lattice, self.target, table))
 
     def __call__(self, x):
-        return dict(self.values)[x]
+        """The value at x, which must lie below the anchor."""
+        return self.inner.values[lower_interval(self.source, self.anchor).elements.index(x)]
 
     def interval_map(self):
-        interval = lower_interval(self.source, self.anchor)
-        table = tuple(dict(self.values)[e] for e in interval.elements)
-        return interval, LatticeMap(interval.lattice, self.target, table)
+        return lower_interval(self.source, self.anchor), self.inner
 
 
 def partial_from_table(source, target, anchor, mapping):
-    values = tuple(sorted((x, mapping[x]) for x in source.downset(anchor)))
-    return PartialJoinMap(source, target, anchor, values)
+    """The partial map x |-> mapping[x] on [0, anchor], checked to preserve
+    joins there: the builder for maps read from a file."""
+    values = tuple((x, mapping[x]) for x in source.downset(anchor))
+    partial = PartialJoinMap(source, target, anchor, values)
+    if _join_witness(partial.inner) is not None:
+        raise NotJoinPreserving("partial map not join preserving on its interval")
+    return partial
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,7 @@ class UpperMap:
 
     The adjoined top of L is always the extra index len(L); it is never
     aliased with the old top, and equality of upper maps is index-exact.
+    Only the shape is checked: every upper map is built from join maps.
     """
 
     base_source: FiniteLattice
@@ -85,8 +94,6 @@ class UpperMap:
         ext2 = upper_extension(self.base_target)
         if self.map.dom != ext1 or self.map.cod != ext2:
             raise ShapeMismatch("upper map must act on the pointed extensions")
-        if _join_witness(self.map) is not None:
-            raise NotJoinPreserving("upper map must preserve joins")
         if self.map.values[ext1.top] != ext2.top:
             raise ShapeMismatch("upper map must send the adjoined top to the adjoined top")
 
@@ -99,12 +106,12 @@ def restrict_codomain(weak):
     g = weak.map
     anchor = g(g.dom.top)
     interval = lower_interval(g.cod, anchor)
-    index = {e: i for i, e in enumerate(interval.elements)}
-    restricted = LatticeMap(g.dom, interval.lattice, tuple(index[g(b)] for b in g.dom.elements()))
-    partial_left = left_adjoint(restricted)
+    # Every g(b) lies below g(1), so the projection gives its interval index.
+    position = interval.projection.values
+    restricted = LatticeMap(g.dom, interval.lattice, tuple(position[v] for v in g.values))
+    left = left_adjoint(restricted)
     # The left adjoint lands back in the big lattice through the inclusion.
-    mapping = {e: partial_left(index[e]) for e in interval.elements}
-    partial = partial_from_table(g.cod, g.dom, anchor, mapping)
+    partial = PartialJoinMap(g.cod, g.dom, anchor, tuple(zip(interval.elements, left.values)))
     return restricted, partial, anchor
 
 
@@ -113,8 +120,7 @@ def pointed_extend(weak):
     g = weak.map
     ext_dom = upper_extension(g.dom)
     ext_cod = upper_extension(g.cod)
-    values = tuple(g(b) for b in g.dom.elements()) + (g.cod.size,)
-    extended = LatticeMap(ext_dom, ext_cod, values)
+    extended = LatticeMap(ext_dom, ext_cod, g.values + (g.cod.size,))
     left = left_adjoint(extended)
     upper = UpperMap(g.cod, g.dom, left)
     return extended, upper
@@ -123,26 +129,19 @@ def pointed_extend(weak):
 def partial_to_upper(partial):
     """Send x below the anchor to its value and everything else to the new top."""
     src, tgt = partial.source, partial.target
-    ext1 = upper_extension(src)
-    ext2 = upper_extension(tgt)
-    new_top = src.size  # index of the adjoined top in ext1
-    table = []
-    mapping = dict(partial.values)
-    for x in range(ext1.size):
-        if x != new_top and src.leq(x, partial.anchor):
-            table.append(mapping[x])
-        else:
-            table.append(tgt.size)
-    return UpperMap(src, tgt, LatticeMap(ext1, ext2, tuple(table)))
+    interval, inner = partial.interval_map()
+    table = [tgt.size] * (src.size + 1)  # index size is the adjoined top
+    for x, value in zip(interval.elements, inner.values):
+        table[x] = value
+    return UpperMap(src, tgt, LatticeMap(upper_extension(src), upper_extension(tgt), tuple(table)))
 
 
 def upper_to_partial(upper):
     """Anchor at F*(1) and restrict F to the interval below it."""
-    adj = right_adjoint(upper.map)
-    old_top = upper.base_target.top
-    anchor = adj(old_top)
-    mapping = {x: upper(x) for x in upper.base_source.downset(anchor)}
-    return partial_from_table(upper.base_source, upper.base_target, anchor, mapping)
+    src = upper.base_source
+    anchor = right_adjoint(upper.map)(upper.base_target.top)
+    values = tuple((x, upper(x)) for x in lower_interval(src, anchor).elements)
+    return PartialJoinMap(src, upper.base_target, anchor, values)
 
 
 def upper_adjoint(partial):
@@ -155,12 +154,9 @@ def compose_partial(second, first):
     if first.target != second.source:
         raise ShapeMismatch("partial maps not composable")
     interval, inner = first.interval_map()
-    inner_adjoint = right_adjoint(inner)
-    anchor = interval.elements[inner_adjoint(second.anchor)]
-    mapping = {}
-    for x in first.source.downset(anchor):
-        mapping[x] = second(first(x))
-    return partial_from_table(first.source, second.target, anchor, mapping)
+    anchor = interval.elements[right_adjoint(inner)(second.anchor)]
+    values = tuple((x, second(first(x))) for x in first.source.downset(anchor))
+    return PartialJoinMap(first.source, second.target, anchor, values)
 
 
 def upper_from_weak(weak):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import latkit
 from latkit import cli, corpus, io, suite, transition
+from latkit.errors import NotJoinPreserving
 
 DOC = """
 lattice D4
@@ -60,6 +61,24 @@ def test_check_flags_non_isotone_map(tmp_path, capsys):
     )
     assert cli.main(["check", str(path)]) == 1
     assert "FAIL map g" in capsys.readouterr().out
+
+
+def test_partial_map_join_check_at_the_file_boundary(tmp_path, capsys):
+    # a, b |-> 0 but a v b = 1 |-> 1.  Reading the file is the only place
+    # that proves a partial map preserves joins.
+    text = (
+        "lattice D4\nelements: 0 a b 1\ncovers: 0<a 0<b a<1 b<1\n"
+        "lattice C2\nelements: 0 1\ncovers: 0<1\n"
+        "map p : D4 -> C2\nanchor: 1\n0 |-> 0\na |-> 0\nb |-> 0\n1 |-> 1\n"
+    )
+    with pytest.raises(NotJoinPreserving):
+        io.load_workspace(text)
+    path = tmp_path / "partial.lat"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "NotJoinPreserving: partial map not join preserving on its interval" in err
+    assert "Traceback" not in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -8,6 +8,7 @@ exception type, message and witness.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from latkit.core import (
     LatticeMap,
     build_poset,
     lattice_from_poset,
+    lattice_of_sets,
     random_moore_lattice,
 )
 from latkit.errors import (
@@ -168,6 +170,22 @@ def ref_is_atomistic(lattice):
     return all(
         lattice.join([p for p in ats if lattice.leq(p, a)]) == a for a in lattice.elements()
     )
+
+
+def ref_moore_lattice(seed, n_points, n_generators):
+    """The same random draws, closed by the pairwise-intersection fixed point."""
+    rng = random.Random(seed)
+    family = {frozenset(range(n_points))}
+    for _ in range(n_generators):
+        family.add(frozenset(p for p in range(n_points) if rng.random() < 0.5))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(family), 2):
+            if a & b not in family:
+                family.add(a & b)
+                changed = True
+    return lattice_of_sets(family, n_points)[0]
 
 
 def outcome(fn, *args):
@@ -374,3 +392,15 @@ def test_atom_sets_match_the_join_of_atoms_definition():
             assert lat.is_atomistic() == ref_is_atomistic(lat)
             verdicts.add(lat.is_atomistic())
     assert verdicts == {True, False}
+
+
+def test_random_moore_lattice_matches_the_pairwise_closure():
+    # The corpus's R00-R19, then seeds 0-199 at four sizes.
+    cases = [(1000 + k, 5, 3) for k in range(20)]
+    cases += [(seed, n, 1 + seed % 6) for n in (3, 4, 5, 6) for seed in range(200)]
+    sizes = set()
+    for seed, n_points, n_generators in cases:
+        lattice = random_moore_lattice(seed, n_points, n_generators)
+        assert lattice == ref_moore_lattice(seed, n_points, n_generators), (seed, n_points)
+        sizes.add(lattice.size)
+    assert len(sizes) > 10

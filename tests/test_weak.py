@@ -3,11 +3,12 @@
 import pytest
 
 from latkit import corpus
-from latkit.core import LatticeMap
-from latkit.errors import NotWeakMeet, ShapeMismatch
+from latkit.core import LatticeMap, upper_extension
+from latkit.errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
 from latkit.maps import preservation_profile
 from latkit.weak import (
     PartialJoinMap,
+    UpperMap,
     WeakMeetMap,
     compose_partial,
     partial_from_table,
@@ -104,6 +105,20 @@ def test_partial_map_validation():
     assert partial(1) == 1
     interval, inner = partial.interval_map()
     assert inner.values == (0, 1)
+    d4 = corpus.diamond()  # a, b |-> 0 but a v b |-> 1
+    with pytest.raises(NotJoinPreserving):
+        partial_from_table(d4, c2, d4.top, {0: 0, 1: 0, 2: 0, 3: 1})
+
+
+def test_upper_map_checks_shape_and_its_adjoint_checks_joins():
+    c2 = corpus.chain(2)
+    ext = upper_extension(c2)
+    with pytest.raises(ShapeMismatch):
+        UpperMap(c2, c2, LatticeMap(ext, ext, (0, 1, 1)))
+    # Sends the bottom off the bottom: accepted here, refused by the adjoint.
+    upper = UpperMap(c2, c2, LatticeMap(ext, ext, (1, 1, 2)))
+    with pytest.raises(NotJoinPreserving):
+        upper_to_partial(upper)
 
 
 def test_compose_partial_shape_guard():
