@@ -154,8 +154,8 @@ class FiniteLattice:
     """Complete lattice on a finite carrier with precomputed tables.
 
     The size, the hash, the dual, the atom sets, the upper extension, the
-    lower intervals and the Hom-sets out of the lattice are computed on first
-    use and kept on the instance.
+    sublattices, the lower intervals and the Hom-sets out of the lattice are
+    computed on first use and kept on the instance.
     """
 
     poset: FinitePoset
@@ -197,6 +197,11 @@ class FiniteLattice:
     @cached_property
     def _intervals(self):
         """a -> lower_interval(self, a), filled on demand."""
+        return {}
+
+    @cached_property
+    def _sublattices(self):
+        """Element mask -> sublattice_on(self, elements), filled on demand."""
         return {}
 
     @cached_property
@@ -338,9 +343,13 @@ class LatticeMap:
 
     @cached_property
     def dual(self):
-        """The same value table between the dual lattices.  f.dual.dual is f."""
-        dual = LatticeMap(self.dom.dual, self.cod.dual, self.values)
-        dual.__dict__["dual"] = self
+        """The same value table between the dual lattices.  f.dual.dual is f.
+
+        The dual lattices have the sizes of dom and cod, so the table is
+        not validated again.
+        """
+        dual = object.__new__(LatticeMap)
+        dual.__dict__.update(dom=self.dom.dual, cod=self.cod.dual, values=self.values, dual=self)
         return dual
 
     def is_isotone(self):
@@ -376,19 +385,24 @@ class Interval:
     projection: LatticeMap
 
 
-def sublattice_on(lattice, elems, labels=None):
-    """Restrict the order to elems (must be meet/join closed to be a lattice)."""
-    index = {e: i for i, e in enumerate(elems)}
-    up = []
-    for a in elems:
-        row = 0
-        for b in elems:
-            if lattice.leq(a, b):
-                row |= 1 << index[b]
-        up.append(row)
-    if labels is None:
+def sublattice_on(lattice, elems):
+    """Restrict the order to the set elems, taken in index order (it must be
+    meet/join closed to be a lattice); built once per (lattice, element set)."""
+    mask = 0
+    for e in elems:
+        mask |= 1 << e
+    cache = lattice._sublattices
+    sub = cache.get(mask)
+    if sub is None:
+        up = lattice.poset.up
+        elems = [e for e in lattice.elements() if mask >> e & 1]
+        rows = []
+        for a in elems:
+            row = up[a]
+            rows.append(sum(1 << i for i, b in enumerate(elems) if row >> b & 1))
         labels = tuple(lattice.labels[e] for e in elems)
-    return lattice_from_poset(FinitePoset(tuple(up), tuple(labels)))
+        sub = cache[mask] = lattice_from_poset(FinitePoset(tuple(rows), labels))
+    return sub
 
 
 def lower_interval(lattice, a):

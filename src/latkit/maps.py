@@ -4,6 +4,7 @@ special morphisms, classification, and Hom-set enumeration."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import FiniteLattice, LatticeMap, lower_interval
 from .errors import (
@@ -16,18 +17,46 @@ from .errors import (
 )
 
 HOM_SET_CANDIDATE_BOUND = 500_000
+# Key in a map's per-map memo: set by hom_set on each map of a join class.
+_JOIN_PROOF = "preserves_joins"
 
 
-@dataclass(frozen=True)
 class PreservationProfile:
-    joins: bool  # all joins, including the empty one (f(0)=0)
-    nonempty_joins: bool
-    meets: bool
-    nonempty_meets: bool
-    balanced: bool  # f(1)=1
-    dense: bool  # f(a)=0 only for a=0
-    bottom_fixed: bool  # f(0)=0; the balanced notion for meet-preserving maps
-    top_reflecting: bool  # f(a)=1 only for a=1; the dense notion for meet maps
+    """Preservation flags of one map.
+
+    The four O(n) flags are set when the profile is built.  The join scan and
+    the meet scan each run once, on the first read of a flag that needs it.
+    """
+
+    def __init__(self, f):
+        dom, cod, values = f.dom, f.cod, f.values
+        self._map = f
+        self.bottom_fixed = values[dom.bottom] == cod.bottom  # f(0)=0
+        self.balanced = values[dom.top] == cod.top  # f(1)=1
+        # f(a)=0 only for a=0
+        self.dense = all(v != cod.bottom for a, v in enumerate(values) if a != dom.bottom)
+        # f(a)=1 only for a=1; the dense notion for meet maps
+        self.top_reflecting = all(v != cod.top for a, v in enumerate(values) if a != dom.top)
+
+    @cached_property
+    def nonempty_joins(self):
+        f = self._map
+        return _failing_pair(f.values, f.dom.join_table, f.cod.join_table) is None
+
+    @cached_property
+    def nonempty_meets(self):
+        f = self._map
+        return _failing_pair(f.values, f.dom.meet_table, f.cod.meet_table) is None
+
+    @property
+    def joins(self):
+        """All joins, including the empty one (f(0)=0)."""
+        return self.bottom_fixed and self.nonempty_joins
+
+    @property
+    def meets(self):
+        """All meets, including the empty one (f(1)=1)."""
+        return self.balanced and self.nonempty_meets
 
 
 def _failing_pair(values, dom_table, cod_table):
@@ -44,23 +73,9 @@ def _failing_pair(values, dom_table, cod_table):
 
 
 def preservation_profile(f):
-    """Decide every flag exhaustively; binary checks suffice on finite carriers."""
-    dom, cod = f.dom, f.cod
-    values = f.values
-    nonempty_joins = _failing_pair(values, dom.join_table, cod.join_table) is None
-    nonempty_meets = _failing_pair(values, dom.meet_table, cod.meet_table) is None
-    bottom_fixed = values[dom.bottom] == cod.bottom
-    balanced = values[dom.top] == cod.top
-    return PreservationProfile(
-        joins=nonempty_joins and bottom_fixed,
-        nonempty_joins=nonempty_joins,
-        meets=nonempty_meets and balanced,
-        nonempty_meets=nonempty_meets,
-        balanced=balanced,
-        dense=all(v != cod.bottom for a, v in enumerate(values) if a != dom.bottom),
-        bottom_fixed=bottom_fixed,
-        top_reflecting=all(v != cod.top for a, v in enumerate(values) if a != dom.top),
-    )
+    """The preservation flags of f, decided exhaustively; binary checks
+    suffice on finite carriers."""
+    return PreservationProfile(f)
 
 
 def _join_witness(f):
@@ -74,14 +89,16 @@ def right_adjoint(f):
     """f*(b) = join of everything f sends below b.  Requires all joins.
 
     The result is kept on f, so each map computes its adjoint once; a
-    failure is raised again on every call.
+    failure is raised again on every call.  A map that hom_set proved to
+    preserve joins is not scanned again.
     """
     memo = f.__dict__
     if "right_adjoint" in memo:
         return memo["right_adjoint"]
-    witness = _join_witness(f)
-    if witness is not None:
-        raise NotJoinPreserving("map does not preserve joins", witness=witness)
+    if _JOIN_PROOF not in memo:
+        witness = _join_witness(f)
+        if witness is not None:
+            raise NotJoinPreserving("map does not preserve joins", witness=witness)
     dom, cod = f.dom, f.cod
     join_table, cod_up = dom.join_table, cod.poset.up
     values = []
@@ -333,8 +350,6 @@ def _enumerate(dom, cod, cls, bound):
     """Value tables of the maps dom -> cod in class cls, in any order."""
     if cls == "isotone":
         return _enumerate_isotone(dom, cod, bound)
-    if cls == "meet":
-        return _enumerate_preserving(dom.dual, cod.dual, bound)
     if cls == "join":
         return _enumerate_preserving(dom, cod, bound)
     if cls == "balanced-join":
@@ -352,6 +367,29 @@ def _enumerate(dom, cod, cls, bound):
     raise ValueError("unknown map class %r" % cls)
 
 
+def _hom_tuple(dom, cod, cls, bound):
+    """The maps of hom_set as a tuple, kept on dom.
+
+    The meet maps are the duals of the join maps between the dual lattices,
+    map for map: the same value tables, so the same order.  Every map of a
+    join class is marked in its memo as proved, so right_adjoint, and
+    left_adjoint through the dual, skip their join scan on it.
+    """
+    cache = dom._hom_sets
+    key = (cod, cls, bound)
+    maps = cache.get(key)
+    if maps is None:
+        if cls == "meet":
+            maps = tuple(f.dual for f in _hom_tuple(dom.dual, cod.dual, "join", bound))
+        else:
+            maps = tuple(LatticeMap(dom, cod, v) for v in sorted(_enumerate(dom, cod, cls, bound)))
+            if cls != "isotone":
+                for f in maps:
+                    f.__dict__[_JOIN_PROOF] = True
+        cache[key] = maps
+    return maps
+
+
 def hom_set(dom, cod, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
     """Complete, duplicate-free enumeration in lexicographic table order.
 
@@ -359,13 +397,7 @@ def hom_set(dom, cod, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
     by (cod, cls, bound); every call returns a fresh list of the shared maps.
     A SizeLimit is not kept: it is raised again on every call.
     """
-    cache = dom._hom_sets
-    key = (cod, cls, bound)
-    maps = cache.get(key)
-    if maps is None:
-        maps = tuple(LatticeMap(dom, cod, v) for v in sorted(_enumerate(dom, cod, cls, bound)))
-        cache[key] = maps
-    return list(maps)
+    return list(_hom_tuple(dom, cod, cls, bound))
 
 
 @dataclass(frozen=True)

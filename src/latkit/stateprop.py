@@ -60,7 +60,7 @@ def center_sublattice(ortho_lattice):
     elems = center(ortho_lattice)
     L = ortho_lattice.lattice
     # Closed under complement, join and meet (the state-center law checks it).
-    sub = sublattice_on(L, elems, [L.labels[e] for e in elems])
+    sub = sublattice_on(L, elems)
     return sub, elems
 
 

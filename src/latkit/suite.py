@@ -413,6 +413,7 @@ def check_orthospace_equivalence(bundle, max_size=16):
 # ---------------------------------------------------------------- weak maps
 
 
+@functools.lru_cache(maxsize=4096)
 def _weak_meet_maps(l2, l1):
     out = []
     for g in _homs(l2, l1, "isotone"):
@@ -420,7 +421,7 @@ def _weak_meet_maps(l2, l1):
             out.append(weak.WeakMeetMap(g))
         except NotWeakMeet:
             pass
-    return out
+    return tuple(out)
 
 
 def check_weak_roundtrips(bundle, max_size=4):
@@ -475,6 +476,7 @@ def check_closure_monads(bundle, max_size=5):
         for f in _homs(l1, l2, "join"):
             g = right_adjoint(f)
             operator = closure.monad_from_adjunction(f, g)
+            closure.validate_closure(l1, operator.table)
             fixed = closure.fixed_points(operator)
             elems, sub = fixed.elements, fixed.lattice
             if sorted(elems) != g.image():

@@ -1,20 +1,30 @@
 """Derived structures are built once per instance and behave as before:
-upper extensions, lower intervals, adjoints, Hom-sets, lattice equality and
-hashing, and the corpus lookup by name."""
+upper extensions, sublattices and lower intervals, adjoints, Hom-sets,
+preservation profiles read on demand, lattice equality and hashing, and the
+corpus lookup by name."""
 
 import pytest
 
-from latkit import cli, corpus
+from latkit import cli, corpus, maps
+from latkit.closure import fixed_points, monad_from_adjunction
 from latkit.core import (
+    FinitePoset,
     LatticeMap,
     build_poset,
     constant_map,
     lattice_from_poset,
     lower_interval,
+    sublattice_on,
     upper_extension,
 )
 from latkit.errors import NotJoinPreserving, NotMeetPreserving, ShapeMismatch, SizeLimit
-from latkit.maps import hom_set, left_adjoint, right_adjoint
+from latkit.maps import (
+    check_adjunction,
+    hom_set,
+    left_adjoint,
+    preservation_profile,
+    right_adjoint,
+)
 
 
 def test_upper_extension_built_once_per_instance():
@@ -129,6 +139,24 @@ def test_adjoint_failures_raise_again_with_the_same_witness():
     assert witnesses[0] is not None and witnesses[0] == witnesses[1]
 
 
+def test_only_maps_of_a_join_class_skip_the_adjoint_scan():
+    # An isotone map is not proved by hom_set, so a non-join one still fails.
+    d4, c3 = corpus.diamond(), corpus.chain(3)
+    for dom, cod in ((d4, c3), (c3, d4)):
+        joins, meets = set(hom_set(dom, cod, "join")), set(hom_set(dom, cod, "meet"))
+        for f in hom_set(dom, cod, "isotone"):
+            if f in joins:
+                assert check_adjunction(f, right_adjoint(f))
+            else:
+                with pytest.raises(NotJoinPreserving):
+                    right_adjoint(f)
+            if f in meets:
+                assert check_adjunction(left_adjoint(f), f)
+            else:
+                with pytest.raises(NotMeetPreserving):
+                    left_adjoint(f)
+
+
 @pytest.mark.parametrize("values, bad", [((0, 5), 5), ((-1, 7), -1), ((1, 2), 2)])
 def test_out_of_range_value_names_the_first_bad_value(values, bad):
     c2 = corpus.chain(2)
@@ -150,3 +178,110 @@ def test_cli_unknown_builtin_lattice(capsys):
     err = capsys.readouterr().err
     assert "no built-in lattice named 'zz'" in err
     assert "Traceback" not in err
+
+
+PROFILE_FLAGS = (
+    "joins",
+    "nonempty_joins",
+    "meets",
+    "nonempty_meets",
+    "balanced",
+    "dense",
+    "bottom_fixed",
+    "top_reflecting",
+)
+
+
+def eager_profile(f):
+    """Reference: all eight preservation flags, each decided outright."""
+    dom, cod, v = f.dom, f.cod, f.values
+
+    def keeps(dom_table, cod_table):
+        return all(
+            v[dom_table[a][b]] == cod_table[v[a]][v[b]]
+            for a in dom.elements()
+            for b in dom.elements()
+        )
+
+    nonempty_joins = keeps(dom.join_table, cod.join_table)
+    nonempty_meets = keeps(dom.meet_table, cod.meet_table)
+    return {
+        "joins": nonempty_joins and v[dom.bottom] == cod.bottom,
+        "nonempty_joins": nonempty_joins,
+        "meets": nonempty_meets and v[dom.top] == cod.top,
+        "nonempty_meets": nonempty_meets,
+        "balanced": v[dom.top] == cod.top,
+        "dense": all(v[a] != cod.bottom for a in dom.elements() if a != dom.bottom),
+        "bottom_fixed": v[dom.bottom] == cod.bottom,
+        "top_reflecting": all(v[a] != cod.top for a in dom.elements() if a != dom.top),
+    }
+
+
+def test_lazy_profile_matches_the_eager_flags():
+    table = corpus.named_lattices(max_size=4)
+    checked = 0
+    for dom in table.values():
+        for cod in table.values():
+            for f in hom_set(dom, cod, "isotone"):
+                expected = eager_profile(f)
+                # Read the flags in both orders, on fresh profiles.
+                forward = preservation_profile(f)
+                backward = preservation_profile(f)
+                assert {k: getattr(forward, k) for k in PROFILE_FLAGS} == expected, f.values
+                assert {k: getattr(backward, k) for k in reversed(PROFILE_FLAGS)} == expected
+                checked += 1
+    assert checked == 5063
+
+
+def test_profile_density_flags_run_no_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan ran")
+
+    monkeypatch.setattr(maps, "_failing_pair", no_scan)
+    cheap = ("balanced", "dense", "bottom_fixed", "top_reflecting")
+    for f in hom_set(corpus.diamond(), corpus.chain(3), "isotone"):
+        expected = eager_profile(f)
+        profile = preservation_profile(f)
+        assert [getattr(profile, k) for k in cheap] == [expected[k] for k in cheap]
+        # joins and meets read their O(n) flag first.
+        if not expected["bottom_fixed"]:
+            assert profile.joins is False
+        if not expected["balanced"]:
+            assert profile.meets is False
+
+
+def ref_sublattice_on(lattice, elems):
+    """Reference: the order restricted to elems, built afresh by leq."""
+    index = {e: i for i, e in enumerate(elems)}
+    up = []
+    for a in elems:
+        row = 0
+        for b in elems:
+            if lattice.leq(a, b):
+                row |= 1 << index[b]
+        up.append(row)
+    labels = tuple(lattice.labels[e] for e in elems)
+    return lattice_from_poset(FinitePoset(tuple(up), labels))
+
+
+def test_cached_sublattice_matches_the_fresh_build_on_closure_fixed_sets():
+    # Every (lattice, fixed-point set) that the closure-monad law meets.
+    table = corpus.named_lattices(max_size=5)
+    seen = set()
+    for name, l1 in table.items():
+        for l2 in table.values():
+            for f in hom_set(l1, l2, "join"):
+                fixed = fixed_points(monad_from_adjunction(f, right_adjoint(f)))
+                assert fixed.lattice is sublattice_on(l1, fixed.elements)
+                if (name, fixed.elements) not in seen:
+                    seen.add((name, fixed.elements))
+                    assert fixed.lattice == ref_sublattice_on(l1, fixed.elements)
+    assert len(seen) == 184
+
+
+def test_lower_interval_lattice_is_the_cached_sublattice():
+    for lattice in corpus.named_lattices().values():
+        for a in lattice.elements():
+            interval = lower_interval(lattice, a)
+            assert interval.lattice is sublattice_on(lattice, lattice.downset(a))
+            assert interval.lattice == ref_sublattice_on(lattice, interval.elements)

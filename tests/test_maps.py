@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latkit import corpus
+from latkit import corpus, maps, suite
 from latkit.core import LatticeMap, constant_map, identity_map
 from latkit.errors import (
     EmptyFamily,
@@ -118,6 +118,40 @@ def test_hom_set_guard():
     b16 = corpus.boolean_lattice(4)
     with pytest.raises(SizeLimit):
         hom_set(b16, b16, "isotone", bound=1000)
+
+
+def _not_preserving(homs, cls):
+    """Value tables of the maps whose profile denies all joins or all meets."""
+    return [f.values for f in homs if not getattr(preservation_profile(f), cls + "s")]
+
+
+def test_hom_set_maps_preserve_their_class():
+    table = corpus.named_lattices(max_size=4)
+    for dom in table.values():
+        for cod in table.values():
+            for cls in ("join", "meet"):
+                assert _not_preserving(hom_set(dom, cod, cls), cls) == []
+
+
+def test_a_kernel_that_emits_a_non_join_map_is_caught(monkeypatch):
+    # hom_set marks its join maps as proved and right_adjoint trusts the
+    # mark; the profile and the adjoint-laws law still scan each map.
+    real = maps._enumerate_preserving
+
+    def kernel(dom, cod, bound):
+        return real(dom, cod, bound) + [(cod.top,) * dom.size]
+
+    monkeypatch.setattr(maps, "_enumerate_preserving", kernel)
+    d4, c3 = corpus.diamond(), corpus.chain(3)
+    suite._homs.cache_clear()
+    try:
+        assert _not_preserving(hom_set(d4, c3, "join"), "join") == [(2, 2, 2, 2)]
+        checks = suite.check_adjunction_laws({"lattices": {"C3": c3, "D4": d4}})
+        witnesses = {label: check() for _, label, check in checks}
+    finally:
+        suite._homs.cache_clear()
+    assert len(witnesses) == 4 and None not in witnesses.values()
+    assert witnesses["D4->C3"] == "adjunction fails for (2, 2, 2, 2)"
 
 
 def test_irreducibles():

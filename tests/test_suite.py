@@ -1,9 +1,14 @@
 """The report sweep itself: determinism, filtering, size capping, error
 reports, the Hom-set cache statistics the benchmark reads, and the rule
-that library code carries no assert statements."""
+that library code carries no assert statements, so that python -O gives the
+same reports."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import latkit
 from latkit import corpus, suite
@@ -119,3 +124,35 @@ def test_pairwise_labels_name_the_checked_objects_in_order():
             expected = order(lattices[x], lattices[y])
             assert len(check.args) == 2, (prop, label)
             assert all(got is want for got, want in zip(check.args, expected)), (prop, label)
+
+
+def test_reports_identical_under_python_and_python_O():
+    # No law may depend on assert, which python -O strips.  One subprocess
+    # per interpreter mode runs the three laws that read the Hom-set proof
+    # mark, the lazy profile and the closure axioms.
+    code = (
+        "from latkit import cli\n"
+        "for law in ('adjoint-laws', 'balanced-dense', 'closure-monad'):\n"
+        "    cli.main(['suite', '--json', '--filter', law, '--max-size', '4'])\n"
+    )
+    src = os.path.dirname(os.path.dirname(latkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        decoder, text, reports = json.JSONDecoder(), proc.stdout.strip(), []
+        while text:
+            batch, end = decoder.raw_decode(text)
+            reports += [{k: v for k, v in r.items() if k != "millis"} for r in batch]
+            text = text[end:].lstrip()
+        runs.append(reports)
+    assert runs[0] == runs[1]
+    assert {r["prop"] for r in runs[0]} == {"adjoint-laws", "balanced-dense", "closure-monad"}
+    assert all(r["status"] == "pass" for r in runs[0])
