@@ -15,7 +15,7 @@ import sys
 from . import closure, io, ortho, stateprop, suite, transition
 from .core import identity_map
 from .errors import LatkitError, ParseError, SizeLimit, ValidationError
-from .maps import dualize, hom_set, left_adjoint, right_adjoint
+from .maps import dualize, hom_set, left_adjoint, preservation_profile, right_adjoint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -80,8 +80,6 @@ def cmd_check(args):
         kind = "partial-map" if hasattr(f, "anchor") else "map"
         entry = {"object": name, "kind": kind, "status": "pass"}
         if kind == "map":
-            from .maps import preservation_profile
-
             profile = preservation_profile(f)
             entry["profile"] = {
                 "joins": profile.joins,
@@ -89,7 +87,9 @@ def cmd_check(args):
                 "balanced": profile.balanced,
                 "dense": profile.dense,
             }
-            if not f.is_isotone():
+            # A map that preserves binary joins or meets is isotone, so the
+            # profile's scans decide those maps without another pass.
+            if not (profile.joins or profile.meets or f.is_isotone()):
                 entry["status"] = "fail"
                 entry["witness"] = "map is not isotone"
                 ok = False
@@ -146,10 +146,14 @@ def cmd_adjoint(args):
         result = ortho.dagger(f, ws.orthos[dom_name], ws.orthos[cod_name])
     else:
         raise ValidationError("unknown direction %r" % args.direction)
-    out_dom, out_cod = cod_name, dom_name
-    sys.stdout.write(
-        io.format_map("%s_%s" % (args.name, args.direction), result, out_dom, out_cod)
-    )
+    out_name = "%s_%s" % (args.name, args.direction)
+    if args.json:
+        dom_labels, cod_labels = result.dom.labels, result.cod.labels
+        values = {dom_labels[a]: cod_labels[v] for a, v in enumerate(result.values)}
+        payload = {"map": out_name, "dom": cod_name, "cod": dom_name, "values": values}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        sys.stdout.write(io.format_map(out_name, result, cod_name, dom_name))
     return EXIT_OK
 
 
@@ -159,11 +163,7 @@ def cmd_hom(args):
         raise SizeLimit("lattice exceeds --max-size %d" % args.max_size)
     maps = hom_set(dom, cod, args.cls)
     if args.json:
-        print(
-            json.dumps(
-                [list(f.values) for f in maps],
-            )
-        )
+        print(json.dumps([list(f.values) for f in maps]))
     else:
         for k, f in enumerate(maps):
             sys.stdout.write(io.format_map("h%d" % k, f, args.dom, args.cod))
@@ -176,11 +176,8 @@ def cmd_count(args):
         raise SizeLimit("lattice exceeds --max-size %d" % args.max_size)
     count = transition.hom_count(args.category, dom, cod)
     if args.json:
-        print(
-            json.dumps(
-                {"category": args.category, "dom": args.dom, "cod": args.cod, "count": count}
-            )
-        )
+        payload = {"category": args.category, "dom": args.dom, "cod": args.cod, "count": count}
+        print(json.dumps(payload))
     else:
         print(count)
     return EXIT_OK
@@ -252,16 +249,9 @@ def cmd_witness(args):
     coherent = transition.coherence_check(identity_map(lattice), theta)
     based = transition.is_based(theta)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "lattice": args.lattice,
-                    "element": args.element,
-                    "coherent_with_identity": coherent,
-                    "based": based,
-                }
-            )
-        )
+        payload = {"lattice": args.lattice, "element": args.element,
+                   "coherent_with_identity": coherent, "based": based}
+        print(json.dumps(payload))
     else:
         sys.stdout.write(
             io.format_umap("witness_%s" % args.element, theta, args.lattice, args.lattice)
@@ -294,80 +284,66 @@ def cmd_suite(args):
     return EXIT_OK if not failed else EXIT_VALIDATION
 
 
-def build_parser():
+_JSON = ("--json", {"action": "store_true"})
+_FILES = ("files", {"nargs": "+"})
+_FILES_OPTION = ("--files", {"nargs": "*", "default": []})
+_MAX_SIZE = ("--max-size", {"type": int, "default": 0})
+
+# name -> (handler, help, argument specs), in the order help lists them.
+COMMANDS = {
+    "check": (cmd_check, "parse and validate object files", [_FILES, _JSON]),
+    "adjoint": (cmd_adjoint, "compute an adjoint of a named map", [
+        _FILES,
+        ("--name", {"required": True}),
+        ("--direction", {"default": "right", "choices": ["right", "left", "dagger", "dualize"]}),
+        _JSON,
+    ]),
+    "hom": (cmd_hom, "enumerate a Hom-set between two lattices", [
+        ("dom", {}), ("cod", {}), ("--cls", {"default": "join"}), _FILES_OPTION, _MAX_SIZE, _JSON,
+    ]),
+    "count": (cmd_count, "count morphisms at an enrichment level", [
+        ("category", {"choices": ["PS", "BS", "TS", "FS"]}),
+        ("dom", {}), ("cod", {}), _FILES_OPTION, _MAX_SIZE, _JSON,
+    ]),
+    "closure": (cmd_closure, "closure data for a map or space", [
+        _FILES, ("--map", {}), ("--space", {}),
+        ("--subset", {"help": "comma separated point labels"}), _JSON,
+    ]),
+    "equiv": (cmd_equiv, "run the equivalence roundtrips", [_FILES, _JSON]),
+    "witness": (cmd_witness, "emit the strictness witness for an element", [
+        ("lattice", {}), ("element", {}), _FILES_OPTION, _JSON,
+    ]),
+    "suite": (cmd_suite, "run the full proposition sweep", [
+        ("corpus", {"nargs": "?", "help": "directory of corpus files"}), _JSON,
+        ("--filter", {}), ("--max-size", {"type": int}), ("--seed", {"type": int, "default": 0}),
+    ]),
+}
+
+
+def build_parser(names=COMMANDS):
+    """The latkit parser with the subparsers of the given commands only."""
     parser = argparse.ArgumentParser(
         prog="latkit", description="Finite lattice computations and law sweeps."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="parse and validate object files")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("adjoint", help="compute an adjoint of a named map")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--name", required=True)
-    p.add_argument(
-        "--direction",
-        default="right",
-        choices=["right", "left", "dagger", "dualize"],
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_adjoint)
-
-    p = sub.add_parser("hom", help="enumerate a Hom-set between two lattices")
-    p.add_argument("dom")
-    p.add_argument("cod")
-    p.add_argument("--cls", default="join")
-    p.add_argument("--files", nargs="*", default=[])
-    p.add_argument("--max-size", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser("count", help="count morphisms at an enrichment level")
-    p.add_argument("category", choices=["PS", "BS", "TS", "FS"])
-    p.add_argument("dom")
-    p.add_argument("cod")
-    p.add_argument("--files", nargs="*", default=[])
-    p.add_argument("--max-size", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("closure", help="closure data for a map or space")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--map")
-    p.add_argument("--space")
-    p.add_argument("--subset", help="comma separated point labels")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_closure)
-
-    p = sub.add_parser("equiv", help="run the equivalence roundtrips")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("witness", help="emit the strictness witness for an element")
-    p.add_argument("lattice")
-    p.add_argument("element")
-    p.add_argument("--files", nargs="*", default=[])
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("suite", help="run the full proposition sweep")
-    p.add_argument("corpus", nargs="?", help="directory of corpus files")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--filter")
-    p.add_argument("--max-size", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_suite)
-
+    for name in names:
+        func, help_text, specs = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in specs:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A command builds only its own subparser.  Help, a missing or unknown
+    # command, and arguments the command does not take are reported by the
+    # full parser, whose usage lists every command.
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    args, extra = build_parser(names).parse_known_args(argv)
+    if extra:
+        build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

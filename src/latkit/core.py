@@ -338,6 +338,13 @@ class LatticeMap:
             bad = next(v for v in values if not 0 <= v < self.cod.size)
             raise ShapeMismatch("value %d outside codomain" % bad)
 
+    @classmethod
+    def _unchecked(cls, dom, cod, values):
+        """A map whose table is in range by construction: not validated."""
+        f = object.__new__(cls)
+        f.__dict__.update(dom=dom, cod=cod, values=values)
+        return f
+
     def __call__(self, a):
         return self.values[a]
 
@@ -348,8 +355,8 @@ class LatticeMap:
         The dual lattices have the sizes of dom and cod, so the table is
         not validated again.
         """
-        dual = object.__new__(LatticeMap)
-        dual.__dict__.update(dom=self.dom.dual, cod=self.cod.dual, values=self.values, dual=self)
+        dual = LatticeMap._unchecked(self.dom.dual, self.cod.dual, self.values)
+        dual.__dict__["dual"] = self
         return dual
 
     def is_isotone(self):

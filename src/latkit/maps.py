@@ -108,7 +108,7 @@ def right_adjoint(f):
             if cod_up[y] >> b & 1:
                 out = join_table[out][a]
         values.append(out)
-    g = LatticeMap(cod, dom, tuple(values))
+    g = LatticeMap._unchecked(cod, dom, tuple(values))
     memo["right_adjoint"] = g
     return g
 
@@ -143,7 +143,7 @@ def check_adjunction(f, g):
 def compose(f2, f1):
     if f1.cod is not f2.dom and f1.cod != f2.dom:
         raise ShapeMismatch("maps not composable")
-    return LatticeMap(f1.dom, f2.cod, tuple(f2.values[y] for y in f1.values))
+    return LatticeMap._unchecked(f1.dom, f2.cod, tuple(f2.values[y] for y in f1.values))
 
 
 def map_leq(f, g):
@@ -382,7 +382,9 @@ def _hom_tuple(dom, cod, cls, bound):
         if cls == "meet":
             maps = tuple(f.dual for f in _hom_tuple(dom.dual, cod.dual, "join", bound))
         else:
-            maps = tuple(LatticeMap(dom, cod, v) for v in sorted(_enumerate(dom, cod, cls, bound)))
+            maps = tuple(
+                LatticeMap._unchecked(dom, cod, v) for v in sorted(_enumerate(dom, cod, cls, bound))
+            )
             if cls != "isotone":
                 for f in maps:
                     f.__dict__[_JOIN_PROOF] = True

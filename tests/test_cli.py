@@ -1,7 +1,10 @@
 """Command-line interface: subcommands and exit codes."""
 
+import argparse
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +17,9 @@ from hypothesis import strategies as st
 
 import latkit
 from latkit import cli, corpus, io, suite, transition
+from latkit.core import LatticeMap
 from latkit.errors import NotJoinPreserving
+from latkit.maps import preservation_profile
 
 DOC = """
 lattice D4
@@ -101,6 +106,51 @@ def test_adjoint_right_and_dagger(doc_file, capsys):
     assert out.startswith("map f_right : C2 -> D4")
     # The dagger needs ortho tables on both sides; C2 has none in the doc.
     assert cli.main(["adjoint", doc_file, "--name", "f", "--direction", "dagger"]) == 1
+
+
+@pytest.mark.parametrize("direction", ["right", "left", "dualize", "dagger"])
+def test_adjoint_json_matches_the_text_block(tmp_path, capsys, direction):
+    # The dagger needs ortho tables on both lattices, so C2 gets one here.
+    path = tmp_path / "ortho.lat"
+    path.write_text(DOC.replace("covers: 0<1\n", "covers: 0<1\northo: 0->1 1->0\n"))
+    argv = ["adjoint", str(path), "--name", "f", "--direction", direction]
+    assert cli.main(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "map f_%s : C2 -> D4" % direction
+    assert cli.main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "map": "f_%s" % direction,
+        "dom": "C2",
+        "cod": "D4",
+        "values": dict(row.split(" |-> ") for row in rows),
+    }
+
+
+def test_check_isotone_verdict_matches_the_full_scan(tmp_path, capsys):
+    # Every map between corpus lattices of at most 4 elements: the check
+    # report equals the one that runs is_isotone on every map.
+    lattices = corpus.named_lattices(max_size=4)
+    lines = [io.format_lattice(name, lat) for name, lat in lattices.items()]
+    expected = []
+    for (dom_name, dom), (cod_name, cod) in itertools.product(lattices.items(), repeat=2):
+        for values in itertools.product(cod.elements(), repeat=dom.size):
+            f = LatticeMap(dom, cod, values)
+            name = "m%d" % len(expected)
+            lines.append(io.format_map(name, f, dom_name, cod_name))
+            profile = preservation_profile(f)
+            entry = {"object": name, "kind": "map", "status": "pass", "profile": {
+                "joins": profile.joins, "meets": profile.meets,
+                "balanced": profile.balanced, "dense": profile.dense,
+            }}
+            if not f.is_isotone():
+                entry.update(status="fail", witness="map is not isotone")
+            expected.append(entry)
+    path = tmp_path / "maps.lat"
+    path.write_text("\n".join(lines))
+    assert cli.main(["check", str(path), "--json"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    assert [entry for entry in reports if entry["kind"] == "map"] == expected
+    assert {entry["status"] for entry in expected} == {"pass", "fail"}
 
 
 def test_hom_counts_against_library(doc_file, capsys):
@@ -402,3 +452,97 @@ def test_cli_exit_contract_on_generated_files(text):
                 code = cli.main(argv)
             assert code in {0, 1, 2, 3}, (argv, code)
             assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+
+
+def _parse(parser, argv):
+    """Exit code, stdout and stderr of parser.parse_args(argv), which exits."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_matches_the_full_tree(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    single, full = cli.build_parser([name]), cli.build_parser()
+    code, help_text, _ = _parse(single, [name, "-h"])
+    assert code == 0 and help_text.startswith("usage: latkit %s [-h]" % name)
+    assert _parse(full, [name, "-h"]) == (code, help_text, "")
+    # A usage error prints the command's usage line.
+    bad = [name, "--max-size", "x"] if name == "suite" else [name]
+    code, _, err = _parse(single, bad)
+    assert code == 2 and err.startswith("usage: latkit %s " % name)
+    assert _parse(full, bad) == (code, "", err)
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["--json", "check", "x.lat"]])
+def test_top_level_help_and_errors_list_every_command(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.main(argv)
+    out = "".join(capsys.readouterr())
+    assert "{%s}" % ",".join(cli.COMMANDS) in out
+    if argv == ["-h"]:
+        for name, (_, help_text, _) in cli.COMMANDS.items():
+            assert re.search(r"\n +%s +%s\n" % (name, help_text), out), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["--json"],
+        ["check"],
+        ["check", "x.lat", "--bogus"],
+        ["adjoint", "x.lat"],
+        ["adjoint", "x.lat", "--name", "f", "--direction", "up"],
+        ["hom", "D4"],
+        ["hom", "D4", "C2", "extra"],
+        ["count", "XX", "D4", "C2"],
+        ["count", "PS", "D4", "C2", "--max-size", "x"],
+        ["witness", "D4", "a", "b"],
+        ["suite", "--seed", "x"],
+    ],
+)
+def test_usage_errors_exit_2_as_the_full_parser_does(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "usage: latkit" in err and "Traceback" not in err
+    assert _parse(cli.build_parser(), argv) == (2, "", err)
+
+
+def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
+    built = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert cli.main(["hom", "D4", "C2", "--json"]) == 0
+    assert built == ["hom"]
+    # Nothing is kept between calls: the next call builds its parser again.
+    assert cli.main(["count", "TS", "D4", "C2"]) == 0
+    assert built == ["hom", "count"]
+    with pytest.raises(SystemExit):
+        cli.main(["-h"])
+    assert built[2:] == list(cli.COMMANDS)
+
+
+def test_readme_command_block_names_every_command_and_option():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as handle:
+        text = handle.read()
+    block = text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    for name, (_, _, specs) in cli.COMMANDS.items():
+        lines = " ".join(line for line in block.splitlines() if line.startswith("latkit %s " % name))
+        assert lines, name
+        for flag, _ in specs:
+            if flag.startswith("--"):
+                assert re.search(r"%s\b" % flag, lines), (name, flag)
