@@ -73,8 +73,10 @@ def fixed_points(operator):
     elems = tuple(operator.fixed())
     sub = sublattice_on(ambient, elems)
     index = {e: i for i, e in enumerate(elems)}
-    inclusion = LatticeMap(sub, ambient, elems)
-    reflection = LatticeMap(ambient, sub, tuple(index[operator(a)] for a in ambient.elements()))
+    inclusion = LatticeMap._unchecked(sub, ambient, elems)
+    reflection = LatticeMap._unchecked(
+        ambient, sub, tuple(index[operator(a)] for a in ambient.elements())
+    )
     return FixedPointLattice(sub, elems, inclusion, reflection)
 
 

@@ -154,8 +154,9 @@ class FiniteLattice:
     """Complete lattice on a finite carrier with precomputed tables.
 
     The size, the hash, the dual, the atom sets, the upper extension, the
-    sublattices, the lower intervals and the Hom-sets out of the lattice are
-    computed on first use and kept on the instance.
+    sublattices, the lower intervals, the Hom-sets out of the lattice and the
+    data of the join Hom-set search (maps._join_search) are computed on
+    first use and kept on the instance.
     """
 
     poset: FinitePoset
@@ -420,8 +421,8 @@ def lower_interval(lattice, a):
     elems = tuple(lattice.downset(a))
     sub = sublattice_on(lattice, elems)
     index = {e: i for i, e in enumerate(elems)}
-    inclusion = LatticeMap(sub, lattice, elems)
-    projection = LatticeMap(
+    inclusion = LatticeMap._unchecked(sub, lattice, elems)
+    projection = LatticeMap._unchecked(
         lattice, sub, tuple(index[lattice.meet2(x, a)] for x in lattice.elements())
     )
     cache[a] = interval = Interval(sub, elems, inclusion, projection)

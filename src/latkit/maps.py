@@ -251,8 +251,7 @@ def special_maps(lattice, a, two=None):
 
 def join_irreducibles(lattice):
     """Elements with exactly one lower cover, in index order."""
-    lower = [b for _, b in lattice.poset.cover_pairs()]
-    return [a for a in lattice.elements() if lower.count(a) == 1]
+    return list(_join_search(lattice).irr)
 
 
 def meet_irreducibles(lattice):
@@ -299,47 +298,134 @@ def _enumerate_isotone(dom, cod, bound):
     return out
 
 
+class _JoinSearch:
+    """What the join Hom-set search needs to know about its domain.
+
+    Built once per lattice instance and kept on it (see _join_search).
+    order lists the join-irreducibles in a linear extension, and preds[k]
+    those of them below order[k] that come before it.  steps lists
+    (a, x, y) for every element a with two or more lower covers, x and y
+    two of them, so a = x v y; each step comes after those of x and y.
+    """
+
+    def __init__(self, lattice):
+        self.lattice = lattice
+        up, down = lattice.poset.up, lattice.poset.down
+        lower = [[] for _ in lattice.elements()]
+        for a, b in lattice.poset.cover_pairs():
+            lower[b].append(a)
+        self.lower = lower
+        self.irr = [a for a in lattice.elements() if len(lower[a]) == 1]
+        # An element's up-set shrinks as it rises, so this is a linear extension.
+        self.order = order = sorted(self.irr, key=lambda j: -up[j].bit_count())
+        self.preds = [[i for i in order[:k] if up[i] >> j & 1] for k, j in enumerate(order)]
+        self.steps = [
+            (a, *lower[a][:2])
+            for a in sorted(lattice.elements(), key=lambda a: down[a].bit_count())
+            if len(lower[a]) > 1
+        ]
+
+    @cached_property
+    def covers(self):
+        """j -> the minimal nontrivial join covers of j, for each
+        join-irreducible j.  A distributive lattice has none: there every
+        join-irreducible is join-prime."""
+        return {j: self._minimal_covers(j) for j in self.irr}
+
+    @cached_property
+    def checks(self):
+        """checks[k] lists the pairs (j, A), A a minimal cover of j, whose
+        last member in order is order[k]."""
+        pos = {j: k for k, j in enumerate(self.order)}
+        checks = [[] for _ in self.order]
+        for j, covers in self.covers.items():
+            for cover in covers:
+                checks[max(pos[a] for a in (j, *cover))].append((j, cover))
+        return checks
+
+    def _minimal_covers(self, j):
+        """The sets A of join-irreducibles, none of them above j, with
+        j <= join A and j not<= a_* v join(A - {a}) for each a in A, where a_*
+        is a's lower cover: the minimal nontrivial join covers of j, since
+        any other cover that refines A joins below some such a_* v join(A - {a}).
+
+        Each A is built once, its members added in index order.  No member
+        is above another, each one raises the join of those before it, and
+        no proper subset covers j, so the search prunes there.
+        """
+        lattice, lower = self.lattice, self.lower
+        up, join = lattice.poset.up, lattice.join_table
+        candidates = [a for a in self.irr if not up[j] >> a & 1]
+        found = []
+
+        def grow(start, chosen, joined):
+            for t in range(start, len(candidates)):
+                a = candidates[t]
+                s = join[joined][a]
+                if s == joined or any(up[c] >> a & 1 for c in chosen):
+                    continue
+                cover = chosen + [a]
+                if not up[j] >> s & 1:
+                    grow(t + 1, cover, s)
+                elif not any(
+                    up[j] >> lattice.join([lower[b][0]] + [c for c in cover if c != b]) & 1
+                    for b in cover
+                ):
+                    found.append(tuple(cover))
+
+        grow(0, [], lattice.bottom)
+        return found
+
+
+def _join_search(lattice):
+    """The lattice's _JoinSearch, built on first use and kept on it."""
+    memo = lattice.__dict__
+    if "join_search" not in memo:
+        memo["join_search"] = _JoinSearch(lattice)
+    return memo["join_search"]
+
+
 def _enumerate_preserving(dom, cod, bound):
     """Value table of every join-preserving map dom -> cod.
 
     Meets are the same search on the dual lattices.  A join-preserving map
-    is the join-extension of its isotone restriction to the
-    join-irreducibles, so the search assigns the irreducibles in a linear
-    extension, gives each one only values at or above the join of its
-    predecessors' values, and keeps the extensions whose tables pass the
-    pairwise check.  Each table is made exactly once.
+    is the join-extension of its isotone restriction v to the
+    join-irreducibles J, and the join-extension of an isotone v preserves
+    joins iff v(j) <= join v(A) for every minimal nontrivial join cover A
+    of every j in J.  So the search assigns J in a linear extension, gives
+    each irreducible only values at or above its predecessors' values, and
+    tests each cover as soon as j and all of A have values.  A leaf is then
+    a join map, and its table is filled from the irreducibles' values by
+    the domain's steps.  Each table is made exactly once.
     """
-    irr, masks, unit = join_irreducibles(dom), dom.poset.up, cod.bottom
-    dom_table, cod_table = dom.join_table, cod.join_table
-    _guard(cod.size ** len(irr), bound)
-    # An element's order mask shrinks as it rises, so this is a linear extension.
-    order = sorted(irr, key=lambda j: -masks[j].bit_count())
-    preds = [
-        [i for i in range(k) if masks[order[i]] >> j & 1] for k, j in enumerate(order)
-    ]
-    below = [
-        [k for k, j in enumerate(order) if masks[j] >> a & 1] for a in dom.elements()
-    ]
-    choice = [unit] * len(order)
+    search = _join_search(dom)
+    order, preds, steps = search.order, search.preds, search.steps
+    _guard(cod.size ** len(order), bound)
+    checks = search.checks
+    table, up, unit = cod.join_table, cod.poset.up, cod.bottom
+    above = [[v for v in cod.elements() if row >> v & 1] for row in up]
+    values = [unit] * dom.size
     out = []
 
     def assign(k):
         if k == len(order):
-            values = []
-            for ks in below:
-                v = unit
-                for i in ks:
-                    v = cod_table[v][choice[i]]
-                values.append(v)
-            if _failing_pair(values, dom_table, cod_table) is None:
-                out.append(tuple(values))
+            for a, x, y in steps:
+                values[a] = table[values[x]][values[y]]
+            out.append(tuple(values))
             return
         floor = unit
         for i in preds[k]:
-            floor = cod_table[floor][choice[i]]
-        for v, w in enumerate(cod_table[floor]):
-            if w == v:
-                choice[k] = v
+            floor = table[floor][values[i]]
+        j = order[k]
+        for v in above[floor]:
+            values[j] = v
+            for c, cover in checks[k]:
+                s = unit
+                for a in cover:
+                    s = table[s][values[a]]
+                if not up[values[c]] >> s & 1:
+                    break
+            else:
                 assign(k + 1)
 
     assign(0)

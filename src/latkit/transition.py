@@ -261,10 +261,24 @@ def _pack(theta):
 
 def _power_packs(source, target):
     """The packed power map of every join map source -> target, kept on the
-    source per target."""
+    source per target.
+
+    Each pack is read off the value table, as the sum of one field per
+    nonzero element a of source: the bit of g(a) when g(a) is not zero, as
+    in _pack(power_map(g)).  Nothing is built per map.
+    """
     memo = source.__dict__.setdefault("power_packs", {})
     if target not in memo:
-        memo[target] = [_pack(power_map(g)) for g in hom_set(source, target, "join")]
+        bottom, width = target.bottom, target.size - 1
+        # fields[a][v] is the field of a holding v; zero has no field.
+        fields = [[0] * target.size for _ in source.elements()]
+        for i, a in enumerate(nonzero(source)):
+            fields[a] = [
+                0 if v == bottom else 1 << v - (v > bottom) + i * width for v in target.elements()
+            ]
+        memo[target] = [
+            sum(map(list.__getitem__, fields, g.values)) for g in hom_set(source, target, "join")
+        ]
     return memo[target]
 
 

@@ -133,7 +133,8 @@ def partial_to_upper(partial):
     table = [tgt.size] * (src.size + 1)  # index size is the adjoined top
     for x, value in zip(interval.elements, inner.values):
         table[x] = value
-    return UpperMap(src, tgt, LatticeMap(upper_extension(src), upper_extension(tgt), tuple(table)))
+    upper = LatticeMap._unchecked(upper_extension(src), upper_extension(tgt), tuple(table))
+    return UpperMap(src, tgt, upper)
 
 
 def upper_to_partial(upper):

@@ -1,0 +1,257 @@
+"""The join Hom-set kernel: its per-domain data, closed-form counts on pairs
+far beyond a brute-force filter over value tables, and the power maps that
+basedness packs from its value tables.
+
+The closed forms:
+- for a distributive L, the join maps L -> M are the join-extensions of the
+  isotone maps J(L) -> M (Birkhoff; Davey & Priestley, ch. 5), so
+  |Hom(B_n, M)| = |M|^n and |Hom(C_{k+1}, M)| is the number of k-multichains
+  of M;
+- every join map has exactly one right adjoint, so |Hom_join(L, M)| =
+  |Hom_meet(M, L)|;
+- a join map into a product is a pair of join maps, so |Hom(L, M x N)| =
+  |Hom(L, M)| * |Hom(L, N)|;
+- the join maps L -> C2 are x |-> [x not<= a], one for each a in L.
+"""
+
+import itertools
+
+import pytest
+
+from latkit import corpus, maps
+from latkit.core import FinitePoset, direct_product, lattice_from_poset
+from latkit.maps import _join_search, hom_set
+from latkit.transition import _pack, _power_packs, power_map
+
+LATTICES = corpus.named_lattices()
+
+# ---------------------------------------------------------------- references
+
+
+def is_distributive(lattice):
+    join, meet, n = lattice.join_table, lattice.meet_table, lattice.size
+    return all(
+        meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def ref_join_irreducibles(lattice):
+    """Elements other than bottom that are not the join of those strictly below."""
+    return [
+        a
+        for a in lattice.elements()
+        if a != lattice.bottom
+        and lattice.join([x for x in lattice.elements() if x != a and lattice.leq(x, a)]) != a
+    ]
+
+
+def ref_minimal_covers(lattice, j):
+    """The antichains A of join-irreducibles with j <= join A and j below no
+    member of A, minimal in the refinement order: no other such B has each
+    member below some member of A."""
+    leq, irr = lattice.leq, ref_join_irreducibles(lattice)
+    covers = [
+        set(cover)
+        for k in range(1, len(irr) + 1)
+        for cover in itertools.combinations(irr, k)
+        if leq(j, lattice.join(cover))
+        and not any(leq(j, a) for a in cover)
+        and not any(a != b and leq(a, b) for a in cover for b in cover)
+    ]
+
+    def refines(b, a):
+        return all(any(leq(x, y) for y in a) for x in b)
+
+    return sorted(
+        tuple(sorted(a)) for a in covers if not any(b != a and refines(b, a) for b in covers)
+    )
+
+
+def count_isotone(dom_elems, leq, cod):
+    """Isotone maps from the poset (dom_elems, leq) to cod, by brute force."""
+    pairs = [
+        (x, y)
+        for x, y in itertools.permutations(range(len(dom_elems)), 2)
+        if leq(dom_elems[x], dom_elems[y])
+    ]
+    return sum(
+        all(cod.leq(values[x], values[y]) for x, y in pairs)
+        for values in itertools.product(cod.elements(), repeat=len(dom_elems))
+    )
+
+
+def count_multichains(lattice, k):
+    """Chains x1 <= ... <= xk in lattice."""
+    ending = [1] * lattice.size
+    for _ in range(k - 1):
+        ending = [
+            sum(c for x, c in enumerate(ending) if lattice.leq(x, y)) for y in lattice.elements()
+        ]
+    return sum(ending)
+
+
+def brute_force_out_of_reach(dom, cod):
+    return cod.size ** dom.size > 10**6
+
+
+# ------------------------------------------------------------ domain data
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_covers_are_the_minimal_nontrivial_join_covers(name):
+    for lattice in (LATTICES[name], LATTICES[name].dual):
+        search = _join_search(lattice)
+        assert search.irr == ref_join_irreducibles(lattice)
+        assert sorted(search.covers) == search.irr
+        for j, covers in search.covers.items():
+            assert sorted(covers) == ref_minimal_covers(lattice, j), j
+        # Each cover is tested at the position of its last member.
+        pos = {j: k for k, j in enumerate(search.order)}
+        placed = sorted(
+            (j, cover)
+            for k, row in enumerate(search.checks)
+            for j, cover in row
+            if k == max(pos[a] for a in (j, *cover))
+        )
+        assert placed == sorted((j, c) for j, cs in search.covers.items() for c in cs)
+
+
+def test_exactly_the_distributive_domains_have_no_covers():
+    coverless = {
+        name for name, lat in LATTICES.items() if not any(_join_search(lat).covers.values())
+    }
+    distributive = {name for name, lat in LATTICES.items() if is_distributive(lat)}
+    assert coverless == distributive
+    assert len(distributive) == 29 and {"N5", "M3"}.isdisjoint(distributive)
+    assert _join_search(LATTICES["N5"]).covers == {1: [], 2: [(1, 3)], 3: []}
+    assert _join_search(LATTICES["M3"]).covers == {1: [(2, 3)], 2: [(1, 3)], 3: [(1, 2)]}
+
+
+def test_distributive_domains_enumerate_without_a_scan_or_a_check(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan ran")
+
+    monkeypatch.setattr(maps, "_failing_pair", no_scan)
+    small = corpus.named_lattices(max_size=5)
+    for name, dom in corpus.named_lattices().items():
+        if not is_distributive(dom):
+            continue
+        assert not any(_join_search(dom).checks), name
+        for cod in small.values():
+            for cls in ("join", "balanced-join", "dense-join", "atomic-join"):
+                hom_set(dom, cod, cls)
+
+
+def test_domain_data_is_built_once_per_lattice_instance(monkeypatch):
+    built, searched = [], []
+    real_init, real_covers = maps._JoinSearch.__init__, maps._JoinSearch._minimal_covers
+
+    def init(self, lattice):
+        built.append(lattice)
+        real_init(self, lattice)
+
+    def covers(self, j):
+        searched.append(j)
+        return real_covers(self, j)
+
+    monkeypatch.setattr(maps._JoinSearch, "__init__", init)
+    monkeypatch.setattr(maps._JoinSearch, "_minimal_covers", covers)
+    n5, other = corpus.n5(), corpus.n5()
+    for cod in (corpus.chain(2), corpus.chain(3), corpus.m3()):
+        for cls in ("join", "balanced-join", "dense-join", "atomic-join"):
+            hom_set(n5, cod, cls)
+    assert maps.join_irreducibles(n5) == [1, 2, 3]
+    assert built == [n5] and searched == [1, 2, 3]
+    # An equal lattice built apart has its own data.
+    hom_set(other, corpus.chain(2))
+    assert built == [n5, other] and _join_search(other) is not _join_search(n5)
+
+
+# ---------------------------------------------------------- closed forms
+
+
+def test_boolean_domains_count_cod_size_to_the_atoms():
+    pairs = [("B16", "B8"), ("B8", "B16"), ("B16", "C3xC3"), ("B8", "R16"), ("B16", "O6")]
+    for d, c in pairs:
+        dom, cod = LATTICES[d], LATTICES[c]
+        assert brute_force_out_of_reach(dom, cod)
+        assert len(hom_set(dom, cod)) == cod.size ** len(dom.atoms()), (d, c)
+    assert len(hom_set(LATTICES["B16"], LATTICES["B8"])) == 8**4
+
+
+def test_chain_domains_count_multichains():
+    for k in (2, 3, 4):
+        dom = corpus.chain(k + 1)
+        for cod in (LATTICES["B16"], LATTICES["C3xC3"], LATTICES["R16"], LATTICES["O6"]):
+            assert len(hom_set(dom, cod)) == count_multichains(cod, k)
+    assert len(hom_set(corpus.chain(5), LATTICES["B16"])) == 5**4
+
+
+def test_distributive_domains_count_isotone_maps_on_join_irreducibles():
+    checked = 0
+    for dom in LATTICES.values():
+        if dom.size < 6 or not is_distributive(dom):
+            continue
+        irr = ref_join_irreducibles(dom)
+        for cod in LATTICES.values():
+            if not brute_force_out_of_reach(dom, cod) or cod.size ** len(irr) > 3000:
+                continue
+            assert len(hom_set(dom, cod)) == count_isotone(irr, dom.leq, cod)
+            checked += 1
+    assert checked >= 40
+
+
+def test_join_maps_one_way_match_meet_maps_the_other():
+    names = ["N5", "M3", "C4+C3", "R04", "O6", "R01", "R16", "B8", "C3xC3", "B16"]
+    checked = 0
+    for a, b in itertools.product(names, repeat=2):
+        dom, cod = LATTICES[a], LATTICES[b]
+        if cod.size ** len(ref_join_irreducibles(dom)) > 20_000:
+            continue
+        assert len(hom_set(dom, cod, "join")) == len(hom_set(cod, dom, "meet")), (a, b)
+        checked += brute_force_out_of_reach(dom, cod)
+    assert checked >= 30
+
+
+def test_join_maps_into_a_product_are_pairs_of_join_maps():
+    factors = [corpus.chain(2), corpus.chain(3), corpus.n5(), corpus.m3()]
+    for d in ("N5", "M3", "C4+C3", "O6", "R01", "R16"):
+        dom = LATTICES[d]
+        for m, n in itertools.combinations_with_replacement(factors, 2):
+            product = direct_product([m, n]).lattice
+            if product.size ** len(ref_join_irreducibles(dom)) > 20_000:
+                continue
+            assert len(hom_set(dom, product)) == len(hom_set(dom, m)) * len(hom_set(dom, n))
+
+
+def test_join_maps_into_two_elements_match_the_elements():
+    two = corpus.chain(2)
+    for name, lattice in LATTICES.items():
+        assert len(hom_set(lattice, two)) == lattice.size, name
+        assert len(hom_set(lattice.dual, two)) == lattice.size, name
+
+
+# ----------------------------------------------------------------- packs
+
+
+def test_power_packs_read_off_the_tables_match_the_power_maps():
+    small = corpus.named_lattices(max_size=5)
+    for source in small.values():
+        for target in small.values():
+            expected = [_pack(power_map(g)) for g in hom_set(source, target)]
+            assert _power_packs(source, target) == expected
+
+
+def test_power_packs_on_a_renumbered_target():
+    # The zero of this target is not element 0, so fields skip it mid-row.
+    n5 = corpus.n5()
+    perm = [3, 4, 0, 1, 2]
+    up = tuple(sum(1 << j for j in range(5) if n5.leq(perm[i], perm[j])) for i in range(5))
+    target = lattice_from_poset(FinitePoset(up))
+    assert target.bottom == 2
+    for source in (corpus.m3(), corpus.chain(4), corpus.diamond(), target):
+        expected = [_pack(power_map(g)) for g in hom_set(source, target)]
+        assert _power_packs(source, target) == expected
