@@ -153,10 +153,10 @@ def build_poset(n, pairs, mode="covers", labels=None):
 class FiniteLattice:
     """Complete lattice on a finite carrier with precomputed tables.
 
-    The size, the hash, the dual, the atom sets, the upper extension, the
-    sublattices, the lower intervals, the Hom-sets out of the lattice and the
-    data of the join Hom-set search (maps._join_search) are computed on
-    first use and kept on the instance.
+    The size, the hash, the dual, the lower covers, the down-set index, the
+    atom sets, the upper extension, the sublattices, the lower intervals, the
+    Hom-sets out of the lattice and the data of the join Hom-set search
+    (maps._join_search) are computed on first use and kept on the instance.
     """
 
     poset: FinitePoset
@@ -219,6 +219,30 @@ class FiniteLattice:
         dual = FiniteLattice(poset, self.top, self.bottom, self.meet_table, self.join_table)
         dual.__dict__["dual"] = self
         return dual
+
+    @cached_property
+    def lower_covers(self):
+        """(b, the lower covers of b in index order) for every b, in a linear
+        extension: a is a lower cover of b iff a is the only element of
+        ↓b - {b} at or above a."""
+        up, down = self.poset.up, self.poset.down
+        out = []
+        for b in sorted(self.elements(), key=lambda b: down[b].bit_count()):
+            below = rest = down[b] & ~(1 << b)
+            covers = []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = low.bit_length() - 1
+                if up[a] & below == low:
+                    covers.append(a)
+            out.append((b, tuple(covers)))
+        return tuple(out)
+
+    @cached_property
+    def down_index(self):
+        """Down-set mask -> element, for the principal down-sets."""
+        return {row: a for a, row in enumerate(self.poset.down)}
 
     @cached_property
     def atom_sets(self):

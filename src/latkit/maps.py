@@ -17,15 +17,14 @@ from .errors import (
 )
 
 HOM_SET_CANDIDATE_BOUND = 500_000
-# Key in a map's per-map memo: set by hom_set on each map of a join class.
-_JOIN_PROOF = "preserves_joins"
 
 
 class PreservationProfile:
     """Preservation flags of one map.
 
-    The four O(n) flags are set when the profile is built.  The join scan and
-    the meet scan each run once, on the first read of a flag that needs it.
+    The four O(n) flags are set when the profile is built.  joins and meets
+    read the map's residual (see _residual); the non-empty join and meet
+    scans each run once, on the first read of their flag.
     """
 
     def __init__(self, f):
@@ -51,12 +50,12 @@ class PreservationProfile:
     @property
     def joins(self):
         """All joins, including the empty one (f(0)=0)."""
-        return self.bottom_fixed and self.nonempty_joins
+        return self.bottom_fixed and _residual(self._map) is not None
 
     @property
     def meets(self):
         """All meets, including the empty one (f(1)=1)."""
-        return self.balanced and self.nonempty_meets
+        return self.balanced and _residual(self._map.dual) is not None
 
 
 def _failing_pair(values, dom_table, cod_table):
@@ -85,30 +84,45 @@ def _join_witness(f):
     return _failing_pair(f.values, dom.join_table, cod.join_table)
 
 
+def _residual(f):
+    """The table of f's right adjoint, or None if f does not preserve all
+    joins; kept in f's memo.
+
+    f preserves all joins iff it is residuated: the preimage of every
+    down-set ↓b is a down-set ↓f*(b) (Blyth & Janowitz, Residuation Theory;
+    Davey & Priestley ch. 7).  The preimage of ↓b is the preimage of b united
+    with those of ↓c for b's lower covers c, taken in a linear extension, and
+    each is looked up among dom's principal down-sets.
+    """
+    memo = f.__dict__
+    if "residual" not in memo:
+        pre = [0] * f.cod.size
+        for a, v in enumerate(f.values):
+            pre[v] |= 1 << a
+        for b, lower in f.cod.lower_covers:
+            mask = pre[b]
+            for c in lower:
+                mask |= pre[c]
+            pre[b] = mask
+        table = tuple(map(f.dom.down_index.get, pre))
+        memo["residual"] = None if None in table else table
+    return memo["residual"]
+
+
 def right_adjoint(f):
     """f*(b) = join of everything f sends below b.  Requires all joins.
 
     The result is kept on f, so each map computes its adjoint once; a
-    failure is raised again on every call.  A map that hom_set proved to
-    preserve joins is not scanned again.
+    failure is raised again on every call, with the first failing pair of
+    the join scan as its witness.
     """
     memo = f.__dict__
     if "right_adjoint" in memo:
         return memo["right_adjoint"]
-    if _JOIN_PROOF not in memo:
-        witness = _join_witness(f)
-        if witness is not None:
-            raise NotJoinPreserving("map does not preserve joins", witness=witness)
-    dom, cod = f.dom, f.cod
-    join_table, cod_up = dom.join_table, cod.poset.up
-    values = []
-    for b in cod.elements():
-        out = dom.bottom
-        for a, y in enumerate(f.values):
-            if cod_up[y] >> b & 1:
-                out = join_table[out][a]
-        values.append(out)
-    g = LatticeMap._unchecked(cod, dom, tuple(values))
+    table = _residual(f)
+    if table is None:
+        raise NotJoinPreserving("map does not preserve joins", witness=_join_witness(f))
+    g = LatticeMap._unchecked(f.cod, f.dom, table)
     memo["right_adjoint"] = g
     return g
 
@@ -126,18 +140,49 @@ def left_adjoint(g):
         raise NotMeetPreserving("map does not preserve meets", witness=exc.witness) from None
 
 
+def _below(f):
+    """Bit a*m + b is set iff f(a) <= b, m = |cod|; kept in f's memo."""
+    memo = f.__dict__
+    if "below" not in memo:
+        up, m = f.cod.poset.up, f.cod.size
+        out = 0
+        for v in reversed(f.values):
+            out = out << m | up[v]
+        memo["below"] = out
+    return memo["below"]
+
+
+def _above(g):
+    """Bit a*m + b is set iff a <= g(b), m = |dom|; kept in g's memo."""
+    memo = g.__dict__
+    if "above" not in memo:
+        spread = _spread(g.cod, g.dom.size)
+        out = 0
+        for v in reversed(g.values):
+            out = out << 1 | spread[v]
+        memo["above"] = out
+    return memo["above"]
+
+
+def _spread(lattice, m):
+    """spread[v] = the sum of 1 << a*m over a <= v; kept on the lattice per m."""
+    spreads = lattice.__dict__.setdefault("spreads", {})
+    if m not in spreads:
+        unit = [1 << a * m for a in lattice.elements()]
+        spreads[m] = tuple(
+            sum(u for a, u in enumerate(unit) if row >> a & 1) for row in lattice.poset.down
+        )
+    return spreads[m]
+
+
 def check_adjunction(f, g):
-    """f(a) <= b iff a <= g(b), for every a and b."""
+    """f(a) <= b iff a <= g(b), for every a and b: one compare of the two
+    relations as bitmasks."""
     if f.dom is not g.cod and f.dom != g.cod:
         raise ShapeMismatch("dom of left map must equal cod of right map")
     if f.cod is not g.dom and f.cod != g.dom:
         raise ShapeMismatch("cod of left map must equal dom of right map")
-    fv, gv = f.values, g.values
-    dom_up, cod_up = f.dom.poset.up, f.cod.poset.up
-    return all(
-        [cod_up[fv[a]] >> b & 1 for b in range(len(gv))] == [row >> y & 1 for y in gv]
-        for a, row in enumerate(dom_up)
-    )
+    return _below(f) == _above(g)
 
 
 def compose(f2, f1):
@@ -147,15 +192,16 @@ def compose(f2, f1):
 
 
 def map_leq(f, g):
-    """Pointwise order on a Hom-set: f(a) <= g(a) for every a, read off the
-    two value tables."""
+    """Pointwise order on a Hom-set: f(a) <= g(a) for every a, so the bitmask
+    of f's relation holds g's graph, the bits a*m + g(a)."""
     if f.dom is not g.dom and f.dom != g.dom or f.cod is not g.cod and f.cod != g.cod:
         raise ShapeMismatch("maps live in different Hom-sets")
-    up = f.cod.poset.up
-    for x, y in zip(f.values, g.values):
-        if not up[x] >> y & 1:
-            return False
-    return True
+    memo = g.__dict__
+    if "graph" not in memo:
+        m = g.cod.size
+        memo["graph"] = sum(1 << a * m + v for a, v in enumerate(g.values))
+    graph = memo["graph"]
+    return _below(f) & graph == graph
 
 
 def pointwise_join(fs):
@@ -166,7 +212,8 @@ def pointwise_join(fs):
     for f in fs:
         if f.dom != dom or f.cod != cod:
             raise ShapeMismatch("family does not share dom/cod")
-    return LatticeMap(dom, cod, tuple(cod.join([f(a) for f in fs]) for a in dom.elements()))
+    values = tuple(cod.join([f(a) for f in fs]) for a in dom.elements())
+    return LatticeMap._unchecked(dom, cod, values)
 
 
 def pointwise_meet(gs):
@@ -267,16 +314,14 @@ def _guard(candidates, bound):
 def _enumerate_isotone(dom, cod, bound):
     """Value table of every isotone map dom -> cod.
 
-    The elements are assigned in a linear extension, so an element's lower
-    covers have their values when its turn comes and none of the elements
-    above it has one yet; its candidates are the values at or above every
-    lower cover's value, one mask intersection of cod.poset.up rows.
+    The elements are assigned in the linear extension of dom.lower_covers,
+    so an element's lower covers have their values when its turn comes and
+    none of the elements above it has one yet; its candidates are the values
+    at or above every lower cover's value, one mask intersection of
+    cod.poset.up rows.
     """
-    order = sorted(dom.elements(), key=lambda a: dom.poset.down[a].bit_count())
     _guard(cod.size ** dom.size, bound)
-    covered = [[] for _ in dom.elements()]
-    for a, b in dom.poset.cover_pairs():
-        covered[b].append(a)
+    order = dom.lower_covers
     cod_up, full = cod.poset.up, (1 << cod.size) - 1
     values = [None] * dom.size
     out = []
@@ -285,9 +330,9 @@ def _enumerate_isotone(dom, cod, bound):
         if k == len(order):
             out.append(tuple(values))
             return
-        x = order[k]
+        x, lower = order[k]
         allowed = full
-        for y in covered[x]:
+        for y in lower:
             allowed &= cod_up[values[y]]
         for v in cod.elements():
             if allowed >> v & 1:
@@ -310,20 +355,15 @@ class _JoinSearch:
 
     def __init__(self, lattice):
         self.lattice = lattice
-        up, down = lattice.poset.up, lattice.poset.down
-        lower = [[] for _ in lattice.elements()]
-        for a, b in lattice.poset.cover_pairs():
-            lower[b].append(a)
-        self.lower = lower
+        up = lattice.poset.up
+        self.lower = lower = [()] * lattice.size
+        for b, covers in lattice.lower_covers:
+            lower[b] = covers
         self.irr = [a for a in lattice.elements() if len(lower[a]) == 1]
         # An element's up-set shrinks as it rises, so this is a linear extension.
         self.order = order = sorted(self.irr, key=lambda j: -up[j].bit_count())
         self.preds = [[i for i in order[:k] if up[i] >> j & 1] for k, j in enumerate(order)]
-        self.steps = [
-            (a, *lower[a][:2])
-            for a in sorted(lattice.elements(), key=lambda a: down[a].bit_count())
-            if len(lower[a]) > 1
-        ]
+        self.steps = [(a, *covers[:2]) for a, covers in lattice.lower_covers if len(covers) > 1]
 
     @cached_property
     def covers(self):
@@ -457,9 +497,7 @@ def _hom_tuple(dom, cod, cls, bound):
     """The maps of hom_set as a tuple, kept on dom.
 
     The meet maps are the duals of the join maps between the dual lattices,
-    map for map: the same value tables, so the same order.  Every map of a
-    join class is marked in its memo as proved, so right_adjoint, and
-    left_adjoint through the dual, skip their join scan on it.
+    map for map: the same value tables, so the same order.
     """
     cache = dom._hom_sets
     key = (cod, cls, bound)
@@ -471,9 +509,6 @@ def _hom_tuple(dom, cod, cls, bound):
             maps = tuple(
                 LatticeMap._unchecked(dom, cod, v) for v in sorted(_enumerate(dom, cod, cls, bound))
             )
-            if cls != "isotone":
-                for f in maps:
-                    f.__dict__[_JOIN_PROOF] = True
         cache[key] = maps
     return maps
 
@@ -535,24 +570,3 @@ def classify_morphism(f, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
         balanced=profile.balanced,
         dense=profile.dense,
     )
-
-
-def categorical_epi(f, probes, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
-    """Slow oracle: quantify over all post-composable map pairs into probes."""
-    for probe in probes:
-        maps = hom_set(f.cod, probe, cls, bound)
-        for h1 in maps:
-            for h2 in maps:
-                if h1 != h2 and compose(h1, f) == compose(h2, f):
-                    return False
-    return True
-
-
-def categorical_mono(f, probes, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
-    for probe in probes:
-        maps = hom_set(probe, f.dom, cls, bound)
-        for h1 in maps:
-            for h2 in maps:
-                if h1 != h2 and compose(f, h1) == compose(f, h2):
-                    return False
-    return True

@@ -11,7 +11,7 @@ from functools import cached_property
 
 from .core import LatticeMap, lattice_of_sets, MAX_POWER_BASE
 from .errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
-from .maps import _join_witness, compose, hom_set, pointwise_join
+from .maps import _residual, compose, hom_set, pointwise_join
 
 ENUMERATION_BOUND = 1 << 17
 
@@ -152,7 +152,7 @@ def coherence_check(f, theta, method="fast", bound=ENUMERATION_BOUND):
     if f.dom != theta.source or f.cod != theta.target:
         raise ShapeMismatch("join map and union map shapes differ")
     if method == "fast":
-        if _join_witness(f) is not None:
+        if _residual(f) is None:
             return False
         return all(f(a) == f.cod.join(image) for a, image in theta.singleton_images)
     if method == "exhaustive":
@@ -212,7 +212,7 @@ def underlying_map(theta, bound=ENUMERATION_BOUND):
     values, witness = _factor(theta, bound)
     if witness is not None:
         raise NotStronglyIsotone("no coherent join map exists", witness=witness)
-    return LatticeMap(theta.source, theta.target, tuple(values))
+    return LatticeMap._unchecked(theta.source, theta.target, tuple(values))
 
 
 def power_map(f):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .core import FiniteLattice, LatticeMap, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from .maps import _failing_pair, _join_witness, left_adjoint, right_adjoint
+from .maps import _failing_pair, _residual, left_adjoint, right_adjoint
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def partial_from_table(source, target, anchor, mapping):
     joins there: the builder for maps read from a file."""
     values = tuple((x, mapping[x]) for x in source.downset(anchor))
     partial = PartialJoinMap(source, target, anchor, values)
-    if _join_witness(partial.inner) is not None:
+    if _residual(partial.inner) is None:
         raise NotJoinPreserving("partial map not join preserving on its interval")
     return partial
 
@@ -120,7 +120,7 @@ def pointed_extend(weak):
     g = weak.map
     ext_dom = upper_extension(g.dom)
     ext_cod = upper_extension(g.cod)
-    extended = LatticeMap(ext_dom, ext_cod, g.values + (g.cod.size,))
+    extended = LatticeMap._unchecked(ext_dom, ext_cod, g.values + (g.cod.size,))
     left = left_adjoint(extended)
     upper = UpperMap(g.cod, g.dom, left)
     return extended, upper

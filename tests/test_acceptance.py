@@ -15,8 +15,6 @@ import pytest
 from latkit import cli, closure, corpus, ortho, stateprop, suite, transition, weak
 from latkit.core import LatticeMap, direct_product, identity_map, lower_interval
 from latkit.maps import (
-    categorical_epi,
-    categorical_mono,
     check_adjunction,
     classify_morphism,
     compose,
@@ -28,6 +26,7 @@ from latkit.maps import (
     special_maps,
     two_element_lattice,
 )
+from test_maps import categorical_epi, categorical_mono
 
 TWO = two_element_lattice()
 # The benchmark's record of the full seed-0 sweep, read here and never written.

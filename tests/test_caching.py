@@ -140,7 +140,7 @@ def test_adjoint_failures_raise_again_with_the_same_witness():
 
 
 def test_only_maps_of_a_join_class_skip_the_adjoint_scan():
-    # An isotone map is not proved by hom_set, so a non-join one still fails.
+    # Every map is decided by residuation, so a non-join isotone map fails.
     d4, c3 = corpus.diamond(), corpus.chain(3)
     for dom, cod in ((d4, c3), (c3, d4)):
         joins, meets = set(hom_set(dom, cod, "join")), set(hom_set(dom, cod, "meet"))

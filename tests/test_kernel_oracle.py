@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latkit import corpus
+from latkit import corpus, maps
 from latkit.core import (
     FinitePoset,
     LatticeMap,
@@ -31,7 +31,15 @@ from latkit.errors import (
     NotTransitive,
     ValidationError,
 )
-from latkit.maps import check_adjunction, left_adjoint, preservation_profile, right_adjoint
+from latkit.maps import (
+    check_adjunction,
+    hom_set,
+    left_adjoint,
+    map_leq,
+    preservation_profile,
+    right_adjoint,
+)
+from latkit.transition import coherence_check, power_map
 
 # ---------------------------------------------------------------- references
 
@@ -404,3 +412,113 @@ def test_random_moore_lattice_matches_the_pairwise_closure():
         assert lattice == ref_moore_lattice(seed, n_points, n_generators), (seed, n_points)
         sizes.add(lattice.size)
     assert len(sizes) > 10
+
+
+# The corpus lattices of at most 4 elements and their duals; in a dual the
+# index order runs against the lattice order.
+TINY = [
+    lat
+    for base in corpus.named_lattices(max_size=4).values()
+    for lat in (base, base.dual)
+]
+
+
+def ref_right_adjoint(f):
+    """The right adjoint's table by the fold, or the error right_adjoint
+    must raise: the first failing pair of the pairwise scan."""
+    dom, cod = f.dom, f.cod
+    witness = ref_witness(f, dom.join_table, cod.join_table, dom.bottom, cod.bottom)
+    if witness is not None:
+        return (NotJoinPreserving, "map does not preserve joins", witness)
+    return tuple(
+        ref_fold(dom.join_table, dom.bottom,
+                 [a for a in dom.elements() if cod.leq(f.values[a], b)])
+        for b in cod.elements()
+    )
+
+
+def ref_left_adjoint(f):
+    dom, cod = f.dom, f.cod
+    witness = ref_witness(f, dom.meet_table, cod.meet_table, dom.top, cod.top)
+    if witness is not None:
+        return (NotMeetPreserving, "map does not preserve meets", witness)
+    return tuple(
+        ref_fold(dom.meet_table, dom.top,
+                 [b for b in dom.elements() if cod.leq(a, f.values[b])])
+        for a in cod.elements()
+    )
+
+
+def adjoint_outcome(adjoint, f):
+    try:
+        return adjoint(f).values
+    except ValidationError as exc:
+        return (type(exc), str(exc), exc.witness)
+
+
+def test_residual_kernel_matches_the_fold_on_every_small_table():
+    # Every value table, isotone or not, between the tiny lattices.
+    checked = joins = meets = 0
+    for dom in TINY:
+        for cod in TINY:
+            for values in itertools.product(cod.elements(), repeat=dom.size):
+                f = LatticeMap(dom, cod, values)
+                right, left = ref_right_adjoint(f), ref_left_adjoint(f)
+                # The profile reads the residual first, then the adjoints do.
+                profile = preservation_profile(f)
+                assert profile.joins == (right[0] is not NotJoinPreserving)
+                assert profile.meets == (left[0] is not NotMeetPreserving)
+                assert adjoint_outcome(right_adjoint, f) == right, values
+                assert adjoint_outcome(left_adjoint, f) == left, values
+                checked += 1
+                joins += profile.joins
+                meets += profile.meets
+    assert checked == 122536 and joins == meets and joins > 1000
+
+
+def ref_below(f):
+    """The pairs (a, b) with f(a) <= b, as one flag per pair."""
+    return tuple(f.cod.leq(f.values[a], b) for a in f.dom.elements() for b in f.cod.elements())
+
+
+def ref_above(g):
+    """The pairs (a, b) with a <= g(b), in the order of ref_below."""
+    return tuple(g.cod.leq(a, g.values[b]) for a in g.cod.elements() for b in g.dom.elements())
+
+
+def test_relation_bitmasks_match_the_definitions_on_isotone_pairs():
+    pairs = adjoint = ordered = 0
+    for first in TINY:
+        for second in TINY:
+            fs, gs = hom_set(first, second, "isotone"), hom_set(second, first, "isotone")
+            above = {g: ref_above(g) for g in gs}
+            for f in fs:
+                below = ref_below(f)
+                for g in gs:
+                    expected = below == above[g]
+                    assert check_adjunction(f, g) == expected, (f.values, g.values)
+                    adjoint += expected
+                for h in fs:
+                    expected = all(second.leq(x, y) for x, y in zip(f.values, h.values))
+                    assert map_leq(f, h) == expected, (f.values, h.values)
+                    ordered += expected
+                pairs += len(gs)
+    assert pairs == 588720 and 0 < adjoint < pairs and 0 < ordered
+
+
+def test_join_and_meet_maps_run_no_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan ran")
+
+    monkeypatch.setattr(maps, "_failing_pair", no_scan)
+    for dom in TINY:
+        for cod in TINY:
+            for f in hom_set(dom, cod, "join"):
+                fresh = LatticeMap(dom, cod, f.values)
+                assert preservation_profile(fresh).joins
+                assert right_adjoint(fresh).values == ref_right_adjoint(f)
+                assert coherence_check(LatticeMap(dom, cod, f.values), power_map(f))
+            for f in hom_set(dom, cod, "meet"):
+                fresh = LatticeMap(dom, cod, f.values)
+                assert preservation_profile(fresh).meets
+                assert left_adjoint(fresh).values == ref_left_adjoint(f)

@@ -15,8 +15,7 @@ from latkit.errors import (
     SizeLimit,
 )
 from latkit.maps import (
-    categorical_epi,
-    categorical_mono,
+    HOM_SET_CANDIDATE_BOUND,
     check_adjunction,
     classify_morphism,
     compose,
@@ -134,8 +133,8 @@ def test_hom_set_maps_preserve_their_class():
 
 
 def test_a_kernel_that_emits_a_non_join_map_is_caught(monkeypatch):
-    # hom_set marks its join maps as proved and right_adjoint trusts the
-    # mark; the profile and the adjoint-laws law still scan each map.
+    # right_adjoint decides joins by residuation on every map, so the
+    # adjoint-laws law refuses a non-join map that the kernel lets through.
     real = maps._enumerate_preserving
 
     def kernel(dom, cod, bound):
@@ -144,14 +143,15 @@ def test_a_kernel_that_emits_a_non_join_map_is_caught(monkeypatch):
     monkeypatch.setattr(maps, "_enumerate_preserving", kernel)
     d4, c3 = corpus.diamond(), corpus.chain(3)
     suite._homs.cache_clear()
+    reports = []
     try:
         assert _not_preserving(hom_set(d4, c3, "join"), "join") == [(2, 2, 2, 2)]
-        checks = suite.check_adjunction_laws({"lattices": {"C3": c3, "D4": d4}})
-        witnesses = {label: check() for _, label, check in checks}
+        suite._collect(suite.check_adjunction_laws({"lattices": {"C3": c3, "D4": d4}}), reports)
     finally:
         suite._homs.cache_clear()
-    assert len(witnesses) == 4 and None not in witnesses.values()
-    assert witnesses["D4->C3"] == "adjunction fails for (2, 2, 2, 2)"
+    by_object = {r.object: r for r in reports}
+    assert len(by_object) == 4 and {r.status for r in reports} == {"fail"}
+    assert by_object["D4->C3"].witness == "NotJoinPreserving: map does not preserve joins"
 
 
 def test_irreducibles():
@@ -185,6 +185,27 @@ def test_classify_identity_and_constant():
     assert flags.epic and flags.monic and flags.section and flags.retraction
     with pytest.raises(NotInClass):
         classify_morphism(constant_map(d4, d4, d4.top))
+
+
+def categorical_epi(f, probes, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
+    """Slow oracle: quantify over all post-composable map pairs into probes."""
+    for probe in probes:
+        homs = hom_set(f.cod, probe, cls, bound)
+        for h1 in homs:
+            for h2 in homs:
+                if h1 != h2 and compose(h1, f) == compose(h2, f):
+                    return False
+    return True
+
+
+def categorical_mono(f, probes, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
+    for probe in probes:
+        homs = hom_set(probe, f.dom, cls, bound)
+        for h1 in homs:
+            for h2 in homs:
+                if h1 != h2 and compose(f, h1) == compose(f, h2):
+                    return False
+    return True
 
 
 def test_classification_matches_categorical_oracle():
