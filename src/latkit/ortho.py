@@ -67,7 +67,7 @@ def conjugate(alpha, dom, cod):
     """a |-> alpha(a')' for an isotone map between ortholattices."""
     if alpha.dom != dom.lattice or alpha.cod != cod.lattice:
         raise ShapeMismatch("map does not match the given ortholattices")
-    return LatticeMap(
+    return LatticeMap._unchecked(
         alpha.dom,
         alpha.cod,
         tuple(cod.comp(alpha(dom.comp(a))) for a in alpha.dom.elements()),

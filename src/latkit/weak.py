@@ -108,7 +108,9 @@ def restrict_codomain(weak):
     interval = lower_interval(g.cod, anchor)
     # Every g(b) lies below g(1), so the projection gives its interval index.
     position = interval.projection.values
-    restricted = LatticeMap(g.dom, interval.lattice, tuple(position[v] for v in g.values))
+    restricted = LatticeMap._unchecked(
+        g.dom, interval.lattice, tuple(position[v] for v in g.values)
+    )
     left = left_adjoint(restricted)
     # The left adjoint lands back in the big lattice through the inclusion.
     partial = PartialJoinMap(g.cod, g.dom, anchor, tuple(zip(interval.elements, left.values)))

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import latkit
 from latkit import corpus, suite
@@ -21,8 +22,6 @@ def small_bundle():
         "orthos": {},
         "cspaces": {},
         "ospaces": {},
-        "maps": {},
-        "causals": {},
     }
 
 
@@ -49,15 +48,31 @@ def test_max_size_caps_sweeps():
     assert len(capped) <= len(uncapped)
 
 
+# run_suite(max_size=1) reports of the laws whose pools are not all
+# bounded by lattice size.
+POINT_BOUNDED = {
+    "power-functors": 9,
+    "space-functors": 25,
+    "continuity-composition": 8,
+    "io-roundtrip": 11,
+    "orthospace-equivalence": 5,
+    "space-equivalence": 6,
+}
+
+
 def test_max_size_clamps_to_the_laws_own_size_bound():
-    # check_space_equivalence's first parameter is max_points=3; the clamp
-    # must use its max_size=8, so max_size=8 keeps every report.
+    # space-equivalence has one row bounded by a point count (3) and one by
+    # lattice size (8); max_size=8 keeps every report.
     def keys(reports):
         return {(r.prop, r.object) for r in reports if r.prop == "space-equivalence"}
 
     default = suite.run_suite(filter_text="space-equivalence")
     assert any(r.object.startswith("B") for r in default)
     assert keys(suite.run_suite(max_size=8, filter_text="space-equivalence")) == keys(default)
+    # max_size lowers lattice-size bounds only: pools bounded by a point
+    # count keep every object.
+    counts = Counter(r.prop for r in suite.run_suite(max_size=1))
+    assert {prop: counts[prop] for prop in POINT_BOUNDED} == POINT_BOUNDED
 
 
 def test_report_dict_schema():
@@ -103,6 +118,12 @@ def test_homs_cache_info_available():
     assert info.hits >= 1 and info.currsize >= 1
 
 
+def law(prop):
+    """The one LAWS row of prop."""
+    (row,) = [row for row in suite.LAWS if row.prop == prop]
+    return row
+
+
 def test_pairwise_labels_name_the_checked_objects_in_order():
     # Report identity cannot tell "X~>Y" from "Y~>X": the product of a pool
     # with itself yields the same labels either way.  In weak-roundtrips and
@@ -112,14 +133,14 @@ def test_pairwise_labels_name_the_checked_objects_in_order():
     bundle = suite.default_bundle()
     lattices = bundle["lattices"]
     orders = {
-        suite.check_weak_roundtrips: lambda x, y: (y, x),
-        suite.check_state_evolution: lambda x, y: (y, x),
-        suite.check_state_causal: lambda x, y: (x, y),
+        "weak-roundtrips": lambda x, y: (y, x),
+        "state-evolution": lambda x, y: (y, x),
+        "state-causal": lambda x, y: (x, y),
     }
-    for law, order in orders.items():
-        checks = list(law(bundle))
+    for prop, order in orders.items():
+        checks = list(law(prop).checks(bundle))
         assert any(x != y for _, label, _ in checks for x, y in [label.split("~>")])
-        for prop, label, check in checks:
+        for _, label, check in checks:
             x, y = label.split("~>")
             expected = order(lattices[x], lattices[y])
             assert len(check.args) == 2, (prop, label)

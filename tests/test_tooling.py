@@ -1,9 +1,12 @@
 """The benchmark's tooling against the library it measures."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import os
+
+from latkit import suite
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
@@ -43,3 +46,32 @@ def test_every_traced_name_resolves():
             assert callable(cls.__dict__.get(method)), (module, attr)
         else:
             assert inspect.isfunction(getattr(mod, attr, None)), (module, attr)
+
+
+def test_all_checks_keep_the_sweep_workloads_contract():
+    # perfbench/sweep_workload.checks passes seed= to each suite.ALL_CHECKS
+    # entry whose __code__ lists seed among its positional names, and reads
+    # (prop, label, check) triples whose check takes no argument.
+    bundle = suite.default_bundle()
+    for check in suite.ALL_CHECKS:
+        code = check.__code__
+        assert "seed" in code.co_varnames[: code.co_argcount]
+        for prop, label, body in check(bundle, seed=7):
+            assert isinstance(prop, str) and isinstance(label, str)
+            params = inspect.signature(body).parameters.values()
+            assert all(p.default is not p.empty for p in params), (prop, label)
+
+
+def test_seed_zero_checks_keep_their_generation_order():
+    # The sweep workload runs every 16th check of each law, in generation
+    # order, so reordering a law's checks changes what a benchmark pass runs
+    # even when the sorted report set stays the same.
+    bundle = suite.default_bundle()
+    keys = [
+        "%s\t%s" % (prop, label)
+        for check in suite.ALL_CHECKS
+        for prop, label, _ in check(bundle, seed=0)
+    ]
+    assert len(keys) == 3800
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert digest == "8ef43ff08b17673eb3b02f3ae21aa8b6260b772d3305e66a38f065add84de6b9"
