@@ -22,7 +22,6 @@ from .maps import (
     check_adjunction,
     classify_morphism,
     compose,
-    dualize,
     hom_set,
     left_adjoint,
     preservation_profile,
@@ -43,7 +42,6 @@ __all__ = [
     "classify_morphism",
     "compose",
     "direct_product",
-    "dualize",
     "hom_set",
     "horizontal_sum",
     "identity_map",

@@ -15,7 +15,7 @@ import sys
 from . import closure, io, ortho, stateprop, suite, transition
 from .core import identity_map
 from .errors import LatkitError, ParseError, SizeLimit, ValidationError
-from .maps import dualize, hom_set, left_adjoint, preservation_profile, right_adjoint
+from .maps import MAP_CLASSES, hom_set, left_adjoint, preservation_profile, right_adjoint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -66,6 +66,16 @@ def _corpus_lattices(args, *names):
         except KeyError:
             raise ParseError("no built-in lattice named %r" % name) from None
     return out
+
+
+def _total_map(ws, name):
+    """The total map named name in the workspace ws."""
+    if name not in ws.maps:
+        raise ParseError("no map named %r" % name)
+    f = ws.maps[name]
+    if hasattr(f, "anchor"):
+        raise ValidationError("map %r is a partial map; this command needs a total map" % name)
+    return f
 
 
 def cmd_check(args):
@@ -128,18 +138,12 @@ def cmd_check(args):
 
 def cmd_adjoint(args):
     ws = _load_files(args.files)
-    if args.name not in ws.maps:
-        raise ParseError("no map named %r" % args.name)
-    f = ws.maps[args.name]
-    if hasattr(f, "anchor"):
-        raise ValidationError("adjoint of a partial map is not defined here")
+    f = _total_map(ws, args.name)
     dom_name, cod_name = ws.signatures[args.name]
-    if args.direction == "right":
+    if args.direction in ("right", "dualize"):
         result = right_adjoint(f)
     elif args.direction == "left":
         result = left_adjoint(f)
-    elif args.direction == "dualize":
-        result = dualize(f, "join")
     elif args.direction == "dagger":
         if dom_name not in ws.orthos or cod_name not in ws.orthos:
             raise ValidationError("dagger needs ortho tables on both lattices")
@@ -186,9 +190,7 @@ def cmd_count(args):
 def cmd_closure(args):
     ws = _load_files(args.files)
     if args.map:
-        if args.map not in ws.maps:
-            raise ParseError("no map named %r" % args.map)
-        f = ws.maps[args.map]
+        f = _total_map(ws, args.map)
         operator = closure.monad_from_adjunction(f, right_adjoint(f))
         fixed = closure.fixed_points(operator)
         labels = [f.dom.labels[e] for e in fixed.elements]
@@ -295,11 +297,13 @@ COMMANDS = {
     "adjoint": (cmd_adjoint, "compute an adjoint of a named map", [
         _FILES,
         ("--name", {"required": True}),
-        ("--direction", {"default": "right", "choices": ["right", "left", "dagger", "dualize"]}),
+        ("--direction", {"default": "right", "choices": ["right", "left", "dagger", "dualize"],
+                         "help": "dualize is the same as right"}),
         _JSON,
     ]),
     "hom": (cmd_hom, "enumerate a Hom-set between two lattices", [
-        ("dom", {}), ("cod", {}), ("--cls", {"default": "join"}), _FILES_OPTION, _MAX_SIZE, _JSON,
+        ("dom", {}), ("cod", {}), ("--cls", {"default": "join", "choices": MAP_CLASSES}),
+        _FILES_OPTION, _MAX_SIZE, _JSON,
     ]),
     "count": (cmd_count, "count morphisms at an enrichment level", [
         ("category", {"choices": ["PS", "BS", "TS", "FS"]}),

@@ -198,16 +198,11 @@ def compose_continuous(second, first):
     return require_continuous(composite)
 
 
-def closed_set_lattice(space):
-    """Closed sets ordered by inclusion; atoms are the singletons when simple."""
-    lattice, sets = lattice_of_sets(space.closed, space.size)
-    return lattice, sets
-
-
 def space_to_lattice(space):
+    """Closed sets ordered by inclusion; the atoms are the singletons."""
     if not space.is_simple():
         raise NotSimple("space must have empty set and singletons closed")
-    return closed_set_lattice(space)
+    return lattice_of_sets(space.closed)
 
 
 def map_to_join_map(alpha):
@@ -302,10 +297,8 @@ def lattice_roundtrip(lattice):
 
 def power_functors(mapping, n_source, n_target):
     """Direct image and preimage on full powerset lattices, as an adjoint pair."""
-    source = discrete_space(n_source)
-    target = discrete_space(n_target)
-    lat1, sets1 = closed_set_lattice(source)
-    lat2, sets2 = closed_set_lattice(target)
+    lat1, sets1 = lattice_of_sets(discrete_space(n_source).closed)
+    lat2, sets2 = lattice_of_sets(discrete_space(n_target).closed)
     index1 = {s: i for i, s in enumerate(sets1)}
     index2 = {s: i for i, s in enumerate(sets2)}
     direct = LatticeMap(
@@ -344,7 +337,7 @@ def atom_set_maps(lattice):
     if not is_boolean(lattice):
         raise NotBoolean("lattice is not a finite Boolean algebra")
     ats = lattice.atoms()
-    powerset, sets = closed_set_lattice(discrete_space(len(ats)))
+    powerset, sets = lattice_of_sets(discrete_space(len(ats)).closed)
     index = {s: i for i, s in enumerate(sets)}
     mu = LatticeMap(lattice, powerset, tuple(index[s] for s in lattice.atom_sets))
     rho = LatticeMap(

@@ -23,9 +23,10 @@ from .errors import (
     ValidationError,
 )
 
-# Default bound for any lattice-producing construction.
+# Budgets, read by their guards at call time (see the README's budget table).
+# Bound on the carrier of a lattice-producing construction.
 MAX_LATTICE_SIZE = 64
-# Default bound for anything materializing a truncated powerset.
+# Bound on the base of anything materializing a powerset.
 MAX_POWER_BASE = 16
 
 
@@ -116,37 +117,28 @@ def _antisymmetry_witness(up, down):
     return None
 
 
-def build_poset(n, pairs, mode="covers", labels=None):
-    """Build a poset from ordered pairs.
-
-    covers mode takes the reflexive-transitive closure; full mode validates
-    the given relation as-is (the diagonal is supplied automatically).
-    """
-    if mode not in ("covers", "full-leq"):
-        raise ValueError("unknown mode %r" % mode)
+def build_poset(n, pairs, labels=None):
+    """Build a poset from ordered pairs: the reflexive-transitive closure of
+    the relation they give, which must have no cycle."""
     up = [1 << i for i in range(n)]
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ShapeMismatch("pair (%d, %d) out of range for n=%d" % (a, b, n))
         up[a] |= 1 << b
+    # Warshall-style transitive closure on the bitmask rows.
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     poset = FinitePoset(tuple(up), tuple(labels) if labels else ())
-    if mode == "covers":
-        # Warshall-style transitive closure on the bitmask rows.
-        up = list(poset.up)
-        for k in range(n):
-            for i in range(n):
-                if up[i] >> k & 1:
-                    up[i] |= up[k]
-        poset = FinitePoset(tuple(up), poset.labels)
-        pair = _antisymmetry_witness(poset.up, poset.down)
-        if pair is not None:
-            a, b = pair
-            raise CycleDetected(
-                "cycle through %s and %s" % (poset.labels[a], poset.labels[b]),
-                witness=pair,
-            )
-        return poset
-    return poset.validate()
+    pair = _antisymmetry_witness(poset.up, poset.down)
+    if pair is not None:
+        a, b = pair
+        raise CycleDetected(
+            "cycle through %s and %s" % (poset.labels[a], poset.labels[b]),
+            witness=pair,
+        )
+    return poset
 
 
 @dataclass(frozen=True)
@@ -207,7 +199,7 @@ class FiniteLattice:
 
     @cached_property
     def _hom_sets(self):
-        """(cod, cls, bound) -> maps.hom_set(self, cod, cls, bound) as a tuple."""
+        """(cod, cls) -> maps.hom_set(self, cod, cls) as a tuple."""
         return {}
 
     @cached_property
@@ -403,10 +395,6 @@ def identity_map(lattice):
     return LatticeMap(lattice, lattice, tuple(lattice.elements()))
 
 
-def constant_map(dom, cod, value):
-    return LatticeMap(dom, cod, (value,) * dom.size)
-
-
 @dataclass(frozen=True)
 class Interval:
     """Lower interval [0, a] with its inclusion and meet-projection."""
@@ -463,14 +451,14 @@ class Product:
     top_sections: tuple[LatticeMap, ...]  # pad the other factors with 1
 
 
-def direct_product(factors, max_size=MAX_LATTICE_SIZE):
+def direct_product(factors):
     if not factors:
         raise ShapeMismatch("need at least one factor")
     total = 1
     for f in factors:
         total *= f.size
-    if total > max_size:
-        raise SizeLimit("product carrier %d exceeds bound %d" % (total, max_size))
+    if total > MAX_LATTICE_SIZE:
+        raise SizeLimit("product carrier %d exceeds bound %d" % (total, MAX_LATTICE_SIZE))
     elems = tuple(itertools.product(*[range(f.size) for f in factors]))
     index = {e: i for i, e in enumerate(elems)}
     up = []
@@ -518,7 +506,7 @@ class HorizontalSum:
     bottom_collapses: tuple[LatticeMap, ...]  # foreign interiors sent to 0
 
 
-def horizontal_sum(factors, max_size=MAX_LATTICE_SIZE):
+def horizontal_sum(factors):
     """Disjoint union of interiors with shared bottom and top."""
     for f in factors:
         if f.size < 2:
@@ -527,8 +515,8 @@ def horizontal_sum(factors, max_size=MAX_LATTICE_SIZE):
         [e for e in f.elements() if e not in (f.bottom, f.top)] for f in factors
     ]
     total = 2 + sum(len(i) for i in interiors)
-    if total > max_size:
-        raise SizeLimit("sum carrier %d exceeds bound %d" % (total, max_size))
+    if total > MAX_LATTICE_SIZE:
+        raise SizeLimit("sum carrier %d exceeds bound %d" % (total, MAX_LATTICE_SIZE))
     # Index 0 is the shared bottom, last index the shared top.
     labels = ["0"]
     where = {}  # (factor, element) -> sum index
@@ -589,7 +577,7 @@ def upper_extension(lattice):
     return lattice._upper_extension
 
 
-def lattice_of_sets(family, universe_size, labels=None):
+def lattice_of_sets(family):
     """Lattice of a family of sets ordered by inclusion."""
     sets = sorted(set(map(frozenset, family)), key=lambda s: (len(s), sorted(s)))
     index = {s: i for i, s in enumerate(sets)}
@@ -600,20 +588,19 @@ def lattice_of_sets(family, universe_size, labels=None):
             if a <= b:
                 row |= 1 << index[b]
         up.append(row)
-    if labels is None:
-        labels = tuple("{%s}" % ",".join(map(str, sorted(s))) for s in sets)
-    return lattice_from_poset(FinitePoset(tuple(up), tuple(labels))), sets
+    labels = tuple("{%s}" % ",".join(map(str, sorted(s))) for s in sets)
+    return lattice_from_poset(FinitePoset(tuple(up), labels)), sets
 
 
-def random_moore_lattice(seed, n_points, n_generators, max_points=MAX_POWER_BASE):
+def random_moore_lattice(seed, n_points, n_generators):
     """Deterministic random Moore family on n_points, as a lattice of closed sets."""
-    if n_points > max_points:
-        raise SizeLimit("%d points exceeds bound %d" % (n_points, max_points))
+    if n_points > MAX_POWER_BASE:
+        raise SizeLimit("%d points exceeds bound %d" % (n_points, MAX_POWER_BASE))
     rng = random.Random(seed)
     generators = [
         frozenset(p for p in range(n_points) if rng.random() < 0.5) for _ in range(n_generators)
     ]
-    lattice, _ = lattice_of_sets(intersection_closure(range(n_points), generators), n_points)
+    lattice, _ = lattice_of_sets(intersection_closure(range(n_points), generators))
     return lattice
 
 

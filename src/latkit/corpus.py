@@ -25,7 +25,7 @@ def boolean_lattice(n_atoms):
     """Powerset of n_atoms points ordered by inclusion."""
     points = range(n_atoms)
     family = [frozenset(c) for k in range(n_atoms + 1) for c in itertools.combinations(points, k)]
-    lattice, _ = lattice_of_sets(family, n_atoms)
+    lattice, _ = lattice_of_sets(family)
     return lattice
 
 

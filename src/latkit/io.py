@@ -149,7 +149,7 @@ def _build_lattice(block):
                  _label_index(labels, b, lineno, "element"))
             )
     try:
-        poset = build_poset(len(labels), pairs, mode="covers", labels=labels)
+        poset = build_poset(len(labels), pairs, labels=labels)
     except CycleDetected as exc:
         raise ParseError("cyclic covers: %s" % exc, line=block.line)
     lattice = lattice_from_poset(poset)
@@ -212,7 +212,7 @@ def _build_cspace(block):
     return ClosureSpace(len(labels), frozenset(closed), tuple(labels))
 
 
-def load_workspace(texts, workspace=None):
+def load_workspace(texts):
     """Parse one or more documents and resolve all cross-references.
 
     Lattices and spaces are resolved first so maps may reference them
@@ -220,7 +220,7 @@ def load_workspace(texts, workspace=None):
     """
     if isinstance(texts, str):
         texts = [texts]
-    ws = workspace or Workspace()
+    ws = Workspace()
     blocks = []
     for text in texts:
         blocks.extend(parse_blocks(text))

@@ -16,7 +16,10 @@ from .errors import (
     SizeLimit,
 )
 
+# Budget: the most candidate maps a Hom-set enumeration may face.
 HOM_SET_CANDIDATE_BOUND = 500_000
+# The map classes hom_set enumerates.
+MAP_CLASSES = ("isotone", "join", "meet", "balanced-join", "dense-join", "atomic-join")
 
 
 class PreservationProfile:
@@ -223,15 +226,6 @@ def pointwise_meet(gs):
     return pointwise_join(duals).dual
 
 
-def dualize(f, direction="join"):
-    """Pass between join-preserving and meet-preserving maps via the adjoint."""
-    if direction == "join":
-        return right_adjoint(f)
-    if direction == "meet":
-        return left_adjoint(f)
-    raise ValueError("direction must be 'join' or 'meet'")
-
-
 @dataclass(frozen=True)
 class SpecialMaps:
     """The eight canonical maps attached to an element a of L."""
@@ -247,24 +241,8 @@ class SpecialMaps:
     interval: FiniteLattice
 
 
-def two_element_lattice():
-    from .corpus import chain
-
-    return chain(2)
-
-
-def point_map(two, lattice, a):
-    return LatticeMap(two, lattice, (lattice.bottom, a))
-
-
-def above_test_map(lattice, two, a):
-    return LatticeMap(
-        lattice, two, tuple(1 if lattice.leq(a, x) else 0 for x in lattice.elements())
-    )
-
-
-def special_maps(lattice, a, two=None):
-    two = two or two_element_lattice()
+def special_maps(lattice, a, two):
+    """The special maps at a; two is the two-element chain."""
     interval = lower_interval(lattice, a)
     sub = interval.lattice
     index = {e: i for i, e in enumerate(interval.elements)}
@@ -282,8 +260,10 @@ def special_maps(lattice, a, two=None):
         ),
     )
     return SpecialMaps(
-        point=point_map(two, lattice, a),
-        above_test=above_test_map(lattice, two, a),
+        point=LatticeMap(two, lattice, (lattice.bottom, a)),
+        above_test=LatticeMap(
+            lattice, two, tuple(1 if lattice.leq(a, x) else 0 for x in lattice.elements())
+        ),
         copoint=LatticeMap(two, lattice, (a, lattice.top)),
         below_test=LatticeMap(
             lattice, two, tuple(0 if lattice.leq(x, a) else 1 for x in lattice.elements())
@@ -301,17 +281,14 @@ def join_irreducibles(lattice):
     return list(_join_search(lattice).irr)
 
 
-def meet_irreducibles(lattice):
-    """Elements with exactly one upper cover, in index order."""
-    return join_irreducibles(lattice.dual)
+def _guard(candidates):
+    if candidates > HOM_SET_CANDIDATE_BOUND:
+        raise SizeLimit(
+            "%d candidate maps exceed bound %d" % (candidates, HOM_SET_CANDIDATE_BOUND)
+        )
 
 
-def _guard(candidates, bound):
-    if candidates > bound:
-        raise SizeLimit("%d candidate maps exceed bound %d" % (candidates, bound))
-
-
-def _enumerate_isotone(dom, cod, bound):
+def _enumerate_isotone(dom, cod):
     """Value table of every isotone map dom -> cod.
 
     The elements are assigned in the linear extension of dom.lower_covers,
@@ -320,7 +297,7 @@ def _enumerate_isotone(dom, cod, bound):
     at or above every lower cover's value, one mask intersection of
     cod.poset.up rows.
     """
-    _guard(cod.size ** dom.size, bound)
+    _guard(cod.size ** dom.size)
     order = dom.lower_covers
     cod_up, full = cod.poset.up, (1 << cod.size) - 1
     values = [None] * dom.size
@@ -425,7 +402,7 @@ def _join_search(lattice):
     return memo["join_search"]
 
 
-def _enumerate_preserving(dom, cod, bound):
+def _enumerate_preserving(dom, cod):
     """Value table of every join-preserving map dom -> cod.
 
     Meets are the same search on the dual lattices.  A join-preserving map
@@ -440,7 +417,7 @@ def _enumerate_preserving(dom, cod, bound):
     """
     search = _join_search(dom)
     order, preds, steps = search.order, search.preds, search.steps
-    _guard(cod.size ** len(order), bound)
+    _guard(cod.size ** len(order))
     checks = search.checks
     table, up, unit = cod.join_table, cod.poset.up, cod.bottom
     above = [[v for v in cod.elements() if row >> v & 1] for row in up]
@@ -472,55 +449,55 @@ def _enumerate_preserving(dom, cod, bound):
     return out
 
 
-def _enumerate(dom, cod, cls, bound):
-    """Value tables of the maps dom -> cod in class cls, in any order."""
+def _enumerate(dom, cod, cls):
+    """Value tables of the maps dom -> cod in class cls, any class of
+    MAP_CLASSES but meet, in any order."""
     if cls == "isotone":
-        return _enumerate_isotone(dom, cod, bound)
+        return _enumerate_isotone(dom, cod)
     if cls == "join":
-        return _enumerate_preserving(dom, cod, bound)
+        return _enumerate_preserving(dom, cod)
     if cls == "balanced-join":
-        return [v for v in _enumerate_preserving(dom, cod, bound) if v[dom.top] == cod.top]
+        return [v for v in _enumerate_preserving(dom, cod) if v[dom.top] == cod.top]
     if cls == "dense-join":
         # A join map sends bottom to bottom, so it is dense iff nothing else goes there.
-        return [v for v in _enumerate_preserving(dom, cod, bound) if v.count(cod.bottom) == 1]
-    if cls == "atomic-join":
-        targets = set(cod.atoms()) | {cod.bottom}
-        return [
-            v
-            for v in _enumerate_preserving(dom, cod, bound)
-            if all(v[p] in targets for p in dom.atoms())
-        ]
-    raise ValueError("unknown map class %r" % cls)
+        return [v for v in _enumerate_preserving(dom, cod) if v.count(cod.bottom) == 1]
+    targets = set(cod.atoms()) | {cod.bottom}  # atomic-join
+    return [
+        v for v in _enumerate_preserving(dom, cod) if all(v[p] in targets for p in dom.atoms())
+    ]
 
 
-def _hom_tuple(dom, cod, cls, bound):
+def _hom_tuple(dom, cod, cls):
     """The maps of hom_set as a tuple, kept on dom.
 
     The meet maps are the duals of the join maps between the dual lattices,
     map for map: the same value tables, so the same order.
     """
     cache = dom._hom_sets
-    key = (cod, cls, bound)
+    key = (cod, cls)
     maps = cache.get(key)
     if maps is None:
         if cls == "meet":
-            maps = tuple(f.dual for f in _hom_tuple(dom.dual, cod.dual, "join", bound))
+            maps = tuple(f.dual for f in _hom_tuple(dom.dual, cod.dual, "join"))
         else:
             maps = tuple(
-                LatticeMap._unchecked(dom, cod, v) for v in sorted(_enumerate(dom, cod, cls, bound))
+                LatticeMap._unchecked(dom, cod, v) for v in sorted(_enumerate(dom, cod, cls))
             )
         cache[key] = maps
     return maps
 
 
-def hom_set(dom, cod, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
+def hom_set(dom, cod, cls="join"):
     """Complete, duplicate-free enumeration in lexicographic table order.
 
     Each Hom-set is enumerated once per domain instance and kept on it, keyed
-    by (cod, cls, bound); every call returns a fresh list of the shared maps.
-    A SizeLimit is not kept: it is raised again on every call.
+    by (cod, cls); every call returns a fresh list of the shared maps.  A
+    SizeLimit is not kept: it is raised again on every call, against the
+    HOM_SET_CANDIDATE_BOUND of that call.
     """
-    return list(_hom_tuple(dom, cod, cls, bound))
+    if cls not in MAP_CLASSES:
+        raise ValueError("unknown map class %r" % cls)
+    return list(_hom_tuple(dom, cod, cls))
 
 
 @dataclass(frozen=True)
@@ -544,7 +521,7 @@ def _inverts(h, f):
     return True
 
 
-def classify_morphism(f, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
+def classify_morphism(f, cls="join"):
     """Classification via the adjoint criteria; one-sided inverses by search."""
     profile = preservation_profile(f)
     if cls == "join":
@@ -559,7 +536,7 @@ def classify_morphism(f, cls="join", bound=HOM_SET_CANDIDATE_BOUND):
         raise ValueError("cls must be 'join' or 'meet'")
     injective = len(set(f.values)) == f.dom.size
     surjective = len(set(f.values)) == f.cod.size
-    inverses = hom_set(f.cod, f.dom, cls, bound)
+    inverses = hom_set(f.cod, f.dom, cls)
     return MorphismFlags(
         epic=_inverts(f, g),
         monic=_inverts(g, f),

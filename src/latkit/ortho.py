@@ -6,8 +6,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import core
 from .core import (
-    MAX_POWER_BASE,
     FiniteLattice,
     LatticeMap,
     identity_map,
@@ -180,15 +180,15 @@ def orthospace_from_lattice(ol):
 
 def biortho_lattice(space):
     """Ortholattice of biorthogonal subsets ordered by inclusion."""
-    if space.size > MAX_POWER_BASE:
-        raise SizeLimit("%d points exceed powerset bound %d" % (space.size, MAX_POWER_BASE))
+    if space.size > core.MAX_POWER_BASE:
+        raise SizeLimit("%d points exceed powerset bound %d" % (space.size, core.MAX_POWER_BASE))
     for p in space.points():
         if space.biclosure(frozenset([p])) != frozenset([p]):
             raise NotSeparating("singleton %d not biorthogonal" % p, witness=p)
     # The biorthogonal sets are the sets T-perp, the intersections of the
     # point-perps over every T: close the full set under each point-perp.
     perps = [space.orthogonal_set([p]) for p in space.points()]
-    lattice, sets = lattice_of_sets(intersection_closure(space.points(), perps), space.size)
+    lattice, sets = lattice_of_sets(intersection_closure(space.points(), perps))
     index = {s: i for i, s in enumerate(sets)}
     ortho = tuple(index[space.orthogonal_set(s)] for s in sets)
     return validate_ortho(lattice, ortho), sets

@@ -29,7 +29,6 @@ from .maps import (
     preservation_profile,
     right_adjoint,
     special_maps,
-    two_element_lattice,
 )
 
 
@@ -164,7 +163,7 @@ def _consecutive(entries):
     return pool
 
 
-_TWO = two_element_lattice()
+_TWO = corpus.chain(2)
 
 # ------------------------------------------------------------- adjunctions
 
@@ -615,7 +614,7 @@ def _transition_coherence(l1, l2):
             return "join map not coherent with its power map"
         if not transition.is_based(theta):
             return "power map not recognized as based"
-    sample = transition.all_union_maps(l1, l2, bound=1 << 12)
+    sample = transition.all_union_maps(l1, l2)
     for theta in sample[:: max(1, len(sample) // 64)]:
         try:
             f = transition.underlying_map(theta)

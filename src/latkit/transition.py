@@ -9,10 +9,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import LatticeMap, lattice_of_sets, MAX_POWER_BASE
+from . import core
+from .core import LatticeMap, lattice_of_sets
 from .errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
 from .maps import _residual, compose, hom_set, pointwise_join
 
+# Budget: the most subsets of a carrier, or union maps between two
+# lattices, that an enumeration may materialize.
 ENUMERATION_BOUND = 1 << 17
 
 
@@ -40,15 +43,15 @@ def _joins_by_doubling(lattice, values):
     return out
 
 
-def _check_subset_count(lattice, bound):
-    if 1 << (lattice.size - 1) > bound:
+def _check_subset_count(lattice):
+    if 1 << (lattice.size - 1) > ENUMERATION_BOUND:
         raise SizeLimit("2^%d subsets exceed bound" % (lattice.size - 1))
 
 
-def _subset_joins(lattice, bound):
+def _subset_joins(lattice):
     """joins[m] = the join of the subset of nonzero elements with mask m,
     kept on the lattice instance."""
-    _check_subset_count(lattice, bound)
+    _check_subset_count(lattice)
     memo = lattice.__dict__
     if "subset_joins" not in memo:
         memo["subset_joins"] = tuple(_joins_by_doubling(lattice, nonzero(lattice)))
@@ -108,8 +111,8 @@ def union_map(source, target, images):
     )
 
 
-def all_subsets(lattice, bound=ENUMERATION_BOUND):
-    _check_subset_count(lattice, bound)
+def all_subsets(lattice):
+    _check_subset_count(lattice)
     elems = nonzero(lattice)
     return [_subset(elems, mask) for mask in range(1 << len(elems))]
 
@@ -122,12 +125,13 @@ class Resolution:
     expand: LatticeMap  # a |-> (0, a]
 
 
-def resolution(lattice, max_base=MAX_POWER_BASE):
+def resolution(lattice):
     """Materialize the truncated powerset with the join/interval adjunction."""
-    if lattice.size > max_base:
-        raise SizeLimit("lattice size %d exceeds powerset bound %d" % (lattice.size, max_base))
-    subsets = all_subsets(lattice)
-    power_lattice, sets = lattice_of_sets(subsets, lattice.size)
+    if lattice.size > core.MAX_POWER_BASE:
+        raise SizeLimit(
+            "lattice size %d exceeds powerset bound %d" % (lattice.size, core.MAX_POWER_BASE)
+        )
+    power_lattice, sets = lattice_of_sets(all_subsets(lattice))
     index = {s: i for i, s in enumerate(sets)}
     collapse = LatticeMap(power_lattice, lattice, tuple(lattice.join(s) for s in sets))
     expand = LatticeMap(
@@ -141,7 +145,7 @@ def resolution(lattice, max_base=MAX_POWER_BASE):
     return Resolution(power_lattice, tuple(sets), collapse, expand)
 
 
-def coherence_check(f, theta, method="fast", bound=ENUMERATION_BOUND):
+def coherence_check(f, theta, method="fast"):
     """f applied to the join of A must equal the join of theta(A), for all A.
 
     The fast path, the default (f join preserving and agreeing with theta
@@ -158,12 +162,12 @@ def coherence_check(f, theta, method="fast", bound=ENUMERATION_BOUND):
     if method == "exhaustive":
         values = f.values
         return all(
-            values[s] == t for s, t in zip(_subset_joins(f.dom, bound), theta._joins)
+            values[s] == t for s, t in zip(_subset_joins(f.dom), theta._joins)
         )
     raise ValueError("method must be fast or exhaustive")
 
 
-def _factor(theta, bound):
+def _factor(theta):
     """Factor the joins of theta's images through the joins of its subsets.
 
     Returns (best, witness).  best[u] is the join of theta(A) over the
@@ -174,7 +178,7 @@ def _factor(theta, bound):
     (A, B) of strong_isotonicity_witness.
     """
     src, tgt = theta.source, theta.target
-    sj = _subset_joins(src, bound)
+    sj = _subset_joins(src)
     tj = theta._joins
     join = tgt.join_table
     best = [tgt.bottom] * src.size
@@ -194,22 +198,22 @@ def _factor(theta, bound):
     return best, (_subset(elems, a), _subset(elems, b))
 
 
-def strong_isotonicity_witness(theta, bound=ENUMERATION_BOUND):
+def strong_isotonicity_witness(theta):
     """A pair (A, B) with join A <= join B but join theta(A) not<= join theta(B).
 
     The first such B in all_subsets order, then the first A for it; None
     when theta is strongly isotone.
     """
-    return _factor(theta, bound)[1]
+    return _factor(theta)[1]
 
 
-def is_strongly_isotone(theta, bound=ENUMERATION_BOUND):
-    return strong_isotonicity_witness(theta, bound) is None
+def is_strongly_isotone(theta):
+    return strong_isotonicity_witness(theta) is None
 
 
-def underlying_map(theta, bound=ENUMERATION_BOUND):
+def underlying_map(theta):
     """The unique join map coherent with theta; exists iff strongly isotone."""
-    values, witness = _factor(theta, bound)
+    values, witness = _factor(theta)
     if witness is not None:
         raise NotStronglyIsotone("no coherent join map exists", witness=witness)
     return LatticeMap._unchecked(theta.source, theta.target, tuple(values))
@@ -356,25 +360,25 @@ class _UnionMaps(Sequence):
         return UnionMap(self.source, self.target, tuple(zip(self._elems, picks)))
 
 
-def all_union_maps(source, target, bound=ENUMERATION_BOUND):
+def all_union_maps(source, target):
     """Every assignment of singleton images, in deterministic order, as a
     sequence that builds each map on access."""
-    choices = all_subsets(target, bound)
+    choices = all_subsets(target)
     choices.sort(key=lambda s: (len(s), sorted(s)))
     total = len(choices) ** (source.size - 1)
-    if total > bound:
-        raise SizeLimit("%d union maps exceed bound %d" % (total, bound))
+    if total > ENUMERATION_BOUND:
+        raise SizeLimit("%d union maps exceed bound %d" % (total, ENUMERATION_BOUND))
     return _UnionMaps(source, target, choices)
 
 
-def hom_count(category, source, target, bound=ENUMERATION_BOUND):
+def hom_count(category, source, target):
     """Hom-set sizes for the four enrichment levels."""
     if category == "PS":
         return len(hom_set(source, target, "join"))
     if category == "FS":
         return (1 << (target.size - 1)) ** (source.size - 1)
     if category in ("TS", "BS"):
-        maps = all_union_maps(source, target, bound)
+        maps = all_union_maps(source, target)
         test = is_strongly_isotone if category == "TS" else is_based
         return sum(1 for t in maps if test(t))
     raise ValueError("category must be one of PS, BS, TS, FS")

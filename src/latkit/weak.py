@@ -147,11 +147,6 @@ def upper_to_partial(upper):
     return PartialJoinMap(src, upper.base_target, anchor, values)
 
 
-def upper_adjoint(partial):
-    """The right adjoint G of the upper extension of a partial map."""
-    return right_adjoint(partial_to_upper(partial).map)
-
-
 def compose_partial(second, first):
     """Anchor of the composite is first's adjoint applied to second's anchor."""
     if first.target != second.source:
@@ -160,13 +155,3 @@ def compose_partial(second, first):
     anchor = interval.elements[right_adjoint(inner)(second.anchor)]
     values = tuple((x, second(first(x))) for x in first.source.downset(anchor))
     return PartialJoinMap(first.source, second.target, anchor, values)
-
-
-def upper_from_weak(weak):
-    """Pseudo left adjoint of a weak meet map, as an upper map."""
-    return pointed_extend(weak)[1]
-
-
-def partial_from_weak(weak):
-    """Pseudo left adjoint of a weak meet map, as a partial map."""
-    return restrict_codomain(weak)[1]

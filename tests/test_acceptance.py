@@ -20,11 +20,10 @@ from latkit.maps import (
     preservation_profile,
     right_adjoint,
     special_maps,
-    two_element_lattice,
 )
 from test_maps import categorical_epi, categorical_mono
 
-TWO = two_element_lattice()
+TWO = corpus.chain(2)
 # The benchmark's record of the full seed-0 sweep, read here and never written.
 GOLDEN_SWEEP = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "golden", "sweep_seed0.tsv"
@@ -201,12 +200,12 @@ def test_criterion_06_weak_adjunctions():
         for _, l1 in pool:
             for _, l2 in pool:
                 for g in weak_meet_maps(l1, l2):
-                    partial = weak.partial_from_weak(g)
-                    upper = weak.upper_from_weak(g)
+                    partial = weak.restrict_codomain(g)[1]
+                    upper = weak.pointed_extend(g)[1]
                     # The three routes between the presentations agree.
                     assert weak.partial_to_upper(partial) == upper
                     assert weak.upper_to_partial(upper) == partial
-                    adjoint = weak.upper_adjoint(partial)
+                    adjoint = right_adjoint(weak.partial_to_upper(partial).map)
                     for b in g.dom.elements():
                         assert adjoint(b) == g(b)
         # Functoriality of the partial-map route.
@@ -216,8 +215,8 @@ def test_criterion_06_weak_adjunctions():
             for g2 in weak_meet_maps(c3, d4):
                 composite = weak.WeakMeetMap(compose(g1.map, g2.map))
                 assert weak.compose_partial(
-                    weak.partial_from_weak(g2), weak.partial_from_weak(g1)
-                ) == weak.partial_from_weak(composite)
+                    weak.restrict_codomain(g2)[1], weak.restrict_codomain(g1)[1]
+                ) == weak.restrict_codomain(composite)[1]
 
 
 def test_criterion_07_closure_and_space_equivalence():

@@ -11,7 +11,6 @@ from latkit.core import (
     FinitePoset,
     LatticeMap,
     build_poset,
-    constant_map,
     lattice_from_poset,
     lower_interval,
     sublattice_on,
@@ -92,26 +91,34 @@ def test_mutating_a_hom_set_leaves_the_next_call_alone():
     expected = list(maps)
     maps.pop()
     maps.reverse()
-    maps.append(constant_map(d4, c3, c3.top))
+    maps.append(LatticeMap(d4, c3, (c3.top,) * 4))
     assert hom_set(d4, c3, "join") == expected
 
 
-def test_hom_set_size_limit_raised_on_every_call():
+def test_hom_set_size_limit_raised_on_every_call(monkeypatch):
     b16 = corpus.boolean_lattice(4)
+    monkeypatch.setattr(maps, "HOM_SET_CANDIDATE_BOUND", 1000)
     messages = []
     for _ in range(3):
         with pytest.raises(SizeLimit) as err:
-            hom_set(b16, b16, "isotone", bound=1000)
+            hom_set(b16, b16, "isotone")
         messages.append(str(err.value))
     assert messages == ["%d candidate maps exceed bound 1000" % 16 ** 16] * 3
 
 
-def test_hom_set_bound_is_part_of_the_key():
+def test_hom_set_budget_is_read_at_call_time_and_a_refusal_is_not_memoised(monkeypatch):
     d4, c3 = corpus.diamond(), corpus.chain(3)
-    assert len(hom_set(d4, c3, "join", bound=9)) == len(hom_set(d4, c3, "join"))
     # 3 ** 2 candidates on the two join-irreducibles of D4.
-    with pytest.raises(SizeLimit):
-        hom_set(d4, c3, "join", bound=8)
+    monkeypatch.setattr(maps, "HOM_SET_CANDIDATE_BOUND", 8)
+    with pytest.raises(SizeLimit, match="9 candidate maps exceed bound 8"):
+        hom_set(d4, c3, "join")
+    assert d4._hom_sets == {}
+    monkeypatch.setattr(maps, "HOM_SET_CANDIDATE_BOUND", 9)
+    maps_at_nine = hom_set(d4, c3, "join")
+    assert len(maps_at_nine) == 9 and list(d4._hom_sets) == [(c3, "join")]
+    # The budget guards the enumeration; a kept Hom-set is returned as it is.
+    monkeypatch.setattr(maps, "HOM_SET_CANDIDATE_BOUND", 8)
+    assert hom_set(d4, c3, "join") == maps_at_nine
 
 
 def test_hom_set_into_an_equal_codomain_built_apart():
@@ -123,14 +130,14 @@ def test_hom_set_into_an_equal_codomain_built_apart():
 
 def test_adjoint_failures_raise_again_with_the_same_witness():
     d4 = corpus.diamond()
-    not_join = constant_map(d4, d4, d4.top)
+    not_join = LatticeMap(d4, d4, (d4.top,) * 4)
     witnesses = []
     for _ in range(2):
         with pytest.raises(NotJoinPreserving) as err:
             right_adjoint(not_join)
         witnesses.append(err.value.witness)
     assert witnesses[0] is not None and witnesses[0] == witnesses[1]
-    not_meet = constant_map(d4, d4, d4.bottom)
+    not_meet = LatticeMap(d4, d4, (d4.bottom,) * 4)
     witnesses = []
     for _ in range(2):
         with pytest.raises(NotMeetPreserving) as err:

@@ -199,6 +199,19 @@ def test_closure_fixed_points(doc_file, capsys):
     assert out.startswith("fixed:")
 
 
+@pytest.mark.parametrize("command, option", [("closure", "--map"), ("adjoint", "--name")])
+def test_map_commands_refuse_a_partial_map_or_an_unknown_name(doc_file, capsys, command, option):
+    # p has an anchor: a partial map, which these commands do not take.
+    with open(doc_file, "a") as handle:
+        handle.write("map p : D4 -> C2\nanchor: 1\n0 |-> 0\na |-> 0\nb |-> 1\n1 |-> 1\n")
+    assert cli.main([command, doc_file, option, "p"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValidationError: map 'p' is a partial map; this command needs a total map\n"
+    )
+    assert cli.main([command, doc_file, option, "q"]) == 2
+    assert capsys.readouterr().err == "parse error: no map named 'q'\n"
+
+
 def test_closure_of_space_subset(tmp_path, capsys):
     path = tmp_path / "space.cspace"
     path.write_text("cspace S\npoints: p q r\nclosed: {} {p} {q} {r} {p,q}\n")
@@ -504,6 +517,7 @@ def test_top_level_help_and_errors_list_every_command(monkeypatch, capsys, argv)
         ["count", "PS", "D4", "C2", "--max-size", "x"],
         ["witness", "D4", "a", "b"],
         ["suite", "--seed", "x"],
+        ["hom", "D4", "C3", "--cls", "bogus"],
     ],
 )
 def test_usage_errors_exit_2_as_the_full_parser_does(monkeypatch, capsys, argv):

@@ -15,7 +15,6 @@ from latkit.closure import (
     atom_set_maps,
     boolean_duality,
     check_continuity,
-    closed_set_lattice,
     compose_continuous,
     discrete_space,
     fixed_points,
@@ -32,6 +31,7 @@ from latkit.closure import (
     space_to_lattice,
     validate_closure,
 )
+from latkit.core import lattice_of_sets
 from latkit.errors import (
     NotAtomicMap,
     NotBoolean,
@@ -280,7 +280,7 @@ def test_boolean_duality_agreement():
 
 
 def test_closed_set_lattice_of_discrete_space_is_boolean():
-    lattice, sets = closed_set_lattice(discrete_space(3))
+    lattice, sets = lattice_of_sets(discrete_space(3).closed)
     assert lattice.size == 8
     assert is_boolean(lattice)
     space, ats = lattice_to_space(lattice)

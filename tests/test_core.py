@@ -37,9 +37,9 @@ def test_build_poset_rejects_cycles():
 
 
 def test_full_leq_mode_rejects_missing_transitivity():
-    # 0<1 and 1<2 given without 0<2.
+    # The full relation given as is: 0<1 and 1<2 without 0<2.
     with pytest.raises(NotTransitive):
-        build_poset(3, [(0, 1), (1, 2)], mode="full-leq")
+        FinitePoset((0b011, 0b110, 0b100)).validate()
 
 
 def test_poset_covers():
@@ -138,7 +138,7 @@ def test_upper_extension_adjoins_strict_top():
 
 def test_lattice_of_sets_sorted_and_ordered():
     lattice, sets = lattice_of_sets(
-        [frozenset(), frozenset([0]), frozenset([1]), frozenset([0, 1])], 2
+        [frozenset(), frozenset([0]), frozenset([1]), frozenset([0, 1])]
     )
     assert sets[0] == frozenset()
     assert sets[-1] == frozenset([0, 1])

@@ -6,7 +6,6 @@ from latkit.maps import (
     hom_set,
     join_irreducibles,
     left_adjoint,
-    meet_irreducibles,
     pointwise_join,
     pointwise_meet,
     right_adjoint,
@@ -34,8 +33,9 @@ def test_meet_side_read_off_the_dual():
         covers = lat.poset.covers
         assert lat.coatoms() == lat.dual.atoms(), name
         assert lat.coatoms() == [a for a in lat.elements() if covers(a) == [lat.top]], name
-        assert meet_irreducibles(lat) == join_irreducibles(lat.dual), name
-        assert meet_irreducibles(lat) == [a for a in lat.elements() if len(covers(a)) == 1], name
+        assert join_irreducibles(lat.dual) == [
+            a for a in lat.elements() if len(covers(a)) == 1
+        ], name
 
 
 def test_dual_of_an_equal_lattice_is_equal():

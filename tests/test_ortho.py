@@ -157,7 +157,7 @@ def ref_biortho_lattice(space):
         if closed not in seen:
             seen.add(closed)
             subsets.append(closed)
-    lattice, sets = lattice_of_sets(subsets, space.size)
+    lattice, sets = lattice_of_sets(subsets)
     index = {s: i for i, s in enumerate(sets)}
     ortho = tuple(index[space.orthogonal_set(s)] for s in sets)
     return validate_ortho(lattice, ortho), sets

@@ -5,7 +5,9 @@ import hashlib
 import importlib
 import inspect
 import os
+import pkgutil
 
+import latkit
 from latkit import suite
 
 TRACING = os.path.join(
@@ -75,3 +77,35 @@ def test_seed_zero_checks_keep_their_generation_order():
     assert len(keys) == 3800
     digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
     assert digest == "8ef43ff08b17673eb3b02f3ae21aa8b6260b772d3305e66a38f065add84de6b9"
+
+
+def public_functions():
+    """(qualified name, function) for every public function of every latkit
+    module and every public method of its classes, each where it is defined."""
+    for info in pkgutil.iter_modules(latkit.__path__):
+        module = importlib.import_module("latkit." + info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield "%s.%s" % (info.name, name), obj
+            elif inspect.isclass(obj):
+                for attr, method in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(method):
+                        yield "%s.%s.%s" % (info.name, name, attr), method
+
+
+def test_no_function_takes_a_budget_as_an_argument():
+    # Budgets are module constants that their guards read at call time
+    # (README, "Performance").  max_size stays only where it filters pools
+    # or the corpus by lattice size, which is not a budget.
+    takes_max_size = {"suite.run_suite", "suite.Law.checks", "corpus.named_lattices"}
+    found = []
+    for name, function in public_functions():
+        for param in inspect.signature(function).parameters:
+            if param in ("bound", "max_base", "max_points") or (
+                param == "max_size" and name not in takes_max_size
+            ):
+                found.append((name, param))
+    assert found == []
+    assert takes_max_size <= {name for name, _ in public_functions()}

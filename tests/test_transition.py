@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latkit import corpus
+from latkit import core, corpus, transition
 from latkit.core import LatticeMap, identity_map
 from latkit.errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
 from latkit.maps import check_adjunction, compose, hom_set, pointwise_join, preservation_profile
@@ -45,9 +45,10 @@ def test_resolution_adjunction_and_retraction():
             assert res.collapse(res.expand(a)) == a
 
 
-def test_resolution_guard():
-    with pytest.raises(SizeLimit):
-        resolution(corpus.boolean_lattice(3), max_base=4)
+def test_resolution_guard(monkeypatch):
+    monkeypatch.setattr(core, "MAX_POWER_BASE", 4)
+    with pytest.raises(SizeLimit, match="lattice size 8 exceeds powerset bound 4"):
+        resolution(corpus.boolean_lattice(3))
 
 
 def test_power_map_coherent_with_its_join_map():
@@ -165,13 +166,13 @@ def ref_based_hull(theta, power_tables):
 
 def test_hull_matches_the_power_map_union_on_small_corpus_pairs():
     # Every pair of corpus lattices of at most 4 elements, with every union
-    # map: at most 8 ** 3 of them, inside all_union_maps' bound of 1 << 12.
+    # map: at most 8 ** 3 of them.
     pool = list(corpus.named_lattices(max_size=4).values())
     for source in pool:
         for target in pool:
             power_tables = [power_map(g).table() for g in hom_set(source, target, "join")]
             based = 0
-            for theta in all_union_maps(source, target, bound=1 << 12):
+            for theta in all_union_maps(source, target):
                 hull = ref_based_hull(theta, power_tables)
                 assert based_hull(theta) == hull
                 assert is_based(theta) == (hull == theta)
@@ -211,9 +212,10 @@ def test_transition_compose_and_join():
     assert joined.map == pointwise_join([p.map for p in pairs])
 
 
-def test_all_subsets_guard():
-    with pytest.raises(SizeLimit):
-        all_subsets(corpus.boolean_lattice(4), bound=4)
+def test_all_subsets_guard(monkeypatch):
+    monkeypatch.setattr(transition, "ENUMERATION_BOUND", 4)
+    with pytest.raises(SizeLimit, match="2\\^15 subsets exceed bound"):
+        all_subsets(corpus.boolean_lattice(4))
 
 
 class TestBasedness:
@@ -303,7 +305,7 @@ def test_mask_kernels_match_frozenset_references():
     for source, target in itertools.product(pool, repeat=2):
         homs = hom_set(source, target, "join")
         subsets = all_subsets(source)
-        for k, theta in enumerate(all_union_maps(source, target, bound=1 << 12)):
+        for k, theta in enumerate(all_union_maps(source, target)):
             witness = ref_strong_isotonicity_witness(theta, subsets)
             assert strong_isotonicity_witness(theta) == witness
             if witness is None:
@@ -323,7 +325,7 @@ def test_mask_kernels_match_frozenset_references():
 def test_all_union_maps_is_an_indexed_product():
     pool = corpus.named_lattices(max_size=4)
     for source, target in itertools.product(pool.values(), repeat=2):
-        maps = all_union_maps(source, target, bound=1 << 12)
+        maps = all_union_maps(source, target)
         expected = ref_union_maps(source, target)
         assert len(maps) == len(expected)
         assert list(maps) == expected
@@ -337,12 +339,14 @@ def test_all_union_maps_is_an_indexed_product():
                 maps[past]
 
 
-def test_all_union_maps_guards_keep_their_messages():
+def test_all_union_maps_guards_keep_their_messages(monkeypatch):
     b16 = corpus.boolean_lattice(4)
+    monkeypatch.setattr(transition, "ENUMERATION_BOUND", 1 << 12)
     with pytest.raises(SizeLimit, match="2\\^15 subsets exceed bound"):
-        all_union_maps(TWO, b16, bound=1 << 12)
+        all_union_maps(TWO, b16)
+    monkeypatch.setattr(transition, "ENUMERATION_BOUND", 1 << 8)
     with pytest.raises(SizeLimit, match="512 union maps exceed bound 256"):
-        all_union_maps(corpus.diamond(), corpus.diamond(), bound=1 << 8)
+        all_union_maps(corpus.diamond(), corpus.diamond())
 
 
 def test_union_map_masks_follow_the_images():

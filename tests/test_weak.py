@@ -5,19 +5,16 @@ import pytest
 from latkit import corpus
 from latkit.core import LatticeMap, upper_extension
 from latkit.errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from latkit.maps import preservation_profile
+from latkit.maps import preservation_profile, right_adjoint
 from latkit.weak import (
     PartialJoinMap,
     UpperMap,
     WeakMeetMap,
     compose_partial,
     partial_from_table,
-    partial_from_weak,
     partial_to_upper,
     pointed_extend,
     restrict_codomain,
-    upper_adjoint,
-    upper_from_weak,
     upper_to_partial,
 )
 
@@ -74,12 +71,12 @@ def test_partial_upper_roundtrips():
     for name1 in SMALL:
         for name2 in SMALL:
             for g in weak_meet_maps(table[name1], table[name2]):
-                partial = partial_from_weak(g)
-                upper = upper_from_weak(g)
+                partial = restrict_codomain(g)[1]
+                upper = pointed_extend(g)[1]
                 assert partial_to_upper(partial) == upper
                 assert upper_to_partial(upper) == partial
                 # The upper route recovers g on the base carrier.
-                adjoint = upper_adjoint(partial)
+                adjoint = right_adjoint(partial_to_upper(partial).map)
                 for b in g.dom.elements():
                     assert adjoint(b) == g(b)
 
@@ -92,8 +89,8 @@ def test_compose_partial_matches_weak_composition():
     for g1 in weak_meet_maps(d4, c3):
         for g2 in weak_meet_maps(b4, d4):
             composite_weak = WeakMeetMap(compose(g1.map, g2.map))
-            left = compose_partial(partial_from_weak(g2), partial_from_weak(g1))
-            assert left == partial_from_weak(composite_weak)
+            left = compose_partial(restrict_codomain(g2)[1], restrict_codomain(g1)[1])
+            assert left == restrict_codomain(composite_weak)[1]
 
 
 def test_partial_map_validation():
