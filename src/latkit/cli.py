@@ -144,12 +144,10 @@ def cmd_adjoint(args):
         result = right_adjoint(f)
     elif args.direction == "left":
         result = left_adjoint(f)
-    elif args.direction == "dagger":
+    else:  # dagger: argparse refuses any other direction
         if dom_name not in ws.orthos or cod_name not in ws.orthos:
             raise ValidationError("dagger needs ortho tables on both lattices")
         result = ortho.dagger(f, ws.orthos[dom_name], ws.orthos[cod_name])
-    else:
-        raise ValidationError("unknown direction %r" % args.direction)
     out_name = "%s_%s" % (args.name, args.direction)
     if args.json:
         dom_labels, cod_labels = result.dom.labels, result.cod.labels
@@ -201,8 +199,8 @@ def cmd_closure(args):
             raise ParseError("no closure space named %r" % args.space)
         space = ws.cspaces[args.space]
         wanted = [s for s in (args.subset or "").split(",") if s]
-        labels = list(space.labels)
-        points = [io._label_index(labels, s, None, "point") for s in wanted]
+        index = io._indexed(space.labels)
+        points = [io._label_index(index, s, None, "point") for s in wanted]
         closed = space.closure_of(points)
         _emit({"closure": " ".join(space.labels[p] for p in sorted(closed))}, args.json)
         return EXIT_OK
@@ -243,9 +241,8 @@ def cmd_equiv(args):
 
 def cmd_witness(args):
     (lattice,) = _corpus_lattices(args, args.lattice)
-    try:
-        element = list(lattice.labels).index(args.element)
-    except ValueError:
+    element = lattice.label_index.get(args.element)
+    if element is None:
         raise ParseError("no element labelled %r" % args.element)
     theta = transition.strictness_witness(lattice, element)
     coherent = transition.coherence_check(identity_map(lattice), theta)
@@ -324,28 +321,42 @@ COMMANDS = {
 }
 
 
-def build_parser(names=COMMANDS):
-    """The latkit parser with the subparsers of the given commands only."""
+def _add_command(parser, name):
+    """Give parser the arguments and the handler of the named command."""
+    func, _, specs = COMMANDS[name]
+    for flag, options in specs:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=func)
+
+
+def command_parser(name):
+    """The parser of one command: the full tree's subparser for it, alone."""
+    parser = argparse.ArgumentParser(prog="latkit %s" % name)
+    _add_command(parser, name)
+    return parser
+
+
+def build_parser():
+    """The full latkit parser, with a subparser for every command."""
     parser = argparse.ArgumentParser(
         prog="latkit", description="Finite lattice computations and law sweeps."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        func, help_text, specs = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flag, options in specs:
-            p.add_argument(flag, **options)
-        p.set_defaults(func=func)
+    for name, (_, help_text, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # A command builds only its own subparser.  Help, a missing or unknown
-    # command, and arguments the command does not take are reported by the
-    # full parser, whose usage lists every command.
-    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
-    args, extra = build_parser(names).parse_known_args(argv)
+    # A known command builds only its own parser, which prints the help and
+    # usage errors of its subparser in the full tree.  Help, a missing or
+    # unknown command, and arguments the command does not take are reported
+    # by the full tree, whose usage lists every command.
+    if argv and argv[0] in COMMANDS:
+        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+    else:
+        args, extra = build_parser().parse_known_args(argv)
     if extra:
         build_parser().parse_args(argv)
     try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -69,6 +69,15 @@ class FinitePoset:
         return tuple(int("".join(column), 2) for column in reversed(list(zip(*rows))))
 
     def validate(self):
+        """Check that the order is reflexive, antisymmetric and transitive,
+        once per poset; raises at the first failure."""
+        self._proved
+        return self
+
+    @cached_property
+    def _proved(self):
+        """True once the order is checked; build_poset fills it in, since
+        the closure it builds has all three properties."""
         n = self.size
         up = self.up
         for a in range(n):
@@ -92,7 +101,7 @@ class FinitePoset:
                 raise NotTransitive(
                     "transitivity fails above %s" % self.labels[a], witness=a
                 )
-        return self
+        return True
 
     def covers(self, a):
         """Elements covering a: minimal elements strictly above a, in index order."""
@@ -119,26 +128,65 @@ def _antisymmetry_witness(up, down):
 
 def build_poset(n, pairs, labels=None):
     """Build a poset from ordered pairs: the reflexive-transitive closure of
-    the relation they give, which must have no cycle."""
-    up = [1 << i for i in range(n)]
+    the relation they give, which must have no cycle.
+
+    The elements are sorted in a linear extension of the relation (Kahn's
+    algorithm); then each up-set is the element's bit OR the up-sets of its
+    successors, filled from the last element of the extension back, and each
+    down-set the same over predecessors, filled forward.  That costs
+    O(n + len(pairs)) big-integer ORs, and the result is an order by
+    construction, so it is not validated again.
+    """
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ShapeMismatch("pair (%d, %d) out of range for n=%d" % (a, b, n))
+        if a != b:
+            succ[a].append(b)
+            pred[b].append(a)
+    waiting = [len(row) for row in pred]
+    order = [a for a in range(n) if not waiting[a]]
+    for a in order:  # the loop also visits the elements appended below
+        for b in succ[a]:
+            waiting[b] -= 1
+            if not waiting[b]:
+                order.append(b)
+    if len(order) < n:
+        raise _cycle(n, pairs, labels)
+    up = [0] * n
+    down = [0] * n
+    for a in reversed(order):
+        row = 1 << a
+        for b in succ[a]:
+            row |= up[b]
+        up[a] = row
+    for b in order:
+        row = 1 << b
+        for a in pred[b]:
+            row |= down[a]
+        down[b] = row
+    poset = FinitePoset(tuple(up), tuple(labels) if labels else ())
+    poset.__dict__.update(down=tuple(down), _proved=True)
+    return poset
+
+
+def _cycle(n, pairs, labels):
+    """The CycleDetected of a relation with a cycle: the first pair, in
+    row-major order, of distinct elements below each other in its
+    Warshall closure."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
         up[a] |= 1 << b
-    # Warshall-style transitive closure on the bitmask rows.
     for k in range(n):
         for i in range(n):
             if up[i] >> k & 1:
                 up[i] |= up[k]
     poset = FinitePoset(tuple(up), tuple(labels) if labels else ())
-    pair = _antisymmetry_witness(poset.up, poset.down)
-    if pair is not None:
-        a, b = pair
-        raise CycleDetected(
-            "cycle through %s and %s" % (poset.labels[a], poset.labels[b]),
-            witness=pair,
-        )
-    return poset
+    a, b = pair = _antisymmetry_witness(poset.up, poset.down)
+    return CycleDetected(
+        "cycle through %s and %s" % (poset.labels[a], poset.labels[b]), witness=pair
+    )
 
 
 @dataclass(frozen=True)
@@ -237,6 +285,11 @@ class FiniteLattice:
         return {row: a for a, row in enumerate(self.poset.down)}
 
     @cached_property
+    def label_index(self):
+        """Label -> element."""
+        return {label: a for a, label in enumerate(self.labels)}
+
+    @cached_property
     def atom_sets(self):
         """Entry a is the frozenset of positions, in atoms() order, of the
         atoms below a."""
@@ -292,7 +345,8 @@ class FiniteLattice:
 
 
 def lattice_from_poset(poset):
-    """Validate the order, then compute bounds and join/meet tables.
+    """Validate the order (once per poset), then compute bounds and join/meet
+    tables.
 
     The join of a and b is the element whose up-set is the intersection of
     their up-sets, when such an element exists; the meet is the same on

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import build_poset, lattice_from_poset
-from .errors import CycleDetected, ParseError
+from . import core
+from .errors import CycleDetected, ParseError, SizeLimit
 from .ortho import OrthoSpace, validate_ortho, validate_orthospace
 from .closure import ClosureSpace, partial_map
 from .core import LatticeMap
@@ -117,11 +117,17 @@ class Workspace:
     signatures: dict = field(default_factory=dict)  # map name -> (dom, cod) names
 
 
-def _label_index(labels, token, lineno, what):
+def _indexed(labels):
+    """Label -> position, for the labels of a block."""
+    return {label: i for i, label in enumerate(labels)}
+
+
+def _label_index(index, token, lineno, what):
+    """The position of token in a label -> position dict."""
     try:
-        return labels.index(token)
-    except ValueError:
-        raise ParseError("unknown %s %r" % (what, token), line=lineno)
+        return index[token]
+    except KeyError:
+        raise ParseError("unknown %s %r" % (what, token), line=lineno) from None
 
 
 def _reject_unknown_fields(block, known):
@@ -137,7 +143,13 @@ def _build_lattice(block):
     _reject_unknown_fields(block, ("elements", "covers", "ortho"))
     labels, _ = block.fields["elements"]
     labels = labels.split()
-    if len(set(labels)) != len(labels):
+    if len(labels) > core.MAX_LATTICE_SIZE:
+        raise SizeLimit(
+            "lattice %s carrier %d exceeds bound %d"
+            % (block.name, len(labels), core.MAX_LATTICE_SIZE)
+        )
+    index = _indexed(labels)
+    if len(index) != len(labels):
         raise ParseError("duplicate element labels", line=block.fields["elements"][1])
     pairs = []
     if "covers" in block.fields:
@@ -145,22 +157,22 @@ def _build_lattice(block):
         for token in text.split():
             a, b = _split_pair(token, "<", lineno)
             pairs.append(
-                (_label_index(labels, a, lineno, "element"),
-                 _label_index(labels, b, lineno, "element"))
+                (_label_index(index, a, lineno, "element"),
+                 _label_index(index, b, lineno, "element"))
             )
     try:
-        poset = build_poset(len(labels), pairs, labels=labels)
+        poset = core.build_poset(len(labels), pairs, labels=labels)
     except CycleDetected as exc:
         raise ParseError("cyclic covers: %s" % exc, line=block.line)
-    lattice = lattice_from_poset(poset)
+    lattice = core.lattice_from_poset(poset)
     ortho = None
     if "ortho" in block.fields:
         text, lineno = block.fields["ortho"]
         table = {}
         for token in text.split():
             a, b = _split_pair(token, "->", lineno)
-            table[_label_index(labels, a, lineno, "element")] = _label_index(
-                labels, b, lineno, "element"
+            table[_label_index(index, a, lineno, "element")] = _label_index(
+                index, b, lineno, "element"
             )
         if sorted(table) != list(range(len(labels))):
             raise ParseError("ortho table must cover every element", line=lineno)
@@ -184,10 +196,11 @@ def _build_ospace(block):
     rows = [0] * len(labels)
     if "orth" in block.fields:
         text, lineno = block.fields["orth"]
+        index = _indexed(labels)
         for token in text.split():
             a, b = _split_pair(token, "~", lineno)
-            i = _label_index(labels, a, lineno, "point")
-            j = _label_index(labels, b, lineno, "point")
+            i = _label_index(index, a, lineno, "point")
+            j = _label_index(index, b, lineno, "point")
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return validate_orthospace(
@@ -201,10 +214,11 @@ def _build_cspace(block):
     closed = []
     if "closed" in block.fields:
         text, lineno = block.fields["closed"]
+        index = _indexed(labels)
         for token in text.split():
             closed.append(
                 frozenset(
-                    _label_index(labels, t, lineno, "point")
+                    _label_index(index, t, lineno, "point")
                     for t in _parse_set(token, lineno)
                 )
             )
@@ -265,14 +279,14 @@ def _resolve_map(ws, block):
     for lhs, op, rhs, lineno in block.arrows:
         if op != "|->":
             raise ParseError("map lines use |->", line=lineno)
-        a = _label_index(dom.labels, lhs, lineno, "element")
-        b = _label_index(cod.labels, rhs, lineno, "element")
+        a = _label_index(dom.label_index, lhs, lineno, "element")
+        b = _label_index(cod.label_index, rhs, lineno, "element")
         if a in entries:
             raise ParseError("duplicate value for %r" % lhs, line=lineno)
         entries[a] = b
     if "anchor" in block.fields:
         text, lineno = block.fields["anchor"]
-        anchor = _label_index(dom.labels, text.strip(), lineno, "element")
+        anchor = _label_index(dom.label_index, text.strip(), lineno, "element")
         missing = [x for x in dom.downset(anchor) if x not in entries]
         if missing:
             raise ParseError(
@@ -293,16 +307,17 @@ def _resolve_cmap(ws, block, dom_name, cod_name):
         raise ParseError("continuous map needs two closure spaces", line=block.line)
     _reject_unknown_fields(block, ("kernel",))
     src, tgt = ws.cspaces[dom_name], ws.cspaces[cod_name]
+    src_index, tgt_index = _indexed(src.labels), _indexed(tgt.labels)
     kernel = []
     if "kernel" in block.fields:
         text, lineno = block.fields["kernel"]
-        kernel = [_label_index(src.labels, t, lineno, "point") for t in text.split()]
+        kernel = [_label_index(src_index, t, lineno, "point") for t in text.split()]
     mapping = {}
     for lhs, op, rhs, lineno in block.arrows:
         if op != "|->":
             raise ParseError("map lines use |->", line=lineno)
-        p = _label_index(src.labels, lhs, lineno, "point")
-        q = _label_index(tgt.labels, rhs, lineno, "point")
+        p = _label_index(src_index, lhs, lineno, "point")
+        q = _label_index(tgt_index, rhs, lineno, "point")
         mapping[p] = q
     missing = [p for p in range(src.size) if p not in kernel and p not in mapping]
     if missing:
@@ -324,9 +339,9 @@ def _resolve_umap(ws, block):
     for lhs, op, rhs, lineno in block.arrows:
         if op != "|->":
             raise ParseError("umap lines use |->", line=lineno)
-        a = _label_index(dom.labels, lhs, lineno, "element")
+        a = _label_index(dom.label_index, lhs, lineno, "element")
         images[a] = frozenset(
-            _label_index(cod.labels, t, lineno, "element")
+            _label_index(cod.label_index, t, lineno, "element")
             for t in _parse_set(rhs, lineno)
         )
     for a in dom.elements():
@@ -349,8 +364,8 @@ def _resolve_causal(ws, block):
         if op != "~>":
             raise ParseError("causal lines use ~>", line=lineno)
         pairs.add(
-            (_label_index(src.labels, lhs, lineno, "element"),
-             _label_index(tgt.labels, rhs, lineno, "element"))
+            (_label_index(src.label_index, lhs, lineno, "element"),
+             _label_index(tgt.label_index, rhs, lineno, "element"))
         )
     ws.causals[block.name] = CausalRelation(src, tgt, frozenset(pairs))
 

@@ -9,7 +9,7 @@ the spies must see it work, so a spy that watches the wrong thing fails.
 
 import pytest
 
-from latkit import core, corpus, maps, ortho, transition
+from latkit import core, corpus, io, maps, ortho, transition
 from latkit.core import FiniteLattice
 from latkit.errors import SizeLimit
 
@@ -79,6 +79,13 @@ BUDGETS = {
         core, "MAX_LATTICE_SIZE", 3,
         building(core, "lattice_from_poset", lambda: core.horizontal_sum([C3, C3])),
         "sum carrier 4 exceeds bound 3",
+    ),
+    "load_workspace": (
+        core, "MAX_LATTICE_SIZE", 3,
+        building(core, "build_poset", lambda: io.load_workspace(
+            "lattice L\nelements: 0 a b 1\ncovers: 0<a 0<b a<1 b<1\n"
+        )),
+        "lattice L carrier 4 exceeds bound 3",
     ),
     "random_moore_lattice": (
         core, "MAX_POWER_BASE", 4,

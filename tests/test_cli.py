@@ -269,6 +269,18 @@ def test_equiv_roundtrips(doc_file, capsys):
     assert "PASS D4" in out and "PASS D4(ortho)" in out
 
 
+def test_check_size_guard(tmp_path, capsys):
+    labels = ["c%d" % i for i in range(65)]
+    path = tmp_path / "c65.lat"
+    path.write_text(
+        "lattice C65\nelements: %s\ncovers: %s\n"
+        % (" ".join(labels), " ".join("%s<%s" % pair for pair in zip(labels, labels[1:])))
+    )
+    assert cli.main(["check", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "size limit: lattice C65 carrier 65 exceeds bound 64\n"
+
+
 def test_equiv_biortho_size_guard(tmp_path, capsys):
     # MO9: nine pairs of complementary atoms, so the orthospace has 18 points.
     pairs = ["a%d b%d" % (i, i) for i in range(9)]
@@ -478,15 +490,15 @@ def _parse(parser, argv):
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_one_command_parser_matches_the_full_tree(monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "80")
-    single, full = cli.build_parser([name]), cli.build_parser()
-    code, help_text, _ = _parse(single, [name, "-h"])
+    single, full = cli.command_parser(name), cli.build_parser()
+    code, help_text, _ = _parse(single, ["-h"])
     assert code == 0 and help_text.startswith("usage: latkit %s [-h]" % name)
     assert _parse(full, [name, "-h"]) == (code, help_text, "")
     # A usage error prints the command's usage line.
-    bad = [name, "--max-size", "x"] if name == "suite" else [name]
+    bad = ["--max-size", "x"] if name == "suite" else []
     code, _, err = _parse(single, bad)
     assert code == 2 and err.startswith("usage: latkit %s " % name)
-    assert _parse(full, bad) == (code, "", err)
+    assert _parse(full, [name] + bad) == (code, "", err)
 
 
 @pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["--json", "check", "x.lat"]])
@@ -532,21 +544,21 @@ def test_usage_errors_exit_2_as_the_full_parser_does(monkeypatch, capsys, argv):
 
 def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
     built = []
-    real = argparse._SubParsersAction.add_parser
+    real = argparse.ArgumentParser.__init__
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return real(self, name, **kwargs)
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert cli.main(["hom", "D4", "C2", "--json"]) == 0
-    assert built == ["hom"]
+    assert built == ["latkit hom"]
     # Nothing is kept between calls: the next call builds its parser again.
     assert cli.main(["count", "TS", "D4", "C2"]) == 0
-    assert built == ["hom", "count"]
+    assert built == ["latkit hom", "latkit count"]
     with pytest.raises(SystemExit):
         cli.main(["-h"])
-    assert built[2:] == list(cli.COMMANDS)
+    assert built[2:] == ["latkit"] + ["latkit %s" % name for name in cli.COMMANDS]
 
 
 def test_readme_command_block_names_every_command_and_option():

@@ -94,6 +94,32 @@ def test_unknown_label_rejected():
         io.load_workspace(text)
 
 
+C2_DOC = "lattice A\nelements: 0 1\ncovers: 0<1\n"
+S_DOC = "cspace S\npoints: p q\nclosed: {} {p}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("lattice A\nelements: 0 1\ncovers: 0<1 1<x\n", "line 3: unknown element 'x'"),
+        (C2_DOC + "ortho: 0->1 1->y\n", "line 4: unknown element 'y'"),
+        (C2_DOC + "map f : A -> A\n0 |-> 0\nz |-> 1\n", "line 6: unknown element 'z'"),
+        (C2_DOC + "map f : A -> A\n0 |-> 0\n1 |-> w\n", "line 6: unknown element 'w'"),
+        (C2_DOC + "map f : A -> A\nanchor: v\n0 |-> 0\n", "line 5: unknown element 'v'"),
+        (C2_DOC + "umap t : A -> A\n1 |-> {0,u}\n", "line 5: unknown element 'u'"),
+        (C2_DOC + "causal r : A -> A\n0 ~> 0\nt ~> 1\n", "line 6: unknown element 't'"),
+        ("ospace P\npoints: p q\north: p~s\n", "line 3: unknown point 's'"),
+        ("cspace S\npoints: p q\nclosed: {p,r}\n", "line 3: unknown point 'r'"),
+        (S_DOC + "map a : S -> S\nkernel: k\n", "line 5: unknown point 'k'"),
+        (S_DOC + "map a : S -> S\np |-> p\nq |-> o\n", "line 6: unknown point 'o'"),
+    ],
+)
+def test_unknown_labels_name_the_token_and_its_line(text, message):
+    with pytest.raises(ParseError) as err:
+        io.load_workspace(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "text",
     [

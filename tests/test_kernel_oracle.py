@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latkit import corpus, maps
+from latkit import core, corpus, maps
 from latkit.core import (
     FinitePoset,
     LatticeMap,
@@ -196,6 +196,20 @@ def ref_moore_lattice(seed, n_points, n_generators):
     return lattice_of_sets(family)[0]
 
 
+def ref_closure(n, pairs):
+    """(up, down) of the reflexive-transitive closure: Warshall on the
+    relation with its diagonal, then the transpose."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[a] |= 1 << b
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    return tuple(up), tuple(down)
+
+
 def outcome(fn, *args):
     """A result, or the (type, message, witness) of the error it raised."""
     try:
@@ -230,6 +244,29 @@ relations = st.integers(min_value=1, max_value=9).flatmap(
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
     )
 )
+
+
+@st.composite
+def wild_relations(draw):
+    """(n, pairs, labels) on up to 12 elements: duplicate pairs, self-loops
+    and pairs that are no covers, either anything (mostly cyclic) or
+    oriented along a drawn linear order, and then often given a bottom and
+    a top."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    element = st.integers(0, max(n - 1, 0))
+    count = draw(st.integers(0, 3 * n)) if n else 0
+    pairs = draw(st.lists(st.tuples(element, element), min_size=count, max_size=count))
+    shape = draw(st.sampled_from(["any", "oriented", "bounded", "bounded"]))
+    if shape != "any":
+        rank = draw(st.permutations(range(n)))
+        pairs = [(a, b) if rank[a] <= rank[b] else (b, a) for a, b in pairs]
+        if shape == "bounded" and n:
+            bottom, top = rank.index(0), rank.index(n - 1)
+            pairs += [(bottom, x) for x in range(n)] + [(x, top) for x in range(n)]
+    pairs += pairs[: draw(st.integers(0, len(pairs)))]
+    labels = tuple("x%d" % i for i in range(n)) if draw(st.booleans()) else None
+    return n, pairs, labels
+
 
 SMALL = [name for name, lat in corpus.named_lattices().items() if lat.size <= 9]
 
@@ -277,10 +314,10 @@ def map_pairs(draw):
 # Elements 0 and 1 have two minimal upper bounds (4, 5) and two maximal
 # lower bounds (2, 3): the first failing pair lacks both, and the join is
 # reported.
-NO_JOIN_NO_MEET = build_poset(
-    8, [(6, 2), (6, 3), (2, 0), (2, 1), (3, 0), (3, 1), (0, 4), (0, 5), (1, 4), (1, 5),
-        (4, 7), (5, 7)]
-)
+NO_JOIN_NO_MEET_PAIRS = [
+    (6, 2), (6, 3), (2, 0), (2, 1), (3, 0), (3, 1), (0, 4), (0, 5), (1, 4), (1, 5), (4, 7), (5, 7)
+]
+NO_JOIN_NO_MEET = build_poset(8, NO_JOIN_NO_MEET_PAIRS)
 
 
 @settings(deadline=None, max_examples=400)
@@ -310,6 +347,65 @@ def test_build_poset_errors_match_pairwise_checks(relation):
     expected = FinitePoset(tuple(sum(1 << b for b in row) for row in given_order))
     failure = outcome(ref_validate, expected)
     assert outcome(expected.validate) == (failure or expected)
+
+
+@settings(deadline=None, max_examples=400)
+@given(relation=wild_relations())
+@example(relation=(8, NO_JOIN_NO_MEET_PAIRS + [(6, 0), (6, 6)], None))
+@example(relation=(4, [(3, 0), (0, 1), (1, 2), (2, 0), (1, 1)], ("a", "b", "c", "d")))
+def test_linear_extension_closure_matches_warshall(relation):
+    n, pairs, labels = relation
+    up, down = ref_closure(n, pairs)
+    expected = FinitePoset(up, labels or ())
+    failure = outcome(ref_cycle_check, expected)
+    got = outcome(build_poset, n, pairs, labels)
+    if failure:
+        assert got == failure
+        return
+    assert (got, got.up, got.down) == (expected, up, down)
+    # The closure is not validated again, and lattice_from_poset gives what
+    # the validating path gives on the same order built by hand: bounds and
+    # tables, or the same NotALattice message and witness.
+    assert outcome(lattice_from_poset, got) == outcome(lattice_from_poset, FinitePoset(up, labels or ()))
+
+
+@settings(deadline=None, max_examples=300)
+@given(relation=wild_relations())
+def test_a_hand_built_order_is_validated_by_lattice_from_poset(relation):
+    # The relation as given, with its diagonal, is often neither transitive
+    # nor antisymmetric.
+    n, pairs, labels = relation
+    rows = [1 << i for i in range(n)]
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    poset = FinitePoset(tuple(rows), labels or ())
+    got = outcome(lattice_from_poset, poset)
+    if isinstance(got, tuple):
+        assert got == outcome(ref_lattice, poset)
+    else:
+        assert (got.bottom, got.top, got.join_table, got.meet_table) == ref_lattice(poset)
+
+
+def test_a_built_poset_is_proved_once(monkeypatch):
+    calls = []
+    real = core._antisymmetry_witness
+
+    def spy(up, down):
+        calls.append(up)
+        return real(up, down)
+
+    monkeypatch.setattr(core, "_antisymmetry_witness", spy)
+    built = build_poset(8, NO_JOIN_NO_MEET_PAIRS + [(6, 0), (2, 7)])
+    assert lattice_from_poset(build_poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)])).size == 4
+    with pytest.raises(NotALattice):
+        lattice_from_poset(built)
+    assert calls == []
+    # The same order built by hand is checked on its first validation only.
+    by_hand = FinitePoset(built.up)
+    with pytest.raises(NotALattice):
+        lattice_from_poset(by_hand)
+    assert by_hand.validate() is by_hand
+    assert calls == [built.up]
 
 
 @settings(deadline=None, max_examples=200)

@@ -7,7 +7,7 @@ import pytest
 from latkit import corpus
 from latkit.core import MAX_POWER_BASE, LatticeMap, identity_map, lattice_of_sets
 from latkit.errors import LatkitError, NotSeparating, OrthoAxiomFailed, SizeLimit
-from latkit.maps import compose, hom_set, right_adjoint
+from latkit.maps import compose, hom_set
 from latkit.ortho import (
     OrthoLattice,
     OrthoSpace,
