@@ -347,14 +347,110 @@ def build_parser():
     return parser
 
 
+# The spec keys _plain_args reads; a spec with any other key is left to argparse.
+_PLAIN_KEYS = frozenset(["nargs", "action", "default", "choices", "type", "required", "help"])
+
+
+class _NotPlain(Exception):
+    """A value argparse would refuse, which it then reports."""
+
+
+def _value(spec, token, check=True):
+    """token through the spec's type, then its choices, as argparse takes it."""
+    convert = spec.get("type")
+    if convert is not None:
+        try:
+            token = convert(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            raise _NotPlain from None
+    if check and spec.get("choices") is not None and token not in spec["choices"]:
+        raise _NotPlain
+    return token
+
+
+def _values_end(argv, start, many):
+    """End of the values from argv[start] on: the tokens that do not start
+    with "-", all of them when many, else at most one."""
+    end = start
+    while end < len(argv) and not argv[end].startswith("-") and (many or end == start):
+        end += 1
+    return end
+
+
+def _plain_args(name, argv):
+    """The Namespace that command_parser(name).parse_known_args(argv) gives,
+    read straight from the command's specs, when argv is plain: first the
+    positionals in spec order, then exact option flags, each at most once,
+    whose values do not start with "-", every required option given and
+    nothing left over.  None for any other argv, and for a spec of a kind not
+    read here, so that argparse parses it and reports help and usage errors."""
+    func, _, specs = COMMANDS[name]
+    args, positionals, options = {}, [], {}
+    for flag, spec in specs:
+        nargs, action = spec.get("nargs"), spec.get("action")
+        if not spec.keys() <= _PLAIN_KEYS or action not in (None, "store_true"):
+            return None
+        if flag.startswith("--") and nargs in (None, "*"):
+            dest = flag[2:].replace("-", "_")
+            options[flag] = dest, spec
+        elif not flag.startswith("-") and nargs in (None, "+", "?"):
+            dest = flag
+            positionals.append((dest, spec))
+        else:
+            return None
+        args[dest] = spec.get("default", False if action else None)
+    i, seen = 0, set()
+    try:
+        for dest, spec in positionals:
+            nargs = spec.get("nargs")
+            end = _values_end(argv, i, nargs == "+")
+            if end > i:
+                values = [_value(spec, token) for token in argv[i:end]]
+                args[dest] = values if nargs == "+" else values[0]
+            elif nargs != "?":
+                return None
+            elif isinstance(args[dest], str):
+                args[dest] = _value(spec, args[dest])
+            i = end
+        while i < len(argv):
+            flag = argv[i]
+            if flag not in options or flag in seen:
+                return None
+            seen.add(flag)
+            dest, spec = options[flag]
+            i += 1
+            if spec.get("action"):
+                args[dest] = True
+                continue
+            many = spec.get("nargs") == "*"
+            end = _values_end(argv, i, many)
+            if end == i and not many:
+                return None
+            values = [_value(spec, token) for token in argv[i:end]]
+            args[dest] = values if many else values[0]
+            i = end
+        for flag, (dest, spec) in options.items():
+            if flag not in seen:
+                if spec.get("required"):
+                    return None
+                if isinstance(args[dest], str):
+                    args[dest] = _value(spec, args[dest], check=False)
+    except _NotPlain:
+        return None
+    return argparse.Namespace(**args, func=func)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # A known command builds only its own parser, which prints the help and
-    # usage errors of its subparser in the full tree.  Help, a missing or
-    # unknown command, and arguments the command does not take are reported
-    # by the full tree, whose usage lists every command.
+    # A plain command line is read straight from COMMANDS.  Any other line
+    # of a known command builds only that command's parser, which prints the
+    # help and usage errors of its subparser in the full tree.  Help, a
+    # missing or unknown command, and arguments the command does not take
+    # are reported by the full tree, whose usage lists every command.
     if argv and argv[0] in COMMANDS:
-        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+        args, extra = _plain_args(argv[0], argv[1:]), []
+        if args is None:
+            args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
     else:
         args, extra = build_parser().parse_known_args(argv)
     if extra:

@@ -166,7 +166,13 @@ def build_poset(n, pairs, labels=None):
         for a in pred[b]:
             row |= down[a]
         down[b] = row
-    poset = FinitePoset(tuple(up), tuple(labels) if labels else ())
+    return _proved_poset(up, down, tuple(labels) if labels else ())
+
+
+def _proved_poset(up, down, labels):
+    """The poset of up-sets that are an order by construction, with its
+    down-sets filled in: neither transposed nor validated again."""
+    poset = FinitePoset(tuple(up), labels)
     poset.__dict__.update(down=tuple(down), _proved=True)
     return poset
 
@@ -229,11 +235,11 @@ class FiniteLattice:
 
     @cached_property
     def _upper_extension(self):
-        n = self.size
-        up = [row | 1 << n for row in self.poset.up]
-        up.append(1 << n)
-        labels = self.labels + ("**1**",)
-        return lattice_from_poset(FinitePoset(tuple(up), labels))
+        # The order with a new top added is an order.
+        top = 1 << self.size
+        up = [row | top for row in self.poset.up] + [top]
+        down = self.poset.down + ((top << 1) - 1,)
+        return lattice_from_poset(_proved_poset(up, down, self.labels + ("**1**",)))
 
     @cached_property
     def _intervals(self):
@@ -468,14 +474,18 @@ def sublattice_on(lattice, elems):
     cache = lattice._sublattices
     sub = cache.get(mask)
     if sub is None:
-        up = lattice.poset.up
+        # A restriction of an order is an order: its up- and down-sets are
+        # the lattice's, with the bits of elems moved to their positions.
+        poset = lattice.poset
         elems = [e for e in lattice.elements() if mask >> e & 1]
-        rows = []
-        for a in elems:
-            row = up[a]
-            rows.append(sum(1 << i for i, b in enumerate(elems) if row >> b & 1))
+
+        def compact(row):
+            return sum(1 << i for i, b in enumerate(elems) if row >> b & 1)
+
+        up = [compact(poset.up[a]) for a in elems]
+        down = [compact(poset.down[a]) for a in elems]
         labels = tuple(lattice.labels[e] for e in elems)
-        sub = cache[mask] = lattice_from_poset(FinitePoset(tuple(rows), labels))
+        sub = cache[mask] = lattice_from_poset(_proved_poset(up, down, labels))
     return sub
 
 

@@ -874,30 +874,6 @@ LAWS = (
 ALL_CHECKS = tuple(law.checks for law in LAWS)
 
 
-def write_corpus(directory):
-    """Write the built-in corpus to one file per object in text format."""
-    bundle = default_bundle()
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for name, lat in bundle["lattices"].items():
-        text = io.format_lattice(name, lat, bundle["orthos"].get(name))
-        path = os.path.join(directory, "%s.lat" % name)
-        with open(path, "w") as handle:
-            handle.write(text)
-        written.append(path)
-    for name, space in bundle["cspaces"].items():
-        path = os.path.join(directory, "%s.cspace" % name)
-        with open(path, "w") as handle:
-            handle.write(io.format_cspace(name, space))
-        written.append(path)
-    for name, space in bundle["ospaces"].items():
-        path = os.path.join(directory, "%s.ospace" % name)
-        with open(path, "w") as handle:
-            handle.write(io.format_ospace(name, space))
-        written.append(path)
-    return written
-
-
 def load_corpus_dir(directory):
     """Load a corpus directory into a bundle.
 

@@ -242,11 +242,6 @@ def union_of(thetas):
     return union_map(src, tgt, images)
 
 
-def union_leq(theta1, theta2):
-    t1, t2 = theta1.table(), theta2.table()
-    return all(t1[a] <= t2[a] for a in nonzero(theta1.source))
-
-
 def compose_union(second, first):
     if first.target != second.source:
         raise ShapeMismatch("union maps not composable")

@@ -21,6 +21,7 @@ from latkit.maps import (
     right_adjoint,
     special_maps,
 )
+from test_cli import write_corpus
 from test_maps import categorical_epi, categorical_mono
 
 TWO = corpus.chain(2)
@@ -368,7 +369,7 @@ def test_criterion_11_cli_suite(tmp_path, capsys):
         # Corrupting a single invariant must flip the exit code and name
         # the offending file in a witness.
         corpus_dir = tmp_path / "corpus"
-        suite.write_corpus(str(corpus_dir))
+        write_corpus(str(corpus_dir))
 
         ortho_file = corpus_dir / "O6.lat"
         good = ortho_file.read_text()

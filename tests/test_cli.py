@@ -10,6 +10,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -403,8 +404,27 @@ def test_suite_flags_corrupted_corpus(tmp_path, capsys):
     assert "FAIL corpus-validate bad.lat" in out
 
 
+def write_corpus(directory):
+    """Write the built-in corpus to one file per object in text format."""
+    bundle = suite.default_bundle()
+    os.makedirs(directory, exist_ok=True)
+    written = []
+    blocks = [("%s.lat" % name, io.format_lattice(name, lat, bundle["orthos"].get(name)))
+              for name, lat in bundle["lattices"].items()]
+    blocks += [("%s.cspace" % name, io.format_cspace(name, space))
+               for name, space in bundle["cspaces"].items()]
+    blocks += [("%s.ospace" % name, io.format_ospace(name, space))
+               for name, space in bundle["ospaces"].items()]
+    for filename, text in blocks:
+        path = os.path.join(directory, filename)
+        with open(path, "w") as handle:
+            handle.write(text)
+        written.append(path)
+    return written
+
+
 def test_write_corpus_parses_back(tmp_path):
-    written = suite.write_corpus(str(tmp_path))
+    written = write_corpus(str(tmp_path))
     assert written
     bundle, failures = suite.load_corpus_dir(str(tmp_path))
     assert not failures
@@ -542,7 +562,7 @@ def test_usage_errors_exit_2_as_the_full_parser_does(monkeypatch, capsys, argv):
     assert _parse(cli.build_parser(), argv) == (2, "", err)
 
 
-def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
+def test_a_plain_command_line_builds_no_parser(monkeypatch, capsys):
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -552,13 +572,110 @@ def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert cli.main(["hom", "D4", "C2", "--json"]) == 0
-    assert built == ["latkit hom"]
-    # Nothing is kept between calls: the next call builds its parser again.
     assert cli.main(["count", "TS", "D4", "C2"]) == 0
-    assert built == ["latkit hom", "latkit count"]
+    assert built == []
+    # A usage error builds the command's own parser, which reports it.
+    with pytest.raises(SystemExit):
+        cli.main(["hom", "D4"])
+    assert built == ["latkit hom"]
     with pytest.raises(SystemExit):
         cli.main(["-h"])
-    assert built[2:] == ["latkit"] + ["latkit %s" % name for name in cli.COMMANDS]
+    assert built[1:] == ["latkit"] + ["latkit %s" % name for name in cli.COMMANDS]
+
+
+# Tokens that argparse reads in its own ways: help, an abbreviation, an
+# attached value, the end of options, a lone dash, a value starting with a
+# dash, and an empty argument, which is a plain value.
+ODD_TOKENS = ["-h", "--js", "--cls=join", "--", "-", "-1", ""]
+
+
+@st.composite
+def command_lines(draw):
+    """A command name and its arguments: positionals, then options with
+    values, then stray tokens, drawn from the command's own flags, valid
+    and invalid values and ODD_TOKENS; flags repeat, and positionals may
+    come after options."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    specs = cli.COMMANDS[name][2]
+    flags = [flag for flag, _ in specs if flag.startswith("-")]
+    values = ["D4", "C2", "x.lat", "3", "x"]
+    values += [str(choice) for _, spec in specs for choice in spec.get("choices", ())]
+    value = st.sampled_from(values)
+    argv = []
+    for flag, spec in specs:
+        if not flag.startswith("-"):
+            argv += draw(st.lists(value, min_size=0 if spec.get("nargs") == "?" else 1, max_size=2))
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        spec = dict(specs)[flag]
+        if spec.get("action"):
+            argv.append(flag)
+        elif spec.get("nargs") == "*":
+            argv += [flag] + draw(st.lists(value, max_size=2))
+        else:
+            argv += [flag, draw(value)]
+    if draw(st.booleans()):
+        argv += draw(st.lists(st.sampled_from(values + flags + ODD_TOKENS), max_size=3))
+    if argv and draw(st.booleans()):  # drop one token
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return name, argv
+
+
+def _echo(args):
+    """A handler that prints what it was given."""
+    print(sorted((key, value) for key, value in vars(args).items() if key != "func"))
+    return 0
+
+
+def _echo_table():
+    """COMMANDS with every handler replaced by _echo."""
+    return {name: (_echo, help_text, specs) for name, (_, help_text, specs) in cli.COMMANDS.items()}
+
+
+def _run(fn, argv):
+    """Exit code (returned or raised), stdout and stderr of fn(argv)."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = fn(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parse_as_before(argv):
+    """main's dispatch of a known command before the plain reading."""
+    args, extra = cli.command_parser(argv[0]).parse_known_args(argv[1:])
+    if extra:
+        cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_a_plain_command_line_reads_as_argparse_does(line):
+    name, argv = line
+    got = cli._plain_args(name, argv)
+    if got is not None:
+        want, extra = cli.command_parser(name).parse_known_args(argv)
+        assert extra == [] and vars(got) == vars(want)
+        return
+    # Any other line goes to argparse, as before.
+    with mock.patch.dict(cli.COMMANDS, _echo_table()), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert _run(cli.main, [name] + argv) == _run(_parse_as_before, [name] + argv)
+
+
+@pytest.mark.parametrize("spec, argv, value", [
+    ({"action": "append"}, ["--tag", "a"], ["a"]),
+    ({"action": "count"}, ["--tag"], 1),
+    ({"metavar": "T"}, ["--tag", "a"], "a"),
+])
+def test_a_spec_of_an_unknown_kind_is_left_to_argparse(capsys, spec, argv, value):
+    table = {"tag": (_echo, "tag things", [("--tag", spec)])}
+    with mock.patch.dict(cli.COMMANDS, table):
+        assert cli._plain_args("tag", argv) is None
+        assert cli.main(["tag"] + argv) == 0
+    assert capsys.readouterr().out == "%s\n" % [("tag", value)]
 
 
 def test_readme_command_block_names_every_command_and_option():

@@ -408,6 +408,53 @@ def test_a_built_poset_is_proved_once(monkeypatch):
     assert calls == [built.up]
 
 
+def ref_restriction(lattice, elems):
+    """The order of lattice on elems, in index order, built by hand."""
+    rows = [sum(1 << i for i, b in enumerate(elems) if lattice.leq(a, b)) for a in elems]
+    return FinitePoset(tuple(rows), tuple(lattice.labels[e] for e in elems))
+
+
+def ref_upper_extension(lattice):
+    """lattice with a new top added, built by hand."""
+    top = lattice.size
+    rows = [sum(1 << b for b in lattice.elements() if lattice.leq(a, b)) | 1 << top
+            for a in lattice.elements()]
+    return FinitePoset(tuple(rows) + (1 << top,), lattice.labels + ("**1**",))
+
+
+def test_restrictions_and_upper_extensions_are_proved_once(monkeypatch):
+    # Every corpus lattice's upper extension, intervals [0, a] and [a, 1];
+    # every element set of the corpus lattices of at most 6 elements, closed
+    # under join and meet or not.
+    lattices = list(corpus.named_lattices().values())
+    cases = []
+    for lattice in lattices:
+        cases += [(lattice, lattice.downset(a)) for a in lattice.elements()]
+        cases += [(lattice, [b for b in lattice.elements() if lattice.leq(a, b)])
+                  for a in lattice.elements()]
+        if lattice.size <= 6:
+            cases += [(lattice, elems) for r in range(1, lattice.size + 1)
+                      for elems in itertools.combinations(lattice.elements(), r)]
+    calls = []
+    real = core._antisymmetry_witness
+
+    def spy(up, down):
+        calls.append(up)
+        return real(up, down)
+
+    monkeypatch.setattr(core, "_antisymmetry_witness", spy)
+    got = [outcome(core.sublattice_on, lattice, elems) for lattice, elems in cases]
+    extensions = [core.upper_extension(lattice) for lattice in lattices]
+    assert calls == []
+    want = [outcome(lattice_from_poset, ref_restriction(*case)) for case in cases]
+    want_extensions = [lattice_from_poset(ref_upper_extension(lattice)) for lattice in lattices]
+    assert got == want and extensions == want_extensions
+    assert sum(isinstance(sub, tuple) for sub in got) > 0  # some sets are not lattices
+    for built, ref in zip(got + extensions, want + want_extensions):
+        if not isinstance(built, tuple):
+            assert built.poset.down == ref.poset.down
+
+
 @settings(deadline=None, max_examples=200)
 @given(poset=cover_posets())
 def test_covers_match_definition(poset):

@@ -28,12 +28,17 @@ from latkit.transition import (
     transition_compose,
     transition_join,
     underlying_map,
-    union_leq,
     union_map,
     union_of,
 )
 
 TWO = corpus.chain(2)
+
+
+def union_leq(theta1, theta2):
+    """theta1 <= theta2 pointwise: each image of theta1 inside theta2's."""
+    t1, t2 = theta1.table(), theta2.table()
+    return all(t1[a] <= t2[a] for a in nonzero(theta1.source))
 
 
 def test_resolution_adjunction_and_retraction():
