@@ -7,10 +7,10 @@ before all output was written), 2 parse error, 3 size limit exceeded.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+import types
 
 from . import closure, io, ortho, stateprop, suite, transition
 from .core import identity_map
@@ -24,16 +24,7 @@ EXIT_SIZE = 3
 
 
 def _load_files(paths):
-    texts = []
-    for path in paths:
-        try:
-            with open(path) as handle:
-                texts.append(handle.read())
-        except OSError as exc:
-            raise ParseError("cannot read %s: %s" % (path, exc.strerror or exc)) from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError("cannot read %s: not UTF-8 text" % path) from exc
-    return io.load_workspace(texts)
+    return io.load_workspace([io.read_text(path) for path in paths])
 
 
 def _emit(payload, as_json):
@@ -321,51 +312,31 @@ COMMANDS = {
 }
 
 
-def _add_command(parser, name):
-    """Give parser the arguments and the handler of the named command."""
-    func, _, specs = COMMANDS[name]
-    for flag, options in specs:
-        parser.add_argument(flag, **options)
-    parser.set_defaults(func=func)
-
-
-def command_parser(name):
-    """The parser of one command: the full tree's subparser for it, alone."""
-    parser = argparse.ArgumentParser(prog="latkit %s" % name)
-    _add_command(parser, name)
-    return parser
-
-
 def build_parser():
     """The full latkit parser, with a subparser for every command."""
+    import argparse  # only help and usage errors need it
+
     parser = argparse.ArgumentParser(
         prog="latkit", description="Finite lattice computations and law sweeps."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    for name, (func, help_text, specs) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in specs:
+            command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
 
 
-# The spec keys _plain_args reads; a spec with any other key is left to argparse.
-_PLAIN_KEYS = frozenset(["nargs", "action", "default", "choices", "type", "required", "help"])
-
-
-class _NotPlain(Exception):
-    """A value argparse would refuse, which it then reports."""
-
-
-def _value(spec, token, check=True):
-    """token through the spec's type, then its choices, as argparse takes it."""
-    convert = spec.get("type")
-    if convert is not None:
-        try:
-            token = convert(token)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            raise _NotPlain from None
-    if check and spec.get("choices") is not None and token not in spec["choices"]:
-        raise _NotPlain
-    return token
+def _values(spec, tokens):
+    """tokens through the spec's type, then its choices, as argparse takes
+    them; None if argparse would refuse one, which it then reports."""
+    convert, choices = spec.get("type", str), spec.get("choices")
+    try:
+        values = [convert(token) for token in tokens]
+    except ValueError:
+        return None
+    return values if choices is None or all(v in choices for v in values) else None
 
 
 def _values_end(argv, start, many):
@@ -378,83 +349,61 @@ def _values_end(argv, start, many):
 
 
 def _plain_args(name, argv):
-    """The Namespace that command_parser(name).parse_known_args(argv) gives,
-    read straight from the command's specs, when argv is plain: first the
+    """The arguments that build_parser() parses from [name] + argv, read
+    straight from the command's specs, when argv is plain: first the
     positionals in spec order, then exact option flags, each at most once,
     whose values do not start with "-", every required option given and
-    nothing left over.  None for any other argv, and for a spec of a kind not
-    read here, so that argparse parses it and reports help and usage errors."""
+    nothing left over.  None for any other argv, so that argparse parses it
+    and reports help and usage errors."""
     func, _, specs = COMMANDS[name]
     args, positionals, options = {}, [], {}
     for flag, spec in specs:
-        nargs, action = spec.get("nargs"), spec.get("action")
-        if not spec.keys() <= _PLAIN_KEYS or action not in (None, "store_true"):
-            return None
-        if flag.startswith("--") and nargs in (None, "*"):
+        if flag.startswith("-"):
             dest = flag[2:].replace("-", "_")
             options[flag] = dest, spec
-        elif not flag.startswith("-") and nargs in (None, "+", "?"):
+        else:
             dest = flag
             positionals.append((dest, spec))
-        else:
-            return None
-        args[dest] = spec.get("default", False if action else None)
+        args[dest] = spec.get("default", False if spec.get("action") else None)
     i, seen = 0, set()
-    try:
-        for dest, spec in positionals:
-            nargs = spec.get("nargs")
-            end = _values_end(argv, i, nargs == "+")
-            if end > i:
-                values = [_value(spec, token) for token in argv[i:end]]
-                args[dest] = values if nargs == "+" else values[0]
-            elif nargs != "?":
-                return None
-            elif isinstance(args[dest], str):
-                args[dest] = _value(spec, args[dest])
-            i = end
-        while i < len(argv):
-            flag = argv[i]
-            if flag not in options or flag in seen:
-                return None
-            seen.add(flag)
-            dest, spec = options[flag]
-            i += 1
-            if spec.get("action"):
-                args[dest] = True
-                continue
-            many = spec.get("nargs") == "*"
-            end = _values_end(argv, i, many)
-            if end == i and not many:
-                return None
-            values = [_value(spec, token) for token in argv[i:end]]
-            args[dest] = values if many else values[0]
-            i = end
-        for flag, (dest, spec) in options.items():
-            if flag not in seen:
-                if spec.get("required"):
-                    return None
-                if isinstance(args[dest], str):
-                    args[dest] = _value(spec, args[dest], check=False)
-    except _NotPlain:
+    for dest, spec in positionals:
+        nargs = spec.get("nargs")
+        end = _values_end(argv, i, nargs == "+")
+        values = _values(spec, argv[i:end])
+        if values is None or end == i and nargs != "?":
+            return None
+        if values:
+            args[dest] = values if nargs == "+" else values[0]
+        i = end
+    while i < len(argv):
+        flag = argv[i]
+        if flag not in options or flag in seen:
+            return None
+        seen.add(flag)
+        dest, spec = options[flag]
+        i += 1
+        if spec.get("action"):
+            args[dest] = True
+            continue
+        many = spec.get("nargs") == "*"
+        end = _values_end(argv, i, many)
+        values = _values(spec, argv[i:end])
+        if values is None or end == i and not many:
+            return None
+        args[dest] = values if many else values[0]
+        i = end
+    if any(spec.get("required") for flag, (_, spec) in options.items() if flag not in seen):
         return None
-    return argparse.Namespace(**args, func=func)
+    return types.SimpleNamespace(**args, func=func)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # A plain command line is read straight from COMMANDS.  Any other line
-    # of a known command builds only that command's parser, which prints the
-    # help and usage errors of its subparser in the full tree.  Help, a
-    # missing or unknown command, and arguments the command does not take
-    # are reported by the full tree, whose usage lists every command.
-    if argv and argv[0] in COMMANDS:
-        args, extra = _plain_args(argv[0], argv[1:]), []
-        if args is None:
-            args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
-    else:
-        args, extra = build_parser().parse_known_args(argv)
-    if extra:
-        build_parser().parse_args(argv)
+    # A plain command line is read straight from COMMANDS; the full tree
+    # parses any other line and reports its help and usage errors.
+    args = _plain_args(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

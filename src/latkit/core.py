@@ -260,8 +260,7 @@ class FiniteLattice:
     def dual(self):
         """The same carrier in the reversed order: up and down, join and meet,
         top and bottom swapped.  L.dual.dual is L."""
-        poset = FinitePoset(self.poset.down, self.labels)
-        poset.__dict__["down"] = self.poset.up
+        poset = _proved_poset(self.poset.down, self.poset.up, self.labels)
         dual = FiniteLattice(poset, self.top, self.bottom, self.meet_table, self.join_table)
         dual.__dict__["dual"] = self
         return dual
@@ -525,20 +524,21 @@ def direct_product(factors):
         raise SizeLimit("product carrier %d exceeds bound %d" % (total, MAX_LATTICE_SIZE))
     elems = tuple(itertools.product(*[range(f.size) for f in factors]))
     index = {e: i for i, e in enumerate(elems)}
-    up = []
-    for a in elems:
-        row = 0
-        for b in elems:
-            if all(f.leq(x, y) for f, x, y in zip(factors, a, b)):
-                row |= 1 << index[b]
-        up.append(row)
+    # e is covered where one coordinate moves up to a cover in its factor.
+    upper = [[f.poset.covers(x) for x in f.elements()] for f in factors]
+    pairs = [
+        (i, index[e[:k] + (y,) + e[k + 1:]])
+        for i, e in enumerate(elems)
+        for k, x in enumerate(e)
+        for y in upper[k][x]
+    ]
     if len(factors) == 1:
         labels = tuple(factors[0].labels[e[0]] for e in elems)
     else:
         labels = tuple(
             "(%s)" % ",".join(f.labels[x] for f, x in zip(factors, e)) for e in elems
         )
-    lattice = lattice_from_poset(FinitePoset(tuple(up), labels))
+    lattice = lattice_from_poset(build_poset(total, pairs, labels))
     projections = []
     bottom_sections = []
     top_sections = []
@@ -591,42 +591,24 @@ def horizontal_sum(factors):
     top = len(labels)
     labels.append("1")
     n = top + 1
-    up = [0] * n
-    for i in range(n):
-        up[i] |= 1 << i
-        up[0] |= 1 << i
-        up[i] |= 1 << top
-    for k, f in enumerate(factors):
-        for a in interiors[k]:
-            for b in interiors[k]:
-                if f.leq(a, b):
-                    up[where[(k, a)]] |= 1 << where[(k, b)]
-    lattice = lattice_from_poset(FinitePoset(tuple(up), tuple(labels)))
+    incs = [
+        tuple(0 if e == f.bottom else top if e == f.top else where[(k, e)] for e in f.elements())
+        for k, f in enumerate(factors)
+    ]
+    # The covers of the sum are the factors' covers, carried by the
+    # inclusions; (0, top) orders the bounds when there is no factor.
+    pairs = [(0, top)] + [
+        (inc[a], inc[b]) for f, inc in zip(factors, incs) for a, b in f.poset.cover_pairs()
+    ]
+    lattice = lattice_from_poset(build_poset(n, pairs, labels))
     inclusions = []
     top_collapses = []
     bottom_collapses = []
-    for k, f in enumerate(factors):
-        inc = []
-        for e in f.elements():
-            if e == f.bottom:
-                inc.append(0)
-            elif e == f.top:
-                inc.append(top)
-            else:
-                inc.append(where[(k, e)])
-        inclusions.append(LatticeMap(f, lattice, tuple(inc)))
-        back = dict((v, e) for e, v in zip(f.elements(), inc))
-        sigma = []
-        rho = []
-        for x in range(n):
-            if x in back:
-                sigma.append(back[x])
-                rho.append(back[x])
-            else:
-                sigma.append(f.top)
-                rho.append(f.bottom)
-        top_collapses.append(LatticeMap(lattice, f, tuple(sigma)))
-        bottom_collapses.append(LatticeMap(lattice, f, tuple(rho)))
+    for f, inc in zip(factors, incs):
+        inclusions.append(LatticeMap(f, lattice, inc))
+        back = {v: e for e, v in zip(f.elements(), inc)}.get
+        top_collapses.append(LatticeMap(lattice, f, tuple(back(x, f.top) for x in range(n))))
+        bottom_collapses.append(LatticeMap(lattice, f, tuple(back(x, f.bottom) for x in range(n))))
     return HorizontalSum(
         lattice,
         tuple(factors),
@@ -644,16 +626,16 @@ def upper_extension(lattice):
 def lattice_of_sets(family):
     """Lattice of a family of sets ordered by inclusion."""
     sets = sorted(set(map(frozenset, family)), key=lambda s: (len(s), sorted(s)))
-    index = {s: i for i, s in enumerate(sets)}
-    up = []
-    for a in sets:
-        row = 0
-        for b in sets:
-            if a <= b:
-                row |= 1 << index[b]
-        up.append(row)
+    # Inclusion is an order.  A proper subset is smaller, so it comes first.
+    up = [0] * len(sets)
+    down = [0] * len(sets)
+    for i, a in enumerate(sets):
+        for j in range(i, len(sets)):
+            if a <= sets[j]:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
     labels = tuple("{%s}" % ",".join(map(str, sorted(s))) for s in sets)
-    return lattice_from_poset(FinitePoset(tuple(up), labels)), sets
+    return lattice_from_poset(_proved_poset(up, down, labels)), sets
 
 
 def random_moore_lattice(seed, n_points, n_generators):

@@ -4,6 +4,7 @@ cross-references between parsed blocks."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import core
@@ -224,6 +225,24 @@ def _build_cspace(block):
             )
     closed.append(frozenset(range(len(labels))))
     return ClosureSpace(len(labels), frozenset(closed), tuple(labels))
+
+
+@contextmanager
+def reading(path):
+    """Report a file or directory that cannot be read, or a file that is
+    not UTF-8 text, as ParseError("cannot read PATH: ...")."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError("cannot read %s: %s" % (path, exc.strerror or exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError("cannot read %s: not UTF-8 text" % path) from exc
+
+
+def read_text(path):
+    """The text of the file at path; see reading for its errors."""
+    with reading(path), open(path) as handle:
+        return handle.read()
 
 
 def load_workspace(texts):

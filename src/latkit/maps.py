@@ -291,33 +291,14 @@ def _guard(candidates):
 def _enumerate_isotone(dom, cod):
     """Value table of every isotone map dom -> cod.
 
-    The elements are assigned in the linear extension of dom.lower_covers,
-    so an element's lower covers have their values when its turn comes and
-    none of the elements above it has one yet; its candidates are the values
-    at or above every lower cover's value, one mask intersection of
-    cod.poset.up rows.
+    This is the join search (see _enumerate_preserving) with every element
+    a generator: the elements are assigned in the linear extension of
+    dom.lower_covers, each given the values at or above the join of its
+    lower covers' values, with no cover to test and no step to fill in.
     """
     _guard(cod.size ** dom.size)
-    order = dom.lower_covers
-    cod_up, full = cod.poset.up, (1 << cod.size) - 1
-    values = [None] * dom.size
-    out = []
-
-    def assign(k):
-        if k == len(order):
-            out.append(tuple(values))
-            return
-        x, lower = order[k]
-        allowed = full
-        for y in lower:
-            allowed &= cod_up[values[y]]
-        for v in cod.elements():
-            if allowed >> v & 1:
-                values[x] = v
-                assign(k + 1)
-
-    assign(0)
-    return out
+    order, preds = zip(*dom.lower_covers)
+    return _search(dom, cod, order, preds, [()] * dom.size, ())
 
 
 class _JoinSearch:
@@ -416,9 +397,19 @@ def _enumerate_preserving(dom, cod):
     the domain's steps.  Each table is made exactly once.
     """
     search = _join_search(dom)
-    order, preds, steps = search.order, search.preds, search.steps
-    _guard(cod.size ** len(order))
-    checks = search.checks
+    _guard(cod.size ** len(search.order))
+    return _search(dom, cod, search.order, search.preds, search.checks, search.steps)
+
+
+def _search(dom, cod, order, preds, checks, steps):
+    """Value tables of the maps dom -> cod that the search reaches.
+
+    The elements of order are assigned in turn.  order[k] takes each value
+    at or above the join of its preds[k]'s values for which every (c, A) of
+    checks[k] has c's value at or below the join of A's values.  At a leaf
+    each step (a, x, y) sets a's value to the join of x's and y's, and the
+    table is kept; elements neither assigned nor stepped stay at bottom.
+    """
     table, up, unit = cod.join_table, cod.poset.up, cod.bottom
     above = [[v for v in cod.elements() if row >> v & 1] for row in up]
     values = [unit] * dom.size

@@ -882,12 +882,13 @@ def load_corpus_dir(directory):
     """
     bundle = {key: {} for key in ("lattices", "orthos", "cspaces", "ospaces")}
     failures = []
-    for entry in sorted(os.listdir(directory)):
+    with io.reading(directory):
+        entries = sorted(os.listdir(directory))
+    for entry in entries:
         path = os.path.join(directory, entry)
         if not os.path.isfile(path):
             continue
-        with open(path) as handle:
-            text = handle.read()
+        text = io.read_text(path)
         try:
             ws = io.load_workspace(text)
         except ParseError:

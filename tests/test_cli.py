@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from unittest import mock
@@ -240,6 +241,25 @@ def test_check_unreadable_file(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("parse error: cannot read %s" % path)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"),
+    ("file", "Not a directory"),
+    ("binary", "not UTF-8 text"),
+])
+def test_suite_unreadable_corpus(tmp_path, capsys, kind, reason):
+    path = tmp_path / "corpus"
+    if kind == "file":
+        path.write_text("lattice C2\nelements: 0 1\ncovers: 0<1\n")
+    elif kind == "binary":
+        path.mkdir()
+        (path / "C2.lat").write_text("lattice C2\nelements: 0 1\ncovers: 0<1\n")
+        path = path / "bad.lat"
+        path.write_bytes(b"lattice A\nelements: \xff\xfe\n")
+    assert cli.main(["suite", str(tmp_path / "corpus")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "parse error: cannot read %s: %s\n" % (path, reason)
 
 
 @pytest.mark.parametrize(
@@ -508,17 +528,16 @@ def _parse(parser, argv):
 
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
-def test_one_command_parser_matches_the_full_tree(monkeypatch, name):
+def test_each_command_prints_its_own_help_and_usage(monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "80")
-    single, full = cli.command_parser(name), cli.build_parser()
-    code, help_text, _ = _parse(single, ["-h"])
-    assert code == 0 and help_text.startswith("usage: latkit %s [-h]" % name)
-    assert _parse(full, [name, "-h"]) == (code, help_text, "")
+    code, help_text, err = _parse(cli.build_parser(), [name, "-h"])
+    assert code == 0 and err == "" and help_text.startswith("usage: latkit %s [-h]" % name)
+    assert _run(cli.main, [name, "-h"]) == (code, help_text, err)
     # A usage error prints the command's usage line.
     bad = ["--max-size", "x"] if name == "suite" else []
-    code, _, err = _parse(single, bad)
-    assert code == 2 and err.startswith("usage: latkit %s " % name)
-    assert _parse(full, [name] + bad) == (code, "", err)
+    code, out, err = _parse(cli.build_parser(), [name] + bad)
+    assert code == 2 and out == "" and err.startswith("usage: latkit %s " % name)
+    assert _run(cli.main, [name] + bad) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["--json", "check", "x.lat"]])
@@ -562,7 +581,8 @@ def test_usage_errors_exit_2_as_the_full_parser_does(monkeypatch, capsys, argv):
     assert _parse(cli.build_parser(), argv) == (2, "", err)
 
 
-def test_a_plain_command_line_builds_no_parser(monkeypatch, capsys):
+def counting_parsers(monkeypatch):
+    """The prog of every ArgumentParser built from now on, in order."""
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -571,16 +591,59 @@ def test_a_plain_command_line_builds_no_parser(monkeypatch, capsys):
         built.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_a_plain_command_line_builds_no_parser(monkeypatch, capsys):
+    built = counting_parsers(monkeypatch)
+    full_tree = ["latkit"] + ["latkit %s" % name for name in cli.COMMANDS]
     assert cli.main(["hom", "D4", "C2", "--json"]) == 0
     assert cli.main(["count", "TS", "D4", "C2"]) == 0
     assert built == []
-    # A usage error builds the command's own parser, which reports it.
+    # A usage error builds the full tree, which reports it.
     with pytest.raises(SystemExit):
         cli.main(["hom", "D4"])
-    assert built == ["latkit hom"]
+    assert built == full_tree
     with pytest.raises(SystemExit):
         cli.main(["-h"])
-    assert built[1:] == ["latkit"] + ["latkit %s" % name for name in cli.COMMANDS]
+    assert built == full_tree * 2
+
+
+def test_the_benchmark_command_lines_are_plain(monkeypatch, tmp_path, capsys):
+    # Every line shape of perfbench's query pool and load ops, error exits
+    # included: these are the lines whose speed the benchmark measures, and
+    # building argparse for one of them costs more than reading it.
+    maps_file, space_file = tmp_path / "maps.lat", tmp_path / "space.lat"
+    maps_file.write_text(DOC)
+    space_file.write_text("cspace S\npoints: p q\nclosed: {} {p}\n")
+    lines = [
+        (["hom", "D4", "C2", "--cls", "meet", "--json"], 0),
+        (["count", "TS", "D4", "C2", "--json"], 0),
+        (["count", "PS", "B16", "B8", "--max-size", "8"], 3),
+        (["witness", "D4", "a", "--json"], 0),
+        (["adjoint", str(maps_file), "--name", "f"], 0),
+        (["adjoint", str(maps_file), "--name", "f", "--direction", "left"], 0),
+        (["closure", str(maps_file), "--map", "f", "--json"], 0),
+        (["closure", str(space_file), "--space", "S", "--subset", "zz"], 2),
+        (["equiv", str(maps_file), "--json"], 0),
+        (["check", str(maps_file), "--json"], 0),
+        (["check", str(tmp_path / "missing.lat")], 2),
+    ]
+    built = counting_parsers(monkeypatch)
+    for argv, code in lines:
+        assert isinstance(cli._plain_args(argv[0], argv[1:]), types.SimpleNamespace), argv
+        assert cli.main(argv) == code, argv
+    assert built == []
+
+
+def test_importing_the_cli_leaves_out_argparse():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import sys, latkit.cli; print('argparse' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 # Tokens that argparse reads in its own ways: help, an abbreviation, an
@@ -642,11 +705,9 @@ def _run(fn, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _parse_as_before(argv):
-    """main's dispatch of a known command before the plain reading."""
-    args, extra = cli.command_parser(argv[0]).parse_known_args(argv[1:])
-    if extra:
-        cli.build_parser().parse_args(argv)
+def _parse_full(argv):
+    """main's dispatch through the full tree."""
+    args = cli.build_parser().parse_args(argv)
     return args.func(args)
 
 
@@ -656,26 +717,37 @@ def test_a_plain_command_line_reads_as_argparse_does(line):
     name, argv = line
     got = cli._plain_args(name, argv)
     if got is not None:
-        want, extra = cli.command_parser(name).parse_known_args(argv)
+        want, extra = cli.build_parser().parse_known_args([name] + argv)
+        del want.command
         assert extra == [] and vars(got) == vars(want)
         return
-    # Any other line goes to argparse, as before.
+    # Any other line goes to the full tree.
     with mock.patch.dict(cli.COMMANDS, _echo_table()), \
             mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        assert _run(cli.main, [name] + argv) == _run(_parse_as_before, [name] + argv)
+        assert _run(cli.main, [name] + argv) == _run(_parse_full, [name] + argv)
 
 
-@pytest.mark.parametrize("spec, argv, value", [
-    ({"action": "append"}, ["--tag", "a"], ["a"]),
-    ({"action": "count"}, ["--tag"], 1),
-    ({"metavar": "T"}, ["--tag", "a"], "a"),
-])
-def test_a_spec_of_an_unknown_kind_is_left_to_argparse(capsys, spec, argv, value):
-    table = {"tag": (_echo, "tag things", [("--tag", spec)])}
-    with mock.patch.dict(cli.COMMANDS, table):
-        assert cli._plain_args("tag", argv) is None
-        assert cli.main(["tag"] + argv) == 0
-    assert capsys.readouterr().out == "%s\n" % [("tag", value)]
+# What _plain_args reads of a spec: its keys, and for a positional or a long
+# option the nargs and actions it takes.
+PLAIN_KEYS = {"nargs", "action", "default", "choices", "type", "required", "help"}
+PLAIN_KINDS = {
+    "positional": {(None, None), ("+", None), ("?", None)},
+    "option": {(None, None), ("*", None), (None, "store_true")},
+}
+
+
+def test_every_command_spec_is_of_a_kind_the_plain_reader_reads():
+    # _plain_args does not check its specs, so a spec of another kind would
+    # be misread, not left to argparse.  A type is not applied to a string
+    # default either, which argparse would do.
+    for name, (_, _, specs) in cli.COMMANDS.items():
+        for flag, spec in specs:
+            where = (name, flag)
+            kind = "option" if flag.startswith("--") else "positional"
+            assert not flag.startswith("-") or kind == "option", where
+            assert spec.keys() <= PLAIN_KEYS, where
+            assert (spec.get("nargs"), spec.get("action")) in PLAIN_KINDS[kind], where
+            assert not ("type" in spec and isinstance(spec.get("default"), str)), where
 
 
 def test_readme_command_block_names_every_command_and_option():

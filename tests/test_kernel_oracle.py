@@ -9,6 +9,7 @@ exception type, message and witness.
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -453,6 +454,127 @@ def test_restrictions_and_upper_extensions_are_proved_once(monkeypatch):
     for built, ref in zip(got + extensions, want + want_extensions):
         if not isinstance(built, tuple):
             assert built.poset.down == ref.poset.down
+
+
+def ref_direct_product(factors):
+    """(up rows, labels, projection, bottom section and top section tables)
+    of the product, its order built pair by pair."""
+    elems = list(itertools.product(*[range(f.size) for f in factors]))
+    index = {e: i for i, e in enumerate(elems)}
+    up = [
+        sum(1 << index[b] for b in elems if all(f.leq(x, y) for f, x, y in zip(factors, a, b)))
+        for a in elems
+    ]
+    if len(factors) == 1:
+        labels = tuple(factors[0].labels[e[0]] for e in elems)
+    else:
+        labels = tuple("(%s)" % ",".join(f.labels[x] for f, x in zip(factors, e)) for e in elems)
+    maps = [tuple(e[k] for e in elems) for k in range(len(factors))]
+    for bound in ("bottom", "top"):
+        maps += [
+            tuple(
+                index[tuple(b if i == k else getattr(g, bound) for i, g in enumerate(factors))]
+                for b in f.elements()
+            )
+            for k, f in enumerate(factors)
+        ]
+    return up, labels, maps
+
+
+def ref_horizontal_sum(factors):
+    """(up rows, labels, inclusion, top collapse and bottom collapse tables)
+    of the sum, its order built pair by pair."""
+    labels, where = ["0"], {}
+    for k, f in enumerate(factors):
+        for e in f.elements():
+            if e not in (f.bottom, f.top):
+                where[(k, e)] = len(labels)
+                labels.append("L%d:%s" % (k + 1, f.labels[e]))
+    top = len(labels)
+    labels.append("1")
+    n = top + 1
+    up = [1 << i | 1 << top for i in range(n)]
+    up[0] = (1 << n) - 1
+    for (k, a), i in where.items():
+        for (m, b), j in where.items():
+            if k == m and factors[k].leq(a, b):
+                up[i] |= 1 << j
+    incs = [
+        tuple(0 if e == f.bottom else top if e == f.top else where[(k, e)] for e in f.elements())
+        for k, f in enumerate(factors)
+    ]
+    collapses = []
+    for bound in ("top", "bottom"):
+        for f, inc in zip(factors, incs):
+            back = {v: e for e, v in zip(f.elements(), inc)}
+            collapses.append(tuple(back.get(x, getattr(f, bound)) for x in range(n)))
+    return up, tuple(labels), incs + collapses
+
+
+def ref_lattice_of_sets(family):
+    """(up rows, labels, sets) of the family ordered by inclusion, pair by pair."""
+    sets = sorted(set(map(frozenset, family)), key=lambda s: (len(s), sorted(s)))
+    up = [sum(1 << j for j, b in enumerate(sets) if a <= b) for a in sets]
+    labels = tuple("{%s}" % ",".join(map(str, sorted(s))) for s in sets)
+    return up, labels, sets
+
+
+@st.composite
+def factor_lists(draw):
+    """One to three corpus lattices of 2 to 9 elements, some renumbered,
+    with at most 64 elements in their product."""
+    factors, total = [], 1
+    for name in draw(st.lists(st.sampled_from(SMALL), min_size=1, max_size=3)):
+        lattice = corpus.named_lattice(name)
+        if lattice.size > 1 and total * lattice.size <= 64:
+            total *= lattice.size
+            factors.append(renumbered(lattice, draw) if draw(st.booleans()) else lattice)
+    return factors or [corpus.named_lattice("D4")]
+
+
+set_families = st.lists(st.frozensets(st.integers(0, 4)), max_size=12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(factors=factor_lists(), family=set_families)
+def test_library_orders_are_built_proved(factors, family):
+    # Products, sums and lattices of sets build their orders from covers or
+    # up- and down-rows, proved by construction: the same lattices and maps
+    # as the orders built pair by pair, and nothing validated again.
+    with mock.patch.object(
+        core, "_antisymmetry_witness", wraps=core._antisymmetry_witness
+    ) as spy:
+        product = core.direct_product(factors)
+        hsum = core.horizontal_sum(factors)
+        family = family + [frozenset(), frozenset(range(5))]
+        of_sets = outcome(lattice_of_sets, family)
+        duals = [lattice.dual for lattice in (product.lattice, hsum.lattice)]
+    assert spy.call_count == 0
+    built = [product.lattice, hsum.lattice] + duals
+    if isinstance(of_sets[0], core.FiniteLattice):  # not an error outcome
+        built.append(of_sets[0])
+    # Each poset came with its down-sets and its proof; none is transposed.
+    assert all({"down", "_proved"} <= lattice.poset.__dict__.keys() for lattice in built)
+    for got, maps, (up, labels, tables) in [
+        (product, product.projections + product.bottom_sections + product.top_sections,
+         ref_direct_product(factors)),
+        (hsum, hsum.inclusions + hsum.top_collapses + hsum.bottom_collapses,
+         ref_horizontal_sum(factors)),
+    ]:
+        assert got.lattice == lattice_from_poset(FinitePoset(tuple(up), labels))
+        assert got.lattice.poset.down == FinitePoset(tuple(up)).down
+        assert [f.values for f in maps] == tables
+    up, labels, _ = ref_horizontal_sum([])
+    assert core.horizontal_sum([]).lattice == lattice_from_poset(FinitePoset(tuple(up), labels))
+    for dual, lattice in zip(duals, (product.lattice, hsum.lattice)):
+        assert (dual.poset.up, dual.poset.down) == (lattice.poset.down, lattice.poset.up)
+    up, labels, sets = ref_lattice_of_sets(family)
+    want = outcome(lattice_from_poset, FinitePoset(tuple(up), labels))
+    if isinstance(want, tuple):
+        assert of_sets == want
+    else:
+        assert of_sets == (want, sets)
+        assert of_sets[0].poset.down == FinitePoset(tuple(up)).down
 
 
 @settings(deadline=None, max_examples=200)

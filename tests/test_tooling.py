@@ -10,9 +10,9 @@ import pkgutil
 import latkit
 from latkit import suite
 
-TRACING = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
+SRC = os.path.join(ROOT, "src", "latkit")
 
 
 def traced_names():
@@ -109,3 +109,45 @@ def test_no_function_takes_a_budget_as_an_argument():
                 found.append((name, param))
     assert found == []
     assert takes_max_size <= {name for name, _ in public_functions()}
+
+
+def source_trees():
+    """(module name, parsed source) for every latkit module."""
+    for filename in sorted(os.listdir(SRC)):
+        if filename.endswith(".py"):
+            with open(os.path.join(SRC, filename)) as handle:
+                yield filename[:-3], ast.parse(handle.read())
+
+
+def calls_to(node, name):
+    """The calls of name, or of some module's name, under node."""
+    return [
+        call for call in ast.walk(node) if isinstance(call, ast.Call)
+        and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    ]
+
+
+def test_orders_are_made_in_one_place_and_argparse_is_imported_late():
+    # Every order the library builds comes out of core._proved_poset, proved
+    # by construction, or out of core._cycle, which only names a cycle; a
+    # FinitePoset made anywhere else would be validated again on first use.
+    # A plain command line builds no parser, so no module imports argparse
+    # when it loads.
+    makers, imports = [], []
+    for module, tree in source_trees():
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imports += [(module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports.append((module, node.module))
+        # ast.walk visits outer functions first, so each call is credited to
+        # the innermost function around it.
+        inside = {
+            id(call): "%s.%s" % (module, function.name)
+            for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+            for call in calls_to(function, "FinitePoset")
+        }
+        makers += [inside.get(id(call), module) for call in calls_to(tree, "FinitePoset")]
+    assert sorted(makers) == ["core._cycle", "core._proved_poset"]
+    assert ("cli", "json") in imports  # the scan sees module-level imports
+    assert [entry for entry in imports if entry[1] == "argparse"] == []
