@@ -1,8 +1,9 @@
 """Finite posets and complete lattices.
 
 Elements are identified by index; labels are cosmetic.  The order relation
-is kept as one bitmask row per element (bit j of ``up[i]`` set iff i <= j),
-and join/meet tables are precomputed at construction so everything above
+is kept as one bitmask row per element (bit j of ``up[i]`` set iff i <= j).
+A lattice stores its join table, which proves it a lattice, and builds its
+meet table, the join table of its dual, on first read; everything above
 this module is a table lookup.
 """
 
@@ -197,37 +198,35 @@ def _cycle(n, pairs, labels):
 
 @dataclass(frozen=True)
 class FiniteLattice:
-    """Complete lattice on a finite carrier with precomputed tables.
+    """Complete lattice on a finite carrier: an order and its bounds.
 
-    The size, the hash, the dual, the lower covers, the down-set index, the
-    atom sets, the upper extension, the sublattices, the lower intervals, the
-    Hom-sets out of the lattice and the data of the join Hom-set search
-    (maps._join_search) are computed on first use and kept on the instance.
+    The order determines the rest, so lattices are equal iff their posets
+    are.  lattice_from_poset stores the join table, which proves the order a
+    lattice.  The meet table (the dual's join table), the size, the hash,
+    the dual, the lower covers, the down-set index, the atom sets, the upper
+    extension, the sublattices, the lower intervals, the Hom-sets out of the
+    lattice and the data of the join Hom-set search (maps._join_search) are
+    computed on first use and kept on the instance.
     """
 
     poset: FinitePoset
     bottom: int
     top: int
-    join_table: tuple[tuple[int, ...], ...]
-    meet_table: tuple[tuple[int, ...], ...]
-
-    def _key(self):
-        return (self.poset, self.bottom, self.top, self.join_table, self.meet_table)
 
     def __eq__(self, other):
-        """Structural equality, as the dataclass default, after an identity test."""
+        """Equality of the orders, after an identity test."""
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self.poset == other.poset
 
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self):
-        return hash(self._key())
+        return hash(self.poset)
 
     @cached_property
     def size(self):
@@ -257,11 +256,20 @@ class FiniteLattice:
         return {}
 
     @cached_property
+    def join_table(self):
+        return _join_rows(self.poset.up)
+
+    @cached_property
+    def meet_table(self):
+        return self.dual.join_table
+
+    @cached_property
     def dual(self):
-        """The same carrier in the reversed order: up and down, join and meet,
-        top and bottom swapped.  L.dual.dual is L."""
+        """The same carrier in the reversed order: up and down, top and
+        bottom swapped, so the dual's join table is this meet table and
+        the other way round.  L.dual.dual is L."""
         poset = _proved_poset(self.poset.down, self.poset.up, self.labels)
-        dual = FiniteLattice(poset, self.top, self.bottom, self.meet_table, self.join_table)
+        dual = FiniteLattice(poset, self.top, self.bottom)
         dual.__dict__["dual"] = self
         return dual
 
@@ -269,7 +277,8 @@ class FiniteLattice:
     def lower_covers(self):
         """(b, the lower covers of b in index order) for every b, in a linear
         extension: a is a lower cover of b iff a is the only element of
-        ↓b - {b} at or above a."""
+        ↓b - {b} at or above a.  Nothing below a tested element is a cover,
+        so its down-set leaves the elements still to test."""
         up, down = self.poset.up, self.poset.down
         out = []
         for b in sorted(self.elements(), key=lambda b: down[b].bit_count()):
@@ -277,10 +286,10 @@ class FiniteLattice:
             covers = []
             while rest:
                 low = rest & -rest
-                rest ^= low
                 a = low.bit_length() - 1
                 if up[a] & below == low:
                     covers.append(a)
+                rest &= ~down[a]
             out.append((b, tuple(covers)))
         return tuple(out)
 
@@ -349,16 +358,26 @@ class FiniteLattice:
         return [x for x in self.elements() if self.leq(x, a)]
 
 
+def _join_rows(up):
+    """The join table of the order given by its up-sets: entry (a, b) is
+    the element whose up-set is up[a] & up[b], or None if there is none.
+    On the down-sets it is the meet table."""
+    by_up = {row: a for a, row in enumerate(up)}.get
+    return tuple([tuple([by_up(ua & ub) for ub in up]) for ua in up])
+
+
 def lattice_from_poset(poset):
-    """Validate the order (once per poset), then compute bounds and join/meet
-    tables.
+    """Validate the order (once per poset), then find the bounds and the
+    join table, which proves the poset a lattice.
 
     The join of a and b is the element whose up-set is the intersection of
-    their up-sets, when such an element exists; the meet is the same on
-    down-sets.  With one dictionary from up-mask to element and one from
-    down-mask to element, each table entry is a single lookup, so after
-    validation construction costs O(n^2).  Raises NotALattice at the first
-    pair, in row-major order, that lacks a join (checked first) or a meet.
+    their up-sets, when such an element exists.  With one dictionary from
+    up-mask to element, each entry is a single lookup, so after validation
+    construction costs O(n^2).  A bounded poset in which every pair has a
+    join has every meet too (Davey & Priestley, ch. 2), so the meet table is
+    built only on first read, as the dual's join table.  Raises NotALattice
+    at the first pair, in row-major order, that lacks a join (checked first)
+    or a meet.
     """
     poset.validate()
     n = poset.size
@@ -372,30 +391,23 @@ def lattice_from_poset(poset):
         raise NotALattice("no bottom element")
     if top is None:
         raise NotALattice("no top element")
-    by_up = {row: a for a, row in enumerate(up)}.get
-    by_down = {row: a for a, row in enumerate(down)}.get
-    join_rows = []
-    meet_rows = []
-    for a in range(n):
-        ua, da = up[a], down[a]
-        jrow = tuple([by_up(ua & ub) for ub in up])
-        mrow = tuple([by_down(da & db) for db in down])
-        if None in jrow or None in mrow:
-            b = next(b for b in range(n) if jrow[b] is None or mrow[b] is None)
-            if jrow[b] is None:
-                raise NotALattice(
-                    "no least upper bound for %s, %s"
-                    % (poset.labels[a], poset.labels[b]),
-                    witness=(a, b),
-                )
-            raise NotALattice(
-                "no greatest lower bound for %s, %s"
-                % (poset.labels[a], poset.labels[b]),
-                witness=(a, b),
-            )
-        join_rows.append(jrow)
-        meet_rows.append(mrow)
-    return FiniteLattice(poset, bottom, top, tuple(join_rows), tuple(meet_rows))
+    join_rows = _join_rows(up)
+    if any(None in row for row in join_rows):
+        meet_rows = _join_rows(down)
+        a, b = next(
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if join_rows[a][b] is None or meet_rows[a][b] is None
+        )
+        missing = "least upper" if join_rows[a][b] is None else "greatest lower"
+        raise NotALattice(
+            "no %s bound for %s, %s" % (missing, poset.labels[a], poset.labels[b]),
+            witness=(a, b),
+        )
+    lattice = FiniteLattice(poset, bottom, top)
+    lattice.__dict__["join_table"] = join_rows
+    return lattice
 
 
 @dataclass(frozen=True)
@@ -497,8 +509,10 @@ def lower_interval(lattice, a):
     sub = sublattice_on(lattice, elems)
     index = {e: i for i, e in enumerate(elems)}
     inclusion = LatticeMap._unchecked(sub, lattice, elems)
+    # meet(x, a) is the element whose down-set is down[x] & down[a].
+    down, by_down = lattice.poset.down, lattice.down_index
     projection = LatticeMap._unchecked(
-        lattice, sub, tuple(index[lattice.meet2(x, a)] for x in lattice.elements())
+        lattice, sub, tuple(index[by_down[row & down[a]]] for row in down)
     )
     cache[a] = interval = Interval(sub, elems, inclusion, projection)
     return interval

@@ -87,10 +87,8 @@ def classical_decomposition(ortho_lattice):
     tuple_index = {t: i for i, t in enumerate(product.elements)}
     values = []
     for a in L.elements():
-        coords = []
-        for iv, alpha in zip(intervals, center_atoms):
-            coords.append(iv.elements.index(L.meet2(a, alpha)))
-        values.append(tuple_index[tuple(coords)])
+        # Coordinate k is meet(a, alpha_k) as an element of the k-th interval.
+        values.append(tuple_index[tuple(iv.projection.values[a] for iv in intervals)])
     iso = LatticeMap(L, product.lattice, tuple(values))
     if len(set(iso.values)) != L.size or product.lattice.size != L.size:
         raise ValidationError("decomposition map is not a bijection")

@@ -121,6 +121,18 @@ def ref_covers(poset, a):
     return [b for b in above if not any(c != b and poset.leq(c, b) for c in above)]
 
 
+def ref_lower_covers(lattice):
+    """The lower covers by a scan of the whole down-set: for each b, in the
+    order of its down-set size, every element below b is tested."""
+    up, down = lattice.poset.up, lattice.poset.down
+    out = []
+    for b in sorted(lattice.elements(), key=lambda b: down[b].bit_count()):
+        below = down[b] & ~(1 << b)
+        covers = tuple(a for a in lattice.elements() if below >> a & 1 and up[a] & below == 1 << a)
+        out.append((b, covers))
+    return tuple(out)
+
+
 def ref_is_isotone(f):
     leq_dom, leq_cod = f.dom.poset.leq, f.cod.poset.leq
     n = f.dom.size
@@ -330,6 +342,38 @@ def test_lattice_from_poset_matches_bound_search(poset):
         assert got == outcome(ref_lattice, poset)
     else:
         assert (got.bottom, got.top, got.join_table, got.meet_table) == ref_lattice(poset)
+
+
+@settings(deadline=None, max_examples=300)
+@given(poset=cover_posets())
+def test_the_meet_table_is_the_dual_join_table_built_on_first_read(poset):
+    try:
+        lattice = lattice_from_poset(poset)
+    except ValidationError:
+        return
+    # An equal order built apart: equality and hashing build no meet table.
+    twin = lattice_from_poset(FinitePoset(poset.up, poset.labels))
+    assert twin == lattice and hash(twin) == hash(lattice)
+    assert "meet_table" not in lattice.__dict__ and "meet_table" not in twin.__dict__
+    assert lattice.meet_table == ref_lattice(poset)[3]
+    assert lattice.meet_table is lattice.dual.join_table
+    assert lattice.dual.meet_table is lattice.join_table
+
+
+@settings(deadline=None, max_examples=300)
+@given(poset=cover_posets(), data=st.data())
+def test_pruned_lower_covers_match_the_whole_down_set_scan(poset, data):
+    try:
+        lattice = renumbered(lattice_from_poset(poset), data.draw)
+    except ValidationError:
+        return
+    for each in (lattice, lattice.dual):
+        assert each.lower_covers == ref_lower_covers(each)
+        leq = each.leq
+        for b, covers in each.lower_covers:
+            for a in covers:
+                assert a != b and leq(a, b)
+                assert not any(c not in (a, b) and leq(a, c) and leq(c, b) for c in each.elements())
 
 
 @settings(deadline=None, max_examples=300)
