@@ -489,9 +489,15 @@ def sublattice_on(lattice, elems):
         # the lattice's, with the bits of elems moved to their positions.
         poset = lattice.poset
         elems = [e for e in lattice.elements() if mask >> e & 1]
+        moved = {1 << b: 1 << i for i, b in enumerate(elems)}
 
         def compact(row):
-            return sum(1 << i for i, b in enumerate(elems) if row >> b & 1)
+            out, row = 0, row & mask
+            while row:
+                low = row & -row
+                out |= moved[low]
+                row ^= low
+            return out
 
         up = [compact(poset.up[a]) for a in elems]
         down = [compact(poset.down[a]) for a in elems]

@@ -458,12 +458,27 @@ def _enumerate(dom, cod, cls):
     ]
 
 
-def _hom_tuple(dom, cod, cls):
-    """The maps of hom_set as a tuple, kept on dom.
+def _hom_tables(dom, cod, cls):
+    """The value tables of the maps dom -> cod in class cls, sorted, as a
+    tuple kept on dom.  Readers of tables alone build no map from them.
 
-    The meet maps are the duals of the join maps between the dual lattices,
-    map for map: the same value tables, so the same order.
+    A meet map has the table of its dual, a join map between the dual
+    lattices, so the meet tables are kept on dom.dual.
     """
+    if cls == "meet":
+        return _hom_tables(dom.dual, cod.dual, "join")
+    cache = dom.__dict__.setdefault("hom_tables", {})
+    key = (cod, cls)
+    tables = cache.get(key)
+    if tables is None:
+        tables = cache[key] = tuple(sorted(_enumerate(dom, cod, cls)))
+    return tables
+
+
+def _hom_tuple(dom, cod, cls):
+    """The maps of hom_set as a tuple, one per table of _hom_tables, kept
+    on dom.  The meet maps are the duals of the join maps between the dual
+    lattices, map for map."""
     cache = dom._hom_sets
     key = (cod, cls)
     maps = cache.get(key)
@@ -471,9 +486,7 @@ def _hom_tuple(dom, cod, cls):
         if cls == "meet":
             maps = tuple(f.dual for f in _hom_tuple(dom.dual, cod.dual, "join"))
         else:
-            maps = tuple(
-                LatticeMap._unchecked(dom, cod, v) for v in sorted(_enumerate(dom, cod, cls))
-            )
+            maps = tuple(LatticeMap._unchecked(dom, cod, v) for v in _hom_tables(dom, cod, cls))
         cache[key] = maps
     return maps
 

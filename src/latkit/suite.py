@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import closure, corpus, io, ortho, stateprop, transition, weak
 from .core import direct_product, horizontal_sum, identity_map
-from .errors import LatkitError, NotWeakMeet, ParseError
+from .errors import LatkitError, NotWeakMeet, ParseError, ShapeMismatch
 from .maps import (
     check_adjunction,
     classify_morphism,
@@ -771,6 +771,9 @@ def _io_spaces(kind):
 
 
 def _io_lattice(name, lat, ortho_obj):
+    # The bundle pairs the ortho object with the lattice by name only.
+    if ortho_obj is not None and ortho_obj.lattice != lat:
+        raise ShapeMismatch("ortho %s does not live on lattice %s" % (name, name))
     ws = io.load_workspace(io.format_lattice(name, lat, ortho_obj))
     back = ws.lattices[name]
     if back.labels != lat.labels:

@@ -5,6 +5,7 @@ strictness witnesses separating the four enrichment levels."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -12,7 +13,7 @@ from functools import cached_property
 from . import core
 from .core import LatticeMap, lattice_of_sets
 from .errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
-from .maps import _residual, compose, hom_set, pointwise_join
+from .maps import _hom_tables, _residual, compose, pointwise_join
 
 # Budget: the most subsets of a carrier, or union maps between two
 # lattices, that an enumeration may materialize.
@@ -46,6 +47,16 @@ def _joins_by_doubling(lattice, values):
 def _check_subset_count(lattice):
     if 1 << (lattice.size - 1) > ENUMERATION_BOUND:
         raise SizeLimit("2^%d subsets exceed bound" % (lattice.size - 1))
+
+
+def _check_union_map_count(source, target):
+    """Refuse, before any work, the union maps source -> target when the
+    subsets of the target they pick images from, or the maps themselves,
+    exceed ENUMERATION_BOUND; both counts are computed, not enumerated."""
+    _check_subset_count(target)
+    total = (1 << (target.size - 1)) ** (source.size - 1)
+    if total > ENUMERATION_BOUND:
+        raise SizeLimit("%d union maps exceed bound %d" % (total, ENUMERATION_BOUND))
 
 
 def _subset_joins(lattice):
@@ -174,8 +185,9 @@ def _factor(theta):
     subsets A that join to u.  theta is strongly isotone iff theta(A) joins
     to best[u] for every such A: given join A <= join B, the union of A and
     B joins to join B, and theta preserves that union.  best is then the
-    coherent join map and witness is None.  Otherwise witness is the pair
-    (A, B) of strong_isotonicity_witness.
+    coherent join map and witness is None.  Otherwise witness is a pair
+    (A, B) with join A <= join B but join theta(A) not<= join theta(B): the
+    first such B in all_subsets order, then the first A for it.
     """
     src, tgt = theta.source, theta.target
     sj = _subset_joins(src)
@@ -196,19 +208,6 @@ def _factor(theta):
     )
     elems = nonzero(src)
     return best, (_subset(elems, a), _subset(elems, b))
-
-
-def strong_isotonicity_witness(theta):
-    """A pair (A, B) with join A <= join B but join theta(A) not<= join theta(B).
-
-    The first such B in all_subsets order, then the first A for it; None
-    when theta is strongly isotone.
-    """
-    return _factor(theta)[1]
-
-
-def is_strongly_isotone(theta):
-    return strong_isotonicity_witness(theta) is None
 
 
 def underlying_map(theta):
@@ -276,7 +275,7 @@ def _power_packs(source, target):
                 0 if v == bottom else 1 << v - (v > bottom) + i * width for v in target.elements()
             ]
         memo[target] = [
-            sum(map(list.__getitem__, fields, g.values)) for g in hom_set(source, target, "join")
+            sum(map(list.__getitem__, fields, g)) for g in _hom_tables(source, target, "join")
         ]
     return memo[target]
 
@@ -358,25 +357,45 @@ class _UnionMaps(Sequence):
 def all_union_maps(source, target):
     """Every assignment of singleton images, in deterministic order, as a
     sequence that builds each map on access."""
+    _check_union_map_count(source, target)
     choices = all_subsets(target)
     choices.sort(key=lambda s: (len(s), sorted(s)))
-    total = len(choices) ** (source.size - 1)
-    if total > ENUMERATION_BOUND:
-        raise SizeLimit("%d union maps exceed bound %d" % (total, ENUMERATION_BOUND))
     return _UnionMaps(source, target, choices)
 
 
 def hom_count(category, source, target):
-    """Hom-set sizes for the four enrichment levels."""
+    """Hom-set sizes for the four enrichment levels, with no union map built.
+
+    TS: theta is strongly isotone exactly when g(a) = join theta({a}) is a
+    join map (see _factor), so each join map g counts, per nonzero a, the
+    subsets of nonzero target elements that join to g(a); only the empty
+    one joins to g(0) = 0, so a = 0 may join the product.  BS: theta is
+    based exactly when it is a union of power maps, so BS counts the unions
+    of the packed power maps, the empty union 0 included.  Both refuse
+    where enumerating the union maps would.
+    """
     if category == "PS":
-        return len(hom_set(source, target, "join"))
+        return len(_hom_tables(source, target, "join"))
     if category == "FS":
         return (1 << (target.size - 1)) ** (source.size - 1)
-    if category in ("TS", "BS"):
-        maps = all_union_maps(source, target)
-        test = is_strongly_isotone if category == "TS" else is_based
-        return sum(1 for t in maps if test(t))
-    raise ValueError("category must be one of PS, BS, TS, FS")
+    if category not in ("TS", "BS"):
+        raise ValueError("category must be one of PS, BS, TS, FS")
+    _check_union_map_count(source, target)
+    if category == "BS":
+        family = {0}
+        for p in _power_packs(source, target):
+            if p not in family:  # the family is union-closed
+                family |= {x | p for x in family}
+        return len(family)
+    # Strong isotonicity is stated over the subsets of the source, so the
+    # source is held to the subset bound as well.
+    _check_subset_count(source)
+    joining = [0] * target.size
+    for v in _subset_joins(target):
+        joining[v] += 1
+    return sum(
+        math.prod(map(joining.__getitem__, g)) for g in _hom_tables(source, target, "join")
+    )
 
 
 @dataclass(frozen=True)

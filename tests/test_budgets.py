@@ -135,9 +135,15 @@ BUDGETS = {
         building(transition, "_UnionMaps", lambda: transition.all_union_maps(D4, D4)),
         "512 union maps exceed bound 256",
     ),
+    # The counts read the join Hom-set's value tables, not the union maps.
     "hom_count-TS": (
         transition, "ENUMERATION_BOUND", 256,
-        building(transition, "_UnionMaps", lambda: transition.hom_count("TS", D4, D4)),
+        building(transition, "_hom_tables", lambda: transition.hom_count("TS", D4, D4)),
+        "512 union maps exceed bound 256",
+    ),
+    "hom_count-BS": (
+        transition, "ENUMERATION_BOUND", 256,
+        building(transition, "_power_packs", lambda: transition.hom_count("BS", D4, D4)),
         "512 union maps exceed bound 256",
     ),
     "underlying_map-subset_joins": (

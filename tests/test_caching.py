@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from latkit import cli, corpus, io, maps
+from latkit import cli, corpus, io, maps, transition
 from latkit.closure import fixed_points, monad_from_adjunction
 from latkit.core import (
     FinitePoset,
@@ -157,6 +157,28 @@ def test_hom_set_budget_is_read_at_call_time_and_a_refusal_is_not_memoised(monke
     # The budget guards the enumeration; a kept Hom-set is returned as it is.
     monkeypatch.setattr(maps, "HOM_SET_CANDIDATE_BOUND", 8)
     assert hom_set(d4, c3, "join") == maps_at_nine
+
+
+def test_hom_tables_are_kept_once_and_read_without_building_maps(monkeypatch):
+    d4, m3 = corpus.diamond(), corpus.m3()
+    built = []
+    real = LatticeMap._unchecked.__func__
+    monkeypatch.setattr(
+        LatticeMap, "_unchecked", classmethod(lambda cls, *a: built.append(a) or real(cls, *a))
+    )
+    tables = maps._hom_tables(d4, m3, "join")
+    assert maps._hom_tables(d4, m3, "join") is tables and list(tables) == sorted(tables)
+    assert transition.hom_count("PS", d4, m3) == len(tables)
+    assert len(transition._power_packs(d4, m3)) == len(tables)
+    assert transition.hom_count("TS", d4, m3) > transition.hom_count("BS", d4, m3) > 0
+    assert built == [] and d4._hom_sets == {}
+    # hom_set builds one map per kept table, in table order.
+    assert [f.values for f in hom_set(d4, m3, "join")] == list(tables)
+    assert len(built) == len(tables)
+    # A meet map has the table of its dual, a join map between the duals.
+    meet_tables = maps._hom_tables(d4, m3, "meet")
+    assert meet_tables is maps._hom_tables(d4.dual, m3.dual, "join")
+    assert [g.values for g in hom_set(d4, m3, "meet")] == list(meet_tables)
 
 
 def test_hom_set_into_an_equal_codomain_built_apart():

@@ -13,6 +13,8 @@ from collections import Counter
 
 import latkit
 from latkit import corpus, suite
+from latkit.core import FinitePoset, lattice_from_poset
+from latkit.ortho import validate_ortho
 
 
 def small_bundle():
@@ -96,6 +98,24 @@ def test_unexpected_exception_is_an_error_report():
     suite._collect(checks, reports)
     assert [(r.prop, r.status) for r in reports] == [("law-a", "error"), ("law-b", "pass")]
     assert reports[0].witness == "IndexError: list index out of range"
+
+
+def test_io_roundtrip_refuses_an_ortho_numbered_for_another_lattice():
+    b8 = corpus.named_lattice("B8")
+    ortho = corpus.ortho_lattices()["B8"]
+    # Element i of the renumbered lattice is element perm[i] of B8.
+    perm = [0, 1, 2, 3, 4, 5, 7, 6]
+    place = {e: i for i, e in enumerate(perm)}
+    up = tuple(sum(1 << place[b] for b in b8.elements() if b8.leq(a, b)) for a in perm)
+    renumbered = lattice_from_poset(FinitePoset(up, tuple(b8.labels[a] for a in perm)))
+    moved = validate_ortho(renumbered, tuple(place[ortho.ortho[a]] for a in perm))
+    bundle = {"lattices": {"B8": b8}, "orthos": {"B8": moved}, "cspaces": {}, "ospaces": {}}
+    (report,) = suite.run_suite(bundle, filter_text="io-roundtrip")
+    assert (report.status, report.witness) == (
+        "fail", "ShapeMismatch: ortho B8 does not live on lattice B8"
+    )
+    bundle["orthos"]["B8"] = ortho
+    assert [r.status for r in suite.run_suite(bundle, filter_text="io-roundtrip")] == ["pass"]
 
 
 def test_library_has_no_assert_statements():

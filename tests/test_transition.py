@@ -19,11 +19,9 @@ from latkit.transition import (
     compose_union,
     hom_count,
     is_based,
-    is_strongly_isotone,
     nonzero,
     power_map,
     resolution,
-    strong_isotonicity_witness,
     strictness_witness,
     transition_compose,
     transition_join,
@@ -33,6 +31,22 @@ from latkit.transition import (
 )
 
 TWO = corpus.chain(2)
+
+
+def strong_isotonicity_witness(theta):
+    """A pair (A, B) with join A <= join B but join theta(A) not<= join theta(B),
+    or None when theta is strongly isotone."""
+    return transition._factor(theta)[1]
+
+
+def is_strongly_isotone(theta):
+    return strong_isotonicity_witness(theta) is None
+
+
+def ref_hom_count(category, source, target):
+    """The TS or BS count by enumeration: every union map, tested one by one."""
+    test = is_strongly_isotone if category == "TS" else is_based
+    return sum(1 for theta in all_union_maps(source, target) if test(theta))
 
 
 def union_leq(theta1, theta2):
@@ -189,6 +203,38 @@ def test_based_counts_frozen():
     table = corpus.named_lattices()
     assert hom_count("BS", table["C2"], table["B8"]) == 128
     assert hom_count("BS", table["D4"], table["C3"]) == 21
+
+
+def test_ts_and_bs_counts_match_the_enumeration_on_small_corpus_pairs():
+    pool = list(corpus.named_lattices(max_size=4).values())
+    for source, target in itertools.product(pool, repeat=2):
+        for category in ("TS", "BS"):
+            assert hom_count(category, source, target) == ref_hom_count(
+                category, source, target
+            ), (category, source.labels, target.labels)
+
+
+def test_ts_and_bs_counts_frozen_on_heavy_pairs():
+    # The counts that testing every union map gave (2^16 maps per pair but
+    # the last, 2^15); that enumeration is too slow to repeat here.
+    table = corpus.named_lattices()
+    for source, target, ts, bs in (
+        ("R18", "C3xC3", 52_669, 40_345),
+        ("R13", "R13", 20_077, 8_859),
+        ("C3xC3", "R18", 1_385, 381),
+    ):
+        assert hom_count("TS", table[source], table[target]) == ts, (source, target)
+        assert hom_count("BS", table[source], table[target]) == bs, (source, target)
+    # Every join map B16 -> C2 picks its one subset of C2 per element.
+    assert hom_count("TS", table["B16"], table["C2"]) == 16
+
+
+def test_ts_counts_refuse_a_source_past_the_subset_bound(monkeypatch):
+    # One union map into a one-element target, but 2^3 subsets of D4.
+    monkeypatch.setattr(transition, "ENUMERATION_BOUND", 4)
+    with pytest.raises(SizeLimit, match="2\\^3 subsets exceed bound"):
+        hom_count("TS", corpus.diamond(), corpus.chain(1))
+    assert hom_count("BS", corpus.diamond(), corpus.chain(1)) == 1
 
 
 def test_strictness_witness_rejects_bottom_parameter():
