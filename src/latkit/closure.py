@@ -327,13 +327,7 @@ class BooleanDualityReport:
 
 
 def atom_set_maps(lattice):
-    """mu: a |-> its atoms, and rho: a set of atoms |-> its join.
-
-    The pair is kept on the lattice, so each lattice builds it once.
-    """
-    memo = lattice.__dict__
-    if "atom_set_maps" in memo:
-        return memo["atom_set_maps"]
+    """mu: a |-> its atoms, and rho: a set of atoms |-> its join."""
     if not is_boolean(lattice):
         raise NotBoolean("lattice is not a finite Boolean algebra")
     ats = lattice.atoms()
@@ -343,7 +337,6 @@ def atom_set_maps(lattice):
     rho = LatticeMap(
         powerset, lattice, tuple(lattice.join([ats[i] for i in s]) for s in sets)
     )
-    memo["atom_set_maps"] = mu, rho
     return mu, rho
 
 

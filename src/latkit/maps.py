@@ -89,27 +89,36 @@ def _join_witness(f):
 
 def _residual(f):
     """The table of f's right adjoint, or None if f does not preserve all
-    joins; kept in f's memo.
+    joins; kept in f's memo (see _residual_table)."""
+    memo = f.__dict__
+    if "residual" not in memo:
+        memo["residual"] = _residual_table(f.values, f.dom, f.cod)
+    return memo["residual"]
 
-    f preserves all joins iff it is residuated: the preimage of every
+
+def _residual_table(values, dom, cod):
+    """The table of the right adjoint of the map dom -> cod with the value
+    table values, or None if that map does not preserve all joins.
+
+    A map preserves all joins iff it is residuated: the preimage of every
     down-set ↓b is a down-set ↓f*(b) (Blyth & Janowitz, Residuation Theory;
     Davey & Priestley ch. 7).  The preimage of ↓b is the preimage of b united
     with those of ↓c for b's lower covers c, taken in a linear extension, and
-    each is looked up among dom's principal down-sets.
+    each is looked up among dom's principal down-sets; the first that is
+    none of them ends the pass.
     """
-    memo = f.__dict__
-    if "residual" not in memo:
-        pre = [0] * f.cod.size
-        for a, v in enumerate(f.values):
-            pre[v] |= 1 << a
-        for b, lower in f.cod.lower_covers:
-            mask = pre[b]
-            for c in lower:
-                mask |= pre[c]
-            pre[b] = mask
-        table = tuple(map(f.dom.down_index.get, pre))
-        memo["residual"] = None if None in table else table
-    return memo["residual"]
+    index = dom.down_index
+    pre = [0] * cod.size
+    for a, v in enumerate(values):
+        pre[v] |= 1 << a
+    for b, lower in cod.lower_covers:
+        mask = pre[b]
+        for c in lower:
+            mask |= pre[c]
+        if mask not in index:
+            return None
+        pre[b] = mask
+    return tuple(map(index.__getitem__, pre))
 
 
 def right_adjoint(f):
@@ -294,11 +303,11 @@ def _enumerate_isotone(dom, cod):
     This is the join search (see _enumerate_preserving) with every element
     a generator: the elements are assigned in the linear extension of
     dom.lower_covers, each given the values at or above the join of its
-    lower covers' values, with no cover to test and no step to fill in.
+    lower covers' values, with no step to fill in and no leaf to test.
     """
     _guard(cod.size ** dom.size)
     order, preds = zip(*dom.lower_covers)
-    return _search(dom, cod, order, preds, [()] * dom.size, ())
+    return _search(dom, cod, order, preds, ())
 
 
 class _JoinSearch:
@@ -309,70 +318,22 @@ class _JoinSearch:
     those of them below order[k] that come before it.  steps lists
     (a, x, y) for every element a with two or more lower covers, x and y
     two of them, so a = x v y; each step comes after those of x and y.
+    prime is set when every join-irreducible j is join-prime: the join of
+    the elements not above j is not above j.  That holds exactly when the
+    lattice is distributive (Birkhoff; Davey & Priestley ch. 5).
     """
 
     def __init__(self, lattice):
-        self.lattice = lattice
         up = lattice.poset.up
-        self.lower = lower = [()] * lattice.size
-        for b, covers in lattice.lower_covers:
-            lower[b] = covers
-        self.irr = [a for a in lattice.elements() if len(lower[a]) == 1]
+        self.irr = sorted(a for a, covers in lattice.lower_covers if len(covers) == 1)
         # An element's up-set shrinks as it rises, so this is a linear extension.
         self.order = order = sorted(self.irr, key=lambda j: -up[j].bit_count())
         self.preds = [[i for i in order[:k] if up[i] >> j & 1] for k, j in enumerate(order)]
         self.steps = [(a, *covers[:2]) for a, covers in lattice.lower_covers if len(covers) > 1]
-
-    @cached_property
-    def covers(self):
-        """j -> the minimal nontrivial join covers of j, for each
-        join-irreducible j.  A distributive lattice has none: there every
-        join-irreducible is join-prime."""
-        return {j: self._minimal_covers(j) for j in self.irr}
-
-    @cached_property
-    def checks(self):
-        """checks[k] lists the pairs (j, A), A a minimal cover of j, whose
-        last member in order is order[k]."""
-        pos = {j: k for k, j in enumerate(self.order)}
-        checks = [[] for _ in self.order]
-        for j, covers in self.covers.items():
-            for cover in covers:
-                checks[max(pos[a] for a in (j, *cover))].append((j, cover))
-        return checks
-
-    def _minimal_covers(self, j):
-        """The sets A of join-irreducibles, none of them above j, with
-        j <= join A and j not<= a_* v join(A - {a}) for each a in A, where a_*
-        is a's lower cover: the minimal nontrivial join covers of j, since
-        any other cover that refines A joins below some such a_* v join(A - {a}).
-
-        Each A is built once, its members added in index order.  No member
-        is above another, each one raises the join of those before it, and
-        no proper subset covers j, so the search prunes there.
-        """
-        lattice, lower = self.lattice, self.lower
-        up, join = lattice.poset.up, lattice.join_table
-        candidates = [a for a in self.irr if not up[j] >> a & 1]
-        found = []
-
-        def grow(start, chosen, joined):
-            for t in range(start, len(candidates)):
-                a = candidates[t]
-                s = join[joined][a]
-                if s == joined or any(up[c] >> a & 1 for c in chosen):
-                    continue
-                cover = chosen + [a]
-                if not up[j] >> s & 1:
-                    grow(t + 1, cover, s)
-                elif not any(
-                    up[j] >> lattice.join([lower[b][0]] + [c for c in cover if c != b]) & 1
-                    for b in cover
-                ):
-                    found.append(tuple(cover))
-
-        grow(0, [], lattice.bottom)
-        return found
+        self.prime = not any(
+            up[j] >> lattice.join([a for a in lattice.elements() if not up[j] >> a & 1]) & 1
+            for j in self.irr
+        )
 
 
 def _join_search(lattice):
@@ -387,31 +348,34 @@ def _enumerate_preserving(dom, cod):
     """Value table of every join-preserving map dom -> cod.
 
     Meets are the same search on the dual lattices.  A join-preserving map
-    is the join-extension of its isotone restriction v to the
-    join-irreducibles J, and the join-extension of an isotone v preserves
-    joins iff v(j) <= join v(A) for every minimal nontrivial join cover A
-    of every j in J.  So the search assigns J in a linear extension, gives
-    each irreducible only values at or above its predecessors' values, and
-    tests each cover as soon as j and all of A have values.  A leaf is then
-    a join map, and its table is filled from the irreducibles' values by
-    the domain's steps.  Each table is made exactly once.
+    is the join-extension of its isotone restriction to the
+    join-irreducibles J, so the search assigns J in a linear extension and
+    gives each irreducible only values at or above its predecessors'
+    values.  At a leaf the table is filled from the irreducibles' values by
+    the domain's steps, and it is kept iff its residual exists (see
+    _residual_table): a filled table preserves joins iff it is the
+    join-extension of its values on J.  Where every join-irreducible is
+    join-prime, every isotone assignment extends, so no leaf is tested.
+    Each table is made exactly once.
     """
     search = _join_search(dom)
     _guard(cod.size ** len(search.order))
-    return _search(dom, cod, search.order, search.preds, search.checks, search.steps)
+    tables = _search(dom, cod, search.order, search.preds, search.steps)
+    if search.prime:
+        return tables
+    return [v for v in tables if _residual_table(v, dom, cod) is not None]
 
 
-def _search(dom, cod, order, preds, checks, steps):
+def _search(dom, cod, order, preds, steps):
     """Value tables of the maps dom -> cod that the search reaches.
 
-    The elements of order are assigned in turn.  order[k] takes each value
-    at or above the join of its preds[k]'s values for which every (c, A) of
-    checks[k] has c's value at or below the join of A's values.  At a leaf
-    each step (a, x, y) sets a's value to the join of x's and y's, and the
-    table is kept; elements neither assigned nor stepped stay at bottom.
+    The elements of order are assigned in turn, order[k] each value at or
+    above the join of its preds[k]'s values.  At a leaf each step (a, x, y)
+    sets a's value to the join of x's and y's, and the table is kept;
+    elements neither assigned nor stepped stay at bottom.
     """
-    table, up, unit = cod.join_table, cod.poset.up, cod.bottom
-    above = [[v for v in cod.elements() if row >> v & 1] for row in up]
+    table, unit = cod.join_table, cod.bottom
+    above = [[v for v in cod.elements() if row >> v & 1] for row in cod.poset.up]
     values = [unit] * dom.size
     out = []
 
@@ -427,14 +391,7 @@ def _search(dom, cod, order, preds, checks, steps):
         j = order[k]
         for v in above[floor]:
             values[j] = v
-            for c, cover in checks[k]:
-                s = unit
-                for a in cover:
-                    s = table[s][values[a]]
-                if not up[values[c]] >> s & 1:
-                    break
-            else:
-                assign(k + 1)
+            assign(k + 1)
 
     assign(0)
     return out

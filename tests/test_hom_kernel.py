@@ -14,13 +14,15 @@ The closed forms:
 - the join maps L -> C2 are x |-> [x not<= a], one for each a in L.
 """
 
+import hashlib
 import itertools
 
 import pytest
 
 from latkit import corpus, maps
 from latkit.core import FinitePoset, direct_product, lattice_from_poset
-from latkit.maps import _join_search, hom_set
+from latkit.errors import SizeLimit
+from latkit.maps import MAP_CLASSES, _join_search, hom_set
 from latkit.transition import _pack, _power_packs, power_map
 
 LATTICES = corpus.named_lattices()
@@ -48,25 +50,13 @@ def ref_join_irreducibles(lattice):
     ]
 
 
-def ref_minimal_covers(lattice, j):
-    """The antichains A of join-irreducibles with j <= join A and j below no
-    member of A, minimal in the refinement order: no other such B has each
-    member below some member of A."""
-    leq, irr = lattice.leq, ref_join_irreducibles(lattice)
-    covers = [
-        set(cover)
-        for k in range(1, len(irr) + 1)
-        for cover in itertools.combinations(irr, k)
-        if leq(j, lattice.join(cover))
-        and not any(leq(j, a) for a in cover)
-        and not any(a != b and leq(a, b) for a in cover for b in cover)
-    ]
-
-    def refines(b, a):
-        return all(any(leq(x, y) for y in a) for x in b)
-
-    return sorted(
-        tuple(sorted(a)) for a in covers if not any(b != a and refines(b, a) for b in covers)
+def ref_join_prime(lattice, j):
+    """j <= a v b implies j <= a or j <= b, for every pair a, b."""
+    leq = lattice.leq
+    return all(
+        leq(j, a) or leq(j, b) or not leq(j, lattice.join([a, b]))
+        for a in lattice.elements()
+        for b in lattice.elements()
     )
 
 
@@ -101,73 +91,90 @@ def brute_force_out_of_reach(dom, cod):
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
-def test_covers_are_the_minimal_nontrivial_join_covers(name):
+def test_irreducibles_are_join_prime_exactly_in_distributive_domains(name):
     for lattice in (LATTICES[name], LATTICES[name].dual):
         search = _join_search(lattice)
         assert search.irr == ref_join_irreducibles(lattice)
-        assert sorted(search.covers) == search.irr
-        for j, covers in search.covers.items():
-            assert sorted(covers) == ref_minimal_covers(lattice, j), j
-        # Each cover is tested at the position of its last member.
-        pos = {j: k for k, j in enumerate(search.order)}
-        placed = sorted(
-            (j, cover)
-            for k, row in enumerate(search.checks)
-            for j, cover in row
-            if k == max(pos[a] for a in (j, *cover))
-        )
-        assert placed == sorted((j, c) for j, cs in search.covers.items() for c in cs)
+        assert search.prime == all(ref_join_prime(lattice, j) for j in search.irr)
+        assert search.prime == is_distributive(lattice)
 
 
-def test_exactly_the_distributive_domains_have_no_covers():
-    coverless = {
-        name for name, lat in LATTICES.items() if not any(_join_search(lat).covers.values())
-    }
-    distributive = {name for name, lat in LATTICES.items() if is_distributive(lat)}
-    assert coverless == distributive
+def test_the_corpus_has_29_distributive_lattices_and_not_n5_or_m3():
+    distributive = {name for name, lat in LATTICES.items() if _join_search(lat).prime}
     assert len(distributive) == 29 and {"N5", "M3"}.isdisjoint(distributive)
-    assert _join_search(LATTICES["N5"]).covers == {1: [], 2: [(1, 3)], 3: []}
-    assert _join_search(LATTICES["M3"]).covers == {1: [(2, 3)], 2: [(1, 3)], 3: [(1, 2)]}
 
 
-def test_distributive_domains_enumerate_without_a_scan_or_a_check(monkeypatch):
+def test_distributive_domains_enumerate_without_a_scan_or_a_leaf_test(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scan ran")
 
+    tested = []
+    real_leaf_test = maps._residual_table
+
+    def leaf_test(values, dom, cod):
+        tested.append(dom)
+        return real_leaf_test(values, dom, cod)
+
     monkeypatch.setattr(maps, "_failing_pair", no_scan)
+    monkeypatch.setattr(maps, "_residual_table", leaf_test)
     small = corpus.named_lattices(max_size=5)
     for name, dom in corpus.named_lattices().items():
         if not is_distributive(dom):
             continue
-        assert not any(_join_search(dom).checks), name
         for cod in small.values():
             for cls in ("join", "balanced-join", "dense-join", "atomic-join"):
                 hom_set(dom, cod, cls)
+        assert tested == [], name
+    # A domain that is not distributive tests its leaves.
+    hom_set(corpus.n5(), corpus.chain(2))
+    assert tested
 
 
 def test_domain_data_is_built_once_per_lattice_instance(monkeypatch):
-    built, searched = [], []
-    real_init, real_covers = maps._JoinSearch.__init__, maps._JoinSearch._minimal_covers
+    built = []
+    real_init = maps._JoinSearch.__init__
 
     def init(self, lattice):
         built.append(lattice)
         real_init(self, lattice)
 
-    def covers(self, j):
-        searched.append(j)
-        return real_covers(self, j)
-
     monkeypatch.setattr(maps._JoinSearch, "__init__", init)
-    monkeypatch.setattr(maps._JoinSearch, "_minimal_covers", covers)
     n5, other = corpus.n5(), corpus.n5()
     for cod in (corpus.chain(2), corpus.chain(3), corpus.m3()):
         for cls in ("join", "balanced-join", "dense-join", "atomic-join"):
             hom_set(n5, cod, cls)
     assert maps.join_irreducibles(n5) == [1, 2, 3]
-    assert built == [n5] and searched == [1, 2, 3]
+    assert built == [n5]
     # An equal lattice built apart has its own data.
     hom_set(other, corpus.chain(2))
     assert built == [n5, other] and _join_search(other) is not _join_search(n5)
+
+
+# ---------------------------------------------------------- pinned tables
+
+# sha256 of every Hom-set table, or SizeLimit message, that the test below
+# reads: 315,757 tables, taken from the kernel that cut branches by minimal
+# join covers, so the leaf residual test is held to its outputs.
+HOM_TABLES_SHA256 = "9e2007f473fde27ed42bfdb6cd07048a57682c891f089f8328899f9181b47514"
+
+
+def test_hom_tables_of_every_class_match_the_pinned_digest():
+    small = corpus.named_lattices(max_size=8)
+    digest, count = hashlib.sha256(), 0
+    for d, c in itertools.product(sorted(small), repeat=2):
+        dom, cod = small[d], small[c]
+        for cls in MAP_CLASSES:
+            if cls == "isotone" and cod.size ** dom.size > 20_000:
+                continue
+            try:
+                tables = [f.values for f in hom_set(dom, cod, cls)]
+            except SizeLimit as exc:
+                digest.update(("%s %s %s: %s\n" % (d, c, cls, exc)).encode())
+                continue
+            count += len(tables)
+            digest.update(("%s %s %s: %r\n" % (d, c, cls, tables)).encode())
+    assert count == 315_757
+    assert digest.hexdigest() == HOM_TABLES_SHA256
 
 
 # ---------------------------------------------------------- closed forms

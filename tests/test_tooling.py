@@ -6,6 +6,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 
 import latkit
 from latkit import suite
@@ -151,3 +152,18 @@ def test_orders_are_made_in_one_place_and_argparse_is_imported_late():
     assert sorted(makers) == ["core._cycle", "core._proved_poset"]
     assert ("cli", "json") in imports  # the scan sees module-level imports
     assert [entry for entry in imports if entry[1] == "argparse"] == []
+
+
+def test_every_module_name_in_the_readme_resolves():
+    # A backticked `module.name` in README.md names something of a latkit
+    # module; a rename or a deletion under src/ must fail here.
+    modules = {info.name for info in pkgutil.iter_modules(latkit.__path__)}
+    with open(os.path.join(ROOT, "README.md")) as handle:
+        names = re.findall(r"`(\w+)\.([\w.]+)`", handle.read())
+    names = [(module, attr) for module, attr in names if module in modules]
+    assert len(names) > 10
+    for module, attr in names:
+        obj = importlib.import_module("latkit." + module)
+        for part in attr.split("."):
+            assert hasattr(obj, part), (module, attr)
+            obj = getattr(obj, part)
