@@ -31,12 +31,8 @@ def _emit(payload, as_json):
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        if isinstance(payload, dict):
-            for key, value in payload.items():
-                print("%s: %s" % (key, value))
-        else:
-            for item in payload:
-                print(item)
+        for key, value in payload.items():
+            print("%s: %s" % (key, value))
 
 
 def _corpus_lattices(args, *names):
@@ -200,34 +196,24 @@ def cmd_closure(args):
 
 def cmd_equiv(args):
     ws = _load_files(args.files)
-    results = []
-    ok = True
+    checks = []  # (object, law body, its argument)
     for name, lat in ws.lattices.items():
-        if not lat.is_atomistic():
-            continue
-        report, _ = closure.lattice_roundtrip(lat)
-        results.append({"object": name, "status": "pass" if report.passed else "fail"})
-        ok = ok and report.passed
-        if name in ws.orthos:
-            space, _ = ortho.orthospace_from_lattice(ws.orthos[name])
-            rebuilt, sets = ortho.biortho_lattice(space)
-            good = ortho.atom_isomorphism(ws.orthos[name], rebuilt, sets) is not None
-            results.append(
-                {"object": "%s(ortho)" % name, "status": "pass" if good else "fail"}
-            )
-            ok = ok and good
-    for name, space in ws.cspaces.items():
-        if not space.is_simple():
-            continue
-        report = closure.space_roundtrip(space)
-        results.append({"object": name, "status": "pass" if report.passed else "fail"})
-        ok = ok and report.passed
+        if lat.is_atomistic():
+            checks.append((name, suite._atomistic_roundtrip, lat))
+            if name in ws.orthos:
+                checks.append((name + "(ortho)", suite._orthospace_of_lattice, ws.orthos[name]))
+    checks += [(name, closure.space_roundtrip, s) for name, s in ws.cspaces.items() if s.is_simple()]
+    results = [
+        {"object": name, "status": "pass" if body(obj) is None else "fail"}
+        for name, body, obj in checks
+    ]
     if args.json:
         print(json.dumps(results, indent=2, sort_keys=True))
     else:
         for entry in results:
             print("%s %s" % (entry["status"].upper(), entry["object"]))
-    return EXIT_OK if ok else EXIT_VALIDATION
+    failed = any(entry["status"] == "fail" for entry in results)
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 def cmd_witness(args):
@@ -301,7 +287,7 @@ COMMANDS = {
         _FILES, ("--map", {}), ("--space", {}),
         ("--subset", {"help": "comma separated point labels"}), _JSON,
     ]),
-    "equiv": (cmd_equiv, "run the equivalence roundtrips", [_FILES, _JSON]),
+    "equiv": (cmd_equiv, "run the space- and orthospace-equivalence laws", [_FILES, _JSON]),
     "witness": (cmd_witness, "emit the strictness witness for an element", [
         ("lattice", {}), ("element", {}), _FILES_OPTION, _JSON,
     ]),

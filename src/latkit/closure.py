@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FiniteLattice, LatticeMap, lattice_of_sets, sublattice_on
+from .core import FiniteLattice, LatticeMap, lattice_of_sets, retract
 from .errors import (
     NotAdjoint,
     NotAtomicMap,
@@ -54,30 +54,15 @@ def validate_closure(lattice, table):
     return ClosureOperator(lattice, table)
 
 
-@dataclass(frozen=True)
-class FixedPointLattice:
-    lattice: FiniteLattice
-    elements: tuple[int, ...]  # indices into the ambient carrier
-    inclusion: LatticeMap  # fixed points into the ambient lattice
-    reflection: LatticeMap  # ambient lattice onto fixed points, a |-> T(a)
-
-
 def fixed_points(operator):
-    """Fixed points ordered as in the ambient lattice.
+    """The closed elements ordered as in the ambient lattice: the Retract of
+    the closure, whose projection sends a to T(a).
 
     Meets are inherited; joins are the closure of the ambient join (the
     closure-monad law checks both).  The lattice is the ambient lattice's
     sublattice on the fixed set, shared by every operator with that set.
     """
-    ambient = operator.lattice
-    elems = tuple(operator.fixed())
-    sub = sublattice_on(ambient, elems)
-    index = {e: i for i, e in enumerate(elems)}
-    inclusion = LatticeMap._unchecked(sub, ambient, elems)
-    reflection = LatticeMap._unchecked(
-        ambient, sub, tuple(index[operator(a)] for a in ambient.elements())
-    )
-    return FixedPointLattice(sub, elems, inclusion, reflection)
+    return retract(operator.lattice, operator.table)
 
 
 def monad_from_adjunction(f, g):
@@ -247,14 +232,9 @@ def join_map_to_partial(f):
     return require_continuous(partial_map(space1, space2, kernel, mapping))
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
-    passed: bool
-    detail: str
-
-
 def space_roundtrip(space):
-    """p |-> {p} must be an isomorphism onto the closed-set lattice's space."""
+    """p |-> {p} must be an isomorphism onto the closed-set lattice's space:
+    None if it is, else what fails."""
     lattice, sets = space_to_lattice(space)
     back, ats = lattice_to_space(lattice)
     # Atom i of the closed-set lattice is the singleton set; match points up.
@@ -263,36 +243,35 @@ def space_roundtrip(space):
         (point,) = sets[a]
         atom_of[point] = i
     if sorted(atom_of) != list(space.points()):
-        return RoundtripReport(False, "atom/point mismatch")
+        return "atom/point mismatch"
     point_of = {i: p for p, i in atom_of.items()}
     pulled = {frozenset(point_of[i] for i in s) for s in back.closed}
     differ = pulled ^ space.closed
     if differ:
         # Report the first differing subset in bitmask order.
         first = min(differ, key=lambda s: sum(1 << p for p in s))
-        return RoundtripReport(False, "closed families differ at %s" % sorted(first))
-    return RoundtripReport(True, "bijective and bicontinuous")
+        return "closed families differ at %s" % sorted(first)
+    return None
 
 
 def lattice_roundtrip(lattice):
-    """a |-> atoms below a must be an order isomorphism onto closed sets."""
+    """a |-> atoms below a must be an order isomorphism onto closed sets:
+    (None, that isomorphism) if it is, else (what fails, None)."""
     space, _ = lattice_to_space(lattice)
     closed_lattice, sets = space_to_lattice(space)
     index = {s: i for i, s in enumerate(sets)}
     psi = []
     for a, image in enumerate(lattice.atom_sets):
         if image not in index:
-            return RoundtripReport(False, "image of %s not closed" % lattice.labels[a]), None
+            return "image of %s not closed" % lattice.labels[a], None
         psi.append(index[image])
     if len(set(psi)) != lattice.size or closed_lattice.size != lattice.size:
-        return RoundtripReport(False, "not bijective"), None
+        return "not bijective", None
     for a in lattice.elements():
         for b in lattice.elements():
             if lattice.leq(a, b) != closed_lattice.leq(psi[a], psi[b]):
-                return RoundtripReport(False, "order not preserved"), None
-    return RoundtripReport(True, "order isomorphism"), LatticeMap(
-        lattice, closed_lattice, tuple(psi)
-    )
+                return "order not preserved", None
+    return None, LatticeMap(lattice, closed_lattice, tuple(psi))
 
 
 def power_functors(mapping, n_source, n_target):

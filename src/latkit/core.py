@@ -467,18 +467,30 @@ def identity_map(lattice):
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Lower interval [0, a] with its inclusion and meet-projection."""
+class Retract:
+    """The image of an idempotent isotone map p, ordered as in the lattice
+    (a lattice: Davey & Priestley, ch. 7), with its inclusion and x |-> p(x)."""
 
     lattice: FiniteLattice
-    elements: tuple[int, ...]
+    elements: tuple[int, ...]  # indices into the ambient carrier
     inclusion: LatticeMap
     projection: LatticeMap
 
 
+def retract(lattice, table):
+    """The Retract of the idempotent isotone value table: its fixed points
+    in index order, on the shared sublattice_on."""
+    elems = tuple(a for a, p in enumerate(table) if p == a)
+    sub = sublattice_on(lattice, elems)
+    index = {e: i for i, e in enumerate(elems)}
+    projection = LatticeMap._unchecked(lattice, sub, tuple(index[p] for p in table))
+    return Retract(sub, elems, LatticeMap._unchecked(sub, lattice, elems), projection)
+
+
 def sublattice_on(lattice, elems):
-    """Restrict the order to the set elems, taken in index order (it must be
-    meet/join closed to be a lattice); built once per (lattice, element set)."""
+    """Restrict the order to the set elems, taken in index order (the
+    restricted order must be a lattice); built once per (lattice, element
+    set)."""
     mask = 0
     for e in elems:
         mask |= 1 << e
@@ -507,20 +519,14 @@ def sublattice_on(lattice, elems):
 
 
 def lower_interval(lattice, a):
-    """The interval [0, a] of lattice; built once per (lattice, a)."""
+    """The interval [0, a] of lattice, the Retract of x |-> x /\\ a; built
+    once per (lattice, a)."""
     cache = lattice._intervals
     if a in cache:
         return cache[a]
-    elems = tuple(lattice.downset(a))
-    sub = sublattice_on(lattice, elems)
-    index = {e: i for i, e in enumerate(elems)}
-    inclusion = LatticeMap._unchecked(sub, lattice, elems)
-    # meet(x, a) is the element whose down-set is down[x] & down[a].
+    # x /\ a is the element whose down-set is down[x] & down[a].
     down, by_down = lattice.poset.down, lattice.down_index
-    projection = LatticeMap._unchecked(
-        lattice, sub, tuple(index[by_down[row & down[a]]] for row in down)
-    )
-    cache[a] = interval = Interval(sub, elems, inclusion, projection)
+    cache[a] = interval = retract(lattice, tuple(by_down[row & down[a]] for row in down))
     return interval
 
 

@@ -24,10 +24,12 @@ class Block:
     header_rest: str
     line: int
     fields: dict  # key -> (value string, line)
-    arrows: list  # (lhs, op, rhs, line)
+    arrows: list  # (lhs, rhs, line)
 
 
 _HEADS = ("lattice", "map", "umap", "ospace", "cspace", "causal")
+# The arrow of each block kind that has arrow lines.
+_ARROWS = {"map": "|->", "umap": "|->", "causal": "~>"}
 
 
 def _strip(line):
@@ -59,17 +61,21 @@ def parse_blocks(text):
             continue
         if current is None:
             raise ParseError("content before any block header", line=lineno)
-        if "|->" in line:
-            lhs, rhs = [s.strip() for s in line.split("|->", 1)]
-            current.arrows.append((lhs, "|->", rhs, lineno))
-        elif "~>" in line and ":" not in line:
-            lhs, rhs = [s.strip() for s in line.split("~>", 1)]
-            current.arrows.append((lhs, "~>", rhs, lineno))
+        # The block's own arrow first, so labels may hold ":"; then a field,
+        # so a field value may hold an arrow; any other arrow is an error.
+        arrow = _ARROWS.get(current.kind)
+        if arrow and arrow in line:
+            lhs, rhs = [s.strip() for s in line.split(arrow, 1)]
+            current.arrows.append((lhs, rhs, lineno))
         elif ":" in line:
             key, value = [s.strip() for s in line.split(":", 1)]
             if key in current.fields:
                 raise ParseError("duplicate field %r" % key, line=lineno)
             current.fields[key] = (value, lineno)
+        elif "|->" in line or "~>" in line:
+            if arrow:
+                raise ParseError("%s lines use %s" % (current.kind, arrow), line=lineno)
+            raise ParseError("%s block has no arrow lines" % current.kind, line=lineno)
         else:
             raise ParseError("unrecognized line %r" % line, line=lineno)
     return blocks
@@ -273,6 +279,8 @@ def load_workspace(texts):
         elif b.kind == "cspace":
             ws.cspaces[b.name] = _build_cspace(b)
     for b in blocks:
+        if b.kind in _ARROWS:
+            ws.signatures[b.name] = _arrow_target(b)
         if b.kind == "map":
             _resolve_map(ws, b)
         elif b.kind == "umap":
@@ -283,21 +291,12 @@ def load_workspace(texts):
 
 
 def _resolve_map(ws, block):
-    dom_name, cod_name = _arrow_target(block)
-    ws.signatures[block.name] = (dom_name, cod_name)
+    dom_name, cod_name = ws.signatures[block.name]
     if dom_name in ws.cspaces or cod_name in ws.cspaces:
         return _resolve_cmap(ws, block, dom_name, cod_name)
-    if dom_name not in ws.lattices or cod_name not in ws.lattices:
-        raise ParseError(
-            "map references unknown lattice %r" % (dom_name if dom_name not in ws.lattices else cod_name),
-            line=block.line,
-        )
-    _reject_unknown_fields(block, ("anchor",))
-    dom, cod = ws.lattices[dom_name], ws.lattices[cod_name]
+    dom, cod = _lattice_pair(ws, block, ("anchor",))
     entries = {}
-    for lhs, op, rhs, lineno in block.arrows:
-        if op != "|->":
-            raise ParseError("map lines use |->", line=lineno)
+    for lhs, rhs, lineno in block.arrows:
         a = _label_index(dom.label_index, lhs, lineno, "element")
         b = _label_index(cod.label_index, rhs, lineno, "element")
         if a in entries:
@@ -332,9 +331,7 @@ def _resolve_cmap(ws, block, dom_name, cod_name):
         text, lineno = block.fields["kernel"]
         kernel = [_label_index(src_index, t, lineno, "point") for t in text.split()]
     mapping = {}
-    for lhs, op, rhs, lineno in block.arrows:
-        if op != "|->":
-            raise ParseError("map lines use |->", line=lineno)
+    for lhs, rhs, lineno in block.arrows:
         p = _label_index(src_index, lhs, lineno, "point")
         q = _label_index(tgt_index, rhs, lineno, "point")
         mapping[p] = q
@@ -347,17 +344,23 @@ def _resolve_cmap(ws, block, dom_name, cod_name):
     ws.cmaps[block.name] = partial_map(src, tgt, kernel, mapping)
 
 
+def _lattice_pair(ws, block, fields):
+    """The domain and codomain lattices that the block's header names; a
+    ParseError names an unknown one, then a field not among fields."""
+    names = ws.signatures[block.name]
+    for name in names:
+        if name not in ws.lattices:
+            raise ParseError(
+                "%s references unknown lattice %r" % (block.kind, name), line=block.line
+            )
+    _reject_unknown_fields(block, fields)
+    return [ws.lattices[name] for name in names]
+
+
 def _resolve_umap(ws, block):
-    dom_name, cod_name = _arrow_target(block)
-    ws.signatures[block.name] = (dom_name, cod_name)
-    if dom_name not in ws.lattices or cod_name not in ws.lattices:
-        raise ParseError("umap references an unknown lattice", line=block.line)
-    _reject_unknown_fields(block, ())
-    dom, cod = ws.lattices[dom_name], ws.lattices[cod_name]
+    dom, cod = _lattice_pair(ws, block, ())
     images = {}
-    for lhs, op, rhs, lineno in block.arrows:
-        if op != "|->":
-            raise ParseError("umap lines use |->", line=lineno)
+    for lhs, rhs, lineno in block.arrows:
         a = _label_index(dom.label_index, lhs, lineno, "element")
         images[a] = frozenset(
             _label_index(cod.label_index, t, lineno, "element")
@@ -372,16 +375,9 @@ def _resolve_umap(ws, block):
 
 
 def _resolve_causal(ws, block):
-    dom_name, cod_name = _arrow_target(block)
-    ws.signatures[block.name] = (dom_name, cod_name)
-    if dom_name not in ws.lattices or cod_name not in ws.lattices:
-        raise ParseError("causal block references an unknown lattice", line=block.line)
-    _reject_unknown_fields(block, ())
-    src, tgt = ws.lattices[dom_name], ws.lattices[cod_name]
+    src, tgt = _lattice_pair(ws, block, ())
     pairs = set()
-    for lhs, op, rhs, lineno in block.arrows:
-        if op != "~>":
-            raise ParseError("causal lines use ~>", line=lineno)
+    for lhs, rhs, lineno in block.arrows:
         pairs.add(
             (_label_index(src.label_index, lhs, lineno, "element"),
              _label_index(tgt.label_index, rhs, lineno, "element"))

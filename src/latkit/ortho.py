@@ -87,15 +87,10 @@ def is_isometry(u, dom, cod):
     return compose(dagger(u, dom, cod), u) == identity_map(u.dom)
 
 
-@dataclass(frozen=True)
-class ColattReport:
-    passed: bool
-    failures: tuple[str, ...]
-
-
 def colatt_check(h, dom, cod):
     """For a join/meet/ortho-preserving map: adjoint-complement compatibility,
-    the dagger collapse, and partial isometry."""
+    the dagger collapse, and partial isometry.  None if all three hold, else
+    the failures joined by "; "."""
     profile = preservation_profile(h)
     if not (profile.joins and profile.meets):
         raise NotCOLattMorphism("map must preserve joins and meets")
@@ -112,7 +107,7 @@ def colatt_check(h, dom, cod):
         failures.append("dagger differs from left adjoint")
     if compose(h, compose(dagger(h, dom, cod), h)) != h:
         failures.append("h o h-dagger o h differs from h")
-    return ColattReport(passed=not failures, failures=tuple(failures))
+    return "; ".join(failures) or None
 
 
 @dataclass(frozen=True)

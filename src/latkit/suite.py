@@ -372,9 +372,9 @@ def _ortho_morphisms(ol):
             continue
         if any(h(ol.comp(a)) != ol.comp(h(a)) for a in lat.elements()):
             continue
-        report = ortho.colatt_check(h, ol, ol)
-        if not report.passed:
-            return "; ".join(report.failures)
+        witness = ortho.colatt_check(h, ol, ol)
+        if witness:
+            return witness
     return None
 
 
@@ -481,20 +481,10 @@ def _closure_monad(l1, l2):
     return None
 
 
-def _space_roundtrip(space):
-    report = closure.space_roundtrip(space)
-    if not report.passed:
-        return report.detail
-    return None
-
-
 def _atomistic_roundtrip(lat):
     if not closure.lattice_to_space(lat)[0].is_simple():
         return "space of atoms is not simple"
-    report, _ = closure.lattice_roundtrip(lat)
-    if not report.passed:
-        return report.detail
-    return None
+    return closure.lattice_roundtrip(lat)[0]
 
 
 def _continuous_maps(s1, s2):
@@ -824,7 +814,7 @@ LAWS = (
         _partial_composition,
     ),
     Law("closure-monad", _tuples(_lattices), 5, _closure_monad),
-    Law("space-equivalence", _tuples(_simple_spaces, 1), None, _space_roundtrip),
+    Law("space-equivalence", _tuples(_simple_spaces, 1), None, closure.space_roundtrip),
     Law(
         "space-equivalence",
         _tuples(_where(_lattices, lambda lat: lat.is_atomistic()), 1),

@@ -11,19 +11,29 @@ from dataclasses import dataclass, field
 
 from .core import FiniteLattice, LatticeMap, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from .maps import _failing_pair, _residual, left_adjoint, right_adjoint
+from .maps import _residual, left_adjoint, right_adjoint
 
 
 @dataclass(frozen=True)
 class WeakMeetMap:
-    """Map preserving non-empty meets; the top need not be preserved."""
+    """Map preserving non-empty meets; the top need not be preserved.
+
+    extended, the map on the upper extensions that also sends the adjoined
+    top to the adjoined top, preserves all meets iff the map preserves the
+    non-empty ones: one residual pass on its dual decides the map and
+    leaves the left adjoint that pointed_extend reads."""
 
     map: LatticeMap
+    extended: LatticeMap = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.map
-        if _failing_pair(m.values, m.dom.meet_table, m.cod.meet_table) is not None:
+        extended = LatticeMap._unchecked(
+            upper_extension(m.dom), upper_extension(m.cod), m.values + (m.cod.size,)
+        )
+        if _residual(extended.dual) is None:
             raise NotWeakMeet("map does not preserve non-empty meets")
+        object.__setattr__(self, "extended", extended)
 
     @property
     def dom(self):
@@ -119,13 +129,8 @@ def restrict_codomain(weak):
 
 def pointed_extend(weak):
     """Extend a weak meet map over adjoined tops; returns (g-up, f-up)."""
-    g = weak.map
-    ext_dom = upper_extension(g.dom)
-    ext_cod = upper_extension(g.cod)
-    extended = LatticeMap._unchecked(ext_dom, ext_cod, g.values + (g.cod.size,))
-    left = left_adjoint(extended)
-    upper = UpperMap(g.cod, g.dom, left)
-    return extended, upper
+    extended = weak.extended
+    return extended, UpperMap(weak.cod, weak.dom, left_adjoint(extended))
 
 
 def partial_to_upper(partial):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latkit
-from latkit import cli, corpus, io, suite, transition
+from latkit import cli, closure, corpus, io, suite, transition
 from latkit.core import LatticeMap
 from latkit.errors import NotJoinPreserving
 from latkit.maps import preservation_profile
@@ -319,6 +319,69 @@ def test_equiv_biortho_size_guard(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "size limit: 18 points exceed powerset bound 16" in err
     assert "Traceback" not in err
+
+
+A_FILE = "lattice A\nelements: 0 1\ncovers: 0<1\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (A_FILE + "0 |-> 1\n", 4, "lattice block has no arrow lines"),
+    ("cspace S\npoints: p\np ~> p\n", 3, "cspace block has no arrow lines"),
+    ("ospace P\npoints: p q\np |-> q\n", 3, "ospace block has no arrow lines"),
+    (A_FILE + "map f : A -> A\n0 |-> 0\n1 ~> 1\n", 6, "map lines use |->"),
+    ("cspace S\npoints: p\nmap a : S -> S\np ~> p\n", 4, "map lines use |->"),
+    (A_FILE + "umap t : A -> A\n1 ~> {1}\n", 5, "umap lines use |->"),
+    (A_FILE + "causal r : A -> A\n0 |-> 1\n", 5, "causal lines use ~>"),
+])
+def test_stray_arrow_lines_are_parse_errors(tmp_path, capsys, text, line, message):
+    path = tmp_path / "stray.lat"
+    path.write_text(text)
+    for command in ("check", "equiv"):
+        assert cli.main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "parse error: line %d: %s\n" % (line, message)
+
+
+def corpus_file(tmp_path):
+    """Every corpus lattice, with its ortho table, and every corpus closure
+    space, written as one file."""
+    orthos = corpus.ortho_lattices()
+    text = "".join(
+        io.format_lattice(name, lat, orthos.get(name))
+        for name, lat in corpus.named_lattices().items()
+    )
+    text += "".join(io.format_cspace(name, s) for name, s in corpus.closure_spaces().items())
+    path = tmp_path / "corpus.lat"
+    path.write_text(text)
+    return str(path)
+
+
+def test_equiv_statuses_are_the_law_bodies(tmp_path, capsys, monkeypatch):
+    # equiv runs the space-equivalence and orthospace-equivalence bodies of
+    # suite.LAWS: each status says whether the body returns None.
+    path = corpus_file(tmp_path)
+    orthos = corpus.ortho_lattices()
+    want = []
+    for name, lat in corpus.named_lattices().items():
+        if lat.is_atomistic():
+            want.append((name, suite._atomistic_roundtrip(lat)))
+            if name in orthos:
+                want.append((name + "(ortho)", suite._orthospace_of_lattice(orthos[name])))
+    for name, space in corpus.closure_spaces().items():
+        want.append((name, closure.space_roundtrip(space)))
+    want = [
+        {"object": name, "status": "pass" if witness is None else "fail"}
+        for name, witness in want
+    ]
+    assert len(want) == 14 + 5 + 5
+    assert cli.main(["equiv", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+    # A body that finds a witness fails the command.
+    monkeypatch.setattr(suite, "_orthospace_of_lattice", lambda ol: "rebuilt differs")
+    assert cli.main(["equiv", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL B8(ortho)" in lines and "PASS B8" in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 5
 
 
 def test_suite_error_report_exits_1(monkeypatch, capsys):

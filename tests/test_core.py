@@ -1,10 +1,15 @@
 """Posets, lattices, and the basic constructions."""
 
+import hashlib
+
 import pytest
 
 from latkit import corpus
+from latkit.closure import fixed_points, monad_from_adjunction
 from latkit.core import (
     FinitePoset,
+    LatticeMap,
+    Retract,
     build_poset,
     direct_product,
     horizontal_sum,
@@ -12,6 +17,7 @@ from latkit.core import (
     lattice_of_sets,
     lower_interval,
     random_moore_lattice,
+    retract,
     sublattice_on,
     upper_extension,
 )
@@ -23,6 +29,7 @@ from latkit.errors import (
     ShapeMismatch,
     SizeLimit,
 )
+from latkit.maps import hom_set, right_adjoint
 
 
 def test_build_poset_transitive_closure():
@@ -87,6 +94,75 @@ def test_lower_interval_projection_inclusion():
             assert interval.projection(interval.inclusion(x)) == x
         for x in b8.elements():
             assert interval.inclusion(interval.projection(x)) == b8.meet2(x, a)
+
+
+def ref_lower_interval(lattice, a):
+    """lower_interval as it was written by hand, without its cache."""
+    elems = tuple(lattice.downset(a))
+    sub = sublattice_on(lattice, elems)
+    index = {e: i for i, e in enumerate(elems)}
+    inclusion = LatticeMap._unchecked(sub, lattice, elems)
+    down, by_down = lattice.poset.down, lattice.down_index
+    projection = LatticeMap._unchecked(
+        lattice, sub, tuple(index[by_down[row & down[a]]] for row in down)
+    )
+    return sub, elems, inclusion, projection
+
+
+def ref_fixed_points(operator):
+    """closure.fixed_points as it was written by hand."""
+    ambient = operator.lattice
+    elems = tuple(operator.fixed())
+    sub = sublattice_on(ambient, elems)
+    index = {e: i for i, e in enumerate(elems)}
+    inclusion = LatticeMap._unchecked(sub, ambient, elems)
+    reflection = LatticeMap._unchecked(
+        ambient, sub, tuple(index[operator(a)] for a in ambient.elements())
+    )
+    return sub, elems, inclusion, reflection
+
+
+def test_intervals_and_fixed_points_are_the_retracts_they_were_built_as():
+    # The 191 lower intervals of the corpus and the 8,896 fixed-point
+    # lattices of g o f over every join map f between corpus lattices of at
+    # most 5 elements, g its right adjoint.  The digest of the hand-built
+    # references was taken when both were still written out by hand.
+    pairs = [
+        (lower_interval(lattice, a), ref_lower_interval(lattice, a))
+        for lattice in corpus.named_lattices().values()
+        for a in lattice.elements()
+    ]
+    small = corpus.named_lattices(max_size=5).values()
+    for l1 in small:
+        for l2 in small:
+            for f in hom_set(l1, l2, "join"):
+                operator = monad_from_adjunction(f, right_adjoint(f))
+                pairs.append((fixed_points(operator), ref_fixed_points(operator)))
+    assert len(pairs) == 191 + 8896
+    lines = []
+    for got, (sub, elems, inclusion, projection) in pairs:
+        assert isinstance(got, Retract)
+        assert got.lattice.poset.up == sub.poset.up and got.lattice.labels == sub.labels
+        assert got.elements == elems
+        assert got.inclusion == inclusion and got.projection == projection
+        lines.append(repr((sub.poset.up, sub.labels, elems, inclusion.values, projection.values)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "470aa8c5cc2aeb056c94a8c2f9da5bf8adfe1bf71e4cac1e80f000322309f7f6"
+
+
+def test_a_retract_is_ordered_as_in_the_lattice():
+    # x |-> x \/ a is idempotent and isotone; its image is the upper
+    # interval [a, 1], which the retract orders as the lattice does.
+    n5 = corpus.n5()
+    for a in n5.elements():
+        upper = retract(n5, n5.join_table[a])
+        assert upper.elements == tuple(x for x in n5.elements() if n5.leq(a, x))
+        for i, x in enumerate(upper.elements):
+            assert upper.inclusion(i) == x and upper.projection(x) == i
+            for j, y in enumerate(upper.elements):
+                assert upper.lattice.leq(i, j) == n5.leq(x, y)
+        for x in n5.elements():
+            assert upper.inclusion(upper.projection(x)) == n5.join2(x, a)
 
 
 def test_direct_product_projections_and_sections():

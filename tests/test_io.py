@@ -2,8 +2,9 @@
 
 import pytest
 
-from latkit import corpus, io
+from latkit import corpus, io, stateprop, weak
 from latkit.errors import OrthoAxiomFailed, ParseError
+from latkit.maps import hom_set, preservation_profile
 
 LATTICE_DOC = """
 # a diamond with an orthocomplement
@@ -209,6 +210,45 @@ def test_map_format_roundtrip():
     relation = ws.causals["r"]
     text = LATTICE_DOC + "\n" + io.format_causal("r2", relation, "C2", "D4")
     assert io.load_workspace(text).causals["r2"].pairs == relation.pairs
+
+
+def test_every_causal_relation_of_a_weak_map_reads_back():
+    # Labels may hold ":" (C3+C3 has L1:1), and a causal line is read by
+    # its arrow before it is read as a field.  The weak meet maps are found
+    # by the pairwise meet scan, not by the WeakMeetMap constructor.
+    small = corpus.named_lattices(max_size=4)
+    count = 0
+    for name1, l1 in small.items():
+        for name2, l2 in small.items():
+            texts = {name1: io.format_lattice(name1, l1), name2: io.format_lattice(name2, l2)}
+            relations = [
+                stateprop.map_to_causal(weak.WeakMeetMap(g))
+                for g in hom_set(l2, l1, "isotone")
+                if preservation_profile(g).nonempty_meets
+            ]
+            text = "".join(texts.values()) + "".join(
+                io.format_causal("r%d" % k, relation, name1, name2)
+                for k, relation in enumerate(relations)
+            )
+            causals = io.load_workspace(text).causals
+            assert [causals["r%d" % k] for k in range(len(relations))] == relations
+            count += len(relations)
+    assert count == 4073
+
+
+@pytest.mark.parametrize("kind, header", [
+    ("map", "map f : A -> Z"), ("umap", "umap t : Z -> A"), ("causal", "causal r : A -> Z"),
+])
+def test_unknown_lattices_are_named(kind, header):
+    text = "lattice A\nelements: 0\n%s\n" % header
+    with pytest.raises(ParseError) as err:
+        io.load_workspace(text)
+    assert str(err.value) == "line 3: %s references unknown lattice 'Z'" % kind
+
+
+def test_a_field_value_may_hold_an_arrow():
+    ws = io.load_workspace("lattice A\nelements: a~>b\n")
+    assert ws.lattices["A"].labels == ("a~>b",)
 
 
 def test_comments_and_blank_lines_ignored():

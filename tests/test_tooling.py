@@ -37,9 +37,14 @@ def traced_names():
 def test_every_traced_name_resolves():
     # The tracer wraps functions found as module attributes and methods found
     # in their class __dict__; a rename under src/ must fail here, not in a
-    # traced benchmark run.
+    # traced benchmark run.  It rebinds a function wherever a latkit module
+    # binds that object, so no module may bind another function by its name.
     names = traced_names()
     assert len(names) > 30
+    modules = [
+        importlib.import_module("latkit." + info.name)
+        for info in pkgutil.iter_modules(latkit.__path__)
+    ]
     for module, attr in names:
         mod = importlib.import_module("latkit." + module)
         if "." in attr:
@@ -48,7 +53,10 @@ def test_every_traced_name_resolves():
             assert inspect.isclass(cls), (module, attr)
             assert callable(cls.__dict__.get(method)), (module, attr)
         else:
-            assert inspect.isfunction(getattr(mod, attr, None)), (module, attr)
+            function = getattr(mod, attr, None)
+            assert inspect.isfunction(function), (module, attr)
+            for other in modules:
+                assert vars(other).get(attr, function) is function, (module, attr, other)
 
 
 def test_all_checks_keep_the_sweep_workloads_contract():

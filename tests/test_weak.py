@@ -2,10 +2,10 @@
 
 import pytest
 
-from latkit import corpus
+from latkit import corpus, maps
 from latkit.core import LatticeMap, upper_extension
 from latkit.errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from latkit.maps import preservation_profile, right_adjoint
+from latkit.maps import hom_set, preservation_profile, right_adjoint
 from latkit.weak import (
     PartialJoinMap,
     UpperMap,
@@ -20,8 +20,6 @@ from latkit.weak import (
 
 
 def weak_meet_maps(dom, cod):
-    from latkit.maps import hom_set
-
     out = []
     for f in hom_set(dom, cod, "isotone"):
         if preservation_profile(f).nonempty_meets:
@@ -38,6 +36,41 @@ def test_weak_meet_map_rejects_non_meet_maps():
     bad = LatticeMap(d4, d4, (0, 3, 3, 3))
     with pytest.raises(NotWeakMeet):
         WeakMeetMap(bad)
+
+
+def test_weak_meet_maps_are_decided_as_the_meet_scan_decides_them():
+    # The constructor decides a map by one residual pass on its pointed
+    # extension; the pairwise scan of preservation_profile is the oracle.
+    small = list(corpus.named_lattices(max_size=4).values())
+    small += [lattice.dual for lattice in small]
+    verdicts = []
+    for dom in small:
+        for cod in small:
+            for g in hom_set(dom, cod, "isotone"):
+                try:
+                    weak = WeakMeetMap(g)
+                except NotWeakMeet:
+                    weak = None
+                else:
+                    assert weak.extended.values == g.values + (cod.size,)
+                verdicts.append(weak is not None)
+                assert verdicts[-1] == preservation_profile(g).nonempty_meets, g.values
+    assert (len(verdicts), sum(verdicts)) == (20252, 16292)
+
+
+def test_pointed_extend_reads_the_extension_the_constructor_decided(monkeypatch):
+    table = corpus.named_lattices()
+    weak_maps = weak_meet_maps(table["D4"], table["C3"])
+    assert weak_maps
+    calls = []
+    real = maps._residual_table
+    monkeypatch.setattr(
+        maps, "_residual_table", lambda *args: calls.append(args) or real(*args)
+    )
+    for g in weak_maps:
+        extended, upper = pointed_extend(g)
+        assert extended is g.extended and upper.map == pointed_extend(g)[1].map
+    assert calls == []
 
 
 def test_restrict_codomain_lands_on_interval():
