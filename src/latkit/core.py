@@ -205,8 +205,9 @@ class FiniteLattice:
     lattice.  The meet table (the dual's join table), the size, the hash,
     the dual, the lower covers, the down-set index, the atom sets, the upper
     extension, the sublattices, the lower intervals, the Hom-sets out of the
-    lattice and the data of the join Hom-set search (maps._join_search) are
-    computed on first use and kept on the instance.
+    lattice with their value masks (maps._value_masks) and the data of the
+    join Hom-set search (maps._join_search) are computed on first use and
+    kept on the instance.
     """
 
     poset: FinitePoset

@@ -30,6 +30,24 @@ class Block:
 _HEADS = ("lattice", "map", "umap", "ospace", "cspace", "causal")
 # The arrow of each block kind that has arrow lines.
 _ARROWS = {"map": "|->", "umap": "|->", "causal": "~>"}
+# The fields each block kind reads; a map block reads those of "map"
+# between lattices and those of "cmap" between closure spaces.
+_FIELDS = {
+    "lattice": ("elements", "covers", "ortho"),
+    "map": ("anchor",),
+    "cmap": ("kernel",),
+    "umap": (),
+    "causal": (),
+    "ospace": ("points", "orth"),
+    "cspace": ("points", "closed"),
+}
+# The fields a line may name in each block kind, before a map block's header
+# is resolved to lattices or closure spaces.
+_LINE_FIELDS = dict(_FIELDS, map=_FIELDS["map"] + _FIELDS["cmap"])
+
+
+def _holds_arrow(line):
+    return "|->" in line or "~>" in line
 
 
 def _strip(line):
@@ -62,17 +80,21 @@ def parse_blocks(text):
         if current is None:
             raise ParseError("content before any block header", line=lineno)
         # The block's own arrow first, so labels may hold ":"; then a field,
-        # so a field value may hold an arrow; any other arrow is an error.
+        # so the value of a field the block reads may hold an arrow; any
+        # other arrow is an error.
         arrow = _ARROWS.get(current.kind)
         if arrow and arrow in line:
             lhs, rhs = [s.strip() for s in line.split(arrow, 1)]
             current.arrows.append((lhs, rhs, lineno))
-        elif ":" in line:
+        elif ":" in line and (
+            not _holds_arrow(line)
+            or line.split(":", 1)[0].strip() in _LINE_FIELDS[current.kind]
+        ):
             key, value = [s.strip() for s in line.split(":", 1)]
             if key in current.fields:
                 raise ParseError("duplicate field %r" % key, line=lineno)
             current.fields[key] = (value, lineno)
-        elif "|->" in line or "~>" in line:
+        elif _holds_arrow(line):
             if arrow:
                 raise ParseError("%s lines use %s" % (current.kind, arrow), line=lineno)
             raise ParseError("%s block has no arrow lines" % current.kind, line=lineno)
@@ -147,7 +169,7 @@ def _reject_unknown_fields(block, known):
 def _build_lattice(block):
     if "elements" not in block.fields:
         raise ParseError("lattice block needs an elements field", line=block.line)
-    _reject_unknown_fields(block, ("elements", "covers", "ortho"))
+    _reject_unknown_fields(block, _FIELDS["lattice"])
     labels, _ = block.fields["elements"]
     labels = labels.split()
     if len(labels) > core.MAX_LATTICE_SIZE:
@@ -199,7 +221,7 @@ def _point_labels(block):
 
 def _build_ospace(block):
     labels = _point_labels(block)
-    _reject_unknown_fields(block, ("points", "orth"))
+    _reject_unknown_fields(block, _FIELDS["ospace"])
     rows = [0] * len(labels)
     if "orth" in block.fields:
         text, lineno = block.fields["orth"]
@@ -217,7 +239,7 @@ def _build_ospace(block):
 
 def _build_cspace(block):
     labels = _point_labels(block)
-    _reject_unknown_fields(block, ("points", "closed"))
+    _reject_unknown_fields(block, _FIELDS["cspace"])
     closed = []
     if "closed" in block.fields:
         text, lineno = block.fields["closed"]
@@ -294,7 +316,7 @@ def _resolve_map(ws, block):
     dom_name, cod_name = ws.signatures[block.name]
     if dom_name in ws.cspaces or cod_name in ws.cspaces:
         return _resolve_cmap(ws, block, dom_name, cod_name)
-    dom, cod = _lattice_pair(ws, block, ("anchor",))
+    dom, cod = _lattice_pair(ws, block, _FIELDS["map"])
     entries = {}
     for lhs, rhs, lineno in block.arrows:
         a = _label_index(dom.label_index, lhs, lineno, "element")
@@ -323,7 +345,7 @@ def _resolve_map(ws, block):
 def _resolve_cmap(ws, block, dom_name, cod_name):
     if dom_name not in ws.cspaces or cod_name not in ws.cspaces:
         raise ParseError("continuous map needs two closure spaces", line=block.line)
-    _reject_unknown_fields(block, ("kernel",))
+    _reject_unknown_fields(block, _FIELDS["cmap"])
     src, tgt = ws.cspaces[dom_name], ws.cspaces[cod_name]
     src_index, tgt_index = _indexed(src.labels), _indexed(tgt.labels)
     kernel = []
@@ -358,7 +380,7 @@ def _lattice_pair(ws, block, fields):
 
 
 def _resolve_umap(ws, block):
-    dom, cod = _lattice_pair(ws, block, ())
+    dom, cod = _lattice_pair(ws, block, _FIELDS["umap"])
     images = {}
     for lhs, rhs, lineno in block.arrows:
         a = _label_index(dom.label_index, lhs, lineno, "element")
@@ -375,7 +397,7 @@ def _resolve_umap(ws, block):
 
 
 def _resolve_causal(ws, block):
-    src, tgt = _lattice_pair(ws, block, ())
+    src, tgt = _lattice_pair(ws, block, _FIELDS["causal"])
     pairs = set()
     for lhs, rhs, lineno in block.arrows:
         pairs.add(

@@ -432,6 +432,49 @@ def _hom_tables(dom, cod, cls):
     return tables
 
 
+def _value_masks(dom, cod, cls):
+    """E[a][v] = the bitmask of the indices i, in hom_set order, of the maps
+    f_i: dom -> cod of class cls with f_i(a) = v; kept on dom per (cod, cls)
+    beside _hom_tables, the meet masks on dom.dual as the meet tables are.
+
+    A set of maps is a bitmask over the Hom-set, so a search over maps is a
+    few ANDs and ORs of these rows: the maps with v <= f(a) are the OR of
+    E[a] over the up-set of v (see _at_most).
+    """
+    if cls == "meet":
+        return _value_masks(dom.dual, cod.dual, "join")
+    cache = dom.__dict__.setdefault("value_masks", {})
+    key = (cod, cls)
+    masks = cache.get(key)
+    if masks is None:
+        masks = cache[key] = _masks_of(_hom_tables(dom, cod, cls), dom.size, cod.size)
+    return masks
+
+
+def _masks_of(tables, n, m):
+    """out[a][v] = the bitmask of the indices i with tables[i][a] = v, for
+    value tables of length n into range(m), m <= 256."""
+    if not tables:
+        return [[0] * m for _ in range(n)]
+    # Column a as bytes, last table first; digits[v] turns v into "1" and
+    # every other value into "0", so the column read in base 2 has bit i
+    # for tables[i].
+    columns = [bytes(reversed(column)) for column in zip(*tables)]
+    values = bytes(range(m))
+    digits = [bytes.maketrans(values, b"0" * v + b"1" + b"0" * (m - 1 - v)) for v in values]
+    return [[int(column.translate(row), 2) for row in digits] for column in columns]
+
+
+def _at_most(row, lattice):
+    """out[v] = the OR of row[w] over w <= v in lattice; over w >= v it is
+    _at_most(row, lattice.dual).  One OR per cover, in a linear extension."""
+    out = list(row)
+    for b, lower in lattice.lower_covers:
+        for c in lower:
+            out[b] |= out[c]
+    return out
+
+
 def _hom_tuple(dom, cod, cls):
     """The maps of hom_set as a tuple, one per table of _hom_tables, kept
     on dom.  The meet maps are the duals of the join maps between the dual
@@ -482,8 +525,79 @@ def _inverts(h, f):
     return True
 
 
+def _one_sided_inverses(f, cls):
+    """(section, retraction): whether some map h: cod -> dom of class cls
+    has h o f = 1, or f o h = 1, read off the value masks E of that Hom-set.
+    h o f = 1 iff h(f(a)) = a for every a: the AND over a of E[f(a)][a].
+    f o h = 1 iff h(b) lies in f's preimage of b for every b: the AND over b
+    of the OR of E[b][a] over that preimage, the same cells grouped by f(a).
+    """
+    masks = _value_masks(f.cod, f.dom, cls)
+    sections, hits = -1, [0] * f.cod.size
+    for a, y in enumerate(f.values):
+        cell = masks[y][a]
+        sections &= cell
+        hits[y] |= cell
+    retractions = -1
+    for hit in hits:
+        retractions &= hit
+    return sections != 0, retractions != 0
+
+
+def _lowest(mask):
+    """The index of the lowest set bit of a nonzero mask: in a set of maps,
+    the first map in hom_set order."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _adjoint_sets(l1, l2):
+    """(f, adjoints, admitted) for each join map f: l1 -> l2, in order, with
+    two independent oracles' sets of meet maps g: l2 -> l1 as bitmasks over
+    hom_set(l2, l1, "meet").  adjoints: the g whose relation a <= g(b) is f's
+    relation f(a) <= b, one dict lookup, as check_adjunction compares them.
+    admitted: the g that the unit a <= g(f(a)) and the counit f(g(b)) <= b
+    admit, from the meet maps' value masks."""
+    by_relation = {}
+    for j, g in enumerate(_hom_tuple(l2, l1, "meet")):
+        relation = _above(g)
+        by_relation[relation] = by_relation.get(relation, 0) | 1 << j
+    values = _value_masks(l2, l1, "meet")  # values[b][x]: the g with g(b) = x
+    above = [_at_most(row, l1.dual) for row in values]  # x <= g(b)
+    up2 = l2.poset.up
+    for f in _hom_tuple(l1, l2, "join"):
+        fv = f.values
+        admitted = -1
+        for a, y in enumerate(fv):
+            admitted &= above[y][a]
+        for b, row in enumerate(values):
+            counit = 0
+            for x, y in enumerate(fv):
+                if up2[y] >> b & 1:
+                    counit |= row[x]
+            admitted &= counit
+        yield f, by_relation.get(_below(f), 0), admitted
+
+
+def _order_sets(l1, l2, stars):
+    """({h : f <= h}, {h : h* <= f*}) for each join map f: l1 -> l2, in
+    order, as bitmasks over hom_set(l1, l2, "join"); stars[i] is the value
+    table of the i-th map's right adjoint.  Each set is an AND over the
+    points of the order masks, read off the value masks of the maps and of
+    the adjoints."""
+    above = [_at_most(row, l2.dual) for row in _value_masks(l1, l2, "join")]
+    below = [_at_most(row, l1) for row in _masks_of(stars, l2.size, l1.size)]
+    for f, star in zip(_hom_tuple(l1, l2, "join"), stars):
+        over = under = -1
+        for a, v in enumerate(f.values):
+            over &= above[a][v]
+        for b, x in enumerate(star):
+            under &= below[b][x]
+        yield over, under
+
+
 def classify_morphism(f, cls="join"):
-    """Classification via the adjoint criteria; one-sided inverses by search."""
+    """Classification via the adjoint criteria; one-sided inverses by the
+    value masks of the reverse Hom-set."""
     profile = preservation_profile(f)
     if cls == "join":
         if not profile.joins:
@@ -497,12 +611,12 @@ def classify_morphism(f, cls="join"):
         raise ValueError("cls must be 'join' or 'meet'")
     injective = len(set(f.values)) == f.dom.size
     surjective = len(set(f.values)) == f.cod.size
-    inverses = hom_set(f.cod, f.dom, cls)
+    section, retraction = _one_sided_inverses(f, cls)
     return MorphismFlags(
         epic=_inverts(f, g),
         monic=_inverts(g, f),
-        section=any(_inverts(h, f) for h in inverses),
-        retraction=any(_inverts(f, h) for h in inverses),
+        section=section,
+        retraction=retraction,
         injective=injective,
         surjective=surjective,
         balanced=profile.balanced,

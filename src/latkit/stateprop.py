@@ -18,7 +18,7 @@ from .errors import (
     NotWeakMeet,
     ValidationError,
 )
-from .maps import left_adjoint, preservation_profile, right_adjoint
+from .maps import _lowest, left_adjoint, preservation_profile, right_adjoint
 from .ortho import OrthoLattice
 from .weak import WeakMeetMap, pointed_extend
 
@@ -148,21 +148,46 @@ class CausalRelation:
 
 
 def validate_causal(relation):
+    """Check that the relation is fully isotone (it holds every pair below
+    one of its pairs on the left and above it on the right) and stable
+    under meets on the right.
+
+    Decided on rows: with rows[a1] the targets of a1 as a mask, the relation
+    is fully isotone iff each row is an up-set and the rows shrink along the
+    source's covers, and an up-set holds the meet of its elements iff it is
+    principal.  NotFullyIsotone names a pair and a dominated pair missing
+    beside it in its row or in the row of a lower cover; NotMeetStable names
+    the first row, (a1, its targets), that is an up-set but not principal.
+    """
     src, tgt, pairs = relation.source, relation.target, relation.pairs
-    for (a1, a2) in pairs:
-        for x1 in src.elements():
-            for x2 in tgt.elements():
-                if src.leq(x1, a1) and tgt.leq(a2, x2) and (x1, x2) not in pairs:
+    rows = [0] * src.size
+    for a1, a2 in pairs:
+        rows[a1] |= 1 << a2
+    principal = tgt.dual.down_index  # the principal up-sets of tgt, as masks
+    up = tgt.poset.up
+    unstable = None
+    for a1, row in enumerate(rows):
+        if row and row not in principal:
+            targets = [a2 for a2 in tgt.elements() if row >> a2 & 1]
+            for a2 in targets:
+                missing = up[a2] & ~row
+                if missing:
                     raise NotFullyIsotone(
-                        "relation misses a dominated pair", witness=((a1, a2), (x1, x2))
+                        "relation misses a dominated pair",
+                        witness=((a1, a2), (a1, _lowest(missing))),
                     )
-    for a1 in src.elements():
-        targets = [a2 for a2 in tgt.elements() if (a1, a2) in pairs]
-        if targets and (a1, tgt.meet(targets)) not in pairs:
-            raise NotMeetStable(
-                "relation not stable under meets on the right",
-                witness=(a1, targets),
-            )
+            if unstable is None:
+                unstable = (a1, targets)
+    for b, lower in src.lower_covers:
+        for c in lower:
+            missing = rows[b] & ~rows[c]
+            if missing:
+                a2 = _lowest(missing)
+                raise NotFullyIsotone(
+                    "relation misses a dominated pair", witness=((b, a2), (c, a2))
+                )
+    if unstable is not None:
+        raise NotMeetStable("relation not stable under meets on the right", witness=unstable)
     return relation
 
 
@@ -203,34 +228,34 @@ def causal_closure(source, target, seed_pairs):
 
 
 def causal_to_map(relation):
-    """g sending a later property to the largest earlier property forcing it."""
+    """g sending a later property to the largest earlier property forcing it.
+
+    The relation is a1 <= g(a2) iff the causes of each a2 are the down-set
+    of an element, which is then g(a2).  The causes in a valid relation form
+    a down-set, so where they are not principal their join is not a cause:
+    the ValidationError names (that join, a2) for the first such a2.
+    """
     validate_causal(relation)
     src, tgt = relation.source, relation.target
-    values = []
-    for a2 in tgt.elements():
-        values.append(src.join([a1 for a1 in src.elements() if relation.holds(a1, a2)]))
-    g = LatticeMap(tgt, src, tuple(values))
-    # The relation must be recoverable from g; this needs the relation to
-    # also contain the join of all causes of each effect, which the two
-    # validity rules alone do not force.
-    for a1 in src.elements():
-        for a2 in tgt.elements():
-            if relation.holds(a1, a2) != src.leq(a1, g(a2)):
-                raise ValidationError(
-                    "relation is not representable by its induced map",
-                    witness=(a1, a2),
-                )
-    return WeakMeetMap(g)
+    causes = [0] * tgt.size
+    for a1, a2 in relation.pairs:
+        causes[a2] |= 1 << a1
+    values = tuple(map(src.down_index.get, causes))
+    if None in values:
+        a2 = values.index(None)
+        top = src.join([a1 for a1 in src.elements() if causes[a2] >> a1 & 1])
+        raise ValidationError(
+            "relation is not representable by its induced map", witness=(top, a2)
+        )
+    return WeakMeetMap(LatticeMap._unchecked(tgt, src, values))
 
 
 def map_to_causal(weak):
     """The relation a1 leads-to a2 iff a1 lies below g(a2)."""
     g = weak.map
+    down = g.cod.poset.down
     pairs = frozenset(
-        (a1, a2)
-        for a1 in g.cod.elements()
-        for a2 in g.dom.elements()
-        if g.cod.leq(a1, g(a2))
+        (a1, a2) for a2, v in enumerate(g.values) for a1 in g.cod.elements() if down[v] >> a1 & 1
     )
     return validate_causal(CausalRelation(g.cod, g.dom, pairs))
 

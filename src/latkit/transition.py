@@ -96,6 +96,17 @@ class UnionMap:
             masks.append(mask)
         object.__setattr__(self, "masks", tuple(masks))
 
+    @classmethod
+    def _unchecked(cls, source, target, singleton_images, masks, joins):
+        """A union map whose masks and _joins table are those of its images
+        by construction: not validated."""
+        theta = object.__new__(cls)
+        theta.__dict__.update(
+            source=source, target=target, singleton_images=singleton_images, masks=masks,
+            _joins=joins,
+        )
+        return theta
+
     def __call__(self, subset):
         table = dict(self.singleton_images)
         out = set()
@@ -323,13 +334,17 @@ def strictness_witness(lattice, a):
 
 class _UnionMaps(Sequence):
     """Every union map source -> target, indexed in itertools.product order
-    over the choices of singleton image; a map is built when it is read."""
+    over the choices of singleton image; a map is built when it is read,
+    from the masks and joins of the choices, computed once per sequence."""
 
     def __init__(self, source, target, choices):
         self.source, self.target = source, target
         self._elems = nonzero(source)
         self._choices = choices
         self._len = len(choices) ** len(self._elems)
+        bottom = target.bottom
+        self._masks = [sum(1 << b - (b > bottom) for b in image) for image in choices]
+        self._joins = [target.join(image) for image in choices]
 
     def __len__(self):
         return self._len
@@ -339,14 +354,18 @@ class _UnionMaps(Sequence):
             return [self[i] for i in range(self._len)[index]]
         i = range(self._len)[index]  # IndexError past either end
         radix = len(self._choices)
-        picks = []
+        digits = []
         for _ in self._elems:
             i, digit = divmod(i, radix)
-            picks.append(self._choices[digit])
-        return self._map(reversed(picks))
-
-    def _map(self, picks):
-        return UnionMap(self.source, self.target, tuple(zip(self._elems, picks)))
+            digits.append(digit)
+        digits.reverse()
+        return UnionMap._unchecked(
+            self.source,
+            self.target,
+            tuple(zip(self._elems, map(self._choices.__getitem__, digits))),
+            tuple(map(self._masks.__getitem__, digits)),
+            _joins_by_doubling(self.target, map(self._joins.__getitem__, digits)),
+        )
 
 
 def all_union_maps(source, target):

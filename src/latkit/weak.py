@@ -68,6 +68,18 @@ class PartialJoinMap:
         table = tuple(domain[x] for x in interval.elements)
         object.__setattr__(self, "inner", LatticeMap(interval.lattice, self.target, table))
 
+    @classmethod
+    def _of(cls, source, anchor, inner):
+        """The partial map whose map on lower_interval(source, anchor) is
+        inner, a join map by construction: not validated."""
+        partial = object.__new__(cls)
+        elements = lower_interval(source, anchor).elements
+        partial.__dict__.update(
+            source=source, target=inner.cod, anchor=anchor,
+            values=tuple(zip(elements, inner.values)), inner=inner,
+        )
+        return partial
+
     def __call__(self, x):
         """The value at x, which must lie below the anchor."""
         return self.inner.values[lower_interval(self.source, self.anchor).elements.index(x)]
@@ -121,10 +133,8 @@ def restrict_codomain(weak):
     restricted = LatticeMap._unchecked(
         g.dom, interval.lattice, tuple(position[v] for v in g.values)
     )
-    left = left_adjoint(restricted)
-    # The left adjoint lands back in the big lattice through the inclusion.
-    partial = PartialJoinMap(g.cod, g.dom, anchor, tuple(zip(interval.elements, left.values)))
-    return restricted, partial, anchor
+    # The left adjoint, on the interval, is the partial map's interval map.
+    return restricted, PartialJoinMap._of(g.cod, anchor, left_adjoint(restricted)), anchor
 
 
 def pointed_extend(weak):
@@ -148,8 +158,12 @@ def upper_to_partial(upper):
     """Anchor at F*(1) and restrict F to the interval below it."""
     src = upper.base_source
     anchor = right_adjoint(upper.map)(upper.base_target.top)
-    values = tuple((x, upper(x)) for x in lower_interval(src, anchor).elements)
-    return PartialJoinMap(src, upper.base_target, anchor, values)
+    interval = lower_interval(src, anchor)
+    # F(x) <= 1 iff x <= F*(1), so F sends the interval into the base target.
+    values = tuple(map(upper.map.values.__getitem__, interval.elements))
+    return PartialJoinMap._of(
+        src, anchor, LatticeMap._unchecked(interval.lattice, upper.base_target, values)
+    )
 
 
 def compose_partial(second, first):
@@ -158,5 +172,14 @@ def compose_partial(second, first):
         raise ShapeMismatch("partial maps not composable")
     interval, inner = first.interval_map()
     anchor = interval.elements[right_adjoint(inner)(second.anchor)]
-    values = tuple((x, second(first(x))) for x in first.source.downset(anchor))
-    return PartialJoinMap(first.source, second.target, anchor, values)
+    # first sends [0, anchor] below second's anchor; each projection gives
+    # the position of an element below its anchor in its interval.
+    composite = lower_interval(first.source, anchor)
+    at_first = interval.projection.values
+    at_second = lower_interval(second.source, second.anchor).projection.values
+    values = tuple(
+        second.inner.values[at_second[inner.values[at_first[x]]]] for x in composite.elements
+    )
+    return PartialJoinMap._of(
+        first.source, anchor, LatticeMap._unchecked(composite.lattice, second.target, values)
+    )

@@ -332,6 +332,11 @@ A_FILE = "lattice A\nelements: 0 1\ncovers: 0<1\n"
     ("cspace S\npoints: p\nmap a : S -> S\np ~> p\n", 4, "map lines use |->"),
     (A_FILE + "umap t : A -> A\n1 ~> {1}\n", 5, "umap lines use |->"),
     (A_FILE + "causal r : A -> A\n0 |-> 1\n", 5, "causal lines use ~>"),
+    # A ":" before another kind's arrow makes no field the block reads.
+    (A_FILE + "causal r : A -> A\nL:1 |-> 0\n", 5, "causal lines use ~>"),
+    (A_FILE + "map f : A -> A\nx:1 ~> 0\n", 5, "map lines use |->"),
+    (A_FILE + "umap t : A -> A\nx:1 ~> {1}\n", 5, "umap lines use |->"),
+    (A_FILE + "x: a ~> b\n", 4, "lattice block has no arrow lines"),
 ])
 def test_stray_arrow_lines_are_parse_errors(tmp_path, capsys, text, line, message):
     path = tmp_path / "stray.lat"

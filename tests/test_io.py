@@ -249,6 +249,14 @@ def test_unknown_lattices_are_named(kind, header):
 def test_a_field_value_may_hold_an_arrow():
     ws = io.load_workspace("lattice A\nelements: a~>b\n")
     assert ws.lattices["A"].labels == ("a~>b",)
+    # So may the fields of a map block, between lattices or closure spaces.
+    for text, message in [
+        (C2_DOC + "map f : A -> A\nanchor: 0~>1\n", "line 5: unknown element '0~>1'"),
+        (S_DOC + "map a : S -> S\nkernel: p~>q\n", "line 5: unknown point 'p~>q'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            io.load_workspace(text)
+        assert str(err.value) == message
 
 
 def test_comments_and_blank_lines_ignored():

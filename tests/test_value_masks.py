@@ -1,0 +1,583 @@
+"""The Hom-set value masks and the row-mask validators against the pairwise
+scans they replace.
+
+The references below are the scans the library and the law bodies ran
+before: check_adjunction and the unit/counit loop over every pair of maps,
+map_leq over every pair, the _inverts scan over the reverse Hom-set, and
+the validators' full scans.  Each mask result must equal its reference on
+every input, and each validator must raise exactly when its scan does, with
+the same exception and message and a witness that names a real failure.  The planted defects at the end
+break one input of each rewritten law; the law body must return the witness
+that the old body returns on it.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from latkit import closure, core, corpus, maps, stateprop, suite, transition, weak
+from latkit.closure import validate_closure
+from latkit.errors import (
+    LatkitError,
+    NotClosure,
+    NotFullyIsotone,
+    NotMeetStable,
+    ValidationError,
+)
+from latkit.maps import (
+    _inverts,
+    _value_masks,
+    check_adjunction,
+    classify_morphism,
+    hom_set,
+    left_adjoint,
+    map_leq,
+    right_adjoint,
+)
+from latkit.stateprop import CausalRelation, validate_causal
+
+LATTICES = corpus.named_lattices()
+
+
+def pairs(bound):
+    small = [lat for lat in LATTICES.values() if lat.size <= bound]
+    return list(itertools.product(small, repeat=2))
+
+
+def mask(bits):
+    return sum(1 << i for i, bit in enumerate(bits) if bit)
+
+
+# ---------------------------------------------------------------- references
+
+
+def ref_adjoint_unique(l1, l2):
+    """The adjoint-unique body before the value masks: every join map
+    against every meet map."""
+    up1, up2 = l1.poset.up, l2.poset.up
+    meets = suite._homs(l2, l1, "meet")
+    for f in suite._homs(l1, l2, "join"):
+        matches = []
+        for g in meets:
+            adjoint = check_adjunction(f, g)
+            fv, gv = f.values, g.values
+            unit_counit = all(
+                row >> gv[fv[a]] & 1 for a, row in enumerate(up1)
+            ) and all(up2[fv[y]] >> b & 1 for b, y in enumerate(gv))
+            if adjoint != unit_counit:
+                return "adjunction oracles disagree for %s, %s" % (f.values, g.values)
+            if adjoint:
+                matches.append(g)
+        if len(matches) != 1:
+            return "%d adjoint candidates for %s" % (len(matches), f.values)
+    return None
+
+
+def ref_duality(l1, l2):
+    """The duality-involution body before the value masks: map_leq on every
+    pair of join maps and of their adjoints."""
+    joins = suite._homs(l1, l2, "join")
+    for f in joins:
+        g = suite.right_adjoint(f)
+        if suite.left_adjoint(g) != f:
+            return "double dual differs for %s" % (f.values,)
+    for f in joins:
+        for h in joins:
+            if map_leq(f, h) != map_leq(suite.right_adjoint(h), suite.right_adjoint(f)):
+                return "antitonicity fails for %s vs %s" % (f.values, h.values)
+    return None
+
+
+def ref_classify(f, cls="join"):
+    """classify_morphism with its one-sided inverses found by the _inverts
+    scan over the reverse Hom-set."""
+    flags = classify_morphism(f, cls)
+    inverses = hom_set(f.cod, f.dom, cls)
+    return maps.MorphismFlags(
+        epic=flags.epic,
+        monic=flags.monic,
+        section=any(_inverts(h, f) for h in inverses),
+        retraction=any(_inverts(f, h) for h in inverses),
+        injective=flags.injective,
+        surjective=flags.surjective,
+        balanced=flags.balanced,
+        dense=flags.dense,
+    )
+
+
+def ref_validate_causal(relation):
+    src, tgt, pairs = relation.source, relation.target, relation.pairs
+    for (a1, a2) in pairs:
+        for x1 in src.elements():
+            for x2 in tgt.elements():
+                if src.leq(x1, a1) and tgt.leq(a2, x2) and (x1, x2) not in pairs:
+                    raise NotFullyIsotone(
+                        "relation misses a dominated pair", witness=((a1, a2), (x1, x2))
+                    )
+    for a1 in src.elements():
+        targets = [a2 for a2 in tgt.elements() if (a1, a2) in pairs]
+        if targets and (a1, tgt.meet(targets)) not in pairs:
+            raise NotMeetStable(
+                "relation not stable under meets on the right", witness=(a1, targets)
+            )
+    return relation
+
+
+def ref_causal_to_map(relation):
+    ref_validate_causal(relation)
+    src, tgt = relation.source, relation.target
+    values = []
+    for a2 in tgt.elements():
+        values.append(src.join([a1 for a1 in src.elements() if relation.holds(a1, a2)]))
+    g = core.LatticeMap(tgt, src, tuple(values))
+    for a1 in src.elements():
+        for a2 in tgt.elements():
+            if relation.holds(a1, a2) != src.leq(a1, g(a2)):
+                raise ValidationError(
+                    "relation is not representable by its induced map", witness=(a1, a2)
+                )
+    return weak.WeakMeetMap(g)
+
+
+def ref_map_to_causal(wm):
+    g = wm.map
+    pairs = frozenset(
+        (a1, a2) for a1 in g.cod.elements() for a2 in g.dom.elements() if g.cod.leq(a1, g(a2))
+    )
+    return ref_validate_causal(CausalRelation(g.cod, g.dom, pairs))
+
+
+def ref_validate_closure(lattice, table):
+    table = tuple(table)
+    up = lattice.poset.up
+    for a, row in enumerate(up):
+        above = up[table[a]]
+        for b, y in enumerate(table):
+            if row >> b & 1 and not above >> y & 1:
+                raise NotClosure("not isotone", witness=(a, b))
+    for a in lattice.elements():
+        if not lattice.leq(a, table[a]):
+            raise NotClosure("not inflationary", witness=a)
+        if table[table[a]] != table[a]:
+            raise NotClosure("not idempotent", witness=a)
+    return closure.ClosureOperator(lattice, table)
+
+
+def outcome(fn, *args):
+    """What fn(*args) does: its result, or its exception's type and message."""
+    try:
+        return "returns", fn(*args)
+    except LatkitError as exc:
+        return type(exc), str(exc)
+
+
+def witness(fn, *args):
+    try:
+        fn(*args)
+    except LatkitError as exc:
+        return exc.witness
+    raise AssertionError("no exception")
+
+
+def assert_closure_witness(lattice, table):
+    """validate_closure's witness breaks the axiom its message names: a
+    cover (c, b) that the table does not keep in order, else the scan's
+    element."""
+    kind, message = outcome(validate_closure, lattice, table)
+    got = witness(validate_closure, lattice, table)
+    if message == "not isotone":
+        c, b = got
+        assert c in dict(lattice.lower_covers)[b]
+        assert not lattice.leq(table[c], table[b])
+    else:
+        assert got == witness(ref_validate_closure, lattice, table)
+
+
+def assert_causal_witness(relation):
+    """validate_causal's witness breaks the rule its exception names: a pair
+    with a dominated pair missing, or the scan's row that is not meet
+    stable."""
+    src, tgt, pairs = relation.source, relation.target, relation.pairs
+    got = witness(validate_causal, relation)
+    if isinstance(got[0], tuple):
+        (a1, a2), (x1, x2) = got
+        assert (a1, a2) in pairs and (x1, x2) not in pairs
+        assert src.leq(x1, a1) and tgt.leq(a2, x2)
+    else:
+        assert got == witness(ref_validate_causal, relation)
+
+
+def assert_representation_witness(relation):
+    """causal_to_map's witness is a pair where the relation and the map that
+    sends each effect to the join of its causes differ."""
+    src, tgt = relation.source, relation.target
+    a1, a2 = witness(stateprop.causal_to_map, relation)
+    top = src.join([x for x in src.elements() if relation.holds(x, a2)])
+    assert relation.holds(a1, a2) != src.leq(a1, top)
+
+
+# -------------------------------------------------------------------- kernel
+
+
+@pytest.mark.parametrize("cls", maps.MAP_CLASSES)
+def test_value_masks_are_the_columns_of_the_hom_set(cls):
+    for l1, l2 in pairs(4):
+        homs = hom_set(l1, l2, cls)
+        masks = _value_masks(l1, l2, cls)
+        assert masks == [
+            [mask(f(a) == v for f in homs) for v in l2.elements()] for a in l1.elements()
+        ]
+
+
+def test_order_sets_match_map_leq_on_every_pair():
+    for l1, l2 in pairs(4):
+        joins = hom_set(l1, l2, "join")
+        stars = [right_adjoint(f) for f in joins]
+        got = list(maps._order_sets(l1, l2, [g.values for g in stars]))
+        assert got == [
+            (mask(map_leq(f, h) for h in joins), mask(map_leq(g, fs) for g in stars))
+            for f, fs in zip(joins, stars)
+        ]
+
+
+def test_adjoint_sets_match_check_adjunction_and_the_unit_counit_loop():
+    for l1, l2 in pairs(4):
+        up1, up2 = l1.poset.up, l2.poset.up
+        meets = hom_set(l2, l1, "meet")
+        for f, adjoints, admitted in maps._adjoint_sets(l1, l2):
+            fv = f.values
+            assert adjoints == mask(check_adjunction(f, g) for g in meets)
+            assert admitted == mask(
+                all(row >> g.values[fv[a]] & 1 for a, row in enumerate(up1))
+                and all(up2[fv[y]] >> b & 1 for b, y in enumerate(g.values))
+                for g in meets
+            )
+            assert adjoints == 1 << meets.index(right_adjoint(f))
+
+
+@pytest.mark.parametrize("cls", ["join", "meet"])
+def test_one_sided_inverses_match_the_inverts_scan(cls):
+    count = 0
+    for l1, l2 in pairs(5):
+        for f in hom_set(l1, l2, cls):
+            assert classify_morphism(f, cls) == ref_classify(f, cls), f.values
+            count += 1
+    assert count == {"join": 8896, "meet": 8896}[cls]
+
+
+def test_union_maps_are_the_union_maps_of_their_choices():
+    for l1, l2 in pairs(3):
+        sequence = transition.all_union_maps(l1, l2)
+        elems = transition.nonzero(l1)
+        choices = sorted(transition.all_subsets(l2), key=lambda s: (len(s), sorted(s)))
+        picks = list(itertools.product(choices, repeat=len(elems)))
+        assert len(sequence) == len(picks)
+        for i, pick in enumerate(picks):
+            got = sequence[i]
+            want = transition.UnionMap(l1, l2, tuple(zip(elems, pick)))
+            assert got.singleton_images == want.singleton_images
+            assert got.masks == want.masks
+            assert got._joins == want._joins
+
+
+def test_derived_partial_maps_equal_the_checked_constructor():
+    def checked(partial):
+        return weak.PartialJoinMap(
+            partial.source, partial.target, partial.anchor, partial.values
+        )
+
+    small = [lat for lat in LATTICES.values() if lat.size <= 4]
+    by_source = {}
+    for l1, l2 in itertools.product(small, repeat=2):
+        for wm in suite._weak_meet_maps(l2, l1):
+            partial = weak.restrict_codomain(wm)[1]
+            back = weak.upper_to_partial(weak.pointed_extend(wm)[1])
+            for p in (partial, back):
+                assert p == checked(p) and p.inner == checked(p).inner
+                assert p.inner.dom is core.lower_interval(p.source, p.anchor).lattice
+            by_source.setdefault(l1, []).append(partial)
+    rng = random.Random(24)
+    everything = [p for ps in by_source.values() for p in ps]
+    for _ in range(3000):
+        p1 = rng.choice(everything)
+        p2 = rng.choice(by_source[p1.target])
+        composite = weak.compose_partial(p2, p1)
+        assert composite == checked(composite) and composite.inner == checked(composite).inner
+        assert all(value == p2(p1(x)) for x, value in composite.values)
+
+
+# ---------------------------------------------------------------- validators
+
+
+def composite_tables(bound):
+    for l1, l2 in pairs(bound):
+        for f in hom_set(l1, l2, "join"):
+            g = right_adjoint(f)
+            yield l1, tuple(g.values[y] for y in f.values)
+
+
+def test_validate_closure_accepts_every_monad_table_the_scan_accepts():
+    count = 0
+    for lattice, table in composite_tables(5):
+        assert outcome(validate_closure, lattice, table) == outcome(
+            ref_validate_closure, lattice, table
+        )
+        count += 1
+    assert count == 8896
+
+
+def test_validate_closure_fails_where_and_as_the_scan_fails():
+    rng = random.Random(24)
+    failures, messages = 0, set()
+    closures = list(composite_tables(5))
+    for _ in range(3000):
+        lattice, table = rng.choice(closures)
+        if rng.random() < 0.5:
+            table = [rng.randrange(lattice.size) for _ in lattice.elements()]
+        else:
+            # A closure with one value moved: near misses of every axiom.
+            table = list(table)
+            table[rng.randrange(lattice.size)] = rng.randrange(lattice.size)
+        got = outcome(validate_closure, lattice, table)
+        assert got == outcome(ref_validate_closure, lattice, table)
+        if got[0] is NotClosure:
+            assert_closure_witness(lattice, table)
+            failures += 1
+            messages.add(got[1])
+    assert failures > 1000
+    assert messages == {"not isotone", "not inflationary", "not idempotent"}
+
+
+def random_relations(rng, count):
+    small = [lat for lat in LATTICES.values() if lat.size <= 5]
+    for _ in range(count):
+        src, tgt = rng.choice(small), rng.choice(small)
+        seeds = [(rng.randrange(src.size), rng.randrange(tgt.size)) for _ in range(rng.randrange(4))]
+        valid = stateprop.causal_closure(src, tgt, seeds).pairs
+        kind = rng.randrange(3)
+        if kind == 0:
+            pairs = valid
+        elif kind == 1:
+            # One pair added or removed.
+            pair = (rng.randrange(src.size), rng.randrange(tgt.size))
+            pairs = valid ^ {pair}
+        else:
+            everything = list(itertools.product(src.elements(), tgt.elements()))
+            pairs = frozenset(p for p in everything if rng.random() < 0.5)
+        yield CausalRelation(src, tgt, frozenset(pairs))
+
+
+def test_validate_causal_raises_exactly_where_the_scan_does():
+    rng = random.Random(2404)
+    kinds = set()
+    for relation in random_relations(rng, 3000):
+        got = outcome(validate_causal, relation)
+        assert got == outcome(ref_validate_causal, relation)
+        kinds.add(got[0])
+        if got[0] != "returns":
+            assert_causal_witness(relation)
+        represented = outcome(stateprop.causal_to_map, relation)
+        assert represented == outcome(ref_causal_to_map, relation)
+        if represented[0] is ValidationError:
+            assert_representation_witness(relation)
+            kinds.add("unrepresentable")
+    assert kinds == {"returns", NotFullyIsotone, NotMeetStable, "unrepresentable"}
+
+
+def test_causal_relations_of_weak_maps_are_the_scanned_ones():
+    count = 0
+    for l1, l2 in pairs(4):
+        for wm in suite._weak_meet_maps(l2, l1):
+            relation = stateprop.map_to_causal(wm)
+            assert relation == ref_map_to_causal(wm)
+            assert stateprop.causal_to_map(relation).map == ref_causal_to_map(relation).map
+            count += 1
+    assert count == 4073
+
+
+# ---------------------------------------------------------- planted defects
+
+
+def planted_meet_maps(edit):
+    """A defect: the meet Hom-set C3 -> D4, on fresh lattices, with its value
+    tables edited."""
+
+    def plant(monkeypatch):
+        d4, c3 = corpus.diamond(), corpus.chain(3)
+        real = maps._hom_tables
+
+        def planted(dom, cod, cls):
+            tables = real(dom, cod, cls)
+            if dom is c3.dual and cod is d4.dual:
+                return edit(tables)
+            return tables
+
+        monkeypatch.setattr(maps, "_hom_tables", planted)
+        return d4, c3
+
+    return plant
+
+
+# The adjoint of the join map (0, 2, 1, 2): D4 -> C3 is gone.
+drop_third_meet_map = planted_meet_maps(lambda tables: tables[:2] + tables[3:])
+# The adjoint of the zero map, constant top, is replaced by a map that is not
+# isotone, which the unit and counit admit but the relation does not.
+non_isotone_meet_map = planted_meet_maps(lambda tables: tables[:-1] + ((3, 0, 0),))
+
+
+def swap_two_adjoints(monkeypatch):
+    """right_adjoint and left_adjoint of two comparable join maps D4 -> C3
+    swapped, so the double dual still holds and antitonicity fails."""
+    d4, c3 = corpus.diamond(), corpus.chain(3)
+    joins = suite._homs(d4, c3, "join")
+    f1, f2 = joins[1], joins[-1]
+    assert map_leq(f1, f2) and f1 != f2
+    swap = {f1: f2, f2: f1}
+    monkeypatch.setattr(suite, "right_adjoint", lambda f: right_adjoint(swap.get(f, f)))
+    monkeypatch.setattr(suite, "left_adjoint", lambda g: swap.get(left_adjoint(g), left_adjoint(g)))
+    return d4, c3
+
+
+def wrong_adjoint(monkeypatch):
+    """right_adjoint gives the identity's adjoint on D4 the adjoint of the
+    zero map, for classify_morphism and for the law alike."""
+    d4 = corpus.diamond()
+    identity, zero = core.identity_map(d4), core.LatticeMap(d4, d4, (d4.bottom,) * 4)
+
+    def planted(f):
+        return right_adjoint(zero if f == identity else f)
+
+    monkeypatch.setattr(maps, "right_adjoint", planted)
+    monkeypatch.setattr(suite, "right_adjoint", planted)
+    return d4, d4
+
+
+def unrepresentable_relation(monkeypatch):
+    """causal_closure returns, once, a valid relation D4 ~> C2 whose causes
+    of the top are 0, a and b but not 1: no map represents it."""
+    d4, c2 = corpus.diamond(), corpus.chain(2)
+    calls = []
+    real = stateprop.causal_closure
+
+    def planted(source, target, seeds):
+        calls.append(seeds)
+        if len(calls) == 1:
+            return CausalRelation(d4, c2, frozenset({(0, 1), (1, 1), (2, 1)}))
+        return real(source, target, seeds)
+
+    monkeypatch.setattr(stateprop, "causal_closure", planted)
+    return d4, c2
+
+
+def dropped_causal_pair(monkeypatch):
+    """causal_closure drops the pair (bottom, top) from its relation."""
+    d4, c3 = corpus.diamond(), corpus.chain(3)
+    real = stateprop.causal_closure
+
+    def planted(source, target, seeds):
+        relation = real(source, target, seeds)
+        return CausalRelation(source, target, relation.pairs - {(source.bottom, target.top)})
+
+    monkeypatch.setattr(stateprop, "causal_closure", planted)
+    return d4, c3
+
+
+def broken_closure(monkeypatch):
+    """monad_from_adjunction gives the identity on D4 the closure that swaps
+    an atom and the top: not isotone."""
+    d4 = corpus.diamond()
+    real = closure.monad_from_adjunction
+
+    def planted(f, g):
+        operator = real(f, g)
+        if f.values == (0, 1, 2, 3):
+            return closure.ClosureOperator(f.dom, (0, 1, 3, 2))
+        return operator
+
+    monkeypatch.setattr(closure, "monad_from_adjunction", planted)
+    return d4, d4
+
+
+def old_validators(monkeypatch):
+    monkeypatch.setattr(stateprop, "validate_causal", ref_validate_causal)
+    monkeypatch.setattr(stateprop, "causal_to_map", ref_causal_to_map)
+    monkeypatch.setattr(stateprop, "map_to_causal", ref_map_to_causal)
+    monkeypatch.setattr(closure, "validate_closure", ref_validate_closure)
+    monkeypatch.setattr(maps, "classify_morphism", ref_classify)
+    monkeypatch.setattr(suite, "classify_morphism", ref_classify)
+
+
+# (law, planted defect, the old body or None for the law's own body under
+# the old library functions, the witness both give)
+PLANTED = [
+    ("adjoint-unique", drop_third_meet_map, ref_adjoint_unique,
+     "0 adjoint candidates for (0, 2, 1, 2)"),
+    ("adjoint-unique", non_isotone_meet_map, ref_adjoint_unique,
+     "adjunction oracles disagree for (0, 0, 0, 0), (3, 0, 0)"),
+    ("duality-involution", swap_two_adjoints, ref_duality,
+     "antitonicity fails for (0, 0, 1, 1) vs (0, 0, 2, 2)"),
+    ("classification", wrong_adjoint, None,
+     "epi criteria disagree for (0, 1, 2, 3)"),
+    ("state-causal", unrepresentable_relation, None,
+     "ValidationError: relation is not representable by its induced map"),
+    ("state-causal", dropped_causal_pair, None,
+     "NotFullyIsotone: relation misses a dominated pair"),
+    ("closure-monad", broken_closure, None, "NotClosure: not isotone"),
+]
+
+
+def law_witness(law, objects):
+    reports = []
+    extra = {"rng": random.Random(0)} if law.seeded else {}
+    suite._collect([(law.prop, "planted", lambda: law.body(*objects, **extra))], reports)
+    return reports[0].witness
+
+
+def law_named(prop):
+    (law,) = [law for law in suite.LAWS if law.prop == prop]
+    return law
+
+
+@pytest.mark.parametrize("prop, plant, old_body, witness", PLANTED)
+def test_planted_defects_give_the_old_bodies_witness(monkeypatch, prop, plant, old_body, witness):
+    # Every Hom-set is read afresh from the lattices the defect is planted on.
+    monkeypatch.setattr(suite, "_homs", lambda dom, cod, cls: tuple(hom_set(dom, cod, cls)))
+    law = law_named(prop)
+    objects = plant(monkeypatch)
+    assert law_witness(law, objects) == witness
+    if old_body is not None:
+        old = law.__class__(law.prop, law.pool, law.bound, old_body, law.seeded)
+    else:
+        old_validators(monkeypatch)
+        old = law
+    objects = plant(monkeypatch)
+    assert law_witness(old, objects) == witness
+
+
+def test_every_rewritten_law_has_a_planted_defect():
+    rewritten = {"adjoint-unique", "duality-involution", "classification", "state-causal",
+                 "closure-monad"}
+    assert {prop for prop, *_ in PLANTED} == rewritten
+    # Without the defect each law passes on the same objects.
+    assert suite._adjoint_unique(corpus.diamond(), corpus.chain(3)) is None
+    assert suite._closure_monad(corpus.diamond(), corpus.diamond()) is None
+
+
+def test_the_atom_space_is_tested_once(monkeypatch):
+    spaces = []
+    real = closure.lattice_to_space
+
+    def spy(lattice):
+        spaces.append(lattice)
+        return real(lattice)
+
+    monkeypatch.setattr(closure, "lattice_to_space", spy)
+    assert suite._atomistic_roundtrip(corpus.diamond()) is None
+    assert len(spaces) == 1
+    lattice = corpus.diamond()
+    space, atoms = real(lattice)
+    broken = closure.ClosureSpace(space.size, space.closed - {frozenset([0])}, space.labels)
+    monkeypatch.setattr(closure, "lattice_to_space", lambda lat: (broken, atoms))
+    assert closure.lattice_roundtrip(lattice) == ("space of atoms is not simple", None)
+    assert suite._atomistic_roundtrip(lattice) == "space of atoms is not simple"
