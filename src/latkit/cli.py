@@ -108,6 +108,8 @@ def cmd_check(args):
             entry["witness"] = str(exc)
             ok = False
         reports.append(entry)
+    for name in ws.union_maps:
+        reports.append({"object": name, "kind": "umap", "status": "pass"})
     for name in ws.cspaces:
         reports.append({"object": name, "kind": "cspace", "status": "pass"})
     for name in ws.ospaces:

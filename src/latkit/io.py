@@ -13,7 +13,7 @@ from .ortho import OrthoSpace, validate_ortho, validate_orthospace
 from .closure import ClosureSpace, partial_map
 from .core import LatticeMap
 from .stateprop import CausalRelation
-from .transition import union_map
+from .transition import nonzero, union_map
 from .weak import partial_from_table
 
 
@@ -384,6 +384,10 @@ def _resolve_umap(ws, block):
     images = {}
     for lhs, rhs, lineno in block.arrows:
         a = _label_index(dom.label_index, lhs, lineno, "element")
+        if a == dom.bottom:
+            raise ParseError("unknown nonzero element %r" % lhs, line=lineno)
+        if a in images:
+            raise ParseError("duplicate value for %r" % lhs, line=lineno)
         images[a] = frozenset(
             _label_index(cod.label_index, t, lineno, "element")
             for t in _parse_set(rhs, lineno)
@@ -437,8 +441,9 @@ def format_map(name, f, dom_name, cod_name):
 
 def format_umap(name, theta, dom_name, cod_name):
     lines = ["umap %s : %s -> %s" % (name, dom_name, cod_name)]
-    for a, image in theta.singleton_images:
-        body = ",".join(theta.target.labels[x] for x in sorted(image))
+    elems, labels = nonzero(theta.target), theta.target.labels
+    for a, mask in zip(nonzero(theta.source), theta.images()):
+        body = ",".join(labels[b] for i, b in enumerate(elems) if mask >> i & 1)
         lines.append("%s |-> {%s}" % (theta.source.labels[a], body))
     return "\n".join(lines) + "\n"
 

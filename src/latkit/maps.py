@@ -4,7 +4,6 @@ special morphisms, classification, and Hom-set enumeration."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import FiniteLattice, LatticeMap, lower_interval
 from .errors import (
@@ -26,8 +25,7 @@ class PreservationProfile:
     """Preservation flags of one map.
 
     The four O(n) flags are set when the profile is built.  joins and meets
-    read the map's residual (see _residual); the non-empty join and meet
-    scans each run once, on the first read of their flag.
+    read the map's residual (see _residual).
     """
 
     def __init__(self, f):
@@ -39,16 +37,6 @@ class PreservationProfile:
         self.dense = all(v != cod.bottom for a, v in enumerate(values) if a != dom.bottom)
         # f(a)=1 only for a=1; the dense notion for meet maps
         self.top_reflecting = all(v != cod.top for a, v in enumerate(values) if a != dom.top)
-
-    @cached_property
-    def nonempty_joins(self):
-        f = self._map
-        return _failing_pair(f.values, f.dom.join_table, f.cod.join_table) is None
-
-    @cached_property
-    def nonempty_meets(self):
-        f = self._map
-        return _failing_pair(f.values, f.dom.meet_table, f.cod.meet_table) is None
 
     @property
     def joins(self):
@@ -201,19 +189,6 @@ def compose(f2, f1):
     if f1.cod is not f2.dom and f1.cod != f2.dom:
         raise ShapeMismatch("maps not composable")
     return LatticeMap._unchecked(f1.dom, f2.cod, tuple(f2.values[y] for y in f1.values))
-
-
-def map_leq(f, g):
-    """Pointwise order on a Hom-set: f(a) <= g(a) for every a, so the bitmask
-    of f's relation holds g's graph, the bits a*m + g(a)."""
-    if f.dom is not g.dom and f.dom != g.dom or f.cod is not g.cod and f.cod != g.cod:
-        raise ShapeMismatch("maps live in different Hom-sets")
-    memo = g.__dict__
-    if "graph" not in memo:
-        m = g.cod.size
-        memo["graph"] = sum(1 << a * m + v for a, v in enumerate(g.values))
-    graph = memo["graph"]
-    return _below(f) & graph == graph
 
 
 def pointwise_join(fs):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import core
@@ -68,54 +68,34 @@ def _subset_joins(lattice):
     return memo["subset_joins"]
 
 
+def _mask_join(lattice, mask):
+    """The join of the nonzero elements of lattice at the set bits of mask."""
+    row, bottom, out = lattice.join_table, lattice.bottom, lattice.bottom
+    while mask:
+        i = mask.bit_length() - 1
+        out = row[out][i + (i >= bottom)]
+        mask ^= 1 << i
+    return out
+
+
 @dataclass(frozen=True)
 class UnionMap:
-    """Union-preserving map on truncated powersets, stored by singleton images.
+    """Union-preserving map on truncated powersets, stored as one integer.
 
-    masks[i] is the image of the i-th nonzero source element as a mask over
-    the target's nonzero elements.
+    Field i of pack, len(nonzero(target)) bits wide, is the image of the
+    i-th nonzero source element as a mask over the target's nonzero
+    elements; so a union of maps is a bitwise or.
     """
 
     source: "object"  # FiniteLattice
     target: "object"
-    singleton_images: tuple[tuple[int, frozenset[int]], ...]
-    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    pack: int
 
-    def __post_init__(self):
-        keys = [a for a, _ in self.singleton_images]
-        if keys != nonzero(self.source):
-            raise ShapeMismatch("singleton images must cover the nonzero carrier in order")
-        carrier, bottom = self.target.elements(), self.target.bottom
-        masks = []
-        for _, image in self.singleton_images:
-            mask = 0
-            for b in image:
-                if b == bottom or b not in carrier:
-                    raise ShapeMismatch("image contains zero or out-of-range elements")
-                mask |= 1 << b - (b > bottom)
-            masks.append(mask)
-        object.__setattr__(self, "masks", tuple(masks))
-
-    @classmethod
-    def _unchecked(cls, source, target, singleton_images, masks, joins):
-        """A union map whose masks and _joins table are those of its images
-        by construction: not validated."""
-        theta = object.__new__(cls)
-        theta.__dict__.update(
-            source=source, target=target, singleton_images=singleton_images, masks=masks,
-            _joins=joins,
-        )
-        return theta
-
-    def __call__(self, subset):
-        table = dict(self.singleton_images)
-        out = set()
-        for a in subset:
-            out |= table[a]
-        return frozenset(out)
-
-    def table(self):
-        return dict(self.singleton_images)
+    def images(self):
+        """The fields of pack: each nonzero source element's image mask."""
+        width = self.target.size - 1
+        full = (1 << width) - 1
+        return [self.pack >> i * width & full for i in range(self.source.size - 1)]
 
     @cached_property
     def _joins(self):
@@ -123,13 +103,20 @@ class UnionMap:
         m: the join of the joins of its singleton images.  Callers bound the
         source size first."""
         tgt = self.target
-        return _joins_by_doubling(tgt, [tgt.join(image) for _, image in self.singleton_images])
+        return _joins_by_doubling(tgt, [_mask_join(tgt, m) for m in self.images()])
 
 
 def union_map(source, target, images):
-    return UnionMap(
-        source, target, tuple((a, frozenset(images[a])) for a in nonzero(source))
-    )
+    """The union map sending each nonzero a of source to the set images[a]
+    of nonzero target elements: the one place where sets become a pack."""
+    carrier, bottom, width = target.elements(), target.bottom, target.size - 1
+    pack = 0
+    for i, a in enumerate(nonzero(source)):
+        for b in images[a]:
+            if b == bottom or b not in carrier:
+                raise ShapeMismatch("image contains zero or out-of-range elements")
+            pack |= 1 << b - (b > bottom) + i * width
+    return UnionMap(source, target, pack)
 
 
 def all_subsets(lattice):
@@ -179,7 +166,10 @@ def coherence_check(f, theta, method="fast"):
     if method == "fast":
         if _residual(f) is None:
             return False
-        return all(f(a) == f.cod.join(image) for a, image in theta.singleton_images)
+        values, tgt = f.values, f.cod
+        return all(
+            values[a] == _mask_join(tgt, m) for a, m in zip(nonzero(f.dom), theta.images())
+        )
     if method == "exhaustive":
         values = f.values
         return all(
@@ -188,16 +178,16 @@ def coherence_check(f, theta, method="fast"):
     raise ValueError("method must be fast or exhaustive")
 
 
-def _factor(theta):
-    """Factor the joins of theta's images through the joins of its subsets.
+def underlying_map(theta):
+    """The unique join map coherent with theta; exists iff strongly isotone.
 
-    Returns (best, witness).  best[u] is the join of theta(A) over the
-    subsets A that join to u.  theta is strongly isotone iff theta(A) joins
-    to best[u] for every such A: given join A <= join B, the union of A and
-    B joins to join B, and theta preserves that union.  best is then the
-    coherent join map and witness is None.  Otherwise witness is a pair
-    (A, B) with join A <= join B but join theta(A) not<= join theta(B): the
-    first such B in all_subsets order, then the first A for it.
+    best[u] is the join of theta(A) over the subsets A that join to u.
+    theta is strongly isotone iff theta(A) joins to best[join A] for every
+    A: given join A <= join B, the union of A and B joins to join B, and
+    theta preserves that union.  best is then the coherent join map.
+    Otherwise NotStronglyIsotone names the first subset B, in all_subsets
+    order and as a tuple of its elements, whose image joins below
+    best[join B].
     """
     src, tgt = theta.source, theta.target
     sj = _subset_joins(src)
@@ -206,35 +196,34 @@ def _factor(theta):
     best = [tgt.bottom] * src.size
     for s, t in zip(sj, tj):
         best[s] = join[best[s]][t]
-    if all(best[s] == t for s, t in zip(sj, tj)):
-        return best, None
-    src_up, tgt_up = src.poset.up, tgt.poset.up
-    b = next(m for m, (s, t) in enumerate(zip(sj, tj)) if best[s] != t)
-    sb, tb = sj[b], tj[b]
-    a = next(
-        m
-        for m, (s, t) in enumerate(zip(sj, tj))
-        if src_up[s] >> sb & 1 and not tgt_up[t] >> tb & 1
-    )
-    elems = nonzero(src)
-    return best, (_subset(elems, a), _subset(elems, b))
+    for b, (s, t) in enumerate(zip(sj, tj)):
+        if best[s] != t:
+            witness = tuple(a for i, a in enumerate(nonzero(src)) if b >> i & 1)
+            raise NotStronglyIsotone("no coherent join map exists", witness=witness)
+    return LatticeMap._unchecked(src, tgt, tuple(best))
 
 
-def underlying_map(theta):
-    """The unique join map coherent with theta; exists iff strongly isotone."""
-    values, witness = _factor(theta)
-    if witness is not None:
-        raise NotStronglyIsotone("no coherent join map exists", witness=witness)
-    return LatticeMap._unchecked(theta.source, theta.target, tuple(values))
+def _fields(source, target):
+    """fields[a][v] is the field of a packed union map source -> target
+    holding v alone; zero, and the image of zero, have no field.  Kept on
+    the source per target."""
+    memo = source.__dict__.setdefault("pack_fields", {})
+    fields = memo.get(target)
+    if fields is None:
+        bottom, width = target.bottom, target.size - 1
+        fields = [[0] * target.size for _ in source.elements()]
+        for i, a in enumerate(nonzero(source)):
+            fields[a] = [
+                0 if v == bottom else 1 << v - (v > bottom) + i * width for v in target.elements()
+            ]
+        memo[target] = fields
+    return fields
 
 
 def power_map(f):
-    """Singleton images {f(a)} minus zero."""
-    images = {}
-    for a in nonzero(f.dom):
-        v = f(a)
-        images[a] = frozenset() if v == f.cod.bottom else frozenset([v])
-    return union_map(f.dom, f.cod, images)
+    """Singleton images {f(a)} minus zero: one field per element, read off
+    f's value table."""
+    return UnionMap(f.dom, f.cod, sum(map(list.__getitem__, _fields(f.dom, f.cod), f.values)))
 
 
 def union_of(thetas):
@@ -242,52 +231,41 @@ def union_of(thetas):
     if not thetas:
         raise ShapeMismatch("union of an empty family of union maps")
     src, tgt = thetas[0].source, thetas[0].target
+    pack = 0
     for t in thetas:
         if t.source != src or t.target != tgt:
             raise ShapeMismatch("union maps live in different Hom-sets")
-    images = {
-        a: frozenset().union(*[t.table()[a] for t in thetas]) for a in nonzero(src)
-    }
-    return union_map(src, tgt, images)
+        pack |= t.pack
+    return UnionMap(src, tgt, pack)
 
 
 def compose_union(second, first):
+    """The image of a under second . first is the union of second's images
+    of the elements in first's image of a."""
     if first.target != second.source:
         raise ShapeMismatch("union maps not composable")
-    images = {a: second(first(frozenset([a]))) for a in nonzero(first.source)}
-    return union_map(first.source, second.target, images)
-
-
-def _pack(theta):
-    """theta's masks packed into one integer, len(nonzero(target)) bits each."""
-    width = theta.target.size - 1
-    out = 0
-    for i, mask in enumerate(theta.masks):
-        out |= mask << i * width
-    return out
+    width, outer = second.target.size - 1, second.images()
+    pack = 0
+    for i, mask in enumerate(first.images()):
+        image = 0
+        for j, m in enumerate(outer):
+            if mask >> j & 1:
+                image |= m
+        pack |= image << i * width
+    return UnionMap(first.source, second.target, pack)
 
 
 def _power_packs(source, target):
     """The packed power map of every join map source -> target, kept on the
-    source per target.
-
-    Each pack is read off the value table, as the sum of one field per
-    nonzero element a of source: the bit of g(a) when g(a) is not zero, as
-    in _pack(power_map(g)).  Nothing is built per map.
-    """
+    source per target, read off the value tables as power_map reads one."""
     memo = source.__dict__.setdefault("power_packs", {})
-    if target not in memo:
-        bottom, width = target.bottom, target.size - 1
-        # fields[a][v] is the field of a holding v; zero has no field.
-        fields = [[0] * target.size for _ in source.elements()]
-        for i, a in enumerate(nonzero(source)):
-            fields[a] = [
-                0 if v == bottom else 1 << v - (v > bottom) + i * width for v in target.elements()
-            ]
-        memo[target] = [
+    packs = memo.get(target)
+    if packs is None:
+        fields = _fields(source, target)
+        packs = memo[target] = [
             sum(map(list.__getitem__, fields, g)) for g in _hom_tables(source, target, "join")
         ]
-    return memo[target]
+    return packs
 
 
 def _hull(pack, powers):
@@ -304,15 +282,11 @@ def based_hull(theta):
     """Union of every power map dominated by theta; theta is based iff this
     reproduces it (based Hom-sets are exactly unions of power maps)."""
     src, tgt = theta.source, theta.target
-    hull = _hull(_pack(theta), _power_packs(src, tgt))
-    width, elems = tgt.size - 1, nonzero(tgt)
-    images = {a: _subset(elems, hull >> i * width) for i, a in enumerate(nonzero(src))}
-    return union_map(src, tgt, images)
+    return UnionMap(src, tgt, _hull(theta.pack, _power_packs(src, tgt)))
 
 
 def is_based(theta):
-    pack = _pack(theta)
-    return _hull(pack, _power_packs(theta.source, theta.target)) == pack
+    return based_hull(theta).pack == theta.pack
 
 
 def strictness_witness(lattice, a):
@@ -323,28 +297,21 @@ def strictness_witness(lattice, a):
     """
     if a == lattice.bottom:
         raise ShapeMismatch("parameter must be nonzero")
-    images = {}
-    for x in nonzero(lattice):
-        if x == lattice.top:
-            images[x] = frozenset([a, lattice.top])
-        else:
-            images[x] = frozenset([x])
-    return union_map(lattice, lattice, images)
+    fields = _fields(lattice, lattice)
+    identity = sum(fields[x][x] for x in lattice.elements())  # the identity's power map
+    return UnionMap(lattice, lattice, identity | fields[lattice.top][a])
 
 
 class _UnionMaps(Sequence):
     """Every union map source -> target, indexed in itertools.product order
-    over the choices of singleton image; a map is built when it is read,
-    from the masks and joins of the choices, computed once per sequence."""
+    over the choices of singleton image, which are masks; a map is packed
+    when it is read."""
 
     def __init__(self, source, target, choices):
         self.source, self.target = source, target
-        self._elems = nonzero(source)
         self._choices = choices
-        self._len = len(choices) ** len(self._elems)
-        bottom = target.bottom
-        self._masks = [sum(1 << b - (b > bottom) for b in image) for image in choices]
-        self._joins = [target.join(image) for image in choices]
+        self._count = source.size - 1  # fields per map
+        self._len = len(choices) ** self._count
 
     def __len__(self):
         return self._len
@@ -353,27 +320,23 @@ class _UnionMaps(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(self._len)[index]]
         i = range(self._len)[index]  # IndexError past either end
-        radix = len(self._choices)
-        digits = []
-        for _ in self._elems:
+        radix, width, pack = len(self._choices), self.target.size - 1, 0
+        for field in reversed(range(self._count)):  # the last field is the lowest digit
             i, digit = divmod(i, radix)
-            digits.append(digit)
-        digits.reverse()
-        return UnionMap._unchecked(
-            self.source,
-            self.target,
-            tuple(zip(self._elems, map(self._choices.__getitem__, digits))),
-            tuple(map(self._masks.__getitem__, digits)),
-            _joins_by_doubling(self.target, map(self._joins.__getitem__, digits)),
-        )
+            pack |= self._choices[digit] << field * width
+        return UnionMap(self.source, self.target, pack)
 
 
 def all_union_maps(source, target):
     """Every assignment of singleton images, in deterministic order, as a
-    sequence that builds each map on access."""
+    sequence that builds each map on access; the images run through the
+    subsets of nonzero target elements by size, then by elements."""
     _check_union_map_count(source, target)
-    choices = all_subsets(target)
-    choices.sort(key=lambda s: (len(s), sorted(s)))
+    width = target.size - 1
+    choices = sorted(
+        range(1 << width),
+        key=lambda m: (m.bit_count(), [i for i in range(width) if m >> i & 1]),
+    )
     return _UnionMaps(source, target, choices)
 
 
@@ -381,9 +344,9 @@ def hom_count(category, source, target):
     """Hom-set sizes for the four enrichment levels, with no union map built.
 
     TS: theta is strongly isotone exactly when g(a) = join theta({a}) is a
-    join map (see _factor), so each join map g counts, per nonzero a, the
-    subsets of nonzero target elements that join to g(a); only the empty
-    one joins to g(0) = 0, so a = 0 may join the product.  BS: theta is
+    join map (see underlying_map), so each join map g counts, per nonzero
+    a, the subsets of nonzero target elements that join to g(a); only the
+    empty one joins to g(0) = 0, so a = 0 may join the product.  BS: theta is
     based exactly when it is a union of power maps, so BS counts the unions
     of the packed power maps, the empty union 0 included.  Both refuse
     where enumerating the union maps would.

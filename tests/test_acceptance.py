@@ -22,7 +22,7 @@ from latkit.maps import (
     special_maps,
 )
 from test_cli import write_corpus
-from test_maps import categorical_epi, categorical_mono
+from test_maps import categorical_epi, categorical_mono, nonempty_meets
 
 TWO = corpus.chain(2)
 # The benchmark's record of the full seed-0 sweep, read here and never written.
@@ -190,7 +190,7 @@ def test_criterion_05_product_universal_property():
 def weak_meet_maps(dom, cod):
     out = []
     for f in homs(dom, cod, "isotone"):
-        if preservation_profile(f).nonempty_meets:
+        if nonempty_meets(f):
             out.append(weak.WeakMeetMap(f))
     return out
 

@@ -127,7 +127,7 @@ BUDGETS = {
     ),
     "all_union_maps-subsets": (
         transition, "ENUMERATION_BOUND", 4,
-        building(transition, "_subset", lambda: transition.all_union_maps(C2, D4)),
+        building(transition, "_UnionMaps", lambda: transition.all_union_maps(C2, D4)),
         "2^3 subsets exceed bound",
     ),
     "all_union_maps-maps": (

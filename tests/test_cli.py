@@ -61,6 +61,16 @@ def test_check_json(doc_file, capsys):
     assert any(entry["object"] == "f" for entry in payload)
 
 
+def test_check_lists_union_maps(tmp_path, capsys):
+    path = tmp_path / "umap.lat"
+    path.write_text(DOC + "\numap t : C2 -> D4\n1 |-> {a,b}\n")
+    assert cli.main(["check", str(path)]) == 0
+    assert "PASS umap t\n" in capsys.readouterr().out
+    assert cli.main(["check", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {"object": "t", "kind": "umap", "status": "pass"} in payload
+
+
 def test_check_flags_non_isotone_map(tmp_path, capsys):
     path = tmp_path / "bad.lat"
     path.write_text(
@@ -347,6 +357,18 @@ def test_stray_arrow_lines_are_parse_errors(tmp_path, capsys, text, line, messag
         assert out == "" and err == "parse error: line %d: %s\n" % (line, message)
 
 
+@pytest.mark.parametrize("lines, line, message", [
+    ("1 |-> {1}\n1 |-> {}\n", 6, "duplicate value for '1'"),
+    ("0 |-> {1}\n1 |-> {1}\n", 5, "unknown nonzero element '0'"),
+])
+def test_check_refuses_umap_lines_as_map_lines(tmp_path, capsys, lines, line, message):
+    path = tmp_path / "umap.lat"
+    path.write_text(A_FILE + "umap t : A -> A\n" + lines)
+    assert cli.main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "parse error: line %d: %s\n" % (line, message)
+
+
 def corpus_file(tmp_path):
     """Every corpus lattice, with its ortho table, and every corpus closure
     space, written as one file."""
@@ -440,11 +462,9 @@ def test_witness_reports_basedness(capsys):
 def test_witness_checks_coherence_with_the_identity(capsys, monkeypatch):
     # A witness whose top no longer reaches the top is not coherent with the
     # identity, and both outputs must say so.
-    real = transition.strictness_witness
-
     def dropped_top(lattice, a):
-        images = real(lattice, a).table()
-        images[lattice.top] -= {lattice.top}
+        images = {x: {x} for x in transition.nonzero(lattice)}
+        images[lattice.top] = {a}
         return transition.union_map(lattice, lattice, images)
 
     assert cli.main(["witness", "M3", "a"]) == 0

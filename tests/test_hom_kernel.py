@@ -23,7 +23,7 @@ from latkit import corpus, maps
 from latkit.core import FinitePoset, direct_product, lattice_from_poset
 from latkit.errors import SizeLimit
 from latkit.maps import MAP_CLASSES, _join_search, hom_set
-from latkit.transition import _pack, _power_packs, power_map
+from latkit.transition import _power_packs, nonzero, power_map, union_map
 
 LATTICES = corpus.named_lattices()
 
@@ -244,12 +244,20 @@ def test_join_maps_into_two_elements_match_the_elements():
 # ----------------------------------------------------------------- packs
 
 
+def power_pack(g):
+    """The pack of g's power map, a |-> {g(a)} minus zero, built from its images."""
+    images = {a: {g(a)} - {g.cod.bottom} for a in nonzero(g.dom)}
+    return union_map(g.dom, g.cod, images).pack
+
+
 def test_power_packs_read_off_the_tables_match_the_power_maps():
     small = corpus.named_lattices(max_size=5)
     for source in small.values():
         for target in small.values():
-            expected = [_pack(power_map(g)) for g in hom_set(source, target)]
+            homs = hom_set(source, target)
+            expected = [power_pack(g) for g in homs]
             assert _power_packs(source, target) == expected
+            assert [power_map(g).pack for g in homs] == expected
 
 
 def test_power_packs_on_a_renumbered_target():
@@ -260,5 +268,5 @@ def test_power_packs_on_a_renumbered_target():
     target = lattice_from_poset(FinitePoset(up))
     assert target.bottom == 2
     for source in (corpus.m3(), corpus.chain(4), corpus.diamond(), target):
-        expected = [_pack(power_map(g)) for g in hom_set(source, target)]
+        expected = [power_pack(g) for g in hom_set(source, target)]
         assert _power_packs(source, target) == expected

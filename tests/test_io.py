@@ -2,9 +2,11 @@
 
 import pytest
 
-from latkit import corpus, io, stateprop, weak
+from latkit import corpus, io, stateprop, transition, weak
 from latkit.errors import OrthoAxiomFailed, ParseError
-from latkit.maps import hom_set, preservation_profile
+from latkit.maps import hom_set
+
+from test_maps import nonempty_meets
 
 LATTICE_DOC = """
 # a diamond with an orthocomplement
@@ -45,7 +47,7 @@ def test_load_workspace_resolves_everything():
     assert f.values == (0, 0, 1, 1)
     assert ws.signatures["f"] == ("D4", "C2")
     theta = ws.union_maps["t"]
-    assert theta(frozenset([3])) == frozenset([1, 3])
+    assert theta == transition.union_map(d4, d4, {1: {1}, 2: {2}, 3: {1, 3}})
     relation = ws.causals["r"]
     assert relation.holds(1, 0) and not relation.holds(1, 3)
 
@@ -118,6 +120,22 @@ S_DOC = "cspace S\npoints: p q\nclosed: {} {p}\n"
 def test_unknown_labels_name_the_token_and_its_line(text, message):
     with pytest.raises(ParseError) as err:
         io.load_workspace(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # A second line for one element, as map blocks refuse it.
+        ("1 |-> {1}\n1 |-> {}\n", "line 6: duplicate value for '1'"),
+        # The bottom has no image to give: union maps act on nonzero elements.
+        ("0 |-> {1}\n1 |-> {1}\n", "line 5: unknown nonzero element '0'"),
+        ("1 |-> {1}\n0 |-> {}\n", "line 6: unknown nonzero element '0'"),
+    ],
+)
+def test_umap_lines_are_refused_as_map_lines_are(lines, message):
+    with pytest.raises(ParseError) as err:
+        io.load_workspace(C2_DOC + "umap t : A -> A\n" + lines)
     assert str(err.value) == message
 
 
@@ -224,7 +242,7 @@ def test_every_causal_relation_of_a_weak_map_reads_back():
             relations = [
                 stateprop.map_to_causal(weak.WeakMeetMap(g))
                 for g in hom_set(l2, l1, "isotone")
-                if preservation_profile(g).nonempty_meets
+                if nonempty_meets(g)
             ]
             text = "".join(texts.values()) + "".join(
                 io.format_causal("r%d" % k, relation, name1, name2)

@@ -21,7 +21,6 @@ from latkit.maps import (
     hom_set,
     join_irreducibles,
     left_adjoint,
-    map_leq,
     pointwise_join,
     pointwise_meet,
     preservation_profile,
@@ -30,6 +29,30 @@ from latkit.maps import (
 )
 
 TWO = corpus.chain(2)
+
+
+# References that only tests read: the pointwise Hom order, read off the
+# mask kernel maps._below, and the pairwise preservation scans.
+
+
+def map_leq(f, g):
+    """f(a) <= g(a) for every a: maps._below(f) holds g's graph, the bits
+    a*m + g(a)."""
+    if f.dom != g.dom or f.cod != g.cod:
+        raise ShapeMismatch("maps live in different Hom-sets")
+    m = g.cod.size
+    graph = sum(1 << a * m + v for a, v in enumerate(g.values))
+    return maps._below(f) & graph == graph
+
+
+def nonempty_joins(f):
+    """f preserves every join of two elements."""
+    return maps._failing_pair(f.values, f.dom.join_table, f.cod.join_table) is None
+
+
+def nonempty_meets(f):
+    """f preserves every meet of two elements."""
+    return maps._failing_pair(f.values, f.dom.meet_table, f.cod.meet_table) is None
 
 
 def test_profile_of_identity():
@@ -41,8 +64,9 @@ def test_profile_of_identity():
 
 def test_profile_of_constant_top():
     d4 = corpus.diamond()
-    profile = preservation_profile(LatticeMap(d4, d4, (d4.top,) * 4))
-    assert profile.nonempty_joins and profile.nonempty_meets
+    top = LatticeMap(d4, d4, (d4.top,) * 4)
+    profile = preservation_profile(top)
+    assert nonempty_joins(top) and nonempty_meets(top)
     assert not profile.joins and profile.meets
     assert profile.balanced and profile.dense
     assert not profile.bottom_fixed and not profile.top_reflecting

@@ -162,6 +162,23 @@ def test_orders_are_made_in_one_place_and_argparse_is_imported_late():
     assert [entry for entry in imports if entry[1] == "argparse"] == []
 
 
+def test_a_union_map_is_stored_one_way():
+    # A union map is its packed integer; no second form, no unchecked
+    # constructor, no other packer and no separate strong-isotonicity factor.
+    (tree,) = [tree for module, tree in source_trees() if module == "transition"]
+    (union_map,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "UnionMap"
+    ]
+    fields = [
+        node.target.id for node in union_map.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    assert fields == ["source", "target", "pack"]
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert defined & {"_unchecked", "_pack", "_factor"} == set()
+    assert {"union_map", "underlying_map", "images"} <= defined
+
+
 def test_every_module_name_in_the_readme_resolves():
     # A backticked `module.name` in README.md names something of a latkit
     # module; a rename or a deletion under src/ must fail here.

@@ -33,10 +33,29 @@ from latkit.transition import (
 TWO = corpus.chain(2)
 
 
+def table(theta):
+    """theta's images as sets, decoded from the layout of its pack: field i,
+    len(nonzero(target)) bits wide, holds the image of nonzero(source)[i]."""
+    elems, width = nonzero(theta.target), theta.target.size - 1
+    return {
+        a: frozenset(b for j, b in enumerate(elems) if theta.pack >> i * width + j & 1)
+        for i, a in enumerate(nonzero(theta.source))
+    }
+
+
+def apply(images, subset):
+    """theta(subset), given table(theta): the union of the images of its elements."""
+    return frozenset().union(*[images[a] for a in subset])
+
+
 def strong_isotonicity_witness(theta):
-    """A pair (A, B) with join A <= join B but join theta(A) not<= join theta(B),
-    or None when theta is strongly isotone."""
-    return transition._factor(theta)[1]
+    """The subset B that underlying_map names when theta is not strongly
+    isotone, or None when it is."""
+    try:
+        underlying_map(theta)
+    except NotStronglyIsotone as exc:
+        return exc.witness
+    return None
 
 
 def is_strongly_isotone(theta):
@@ -51,7 +70,7 @@ def ref_hom_count(category, source, target):
 
 def union_leq(theta1, theta2):
     """theta1 <= theta2 pointwise: each image of theta1 inside theta2's."""
-    t1, t2 = theta1.table(), theta2.table()
+    t1, t2 = table(theta1), table(theta2)
     return all(t1[a] <= t2[a] for a in nonzero(theta1.source))
 
 
@@ -123,6 +142,19 @@ def test_compose_union_matches_power_of_compose():
             )
 
 
+def test_compose_union_unions_the_images_of_the_images():
+    # Union maps whose images hold several elements, so the composite's
+    # image of a is a union of more than one image.
+    c3, d4 = corpus.chain(3), corpus.diamond()
+    seconds = all_union_maps(d4, c3)[::5]
+    for first in all_union_maps(c3, d4):
+        inner = table(first)
+        for second in seconds:
+            outer = table(second)
+            expected = {a: apply(outer, inner[a]) for a in inner}
+            assert compose_union(second, first) == union_map(c3, c3, expected)
+
+
 def test_hom_count_identities_on_corpus():
     # Exact combinatorial identities for every corpus lattice of <= 5 elements.
     for name, lattice in corpus.named_lattices(max_size=5).items():
@@ -175,11 +207,11 @@ def test_strictness_witness_based_on_distributive_lattices():
 def ref_based_hull(theta, power_tables):
     """The hull by its definition: the union of the power maps that theta
     dominates, or the everywhere-empty map when it dominates none."""
-    mine = theta.table()
+    mine = table(theta)
     images = {a: frozenset() for a in mine}
-    for table in power_tables:
-        if all(table[a] <= mine[a] for a in mine):
-            images = {a: images[a] | table[a] for a in mine}
+    for power in power_tables:
+        if all(power[a] <= mine[a] for a in mine):
+            images = {a: images[a] | power[a] for a in mine}
     return union_map(theta.source, theta.target, images)
 
 
@@ -189,7 +221,10 @@ def test_hull_matches_the_power_map_union_on_small_corpus_pairs():
     pool = list(corpus.named_lattices(max_size=4).values())
     for source in pool:
         for target in pool:
-            power_tables = [power_map(g).table() for g in hom_set(source, target, "join")]
+            power_tables = [
+                {a: frozenset([g(a)]) - {target.bottom} for a in nonzero(source)}
+                for g in hom_set(source, target, "join")
+            ]
             based = 0
             for theta in all_union_maps(source, target):
                 hull = ref_based_hull(theta, power_tables)
@@ -304,7 +339,8 @@ class TestBasedness:
 
 def ref_strong_isotonicity_witness(theta, subsets):
     src, tgt = theta.source, theta.target
-    pairs = [(src.join(s), tgt.join(theta(s)), s) for s in subsets]
+    images = table(theta)
+    pairs = [(src.join(s), tgt.join(apply(images, s)), s) for s in subsets]
     reach = {}
     for ja, ta, _ in pairs:
         for v in src.elements():
@@ -322,7 +358,7 @@ def ref_underlying_map(theta):
     """The join map coherent with theta; call only when it is strongly isotone."""
     src, tgt = theta.source, theta.target
     values = [
-        tgt.bottom if a == src.bottom else tgt.join(theta(frozenset([a])))
+        tgt.bottom if a == src.bottom else tgt.join(table(theta)[a])
         for a in src.elements()
     ]
     return LatticeMap(src, tgt, tuple(values))
@@ -331,11 +367,12 @@ def ref_underlying_map(theta):
 def ref_coherence_fast(f, theta):
     if not preservation_profile(f).joins:
         return False
-    return all(f(a) == f.cod.join(theta(frozenset([a]))) for a in nonzero(f.dom))
+    return all(f(a) == f.cod.join(image) for a, image in table(theta).items())
 
 
 def ref_coherence_exhaustive(f, theta, subsets):
-    return all(f(f.dom.join(subset)) == f.cod.join(theta(subset)) for subset in subsets)
+    images = table(theta)
+    return all(f(f.dom.join(subset)) == f.cod.join(apply(images, subset)) for subset in subsets)
 
 
 def ref_union_maps(source, target):
@@ -357,7 +394,10 @@ def test_mask_kernels_match_frozenset_references():
         subsets = all_subsets(source)
         for k, theta in enumerate(all_union_maps(source, target)):
             witness = ref_strong_isotonicity_witness(theta, subsets)
-            assert strong_isotonicity_witness(theta) == witness
+            # underlying_map names B of the reference's failing pair (A, B):
+            # the first subset that some A with join A <= join B breaks.
+            expected = None if witness is None else tuple(sorted(witness[1]))
+            assert strong_isotonicity_witness(theta) == expected
             if witness is None:
                 expected = ref_underlying_map(theta)
                 assert underlying_map(theta) == expected
@@ -373,8 +413,11 @@ def test_mask_kernels_match_frozenset_references():
 
 
 def test_all_union_maps_is_an_indexed_product():
+    # Targets of 5 and 8 elements too: from four nonzero elements on, the
+    # order by elements differs from the order of the masks as integers.
     pool = corpus.named_lattices(max_size=4)
-    for source, target in itertools.product(pool.values(), repeat=2):
+    wide = [(TWO, corpus.m3()), (corpus.chain(3), corpus.n5()), (TWO, corpus.boolean_lattice(3))]
+    for source, target in list(itertools.product(pool.values(), repeat=2)) + wide:
         maps = all_union_maps(source, target)
         expected = ref_union_maps(source, target)
         assert len(maps) == len(expected)
@@ -402,12 +445,28 @@ def test_all_union_maps_guards_keep_their_messages(monkeypatch):
 def test_union_map_masks_follow_the_images():
     m3 = corpus.m3()
     for theta in all_union_maps(TWO, m3):
-        (a, image), = theta.singleton_images
-        assert theta.masks == (sum(1 << i for i, b in enumerate(nonzero(m3)) if b in image),)
-    with pytest.raises(ShapeMismatch, match="zero or out-of-range"):
-        union_map(m3, m3, {a: frozenset([m3.bottom]) for a in nonzero(m3)})
+        (image,) = table(theta).values()
+        assert theta.images() == [sum(1 << i for i, b in enumerate(nonzero(m3)) if b in image)]
+    for bad in (m3.bottom, m3.size):
+        with pytest.raises(ShapeMismatch, match="zero or out-of-range"):
+            union_map(m3, m3, {a: frozenset([bad]) for a in nonzero(m3)})
     theta = power_map(identity_map(m3))
-    assert "masks" not in repr(theta)
-    assert theta == union_map(m3, m3, theta.table()) and hash(theta) == hash(
-        union_map(m3, m3, theta.table())
+    assert theta == union_map(m3, m3, table(theta)) and hash(theta) == hash(
+        union_map(m3, m3, table(theta))
     )
+
+
+def test_packs_rebuild_from_their_images_on_small_corpus_pairs():
+    # Every union map between corpus lattices of at most 4 elements: the
+    # set-to-pack converter rebuilds it from its images, and distinct maps
+    # have distinct packs and distinct images.
+    pool = corpus.named_lattices(max_size=4).values()
+    for source, target in itertools.product(pool, repeat=2):
+        maps = all_union_maps(source, target)
+        packs, images = set(), set()
+        for theta in maps:
+            mine = table(theta)
+            assert union_map(source, target, mine) == theta
+            packs.add(theta.pack)
+            images.add(frozenset(mine.items()))
+        assert len(packs) == len(images) == len(maps)

@@ -32,10 +32,11 @@ from latkit.maps import (
     classify_morphism,
     hom_set,
     left_adjoint,
-    map_leq,
     right_adjoint,
 )
 from latkit.stateprop import CausalRelation, validate_causal
+
+from test_maps import map_leq
 
 LATTICES = corpus.named_lattices()
 
@@ -269,16 +270,17 @@ def test_one_sided_inverses_match_the_inverts_scan(cls):
 def test_union_maps_are_the_union_maps_of_their_choices():
     for l1, l2 in pairs(3):
         sequence = transition.all_union_maps(l1, l2)
-        elems = transition.nonzero(l1)
+        elems, subsets = transition.nonzero(l1), transition.all_subsets(l1)
         choices = sorted(transition.all_subsets(l2), key=lambda s: (len(s), sorted(s)))
         picks = list(itertools.product(choices, repeat=len(elems)))
         assert len(sequence) == len(picks)
         for i, pick in enumerate(picks):
-            got = sequence[i]
-            want = transition.UnionMap(l1, l2, tuple(zip(elems, pick)))
-            assert got.singleton_images == want.singleton_images
-            assert got.masks == want.masks
-            assert got._joins == want._joins
+            got, images = sequence[i], dict(zip(elems, pick))
+            assert got == transition.union_map(l1, l2, images)
+            # The join of theta(A) for every subset A, in all_subsets order.
+            assert got._joins == [
+                l2.join(frozenset().union(*[images[a] for a in s])) for s in subsets
+            ]
 
 
 def test_derived_partial_maps_equal_the_checked_constructor():

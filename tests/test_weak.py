@@ -18,11 +18,13 @@ from latkit.weak import (
     upper_to_partial,
 )
 
+from test_maps import nonempty_meets
+
 
 def weak_meet_maps(dom, cod):
     out = []
     for f in hom_set(dom, cod, "isotone"):
-        if preservation_profile(f).nonempty_meets:
+        if nonempty_meets(f):
             out.append(WeakMeetMap(f))
     return out
 
@@ -40,7 +42,7 @@ def test_weak_meet_map_rejects_non_meet_maps():
 
 def test_weak_meet_maps_are_decided_as_the_meet_scan_decides_them():
     # The constructor decides a map by one residual pass on its pointed
-    # extension; the pairwise scan of preservation_profile is the oracle.
+    # extension; the pairwise meet scan is the oracle.
     small = list(corpus.named_lattices(max_size=4).values())
     small += [lattice.dual for lattice in small]
     verdicts = []
@@ -54,7 +56,7 @@ def test_weak_meet_maps_are_decided_as_the_meet_scan_decides_them():
                 else:
                     assert weak.extended.values == g.values + (cod.size,)
                 verdicts.append(weak is not None)
-                assert verdicts[-1] == preservation_profile(g).nonempty_meets, g.values
+                assert verdicts[-1] == nonempty_meets(g), g.values
     assert (len(verdicts), sum(verdicts)) == (20252, 16292)
 
 
