@@ -5,9 +5,8 @@ power and Boolean functors."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .core import FiniteLattice, LatticeMap, lattice_of_sets, retract
+from .core import Frozen, LatticeMap, lattice_of_sets, retract
 from .errors import (
     NotAdjoint,
     NotAtomicMap,
@@ -21,10 +20,18 @@ from .errors import (
 from .maps import check_adjunction
 
 
-@dataclass(frozen=True)
-class ClosureOperator:
-    lattice: FiniteLattice
-    table: tuple[int, ...]
+class ClosureOperator(Frozen):
+    def __init__(self, lattice, table):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lattice, self.table) == (other.lattice, other.table)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lattice, self.table))
 
     def __call__(self, a):
         return self.table[a]
@@ -77,26 +84,29 @@ def monad_from_adjunction(f, g):
     return ClosureOperator(f.dom, tuple(gv[y] for y in f.values))
 
 
-@dataclass(frozen=True)
-class ClosureSpace:
+class ClosureSpace(Frozen):
     """Point set with an explicit Moore family of closed subsets."""
 
-    size: int
-    closed: frozenset[frozenset[int]]
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple("p%d" % i for i in range(self.size))
-            )
-        universe = frozenset(range(self.size))
-        if universe not in self.closed:
+    def __init__(self, size, closed, labels=()):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "closed", closed)  # a frozenset of frozensets
+        object.__setattr__(self, "labels", labels or tuple("p%d" % i for i in range(size)))
+        if frozenset(range(size)) not in closed:
             raise NotClosure("the whole point set must be closed")
-        for a in self.closed:
-            for b in self.closed:
-                if a & b not in self.closed:
+        for a in closed:
+            for b in closed:
+                if a & b not in closed:
                     raise NotClosure("family not intersection closed", witness=(a, b))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.size, self.closed, self.labels) == (
+                other.size, other.closed, other.labels
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.size, self.closed, self.labels))
 
     def points(self):
         return range(self.size)
@@ -122,20 +132,16 @@ def discrete_space(n):
     return ClosureSpace(n, family)
 
 
-@dataclass(frozen=True)
-class PartialContinuousMap:
+class PartialContinuousMap(Frozen):
     """Partially defined point map whose preimages of closed sets close up
     with the kernel."""
 
-    source: ClosureSpace
-    target: ClosureSpace
-    kernel: frozenset[int]
-    mapping: tuple[tuple[int, int], ...]  # defined point -> image point
-
-    def __post_init__(self):
-        defined = {p for p, _ in self.mapping}
-        expected = set(self.source.points()) - set(self.kernel)
-        if defined != expected:
+    def __init__(self, source, target, kernel, mapping):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "kernel", kernel)  # a frozenset of points
+        object.__setattr__(self, "mapping", mapping)  # (defined point, image point) pairs
+        if {p for p, _ in mapping} != set(source.points()) - set(kernel):
             raise ShapeMismatch("map must be defined exactly off its kernel")
 
     def __call__(self, p):
@@ -300,11 +306,11 @@ def is_boolean(lattice):
     return lattice.size == 1 << len(lattice.atoms())
 
 
-@dataclass(frozen=True)
-class BooleanDualityReport:
-    atoms_to_atoms: bool
-    ortho_preserved_by_adjoint: bool
-    agree: bool
+class BooleanDualityReport(Frozen):
+    def __init__(self, atoms_to_atoms, ortho_preserved_by_adjoint, agree):
+        object.__setattr__(self, "atoms_to_atoms", atoms_to_atoms)
+        object.__setattr__(self, "ortho_preserved_by_adjoint", ortho_preserved_by_adjoint)
+        object.__setattr__(self, "agree", agree)
 
 
 def atom_set_maps(lattice):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -31,23 +30,44 @@ MAX_LATTICE_SIZE = 64
 MAX_POWER_BASE = 16
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class Frozen:
+    """Mixin of the immutable records.
+
+    Each record's __init__ sets its fields once through object.__setattr__;
+    memos (cached_property, or a write into the instance __dict__) bypass
+    __setattr__, so they still work.  A record that something compares or
+    hashes writes its own __eq__ and __hash__ over the tuple of its fields
+    in order (a lattice compares its order alone).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class FinitePoset(Frozen):
     """Finite partially ordered set.
 
     up[i] is the bitmask of elements j with i <= j.
     """
 
-    up: tuple[int, ...]
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple("e%d" % i for i in range(len(self.up)))
-            )
-        if len(self.labels) != len(self.up):
+    def __init__(self, up, labels=()):
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "labels", labels or tuple("e%d" % i for i in range(len(up))))
+        if len(self.labels) != len(up):
             raise ShapeMismatch("label count does not match element count")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.up, self.labels) == (other.up, other.labels)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.up, self.labels))
 
     @property
     def size(self):
@@ -196,8 +216,7 @@ def _cycle(n, pairs, labels):
     )
 
 
-@dataclass(frozen=True)
-class FiniteLattice:
+class FiniteLattice(Frozen):
     """Complete lattice on a finite carrier: an order and its bounds.
 
     The order determines the rest, so lattices are equal iff their posets
@@ -210,9 +229,10 @@ class FiniteLattice:
     kept on the instance.
     """
 
-    poset: FinitePoset
-    bottom: int
-    top: int
+    def __init__(self, poset, bottom, top):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "top", top)
 
     def __eq__(self, other):
         """Equality of the orders, after an identity test."""
@@ -411,21 +431,26 @@ def lattice_from_poset(poset):
     return lattice
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(Frozen):
     """Total map between lattice carriers, stored as a value table."""
 
-    dom: FiniteLattice
-    cod: FiniteLattice
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        values = self.values
-        if len(values) != self.dom.size:
+    def __init__(self, dom, cod, values):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "values", values)
+        if len(values) != dom.size:
             raise ShapeMismatch("value table does not cover the domain")
-        if not (0 <= min(values) and max(values) < self.cod.size):
-            bad = next(v for v in values if not 0 <= v < self.cod.size)
+        if not (0 <= min(values) and max(values) < cod.size):
+            bad = next(v for v in values if not 0 <= v < cod.size)
             raise ShapeMismatch("value %d outside codomain" % bad)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod, self.values) == (other.dom, other.cod, other.values)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.values))
 
     @classmethod
     def _unchecked(cls, dom, cod, values):
@@ -467,15 +492,25 @@ def identity_map(lattice):
     return LatticeMap(lattice, lattice, tuple(lattice.elements()))
 
 
-@dataclass(frozen=True)
-class Retract:
+class Retract(Frozen):
     """The image of an idempotent isotone map p, ordered as in the lattice
     (a lattice: Davey & Priestley, ch. 7), with its inclusion and x |-> p(x)."""
 
-    lattice: FiniteLattice
-    elements: tuple[int, ...]  # indices into the ambient carrier
-    inclusion: LatticeMap
-    projection: LatticeMap
+    def __init__(self, lattice, elements, inclusion, projection):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "elements", elements)  # indices into the ambient carrier
+        object.__setattr__(self, "inclusion", inclusion)
+        object.__setattr__(self, "projection", projection)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lattice, self.elements, self.inclusion, self.projection) == (
+                other.lattice, other.elements, other.inclusion, other.projection
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lattice, self.elements, self.inclusion, self.projection))
 
 
 def retract(lattice, table):
@@ -531,14 +566,15 @@ def lower_interval(lattice, a):
     return interval
 
 
-@dataclass(frozen=True)
-class Product:
-    lattice: FiniteLattice
-    factors: tuple[FiniteLattice, ...]
-    elements: tuple[tuple[int, ...], ...]
-    projections: tuple[LatticeMap, ...]
-    bottom_sections: tuple[LatticeMap, ...]  # pad the other factors with 0
-    top_sections: tuple[LatticeMap, ...]  # pad the other factors with 1
+class Product(Frozen):
+    def __init__(self, lattice, factors, elements, projections, bottom_sections, top_sections):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "elements", elements)  # coordinate tuples
+        object.__setattr__(self, "projections", projections)
+        # Sections pad the other factors with 0, or with 1.
+        object.__setattr__(self, "bottom_sections", bottom_sections)
+        object.__setattr__(self, "top_sections", top_sections)
 
 
 def direct_product(factors):
@@ -588,13 +624,14 @@ def direct_product(factors):
     )
 
 
-@dataclass(frozen=True)
-class HorizontalSum:
-    lattice: FiniteLattice
-    factors: tuple[FiniteLattice, ...]
-    inclusions: tuple[LatticeMap, ...]  # interior elements kept, bounds shared
-    top_collapses: tuple[LatticeMap, ...]  # foreign interiors sent to 1
-    bottom_collapses: tuple[LatticeMap, ...]  # foreign interiors sent to 0
+class HorizontalSum(Frozen):
+    def __init__(self, lattice, factors, inclusions, top_collapses, bottom_collapses):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "inclusions", inclusions)  # interiors kept, bounds shared
+        # Collapses send the foreign interiors to 1, or to 0.
+        object.__setattr__(self, "top_collapses", top_collapses)
+        object.__setattr__(self, "bottom_collapses", bottom_collapses)
 
 
 def horizontal_sum(factors):

@@ -5,7 +5,6 @@ cross-references between parsed blocks."""
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from . import core
 from .errors import CycleDetected, ParseError, SizeLimit
@@ -17,14 +16,14 @@ from .transition import nonzero, union_map
 from .weak import partial_from_table
 
 
-@dataclass
 class Block:
-    kind: str
-    name: str
-    header_rest: str
-    line: int
-    fields: dict  # key -> (value string, line)
-    arrows: list  # (lhs, rhs, line)
+    def __init__(self, kind, name, header_rest, line, fields, arrows):
+        self.kind = kind
+        self.name = name
+        self.header_rest = header_rest
+        self.line = line
+        self.fields = fields  # key -> (value string, line)
+        self.arrows = arrows  # (lhs, rhs, line)
 
 
 _HEADS = ("lattice", "map", "umap", "ospace", "cspace", "causal")
@@ -131,19 +130,19 @@ def _arrow_target(block):
     return dom, cod
 
 
-@dataclass
 class Workspace:
-    """Resolved objects from one or more parsed documents."""
+    """Resolved objects from one or more parsed documents, each table by name."""
 
-    lattices: dict = field(default_factory=dict)
-    orthos: dict = field(default_factory=dict)  # name -> OrthoLattice
-    maps: dict = field(default_factory=dict)  # name -> LatticeMap or PartialJoinMap
-    union_maps: dict = field(default_factory=dict)
-    ospaces: dict = field(default_factory=dict)
-    cspaces: dict = field(default_factory=dict)
-    cmaps: dict = field(default_factory=dict)  # continuous partial maps
-    causals: dict = field(default_factory=dict)
-    signatures: dict = field(default_factory=dict)  # map name -> (dom, cod) names
+    def __init__(self):
+        self.lattices = {}
+        self.orthos = {}  # name -> OrthoLattice
+        self.maps = {}  # name -> LatticeMap or PartialJoinMap
+        self.union_maps = {}
+        self.ospaces = {}
+        self.cspaces = {}
+        self.cmaps = {}  # continuous partial maps
+        self.causals = {}
+        self.signatures = {}  # map name -> (dom, cod) names
 
 
 def _indexed(labels):
@@ -312,18 +311,30 @@ def load_workspace(texts):
     return ws
 
 
+def _arrow_table(block, index, what, value):
+    """The block's arrow lines as a dict: the position of each left-hand
+    label in index -> value(position, right-hand side, line).  Map, umap
+    and continuous map blocks read their lines here, so each refuses, as a
+    ParseError naming the line, an unknown label and a second line for the
+    same one."""
+    table = {}
+    for lhs, rhs, lineno in block.arrows:
+        a = _label_index(index, lhs, lineno, what)
+        if a in table:
+            raise ParseError("duplicate value for %r" % lhs, line=lineno)
+        table[a] = value(a, rhs, lineno)
+    return table
+
+
 def _resolve_map(ws, block):
     dom_name, cod_name = ws.signatures[block.name]
     if dom_name in ws.cspaces or cod_name in ws.cspaces:
         return _resolve_cmap(ws, block, dom_name, cod_name)
     dom, cod = _lattice_pair(ws, block, _FIELDS["map"])
-    entries = {}
-    for lhs, rhs, lineno in block.arrows:
-        a = _label_index(dom.label_index, lhs, lineno, "element")
-        b = _label_index(cod.label_index, rhs, lineno, "element")
-        if a in entries:
-            raise ParseError("duplicate value for %r" % lhs, line=lineno)
-        entries[a] = b
+    entries = _arrow_table(
+        block, dom.label_index, "element",
+        lambda a, rhs, lineno: _label_index(cod.label_index, rhs, lineno, "element"),
+    )
     if "anchor" in block.fields:
         text, lineno = block.fields["anchor"]
         anchor = _label_index(dom.label_index, text.strip(), lineno, "element")
@@ -352,11 +363,10 @@ def _resolve_cmap(ws, block, dom_name, cod_name):
     if "kernel" in block.fields:
         text, lineno = block.fields["kernel"]
         kernel = [_label_index(src_index, t, lineno, "point") for t in text.split()]
-    mapping = {}
-    for lhs, rhs, lineno in block.arrows:
-        p = _label_index(src_index, lhs, lineno, "point")
-        q = _label_index(tgt_index, rhs, lineno, "point")
-        mapping[p] = q
+    mapping = _arrow_table(
+        block, src_index, "point",
+        lambda p, rhs, lineno: _label_index(tgt_index, rhs, lineno, "point"),
+    )
     missing = [p for p in range(src.size) if p not in kernel and p not in mapping]
     if missing:
         raise ParseError(
@@ -381,17 +391,16 @@ def _lattice_pair(ws, block, fields):
 
 def _resolve_umap(ws, block):
     dom, cod = _lattice_pair(ws, block, _FIELDS["umap"])
-    images = {}
-    for lhs, rhs, lineno in block.arrows:
-        a = _label_index(dom.label_index, lhs, lineno, "element")
+
+    def image(a, rhs, lineno):
         if a == dom.bottom:
-            raise ParseError("unknown nonzero element %r" % lhs, line=lineno)
-        if a in images:
-            raise ParseError("duplicate value for %r" % lhs, line=lineno)
-        images[a] = frozenset(
+            raise ParseError("unknown nonzero element %r" % dom.labels[a], line=lineno)
+        return frozenset(
             _label_index(cod.label_index, t, lineno, "element")
             for t in _parse_set(rhs, lineno)
         )
+
+    images = _arrow_table(block, dom.label_index, "element", image)
     for a in dom.elements():
         if a != dom.bottom and a not in images:
             raise ParseError(

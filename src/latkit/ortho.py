@@ -4,11 +4,10 @@ and the biorthogonal closure."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import core
 from .core import (
-    FiniteLattice,
+    Frozen,
     LatticeMap,
     identity_map,
     intersection_closure,
@@ -30,10 +29,10 @@ from .maps import (
 )
 
 
-@dataclass(frozen=True)
-class OrthoLattice:
-    lattice: FiniteLattice
-    ortho: tuple[int, ...]  # a |-> a'
+class OrthoLattice(Frozen):
+    def __init__(self, lattice, ortho):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "ortho", ortho)  # a |-> a'
 
     @property
     def size(self):
@@ -110,19 +109,14 @@ def colatt_check(h, dom, cod):
     return "; ".join(failures) or None
 
 
-@dataclass(frozen=True)
-class OrthoSpace:
+class OrthoSpace(Frozen):
     """Point set with a symmetric, antireflexive, separating orthogonality."""
 
-    size: int
-    orth: tuple[int, ...]  # bitmask rows: bit q of orth[p] set iff p _|_ q
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple("p%d" % i for i in range(self.size))
-            )
+    def __init__(self, size, orth, labels=()):
+        object.__setattr__(self, "size", size)
+        # Bitmask rows: bit q of orth[p] set iff p _|_ q.
+        object.__setattr__(self, "orth", orth)
+        object.__setattr__(self, "labels", labels or tuple("p%d" % i for i in range(size)))
 
     def perp(self, p, q):
         return bool(self.orth[p] >> q & 1)

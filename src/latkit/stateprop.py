@@ -4,10 +4,8 @@ causal relations with their weak meet morphisms, and evolution adjoints."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .closure import is_boolean
-from .core import FiniteLattice, LatticeMap, direct_product, lower_interval, sublattice_on
+from .core import Frozen, LatticeMap, direct_product, lower_interval, sublattice_on
 from .errors import (
     NotAtomistic,
     NotBalancedAtZero,
@@ -19,16 +17,15 @@ from .errors import (
     ValidationError,
 )
 from .maps import _lowest, left_adjoint, preservation_profile, right_adjoint
-from .ortho import OrthoLattice
 from .weak import WeakMeetMap, pointed_extend
 
 
-@dataclass(frozen=True)
-class StatePropertySystem:
+class StatePropertySystem(Frozen):
     """Atomistic ortholattice of properties with its atoms as states."""
 
-    properties: OrthoLattice
-    states: tuple[int, ...]  # atoms, in carrier order
+    def __init__(self, properties, states):
+        object.__setattr__(self, "properties", properties)  # an OrthoLattice
+        object.__setattr__(self, "states", states)  # atoms, in carrier order
 
     def atom_support(self, a):
         """The set of states actualizing property a."""
@@ -64,12 +61,12 @@ def center_sublattice(ortho_lattice):
     return sub, elems
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    product: FiniteLattice
-    factors: tuple[FiniteLattice, ...]
-    factor_tops: tuple[int, ...]  # atoms of the center, in carrier order
-    iso: LatticeMap  # carrier -> product
+class Decomposition(Frozen):
+    def __init__(self, product, factors, factor_tops, iso):
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "factor_tops", factor_tops)  # center atoms, carrier order
+        object.__setattr__(self, "iso", iso)  # carrier -> product
 
 
 def classical_decomposition(ortho_lattice):
@@ -95,13 +92,17 @@ def classical_decomposition(ortho_lattice):
     return Decomposition(product.lattice, tuple(factors), tuple(center_atoms), iso)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    null_part: int  # N: largest property reported impossible
-    discrete_part: int  # D: join of sharp outcomes
-    continuous_part: int  # C: what remains; zero on finite carriers
-    discrete_interval: "object"
-    continuous_interval: "object"
+class SpectrumReport(Frozen):
+    def __init__(
+        self, null_part, discrete_part, continuous_part, discrete_interval, continuous_interval
+    ):
+        # N: largest property reported impossible
+        object.__setattr__(self, "null_part", null_part)
+        object.__setattr__(self, "discrete_part", discrete_part)  # D: join of sharp outcomes
+        # C: what remains; zero on finite carriers
+        object.__setattr__(self, "continuous_part", continuous_part)
+        object.__setattr__(self, "discrete_interval", discrete_interval)
+        object.__setattr__(self, "continuous_interval", continuous_interval)
 
 
 def observable_spectrum(m, dom_ortho, cod_ortho):
@@ -135,13 +136,23 @@ def observable_spectrum(m, dom_ortho, cod_ortho):
     return SpectrumReport(null_part, discrete, continuous, disc_iv, cont_iv)
 
 
-@dataclass(frozen=True)
-class CausalRelation:
+class CausalRelation(Frozen):
     """Relation telling which earlier properties guarantee later ones."""
 
-    source: FiniteLattice
-    target: FiniteLattice
-    pairs: frozenset[tuple[int, int]]
+    def __init__(self, source, target, pairs):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "pairs", pairs)  # a frozenset of (a1, a2)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.pairs) == (
+                other.source, other.target, other.pairs
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.pairs))
 
     def holds(self, a1, a2):
         return (a1, a2) in self.pairs
@@ -265,12 +276,13 @@ def propagation(weak):
     return pointed_extend(weak)[1]
 
 
-@dataclass(frozen=True)
-class EvolutionReport:
-    backward: LatticeMap  # the given meet-direction map
-    forward: LatticeMap  # its adjoint in the direction of time
-    dense: bool
-    atom_orthogonality: tuple[tuple[int, int], ...]  # informational failures
+class EvolutionReport(Frozen):
+    def __init__(self, backward, forward, dense, atom_orthogonality):
+        object.__setattr__(self, "backward", backward)  # the given meet-direction map
+        object.__setattr__(self, "forward", forward)  # its adjoint in the direction of time
+        object.__setattr__(self, "dense", dense)
+        # Atom pairs (p, q) whose orthogonality forward does not keep; informational.
+        object.__setattr__(self, "atom_orthogonality", atom_orthogonality)
 
 
 def evolution_adjoint(phi, dom_ortho=None, cod_ortho=None):

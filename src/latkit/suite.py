@@ -11,11 +11,8 @@ import itertools
 import os
 import random
 import time
-from collections.abc import Callable
-from dataclasses import dataclass
-
 from . import closure, corpus, io, ortho, stateprop, transition, weak
-from .core import direct_product, horizontal_sum, identity_map
+from .core import Frozen, direct_product, horizontal_sum, identity_map
 from .errors import LatkitError, NotWeakMeet, ParseError, ShapeMismatch
 from .maps import (
     _adjoint_sets,
@@ -34,13 +31,27 @@ from .maps import (
 )
 
 
-@dataclass(frozen=True)
-class Report:
-    prop: str
-    object: str
-    status: str  # "pass", "fail", or "error" for an unexpected exception
-    witness: str | None = None
-    millis: float = 0.0
+# Report's field "object" hides the builtin in its __init__.
+_setattr = object.__setattr__
+
+
+class Report(Frozen):
+    def __init__(self, prop, object, status, witness=None, millis=0.0):
+        _setattr(self, "prop", prop)
+        _setattr(self, "object", object)
+        _setattr(self, "status", status)  # "pass", "fail", or "error" for an unexpected exception
+        _setattr(self, "witness", witness)  # None or a string
+        _setattr(self, "millis", millis)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.prop, self.object, self.status, self.witness, self.millis) == (
+                other.prop, other.object, other.status, other.witness, other.millis
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prop, self.object, self.status, self.witness, self.millis))
 
     def to_dict(self):
         out = {
@@ -83,8 +94,7 @@ def default_bundle():
     }
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(Frozen):
     """One law on one pool of objects.
 
     pool(bundle, bound) yields (label, objects); bound is the law's own
@@ -92,11 +102,12 @@ class Law:
     takes the objects and returns None or a witness; a seeded body also
     takes rng, one random.Random(seed) shared by all the law's checks."""
 
-    prop: str
-    pool: Callable
-    bound: int | None
-    body: Callable
-    seeded: bool = False
+    def __init__(self, prop, pool, bound, body, seeded=False):
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "pool", pool)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "seeded", seeded)
 
     def checks(self, bundle, max_size=None, seed=0):
         """A (prop, label, zero-argument check) per object tuple of the pool."""

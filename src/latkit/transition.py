@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import core
-from .core import LatticeMap, lattice_of_sets
+from .core import Frozen, LatticeMap, lattice_of_sets
 from .errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
 from .maps import _hom_tables, _residual, compose, pointwise_join
 
@@ -78,18 +77,29 @@ def _mask_join(lattice, mask):
     return out
 
 
-@dataclass(frozen=True)
-class UnionMap:
+class UnionMap(Frozen):
     """Union-preserving map on truncated powersets, stored as one integer.
 
     Field i of pack, len(nonzero(target)) bits wide, is the image of the
     i-th nonzero source element as a mask over the target's nonzero
-    elements; so a union of maps is a bitwise or.
+    elements; so a union of maps is a bitwise or.  source and target are
+    lattices.
     """
 
-    source: "object"  # FiniteLattice
-    target: "object"
-    pack: int
+    def __init__(self, source, target, pack):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "pack", pack)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.pack) == (
+                other.source, other.target, other.pack
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.pack))
 
     def images(self):
         """The fields of pack: each nonzero source element's image mask."""
@@ -125,12 +135,12 @@ def all_subsets(lattice):
     return [_subset(elems, mask) for mask in range(1 << len(elems))]
 
 
-@dataclass(frozen=True)
-class Resolution:
-    power_lattice: "object"
-    sets: tuple[frozenset[int], ...]
-    collapse: LatticeMap  # A |-> join of A
-    expand: LatticeMap  # a |-> (0, a]
+class Resolution(Frozen):
+    def __init__(self, power_lattice, sets, collapse, expand):
+        object.__setattr__(self, "power_lattice", power_lattice)
+        object.__setattr__(self, "sets", sets)  # the subsets, in power_lattice order
+        object.__setattr__(self, "collapse", collapse)  # A |-> join of A
+        object.__setattr__(self, "expand", expand)  # a |-> (0, a]
 
 
 def resolution(lattice):
@@ -372,15 +382,13 @@ def hom_count(category, source, target):
     )
 
 
-@dataclass(frozen=True)
-class TransitionPair:
+class TransitionPair(Frozen):
     """A join map together with a coherent union map."""
 
-    map: LatticeMap
-    union: UnionMap
-
-    def __post_init__(self):
-        if not coherence_check(self.map, self.union):
+    def __init__(self, map, union):
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "union", union)
+        if not coherence_check(map, union):
             raise IncoherentInput("pair fails the coherence condition")
 
 

@@ -7,33 +7,36 @@ maps derived here preserve joins by theorem, so they are built unchecked."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .core import FiniteLattice, LatticeMap, lower_interval, upper_extension
+from .core import Frozen, LatticeMap, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
 from .maps import _residual, left_adjoint, right_adjoint
 
 
-@dataclass(frozen=True)
-class WeakMeetMap:
+class WeakMeetMap(Frozen):
     """Map preserving non-empty meets; the top need not be preserved.
 
     extended, the map on the upper extensions that also sends the adjoined
     top to the adjoined top, preserves all meets iff the map preserves the
     non-empty ones: one residual pass on its dual decides the map and
-    leaves the left adjoint that pointed_extend reads."""
+    leaves the left adjoint that pointed_extend reads.  Equality and
+    hashing read map alone."""
 
-    map: LatticeMap
-    extended: LatticeMap = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        m = self.map
+    def __init__(self, map):
+        object.__setattr__(self, "map", map)
         extended = LatticeMap._unchecked(
-            upper_extension(m.dom), upper_extension(m.cod), m.values + (m.cod.size,)
+            upper_extension(map.dom), upper_extension(map.cod), map.values + (map.cod.size,)
         )
         if _residual(extended.dual) is None:
             raise NotWeakMeet("map does not preserve non-empty meets")
         object.__setattr__(self, "extended", extended)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.map == other.map
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.map,))
 
     @property
     def dom(self):
@@ -47,26 +50,25 @@ class WeakMeetMap:
         return self.map(a)
 
 
-@dataclass(frozen=True)
-class PartialJoinMap:
+class PartialJoinMap(Frozen):
     """Join-preserving map defined on the lower interval below an anchor.
 
-    inner is the same map as a LatticeMap on the interval, built once.
+    values holds (source element <= anchor, target element) pairs.  inner
+    is the same map as a LatticeMap on the interval, built once; equality
+    and hashing read the other four fields.
     """
 
-    source: FiniteLattice
-    target: FiniteLattice
-    anchor: int
-    values: tuple[tuple[int, int], ...]  # (source element <= anchor, target element)
-    inner: LatticeMap = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        domain = dict(self.values)
-        interval = lower_interval(self.source, self.anchor)
+    def __init__(self, source, target, anchor, values):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "values", values)
+        domain = dict(values)
+        interval = lower_interval(source, anchor)
         if not all(x in domain for x in interval.elements):
             raise ShapeMismatch("partial map missing value below its anchor")
         table = tuple(domain[x] for x in interval.elements)
-        object.__setattr__(self, "inner", LatticeMap(interval.lattice, self.target, table))
+        object.__setattr__(self, "inner", LatticeMap(interval.lattice, target, table))
 
     @classmethod
     def _of(cls, source, anchor, inner):
@@ -79,6 +81,16 @@ class PartialJoinMap:
             values=tuple(zip(elements, inner.values)), inner=inner,
         )
         return partial
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.anchor, self.values) == (
+                other.source, other.target, other.anchor, other.values
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.anchor, self.values))
 
     def __call__(self, x):
         """The value at x, which must lie below the anchor."""
@@ -98,8 +110,7 @@ def partial_from_table(source, target, anchor, mapping):
     return partial
 
 
-@dataclass(frozen=True)
-class UpperMap:
+class UpperMap(Frozen):
     """Balanced join-preserving map between upper pointed extensions.
 
     The adjoined top of L is always the extra index len(L); it is never
@@ -107,20 +118,34 @@ class UpperMap:
     Only the shape is checked: every upper map is built from join maps.
     """
 
-    base_source: FiniteLattice
-    base_target: FiniteLattice
-    map: LatticeMap  # on the extensions
-
-    def __post_init__(self):
-        ext1 = upper_extension(self.base_source)
-        ext2 = upper_extension(self.base_target)
-        if self.map.dom != ext1 or self.map.cod != ext2:
+    def __init__(self, base_source, base_target, map):
+        object.__setattr__(self, "base_source", base_source)
+        object.__setattr__(self, "base_target", base_target)
+        object.__setattr__(self, "map", map)  # on the extensions
+        ext1 = upper_extension(base_source)
+        ext2 = upper_extension(base_target)
+        if map.dom != ext1 or map.cod != ext2:
             raise ShapeMismatch("upper map must act on the pointed extensions")
-        if self.map.values[ext1.top] != ext2.top:
+        if map.values[ext1.top] != ext2.top:
             raise ShapeMismatch("upper map must send the adjoined top to the adjoined top")
 
-    def __call__(self, x):
-        return self.map(x)
+    @classmethod
+    def _of(cls, base_source, base_target, map):
+        """The upper map whose map on the upper extensions is map, built
+        there from a join map: not validated."""
+        upper = object.__new__(cls)
+        upper.__dict__.update(base_source=base_source, base_target=base_target, map=map)
+        return upper
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base_source, self.base_target, self.map) == (
+                other.base_source, other.base_target, other.map
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base_source, self.base_target, self.map))
 
 
 def restrict_codomain(weak):
@@ -140,7 +165,7 @@ def restrict_codomain(weak):
 def pointed_extend(weak):
     """Extend a weak meet map over adjoined tops; returns (g-up, f-up)."""
     extended = weak.extended
-    return extended, UpperMap(weak.cod, weak.dom, left_adjoint(extended))
+    return extended, UpperMap._of(weak.cod, weak.dom, left_adjoint(extended))
 
 
 def partial_to_upper(partial):
@@ -151,7 +176,7 @@ def partial_to_upper(partial):
     for x, value in zip(interval.elements, inner.values):
         table[x] = value
     upper = LatticeMap._unchecked(upper_extension(src), upper_extension(tgt), tuple(table))
-    return UpperMap(src, tgt, upper)
+    return UpperMap._of(src, tgt, upper)
 
 
 def upper_to_partial(upper):

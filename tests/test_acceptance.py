@@ -4,7 +4,6 @@ Each test covers one numbered criterion and prints a single pass/fail line,
 so a plain ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 """
 
-import dataclasses
 import itertools
 import os
 import random
@@ -60,7 +59,7 @@ def run_law(prop, bound=None):
     assert rows, prop
     for row in rows:
         if bound is not None:
-            row = dataclasses.replace(row, bound=bound)
+            row = suite.Law(row.prop, row.pool, bound, row.body, row.seeded)
         for _, label, check in row.checks(suite.default_bundle()):
             witness = check()
             assert witness is None, (prop, label, witness)

@@ -369,6 +369,17 @@ def test_check_refuses_umap_lines_as_map_lines(tmp_path, capsys, lines, line, me
     assert out == "" and err == "parse error: line %d: %s\n" % (line, message)
 
 
+def test_check_refuses_a_second_line_for_one_point(tmp_path, capsys):
+    # Continuous map blocks read their lines as map and umap blocks do.
+    path = tmp_path / "cmap.lat"
+    path.write_text(
+        "cspace S\npoints: p q\nclosed: {} {p}\nmap a : S -> S\np |-> p\np |-> q\nq |-> q\n"
+    )
+    assert cli.main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "parse error: line 6: duplicate value for 'p'\n"
+
+
 def corpus_file(tmp_path):
     """Every corpus lattice, with its ortho table, and every corpus closure
     space, written as one file."""

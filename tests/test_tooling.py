@@ -169,9 +169,14 @@ def test_a_union_map_is_stored_one_way():
     (union_map,) = [
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "UnionMap"
     ]
+    # The fields are what __init__ sets, in order.
+    (init,) = [
+        node for node in union_map.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
     fields = [
-        node.target.id for node in union_map.body
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        call.args[1].value for call in ast.walk(init)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__"
     ]
     assert fields == ["source", "target", "pack"]
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
