@@ -365,10 +365,6 @@ class FiniteLattice(Frozen):
     def atoms(self):
         return self.poset.covers(self.bottom)
 
-    def coatoms(self):
-        """Elements covered by top, in index order: the atoms of the dual."""
-        return self.dual.atoms()
-
     def is_atomistic(self):
         # The join b of the atoms below a has the same atom set as a, so
         # a == b for every a iff no two elements share an atom set.
@@ -474,14 +470,15 @@ class LatticeMap(Frozen):
         return dual
 
     def is_isotone(self):
-        # The elements above a are the a v b, so f is isotone iff
-        # f(a) v f(a v b) == f(a v b) for every pair.
-        values, cod_join = self.values, self.cod.join_table
-        for a, row in enumerate(self.dom.join_table):
-            image_row = cod_join[values[a]]
-            images = [values[x] for x in row]
-            if [image_row[y] for y in images] != images:
-                return False
+        # A finite order is the transitive closure of its covers (Davey &
+        # Priestley, ch. 1), so f is isotone iff f(c) <= f(b) for every
+        # lower cover c of every b.
+        values, up = self.values, self.cod.poset.up
+        for b, lower in self.dom.lower_covers:
+            v = values[b]
+            for c in lower:
+                if not up[values[c]] >> v & 1:
+                    return False
         return True
 
     def image(self):

@@ -182,12 +182,16 @@ def _build_lattice(block):
     pairs = []
     if "covers" in block.fields:
         text, lineno = block.fields["covers"]
-        for token in text.split():
-            a, b = _split_pair(token, "<", lineno)
-            pairs.append(
-                (_label_index(index, a, lineno, "element"),
-                 _label_index(index, b, lineno, "element"))
-            )
+        tokens = text.split()
+        try:  # one pass of lookups; a token without "<" has no right label
+            pairs = [(index[a], index[b]) for a, _, b in (t.partition("<") for t in tokens)]
+        except KeyError:  # the scan names the first faulty token
+            for token in tokens:
+                a, b = _split_pair(token, "<", lineno)
+                pairs.append(
+                    (_label_index(index, a, lineno, "element"),
+                     _label_index(index, b, lineno, "element"))
+                )
     try:
         poset = core.build_poset(len(labels), pairs, labels=labels)
     except CycleDetected as exc:
@@ -326,31 +330,56 @@ def _arrow_table(block, index, what, value):
     return table
 
 
+def _label_table(block, left, right, what):
+    """_arrow_table for lines from labels in left to labels in right, read
+    in one pass of dict lookups; only a line with an unknown or repeated
+    label sends the block to _arrow_table, which names it."""
+    try:
+        table = {left[lhs]: right[rhs] for lhs, rhs, _ in block.arrows}
+        if len(table) == len(block.arrows):
+            return table
+    except KeyError:
+        pass
+    return _arrow_table(
+        block, left, what, lambda a, rhs, lineno: _label_index(right, rhs, lineno, what)
+    )
+
+
 def _resolve_map(ws, block):
     dom_name, cod_name = ws.signatures[block.name]
     if dom_name in ws.cspaces or cod_name in ws.cspaces:
         return _resolve_cmap(ws, block, dom_name, cod_name)
     dom, cod = _lattice_pair(ws, block, _FIELDS["map"])
-    entries = _arrow_table(
-        block, dom.label_index, "element",
-        lambda a, rhs, lineno: _label_index(cod.label_index, rhs, lineno, "element"),
-    )
+    entries = _label_table(block, dom.label_index, cod.label_index, "element")
     if "anchor" in block.fields:
         text, lineno = block.fields["anchor"]
         anchor = _label_index(dom.label_index, text.strip(), lineno, "element")
-        missing = [x for x in dom.downset(anchor) if x not in entries]
-        if missing:
-            raise ParseError(
-                "partial map missing value for %r" % dom.labels[missing[0]], line=block.line
-            )
+        if sum(1 << x for x in entries) != dom.poset.down[anchor]:
+            _refuse_partial_lines(block, dom, anchor, entries)
         ws.maps[block.name] = partial_from_table(dom, cod, anchor, entries)
         return
-    missing = [x for x in dom.elements() if x not in entries]
+    if len(entries) != dom.size:
+        missing = next(x for x in dom.elements() if x not in entries)
+        raise ParseError("map missing value for %r" % dom.labels[missing], line=block.line)
+    ws.maps[block.name] = LatticeMap(dom, cod, tuple(map(entries.__getitem__, dom.elements())))
+
+
+def _refuse_partial_lines(block, dom, anchor, entries):
+    """ParseError for a partial map whose lines are not one per element of
+    [0, anchor]: a missing value first, then the first line for an element
+    not below the anchor."""
+    missing = [x for x in dom.downset(anchor) if x not in entries]
     if missing:
         raise ParseError(
-            "map missing value for %r" % dom.labels[missing[0]], line=block.line
+            "partial map missing value for %r" % dom.labels[missing[0]], line=block.line
         )
-    ws.maps[block.name] = LatticeMap(dom, cod, tuple(entries[x] for x in dom.elements()))
+    for lhs, _, lineno in block.arrows:
+        if not dom.leq(dom.label_index[lhs], anchor):
+            raise ParseError(
+                "partial map value for %r, which is not below the anchor %r"
+                % (lhs, dom.labels[anchor]),
+                line=lineno,
+            )
 
 
 def _resolve_cmap(ws, block, dom_name, cod_name):
@@ -363,10 +392,7 @@ def _resolve_cmap(ws, block, dom_name, cod_name):
     if "kernel" in block.fields:
         text, lineno = block.fields["kernel"]
         kernel = [_label_index(src_index, t, lineno, "point") for t in text.split()]
-    mapping = _arrow_table(
-        block, src_index, "point",
-        lambda p, rhs, lineno: _label_index(tgt_index, rhs, lineno, "point"),
-    )
+    mapping = _label_table(block, src_index, tgt_index, "point")
     missing = [p for p in range(src.size) if p not in kernel and p not in mapping]
     if missing:
         raise ParseError(

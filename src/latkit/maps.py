@@ -78,24 +78,28 @@ def _residual(f):
     joins; kept in f's memo (see _residual_table)."""
     memo = f.__dict__
     if "residual" not in memo:
-        memo["residual"] = _residual_table(f.values, f.dom, f.cod)
+        memo["residual"] = _residual_table(enumerate(f.values), f.dom, f.cod)
     return memo["residual"]
 
 
-def _residual_table(values, dom, cod):
-    """The table of the right adjoint of the map dom -> cod with the value
-    table values, or None if that map does not preserve all joins.
+def _residual_table(pairs, dom, cod):
+    """The table, in elements of dom, of the right adjoint of the map
+    a |-> v for (a, v) in pairs, or None if that map does not preserve all
+    joins.  The map's domain is dom, or an interval [0, x] of dom; pairs
+    names each of its elements once.
 
     A map preserves all joins iff it is residuated: the preimage of every
     down-set ↓b is a down-set ↓f*(b) (Blyth & Janowitz, Residuation Theory;
     Davey & Priestley ch. 7).  The preimage of ↓b is the preimage of b united
     with those of ↓c for b's lower covers c, taken in a linear extension, and
     each is looked up among dom's principal down-sets; the first that is
-    none of them ends the pass.
+    none of them ends the pass.  A preimage lies below x, so it is a
+    principal down-set of [0, x] exactly when it is one of dom: a map on an
+    interval is decided without building the interval's lattice.
     """
     index = dom.down_index
     pre = [0] * cod.size
-    for a, v in enumerate(values):
+    for a, v in pairs:
         pre[v] |= 1 << a
     for b, lower in cod.lower_covers:
         mask = pre[b]
@@ -264,11 +268,6 @@ def special_maps(lattice, a, two):
     )
 
 
-def join_irreducibles(lattice):
-    """Elements with exactly one lower cover, in index order."""
-    return list(_join_search(lattice).irr)
-
-
 def _guard(candidates):
     if candidates > HOM_SET_CANDIDATE_BOUND:
         raise SizeLimit(
@@ -342,7 +341,7 @@ def _enumerate_preserving(dom, cod):
     tables = _search(dom, cod, search.order, search.preds, search.steps)
     if search.prime:
         return tables
-    return [v for v in tables if _residual_table(v, dom, cod) is not None]
+    return [v for v in tables if _residual_table(enumerate(v), dom, cod) is not None]
 
 
 def _search(dom, cod, order, preds, steps):

@@ -2,14 +2,16 @@
 adjoint extensions: codomain restriction to an interval, and pointed
 extension with an adjoined universal top.
 
-WeakMeetMap checks meets and partial_from_table checks joins on file input;
+WeakMeetMap checks meets and PartialJoinMap checks joins on file input;
 maps derived here preserve joins by theorem, so they are built unchecked."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .core import Frozen, LatticeMap, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from .maps import _residual, left_adjoint, right_adjoint
+from .maps import _residual, _residual_table, left_adjoint, right_adjoint
 
 
 class WeakMeetMap(Frozen):
@@ -53,9 +55,12 @@ class WeakMeetMap(Frozen):
 class PartialJoinMap(Frozen):
     """Join-preserving map defined on the lower interval below an anchor.
 
-    values holds (source element <= anchor, target element) pairs.  inner
-    is the same map as a LatticeMap on the interval, built once; equality
-    and hashing read the other four fields.
+    values holds one (source element <= anchor, target element) pair for
+    each element below the anchor.  The constructor checks the pairs and
+    decides joins on the source lattice itself (see maps._residual_table),
+    so it builds no interval.  inner is the same map as a LatticeMap on
+    lower_interval(source, anchor), built on first read; equality and
+    hashing read the other four fields.
     """
 
     def __init__(self, source, target, anchor, values):
@@ -63,12 +68,20 @@ class PartialJoinMap(Frozen):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "values", values)
-        domain = dict(values)
-        interval = lower_interval(source, anchor)
-        if not all(x in domain for x in interval.elements):
+        below = source.poset.down[anchor]
+        seen = 0
+        for x, v in values:
+            if x < 0 or not below >> x & 1:
+                raise ShapeMismatch("partial map value at %r outside [0, anchor]" % (x,))
+            if seen >> x & 1:
+                raise ShapeMismatch("partial map has two values at %r" % (x,))
+            if not 0 <= v < target.size:
+                raise ShapeMismatch("value %d outside codomain" % v)
+            seen |= 1 << x
+        if seen != below:
             raise ShapeMismatch("partial map missing value below its anchor")
-        table = tuple(domain[x] for x in interval.elements)
-        object.__setattr__(self, "inner", LatticeMap(interval.lattice, target, table))
+        if _residual_table(values, source, target) is None:
+            raise NotJoinPreserving("partial map not join preserving on its interval")
 
     @classmethod
     def _of(cls, source, anchor, inner):
@@ -81,6 +94,14 @@ class PartialJoinMap(Frozen):
             values=tuple(zip(elements, inner.values)), inner=inner,
         )
         return partial
+
+    @cached_property
+    def inner(self):
+        interval = lower_interval(self.source, self.anchor)
+        value = dict(self.values)
+        return LatticeMap._unchecked(
+            interval.lattice, self.target, tuple(value[x] for x in interval.elements)
+        )
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -101,13 +122,11 @@ class PartialJoinMap(Frozen):
 
 
 def partial_from_table(source, target, anchor, mapping):
-    """The partial map x |-> mapping[x] on [0, anchor], checked to preserve
-    joins there: the builder for maps read from a file."""
-    values = tuple((x, mapping[x]) for x in source.downset(anchor))
-    partial = PartialJoinMap(source, target, anchor, values)
-    if _residual(partial.inner) is None:
-        raise NotJoinPreserving("partial map not join preserving on its interval")
-    return partial
+    """The partial map x |-> mapping[x] on [0, anchor], checked as the
+    constructor checks it: the builder for maps read from a file."""
+    return PartialJoinMap(
+        source, target, anchor, tuple((x, mapping[x]) for x in source.downset(anchor))
+    )
 
 
 class UpperMap(Frozen):

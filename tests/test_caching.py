@@ -60,7 +60,8 @@ def test_equal_lattices_built_apart_compare_and_hash_equal():
 
 def test_check_builds_no_meet_table(tmp_path, capsys, monkeypatch):
     # Total maps of every profile and an anchored partial map: the check
-    # reads joins, meets through the dual's order, and the anchor's interval.
+    # reads joins, meets through the dual's order, isotonicity by covers,
+    # and decides the partial map on L itself, building no interval.
     text = (
         "lattice L\nelements: 0 a b c ab ac bc 1\n"
         "covers: 0<a 0<b 0<c a<ab a<ac b<ab b<bc c<ac c<bc ab<1 ac<1 bc<1\n"
@@ -68,6 +69,7 @@ def test_check_builds_no_meet_table(tmp_path, capsys, monkeypatch):
         + "map up : L -> L\n0 |-> a\na |-> a\nb |-> ab\nc |-> ac\nab |-> ab\nac |-> ac\nbc |-> 1\n1 |-> 1\n"
         + "map down : L -> L\n0 |-> 0\na |-> 0\nb |-> b\nc |-> c\nab |-> b\nac |-> c\nbc |-> bc\n1 |-> bc\n"
         + "map zero : L -> L\n" + "".join("%s |-> 0\n" % x for x in "0 a b c ab ac bc 1".split())
+        + "map const : L -> L\n" + "".join("%s |-> a\n" % x for x in "0 a b c ab ac bc 1".split())
         + "map part : L -> L\nanchor: ab\n0 |-> 0\na |-> a\nb |-> b\nab |-> ab\n"
     )
     path = tmp_path / "maps.lat"
@@ -82,13 +84,15 @@ def test_check_builds_no_meet_table(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(io, "load_workspace", capture)
     assert cli.main(["check", str(path), "--json"]) == 0
     reports = json.loads(capsys.readouterr().out)
-    assert [r["status"] for r in reports] == ["pass"] * 6
+    assert [r["status"] for r in reports] == ["pass"] * 7
     profiles = {r["object"]: r["profile"] for r in reports if "profile" in r}
+    assert profiles["const"] == {"joins": False, "meets": False, "balanced": False, "dense": True}
     assert profiles["id"] == {"joins": True, "meets": True, "balanced": True, "dense": True}
     assert profiles["up"] == {"joins": False, "meets": True, "balanced": True, "dense": True}
     lattice = loaded[-1].lattices["L"]
     assert "meet_table" not in lattice.__dict__
     assert "join_table" not in lattice.dual.__dict__
+    assert "_intervals" not in lattice.__dict__ and "_sublattices" not in lattice.__dict__
 
 
 def test_unequal_lattices_stay_unequal():

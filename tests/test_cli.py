@@ -380,6 +380,20 @@ def test_check_refuses_a_second_line_for_one_point(tmp_path, capsys):
     assert out == "" and err == "parse error: line 6: duplicate value for 'p'\n"
 
 
+def test_check_refuses_a_partial_map_line_above_its_anchor(tmp_path, capsys):
+    # 1 and b are not below the anchor a, so their lines are not dropped.
+    path = tmp_path / "partial.lat"
+    path.write_text(
+        "lattice D4\nelements: 0 a b 1\ncovers: 0<a 0<b a<1 b<1\n"
+        "map p : D4 -> D4\nanchor: a\n0 |-> 0\na |-> a\n1 |-> b\nb |-> 1\n"
+    )
+    assert cli.main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "parse error: line 8: partial map value for '1', which is not below the anchor 'a'\n"
+    )
+
+
 def corpus_file(tmp_path):
     """Every corpus lattice, with its ortho table, and every corpus closure
     space, written as one file."""

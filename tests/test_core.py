@@ -63,7 +63,7 @@ def test_lattice_tables_on_diamond():
     assert d4.join([]) == d4.bottom
     assert d4.meet([]) == d4.top
     assert d4.atoms() == [a, b]
-    assert d4.coatoms() == [a, b]
+    assert d4.dual.atoms() == [a, b]
     assert d4.is_atomistic()
 
 

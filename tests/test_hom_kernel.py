@@ -143,7 +143,7 @@ def test_domain_data_is_built_once_per_lattice_instance(monkeypatch):
     for cod in (corpus.chain(2), corpus.chain(3), corpus.m3()):
         for cls in ("join", "balanced-join", "dense-join", "atomic-join"):
             hom_set(n5, cod, cls)
-    assert maps.join_irreducibles(n5) == [1, 2, 3]
+    assert _join_search(n5).irr == [1, 2, 3]
     assert built == [n5]
     # An equal lattice built apart has its own data.
     hom_set(other, corpus.chain(2))

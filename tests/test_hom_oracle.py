@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from latkit import corpus, maps
 from latkit.core import FinitePoset, build_poset, lattice_from_poset
 from latkit.errors import NotALattice, SizeLimit
-from latkit.maps import hom_set, join_irreducibles
+from latkit.maps import _JoinSearch, hom_set
 
 CLASSES = ("isotone", "join", "meet", "balanced-join", "dense-join", "atomic-join")
 
@@ -139,8 +139,8 @@ def test_hom_sets_match_brute_force(dom, cod):
 @settings(deadline=None, max_examples=200)
 @given(lattice=small_lattices(max_size=8))
 def test_irreducibles_match_definition(lattice):
-    assert join_irreducibles(lattice) == ref_join_irreducibles(lattice)
-    assert join_irreducibles(lattice.dual) == ref_meet_irreducibles(lattice)
+    assert _JoinSearch(lattice).irr == ref_join_irreducibles(lattice)
+    assert _JoinSearch(lattice.dual).irr == ref_meet_irreducibles(lattice)
 
 
 @settings(deadline=None, max_examples=100)

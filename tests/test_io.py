@@ -124,6 +124,26 @@ def test_unknown_labels_name_the_token_and_its_line(text, message):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("lattice A\nelements: 0 1\ncovers: 0<1 01\n", "line 3: expected '<' in token '01'"),
+        ("lattice A\nelements: 0 1\ncovers: 0< 0<1\n", "line 3: malformed token '0<'"),
+        ("lattice A\nelements: 0 1\ncovers: 0<1 <1\n", "line 3: malformed token '<1'"),
+        (C2_DOC + "map f : A -> A\n0 |-> 0\n0 |-> 1\n1 |-> 1\n", "line 6: duplicate value for '0'"),
+        (C2_DOC + "map f : A -> A\n0 |-> 0\n0 |-> z\n", "line 6: duplicate value for '0'"),
+        (C2_DOC + "map f : A -> A\n1 |-> z\n0 |-> 0\n0 |-> 1\n", "line 5: unknown element 'z'"),
+        (S_DOC + "map a : S -> S\np |-> p\nq |-> q\np |-> q\n", "line 7: duplicate value for 'p'"),
+    ],
+)
+def test_faulty_cover_tokens_and_map_lines_are_named_in_line_order(text, message):
+    # Covers and map lines are read in one pass of lookups; a fault sends
+    # them to the token-by-token scan, which names the first one.
+    with pytest.raises(ParseError) as err:
+        io.load_workspace(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "lines, message",
     [
         # A second line for one element, as map blocks refuse it.
@@ -181,6 +201,29 @@ def test_partial_map_blocks():
     partial = ws.maps["p"]
     assert partial.anchor == 1
     assert partial(1) == 1
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # One line per element below the anchor: a missing one first, then
+        # the first line for an element above it.
+        ("0 |-> 0\n1 |-> 1\n", "line 7: partial map missing value for 'm'"),
+        ("0 |-> 0\nm |-> 1\n1 |-> 1\n", "line 11: partial map value for '1', "
+         "which is not below the anchor 'm'"),
+        ("1 |-> 1\n0 |-> 0\nm |-> 1\n", "line 9: partial map value for '1', "
+         "which is not below the anchor 'm'"),
+    ],
+)
+def test_partial_map_lines_cover_the_interval_exactly(lines, message):
+    text = (
+        "lattice C3\nelements: 0 m 1\ncovers: 0<m m<1\n"
+        "lattice C2\nelements: 0 1\ncovers: 0<1\n"
+        "map p : C3 -> C2\nanchor: m\n" + lines
+    )
+    with pytest.raises(ParseError) as err:
+        io.load_workspace(text)
+    assert str(err.value) == message
 
 
 def test_continuous_map_blocks():

@@ -41,6 +41,7 @@ from latkit.maps import (
 )
 from latkit.transition import coherence_check, power_map
 
+from test_hom_oracle import renumber
 from test_maps import map_leq, nonempty_joins, nonempty_meets
 
 # ---------------------------------------------------------------- references
@@ -633,7 +634,7 @@ def test_covers_match_definition(poset):
     except ValidationError:
         return
     assert lattice.atoms() == ref_covers(poset, lattice.bottom)
-    assert lattice.coatoms() == [a for a in range(n) if lattice.top in ref_covers(poset, a)]
+    assert lattice.dual.atoms() == [a for a in range(n) if lattice.top in ref_covers(poset, a)]
 
 
 @settings(deadline=None, max_examples=400)
@@ -653,6 +654,39 @@ def test_map_checks_match_pairwise_definitions(f):
     assert profile.bottom_fixed == (v[dom.bottom] == cod.bottom)
     assert profile.dense == all(v[a] != cod.bottom for a in dom.elements() if a != dom.bottom)
     assert profile.top_reflecting == all(v[a] != cod.top for a in dom.elements() if a != dom.top)
+
+
+def test_isotonicity_by_covers_matches_the_pairwise_definition_on_large_carriers():
+    # is_isotone reads covers only; ref_is_isotone quantifies over all
+    # pairs.  Each map is the join of the c with d <= x over a few drawn
+    # (d, c), which is isotone, then one value redrawn, or a random table.
+    rng = random.Random(27)
+    chain, diamond, m3 = corpus.chain, corpus.diamond(), corpus.m3()
+    carriers = [
+        core.direct_product([chain(4), chain(4)]).lattice,
+        core.direct_product([chain(3), diamond, chain(4)]).lattice,
+        core.direct_product([m3, chain(4), chain(3)]).lattice,
+        core.horizontal_sum([chain(8), chain(10)]).lattice,
+        core.horizontal_sum([chain(12), corpus.n5(), chain(20)]).lattice,
+        corpus.boolean_lattice(4),
+        corpus.boolean_lattice(5),
+        corpus.boolean_lattice(6),
+    ]
+    carriers += [renumber(lat, rng.sample(range(lat.size), lat.size)) for lat in carriers]
+    assert {16, 48, 60, 64} <= {lat.size for lat in carriers} <= set(range(16, 65))
+    verdicts = set()
+    for dom, other in zip(carriers, carriers[1:] + carriers[:1]):
+        for cod in (dom, other):
+            for _ in range(6):
+                drawn = [(rng.randrange(dom.size), rng.randrange(cod.size)) for _ in range(3)]
+                table = [cod.join([c for d, c in drawn if dom.leq(d, x)]) for x in dom.elements()]
+                for _ in range(rng.randrange(2)):
+                    table[rng.randrange(dom.size)] = rng.randrange(cod.size)
+                for values in (table, [rng.randrange(cod.size) for _ in dom.elements()]):
+                    f = LatticeMap(dom, cod, tuple(values))
+                    verdicts.add(f.is_isotone())
+                    assert f.is_isotone() == ref_is_isotone(f), (dom.labels, values)
+    assert verdicts == {True, False}
 
 
 @settings(deadline=None, max_examples=400)

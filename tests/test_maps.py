@@ -15,11 +15,11 @@ from latkit.errors import (
     SizeLimit,
 )
 from latkit.maps import (
+    _JoinSearch,
     check_adjunction,
     classify_morphism,
     compose,
     hom_set,
-    join_irreducibles,
     left_adjoint,
     pointwise_join,
     pointwise_meet,
@@ -178,9 +178,9 @@ def test_a_kernel_that_emits_a_non_join_map_is_caught(monkeypatch):
 
 def test_irreducibles():
     d4, n5 = corpus.diamond(), corpus.n5()
-    assert join_irreducibles(d4) == [1, 2]
-    assert join_irreducibles(d4.dual) == [1, 2]
-    assert join_irreducibles(n5) == [1, 2, 3]
+    assert _JoinSearch(d4).irr == [1, 2]
+    assert _JoinSearch(d4.dual).irr == [1, 2]
+    assert _JoinSearch(n5).irr == [1, 2, 3]
 
 
 def test_dualize_roundtrip():

@@ -1,9 +1,12 @@
 """Weak meet maps and their partial / pointed-extension adjoints."""
 
+import itertools
+import random
+
 import pytest
 
 from latkit import corpus, maps
-from latkit.core import LatticeMap, upper_extension
+from latkit.core import LatticeMap, lower_interval, upper_extension
 from latkit.errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
 from latkit.maps import hom_set, preservation_profile, right_adjoint
 from latkit.weak import (
@@ -18,6 +21,7 @@ from latkit.weak import (
     upper_to_partial,
 )
 
+from test_hom_oracle import renumber
 from test_maps import nonempty_meets
 
 
@@ -140,6 +144,61 @@ def test_partial_map_validation():
     d4 = corpus.diamond()  # a, b |-> 0 but a v b |-> 1
     with pytest.raises(NotJoinPreserving):
         partial_from_table(d4, c2, d4.top, {0: 0, 1: 0, 2: 0, 3: 1})
+
+
+def test_partial_map_refuses_pairs_outside_its_interval():
+    c3, c2 = corpus.chain(3), corpus.chain(2)
+    with pytest.raises(ShapeMismatch, match="outside"):
+        PartialJoinMap(c3, c2, 0, ((0, 0), (2, 1)))  # 2 is not below 0
+    with pytest.raises(ShapeMismatch, match="two values"):
+        PartialJoinMap(c3, c2, 1, ((0, 0), (1, 1), (0, 0)))
+    with pytest.raises(ShapeMismatch, match="outside codomain"):
+        PartialJoinMap(c3, c2, 1, ((0, 0), (1, 2)))
+
+
+def _tables(k, m, rng, cap=24):
+    """Every value table of length k into range(m), or a seeded sample of
+    cap of them where there are more."""
+    count = m ** k
+    if count <= cap:
+        return list(itertools.product(range(m), repeat=k))
+    out = []
+    for index in rng.sample(range(count), cap):
+        table = []
+        for _ in range(k):
+            index, digit = divmod(index, m)
+            table.append(digit)
+        out.append(tuple(table))
+    return out
+
+
+def test_partial_maps_are_decided_as_on_their_interval_lattice():
+    # The constructor decides joins on the source lattice; the oracle is
+    # the residual of the same table as a map on the interval's own lattice.
+    rng = random.Random(27)
+    small = list(corpus.named_lattices(max_size=5).values())
+    small += [renumber(lat, rng.sample(range(lat.size), lat.size)) for lat in small]
+    verdicts = set()
+    for src, tgt in itertools.product(small, repeat=2):
+        for anchor in src.elements():
+            interval = lower_interval(src, anchor)
+            joins = [f.values for f in hom_set(interval.lattice, tgt, "join")]
+            for table in _tables(len(interval.elements), tgt.size, rng) + joins:
+                expected = LatticeMap(interval.lattice, tgt, table)
+                values = tuple(zip(interval.elements, table))
+                try:
+                    partial = PartialJoinMap(src, tgt, anchor, values)
+                except NotJoinPreserving as exc:
+                    assert type(exc) is NotJoinPreserving
+                    assert maps._residual(expected) is None, (src, tgt, anchor, table)
+                    verdicts.add(False)
+                    continue
+                assert maps._residual(expected) is not None, (src, tgt, anchor, table)
+                assert "inner" not in partial.__dict__
+                assert partial.inner == expected
+                assert partial.inner.dom is interval.lattice
+                verdicts.add(True)
+    assert verdicts == {True, False}
 
 
 def test_upper_map_checks_shape_and_its_adjoint_checks_joins():
