@@ -36,9 +36,6 @@ class ClosureOperator(Frozen):
     def __call__(self, a):
         return self.table[a]
 
-    def fixed(self):
-        return [a for a in self.lattice.elements() if self.table[a] == a]
-
 
 def validate_closure(lattice, table):
     """Check the closure axioms.  The covers generate the order, so the
@@ -67,7 +64,9 @@ def fixed_points(operator):
 
     Meets are inherited; joins are the closure of the ambient join (the
     closure-monad law checks both).  The lattice is the ambient lattice's
-    sublattice on the fixed set, shared by every operator with that set.
+    restriction to the fixed set, shared by every operator with that set.
+    The table is trusted to be a closure, so the restriction is not proved a
+    lattice (see core.retract).
     """
     return retract(operator.lattice, operator.table)
 

@@ -2,9 +2,9 @@
 
 Elements are identified by index; labels are cosmetic.  The order relation
 is kept as one bitmask row per element (bit j of ``up[i]`` set iff i <= j).
-A lattice stores its join table, which proves it a lattice, and builds its
-meet table, the join table of its dual, on first read; everything above
-this module is a table lookup.
+A lattice is proved one by its join-irreducibles, and builds its join table
+and its meet table, the join table of its dual, on first read; everything
+above this module is a table lookup.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ class FinitePoset(Frozen):
     @property
     def size(self):
         return len(self.up)
-
-    def leq(self, a, b):
-        return bool(self.up[a] >> b & 1)
 
     def elements(self):
         return range(len(self.up))
@@ -220,8 +217,9 @@ class FiniteLattice(Frozen):
     """Complete lattice on a finite carrier: an order and its bounds.
 
     The order determines the rest, so lattices are equal iff their posets
-    are.  lattice_from_poset stores the join table, which proves the order a
-    lattice.  The meet table (the dual's join table), the size, the hash,
+    are.  lattice_from_poset proves the order a lattice, and the
+    constructions below that are lattices by theorem skip the proof.  The
+    join table, the meet table (the dual's join table), the size, the hash,
     the dual, the lower covers, the down-set index, the atom sets, the upper
     extension, the sublattices, the lower intervals, the Hom-sets out of the
     lattice with their value masks (maps._value_masks) and the data of the
@@ -255,11 +253,14 @@ class FiniteLattice(Frozen):
 
     @cached_property
     def _upper_extension(self):
-        # The order with a new top added is an order.
+        # The order with a new top added is an order, and a lattice: the
+        # bottom stays, a pair of old elements keeps its join, and a pair
+        # with the new top has it as its join.
         top = 1 << self.size
         up = [row | top for row in self.poset.up] + [top]
         down = self.poset.down + ((top << 1) - 1,)
-        return lattice_from_poset(_proved_poset(up, down, self.labels + ("**1**",)))
+        poset = _proved_poset(up, down, self.labels + ("**1**",))
+        return FiniteLattice(poset, self.bottom, self.size)
 
     @cached_property
     def _intervals(self):
@@ -268,7 +269,8 @@ class FiniteLattice(Frozen):
 
     @cached_property
     def _sublattices(self):
-        """Element mask -> sublattice_on(self, elements), filled on demand."""
+        """Element mask -> (the restriction to those elements, whether it
+        is proved a lattice), filled on demand."""
         return {}
 
     @cached_property
@@ -384,33 +386,19 @@ def _join_rows(up):
 
 
 def lattice_from_poset(poset):
-    """Validate the order (once per poset), then find the bounds and the
-    join table, which proves the poset a lattice.
-
-    The join of a and b is the element whose up-set is the intersection of
-    their up-sets, when such an element exists.  With one dictionary from
-    up-mask to element, each entry is a single lookup, so after validation
-    construction costs O(n^2).  A bounded poset in which every pair has a
-    join has every meet too (Davey & Priestley, ch. 2), so the meet table is
-    built only on first read, as the dual's join table.  Raises NotALattice
-    at the first pair, in row-major order, that lacks a join (checked first)
-    or a meet.
+    """Validate the order (once per poset), find the bounds, and prove the
+    poset a lattice by its join-irreducibles (_joins_exist), building no
+    table.  A bounded poset in which every pair has a join has every meet,
+    so the join table, and the meet table as the dual's join table, are
+    built on first read.  Raises NotALattice at the first pair, in row-major
+    order, that lacks a join (checked first) or a meet.
     """
     poset.validate()
-    n = poset.size
-    if n == 0:
-        raise NotALattice("empty carrier has no bounds")
+    bottom, top = _bounds(poset)
     up, down = poset.up, poset.down
-    full = (1 << n) - 1
-    bottom = next((a for a in range(n) if up[a] == full), None)
-    top = next((a for a in range(n) if down[a] == full), None)
-    if bottom is None:
-        raise NotALattice("no bottom element")
-    if top is None:
-        raise NotALattice("no top element")
-    join_rows = _join_rows(up)
-    if any(None in row for row in join_rows):
-        meet_rows = _join_rows(down)
+    if not _joins_exist(up, down):
+        n = poset.size
+        join_rows, meet_rows = _join_rows(up), _join_rows(down)
         a, b = next(
             (a, b)
             for a in range(n)
@@ -422,9 +410,44 @@ def lattice_from_poset(poset):
             "no %s bound for %s, %s" % (missing, poset.labels[a], poset.labels[b]),
             witness=(a, b),
         )
-    lattice = FiniteLattice(poset, bottom, top)
-    lattice.__dict__["join_table"] = join_rows
-    return lattice
+    return FiniteLattice(poset, bottom, top)
+
+
+def _bounds(poset):
+    """(bottom, top) of the order, or NotALattice if one is missing."""
+    n = poset.size
+    if n == 0:
+        raise NotALattice("empty carrier has no bounds")
+    up, down = poset.up, poset.down
+    full = (1 << n) - 1
+    bottom = next((a for a in range(n) if up[a] == full), None)
+    top = next((a for a in range(n) if down[a] == full), None)
+    if bottom is None:
+        raise NotALattice("no bottom element")
+    if top is None:
+        raise NotALattice("no top element")
+    return bottom, top
+
+
+def _joins_exist(up, down):
+    """Whether every pair has a join in the order with a bottom given by its
+    up- and down-sets: a ∨ b is the element whose up-set is up[a] & up[b].
+
+    It is enough that every a has a join with every join-irreducible b
+    (Davey & Priestley, ch. 2): by induction on |↓b|, an element b with two
+    lower covers c1, c2 is c1 ∨ c2, so a ∨ b = (a ∨ c1) ∨ c2.  b is
+    join-irreducible iff ↓b - {b} is a principal down-set, and b comparable
+    to every element has a join with each, so the test costs one pass over
+    the up-sets per join-irreducible that is incomparable to some element.
+    """
+    ups, downs = set(up), set(down)
+    full = (1 << len(up)) - 1
+    for b, row in enumerate(down):
+        if (row ^ 1 << b) in downs and (row | up[b]) != full:
+            ub = up[b]
+            if not {ua & ub for ua in up} <= ups:
+                return False
+    return True
 
 
 class LatticeMap(Frozen):
@@ -512,9 +535,12 @@ class Retract(Frozen):
 
 def retract(lattice, table):
     """The Retract of the idempotent isotone value table: its fixed points
-    in index order, on the shared sublattice_on."""
+    in index order, with the sublattice_on cache.  They are a lattice by
+    theorem (see Retract), so the restriction is not proved one: the table
+    is trusted, and sublattice_on proves the same element set when it
+    first reads it."""
     elems = tuple(a for a, p in enumerate(table) if p == a)
-    sub = sublattice_on(lattice, elems)
+    sub = _restriction(lattice, elems, False)
     index = {e: i for i, e in enumerate(elems)}
     projection = LatticeMap._unchecked(lattice, sub, tuple(index[p] for p in table))
     return Retract(sub, elems, LatticeMap._unchecked(sub, lattice, elems), projection)
@@ -524,12 +550,20 @@ def sublattice_on(lattice, elems):
     """Restrict the order to the set elems, taken in index order (the
     restricted order must be a lattice); built once per (lattice, element
     set)."""
+    return _restriction(lattice, elems, True)
+
+
+def _restriction(lattice, elems, prove):
+    """The order restricted to the set elems, in index order, as a lattice
+    with its bounds, kept per element set in the cache that sublattice_on
+    and retract share.  Proved a lattice when prove is true, on the first
+    such call for the element set."""
     mask = 0
     for e in elems:
         mask |= 1 << e
     cache = lattice._sublattices
-    sub = cache.get(mask)
-    if sub is None:
+    entry = cache.get(mask)
+    if entry is None:
         # A restriction of an order is an order: its up- and down-sets are
         # the lattice's, with the bits of elems moved to their positions.
         poset = lattice.poset
@@ -547,7 +581,18 @@ def sublattice_on(lattice, elems):
         up = [compact(poset.up[a]) for a in elems]
         down = [compact(poset.down[a]) for a in elems]
         labels = tuple(lattice.labels[e] for e in elems)
-        sub = cache[mask] = lattice_from_poset(_proved_poset(up, down, labels))
+        restricted = _proved_poset(up, down, labels)
+        if prove:
+            sub = lattice_from_poset(restricted)
+        else:
+            sub = FiniteLattice(restricted, *_bounds(restricted))
+        cache[mask] = (sub, prove)
+        return sub
+    sub, proved = entry
+    if prove and not proved:
+        # Raises NotALattice as a build of the same order would.
+        lattice_from_poset(sub.poset)
+        cache[mask] = (sub, True)
     return sub
 
 

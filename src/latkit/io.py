@@ -49,21 +49,17 @@ def _holds_arrow(line):
     return "|->" in line or "~>" in line
 
 
-def _strip(line):
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
-
-
 def parse_blocks(text):
     blocks = []
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+    current = arrow = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        line = line.strip()
         if not line:
             continue
-        head = line.split(None, 1)[0]
-        if head in _HEADS:
+        # The prefix test spares arrow lines, most of a file, the head split.
+        if line.startswith(_HEADS) and (head := line.split(None, 1)[0]) in _HEADS:
             rest = line[len(head):].strip()
             if head in ("map", "umap", "causal"):
                 if ":" not in rest:
@@ -75,16 +71,16 @@ def parse_blocks(text):
                     raise ParseError("%s header needs exactly one name" % head, line=lineno)
                 current = Block(head, rest, "", lineno, {}, [])
             blocks.append(current)
+            arrow = _ARROWS.get(head)
             continue
         if current is None:
             raise ParseError("content before any block header", line=lineno)
         # The block's own arrow first, so labels may hold ":"; then a field,
         # so the value of a field the block reads may hold an arrow; any
         # other arrow is an error.
-        arrow = _ARROWS.get(current.kind)
         if arrow and arrow in line:
-            lhs, rhs = [s.strip() for s in line.split(arrow, 1)]
-            current.arrows.append((lhs, rhs, lineno))
+            lhs, _, rhs = line.partition(arrow)
+            current.arrows.append((lhs.rstrip(), rhs.lstrip(), lineno))
         elif ":" in line and (
             not _holds_arrow(line)
             or line.split(":", 1)[0].strip() in _LINE_FIELDS[current.kind]

@@ -17,7 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .maps import _lowest, left_adjoint, preservation_profile, right_adjoint
-from .weak import WeakMeetMap, pointed_extend
+from .weak import WeakMeetMap
 
 
 class StatePropertySystem(Frozen):
@@ -30,10 +30,6 @@ class StatePropertySystem(Frozen):
     def atom_support(self, a):
         """The set of states actualizing property a."""
         return frozenset(self.states[i] for i in self.properties.lattice.atom_sets[a])
-
-    def state_orthogonal(self, p, q):
-        """p and q orthogonal as states: p below the complement of q."""
-        return self.properties.lattice.leq(p, self.properties.comp(q))
 
 
 def build_system(ortho_lattice):
@@ -154,9 +150,6 @@ class CausalRelation(Frozen):
     def __hash__(self):
         return hash((self.source, self.target, self.pairs))
 
-    def holds(self, a1, a2):
-        return (a1, a2) in self.pairs
-
 
 def validate_causal(relation):
     """Check that the relation is fully isotone (it holds every pair below
@@ -269,11 +262,6 @@ def map_to_causal(weak):
         (a1, a2) for a2, v in enumerate(g.values) for a1 in g.cod.elements() if down[v] >> a1 & 1
     )
     return validate_causal(CausalRelation(g.cod, g.dom, pairs))
-
-
-def propagation(weak):
-    """Forward property propagation as the pointed extension's left adjoint."""
-    return pointed_extend(weak)[1]
 
 
 class EvolutionReport(Frozen):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from latkit import cli, corpus, io, maps, transition
+from latkit import cli, core, corpus, io, maps, transition
 from latkit.closure import fixed_points, monad_from_adjunction
 from latkit.core import (
     FinitePoset,
@@ -60,8 +60,9 @@ def test_equal_lattices_built_apart_compare_and_hash_equal():
 
 def test_check_builds_no_meet_table(tmp_path, capsys, monkeypatch):
     # Total maps of every profile and an anchored partial map: the check
-    # reads joins, meets through the dual's order, isotonicity by covers,
-    # and decides the partial map on L itself, building no interval.
+    # proves L a lattice by its join-irreducibles, reads joins, meets
+    # through the dual's order, isotonicity by covers, and decides the
+    # partial map on L itself, building neither table and no interval.
     text = (
         "lattice L\nelements: 0 a b c ab ac bc 1\n"
         "covers: 0<a 0<b 0<c a<ab a<ac b<ab b<bc c<ac c<bc ab<1 ac<1 bc<1\n"
@@ -90,7 +91,7 @@ def test_check_builds_no_meet_table(tmp_path, capsys, monkeypatch):
     assert profiles["id"] == {"joins": True, "meets": True, "balanced": True, "dense": True}
     assert profiles["up"] == {"joins": False, "meets": True, "balanced": True, "dense": True}
     lattice = loaded[-1].lattices["L"]
-    assert "meet_table" not in lattice.__dict__
+    assert "join_table" not in lattice.__dict__ and "meet_table" not in lattice.__dict__
     assert "join_table" not in lattice.dual.__dict__
     assert "_intervals" not in lattice.__dict__ and "_sublattices" not in lattice.__dict__
 
@@ -352,3 +353,29 @@ def test_lower_interval_lattice_is_the_cached_sublattice():
             interval = lower_interval(lattice, a)
             assert interval.lattice is sublattice_on(lattice, lattice.downset(a))
             assert interval.lattice == ref_sublattice_on(lattice, interval.elements)
+
+
+def test_lattices_by_theorem_match_the_proved_build(monkeypatch):
+    # Upper extensions, lower intervals and closure fixed points skip the
+    # lattice proof; the same order through lattice_from_poset gives the
+    # same bounds and tables.
+    table = corpus.named_lattices()
+    small = [lattice for lattice in table.values() if lattice.size <= 4]
+    proofs = []
+    real = core._joins_exist
+    monkeypatch.setattr(core, "_joins_exist", lambda up, down: proofs.append(up) or real(up, down))
+    built = []
+    for lattice in table.values():
+        built.append(upper_extension(lattice))
+        built += [lower_interval(lattice, a).lattice for a in lattice.elements()]
+        for cod in small:
+            for f in hom_set(lattice, cod, "join"):
+                built.append(fixed_points(monad_from_adjunction(f, right_adjoint(f))).lattice)
+    assert proofs == []
+    unique = list({id(sub): sub for sub in built}.values())
+    for sub in unique:
+        proved = lattice_from_poset(FinitePoset(sub.poset.up, sub.labels))
+        assert (sub.bottom, sub.top, sub.join_table, sub.meet_table) == (
+            proved.bottom, proved.top, proved.join_table, proved.meet_table
+        )
+    assert (len(built), len(unique)) == (14794, 904)

@@ -1,5 +1,9 @@
 """Text formats: parsing, formatting, round trips, and parse errors."""
 
+import ast
+import os
+import random
+
 import pytest
 
 from latkit import corpus, io, stateprop, transition, weak
@@ -49,7 +53,7 @@ def test_load_workspace_resolves_everything():
     theta = ws.union_maps["t"]
     assert theta == transition.union_map(d4, d4, {1: {1}, 2: {2}, 3: {1, 3}})
     relation = ws.causals["r"]
-    assert relation.holds(1, 0) and not relation.holds(1, 3)
+    assert (1, 0) in relation.pairs and (1, 3) not in relation.pairs
 
 
 def test_forward_references_allowed():
@@ -324,3 +328,184 @@ def test_comments_and_blank_lines_ignored():
     text = "# leading comment\n\nlattice A  # trailing\nelements: 0 1\ncovers: 0<1\n"
     ws = io.load_workspace(text)
     assert ws.lattices["A"].size == 2
+
+
+# ------------------------------------------------- the line loop, as a reference
+
+
+def ref_parse_blocks(text):
+    """The line loop that parse_blocks replaced: every stripped line reads
+    its head first, then the block's arrow, a field, or an error."""
+    blocks = []
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw[: raw.index("#")] if "#" in raw else raw
+        line = line.strip()
+        if not line:
+            continue
+        head = line.split(None, 1)[0]
+        if head in io._HEADS:
+            rest = line[len(head):].strip()
+            if head in ("map", "umap", "causal"):
+                if ":" not in rest:
+                    raise ParseError("%s header needs NAME : DOM -> COD" % head, line=lineno)
+                name, sig = [s.strip() for s in rest.split(":", 1)]
+                current = io.Block(head, name, sig, lineno, {}, [])
+            else:
+                if not rest or len(rest.split()) != 1:
+                    raise ParseError("%s header needs exactly one name" % head, line=lineno)
+                current = io.Block(head, rest, "", lineno, {}, [])
+            blocks.append(current)
+            continue
+        if current is None:
+            raise ParseError("content before any block header", line=lineno)
+        arrow = io._ARROWS.get(current.kind)
+        holds_arrow = "|->" in line or "~>" in line
+        if arrow and arrow in line:
+            lhs, rhs = [s.strip() for s in line.split(arrow, 1)]
+            current.arrows.append((lhs, rhs, lineno))
+        elif ":" in line and (
+            not holds_arrow or line.split(":", 1)[0].strip() in io._LINE_FIELDS[current.kind]
+        ):
+            key, value = [s.strip() for s in line.split(":", 1)]
+            if key in current.fields:
+                raise ParseError("duplicate field %r" % key, line=lineno)
+            current.fields[key] = (value, lineno)
+        elif holds_arrow:
+            if arrow:
+                raise ParseError("%s lines use %s" % (current.kind, arrow), line=lineno)
+            raise ParseError("%s block has no arrow lines" % current.kind, line=lineno)
+        else:
+            raise ParseError("unrecognized line %r" % line, line=lineno)
+    return blocks
+
+
+def block_tuples(blocks):
+    return [(b.kind, b.name, b.header_rest, b.line, b.fields, b.arrows) for b in blocks]
+
+
+def parsed(parse, text):
+    """The blocks as plain tuples, or the ParseError's message and line."""
+    try:
+        return block_tuples(parse(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+
+
+def literal_documents():
+    """Every str that the test modules write as a literal, or as literals and
+    module-level str names joined by +: the documents the command-line
+    subprocess tests read among them."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    found = set()
+    for name in sorted(os.listdir(here)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(here, name)) as handle:
+            tree = ast.parse(handle.read())
+        names = {}
+
+        def value(node):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                return node.value
+            if isinstance(node, ast.Name):
+                return names.get(node.id)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                left, right = value(node.left), value(node.right)
+                if left is not None and right is not None:
+                    return left + right
+            return None
+
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                text = value(node.value)
+                if text is not None:
+                    names[node.targets[0].id] = text
+        found.update(text for node in ast.walk(tree) if (text := value(node)) is not None)
+    return found
+
+
+def formatted_documents():
+    """Every corpus lattice written out, with maps, union maps and causal
+    relations on the small ones, and the corpus spaces."""
+    lattices = corpus.named_lattices()
+    docs = [io.format_lattice(name, lattice) for name, lattice in lattices.items()]
+    for name, ol in corpus.ortho_lattices().items():
+        docs.append(io.format_lattice(name, ol.lattice, ol))
+    for name, space in corpus.closure_spaces().items():
+        docs.append(io.format_cspace(name, space))
+    for name, space in corpus.orthospaces().items():
+        docs.append(io.format_ospace(name, space))
+    small = [(name, lattice) for name, lattice in lattices.items() if lattice.size <= 4]
+    for name1, l1 in small:
+        for name2, l2 in small:
+            head = io.format_lattice(name1, l1) + io.format_lattice(name2 + "x", l2)
+            for k, f in enumerate(hom_set(l1, l2, "join")[:3]):
+                docs.append(head + io.format_map("f%d" % k, f, name1, name2 + "x"))
+            for k, g in enumerate(hom_set(l2, l1, "meet")[:3]):
+                relation = stateprop.map_to_causal(weak.WeakMeetMap(g))
+                docs.append(head + io.format_causal("r%d" % k, relation, name1, name2 + "x"))
+            for k, theta in zip(range(2), transition.all_union_maps(l1, l2)):
+                docs.append(head + io.format_umap("t%d" % k, theta, name1, name2 + "x"))
+    return docs
+
+
+# Lines that test the arrow-line path against the loop: header-like
+# heads, "#" after an arrow, ":" inside labels, the other block's arrow.
+CRAFTED = [
+    "mapx |-> y",
+    "mapx|->y",
+    "map g : A -> A",
+    "map g : A |-> A",
+    "  umap u : A -> A |-> x",
+    "lattice |-> x",
+    "causal |-> x",
+    "map",
+    "a |-> b # note",
+    "a |-> #b",
+    "a #|-> b",
+    "# a |-> b",
+    "a:1 |-> b:2",
+    "anchor: a |-> b",
+    "kernel: p |-> q",
+    "elements: a |-> b",
+    "a ~> b",
+    "a ~> b |-> c",
+    "a |-> b ~> c",
+    "\t a  |->  b \t",
+    "|->",
+    " |-> ",
+    "a |-> b |-> c",
+    "a ~> b ~> c",
+    "key: value",
+    "x",
+    "",
+]
+HEADERS = ["lattice A", "map f : A -> A", "umap t : A -> A", "causal r : A -> A",
+           "cspace S", "ospace P", "map f : S -> S"]
+
+
+@pytest.mark.parametrize("header", HEADERS + [None])
+def test_crafted_lines_parse_as_the_line_loop_does(header):
+    for first in CRAFTED:
+        for second in CRAFTED:
+            text = "\n".join(([header] if header else []) + [first, second, "0 |-> 1"])
+            assert parsed(io.parse_blocks, text) == parsed(ref_parse_blocks, text), text
+
+
+def test_documents_parse_as_the_line_loop_does():
+    # conftest.py compares the two on every document a test hands to
+    # io.parse_blocks in process; this test covers the documents that the
+    # command-line subprocesses read, and more.
+    docs = sorted(literal_documents()) + formatted_documents()
+    assert len(docs) > 1000
+    for text in docs:
+        assert parsed(io.parse_blocks, text) == parsed(ref_parse_blocks, text), text
+    # Seeded documents: a header, then lines drawn from the crafted ones, the
+    # headers and the lines of the documents above.
+    rng = random.Random(28)
+    pool = CRAFTED + HEADERS + sorted({line for text in docs for line in text.splitlines()})
+    for _ in range(3000):
+        lines = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        text = "\n".join([rng.choice(HEADERS)] + lines)
+        assert parsed(io.parse_blocks, text) == parsed(ref_parse_blocks, text), text

@@ -47,23 +47,27 @@ from test_maps import map_leq, nonempty_joins, nonempty_meets
 # ---------------------------------------------------------------- references
 
 
+def leq(poset, a, b):
+    return bool(poset.up[a] >> b & 1)
+
+
 def ref_validate(poset):
     n = poset.size
     for a in range(n):
-        if not poset.leq(a, a):
+        if not leq(poset, a, a):
             raise ValidationError("order not reflexive", witness=a)
     for a in range(n):
         for b in range(n):
-            if a != b and poset.leq(a, b) and poset.leq(b, a):
+            if a != b and leq(poset, a, b) and leq(poset, b, a):
                 raise CycleDetected(
                     "antisymmetry fails at %s, %s" % (poset.labels[a], poset.labels[b]),
                     witness=(a, b),
                 )
     for a in range(n):
-        above = [b for b in range(n) if poset.leq(a, b)]
+        above = [b for b in range(n) if leq(poset, a, b)]
         for b in above:
             for c in range(n):
-                if poset.leq(b, c) and not poset.leq(a, c):
+                if leq(poset, b, c) and not leq(poset, a, c):
                     raise NotTransitive(
                         "transitivity fails above %s" % poset.labels[a], witness=a
                     )
@@ -73,7 +77,7 @@ def ref_cycle_check(poset):
     n = poset.size
     for a in range(n):
         for b in range(n):
-            if a != b and poset.leq(a, b) and poset.leq(b, a):
+            if a != b and leq(poset, a, b) and leq(poset, b, a):
                 raise CycleDetected(
                     "cycle through %s and %s" % (poset.labels[a], poset.labels[b]),
                     witness=(a, b),
@@ -86,8 +90,8 @@ def ref_lattice(poset):
     n = poset.size
     if n == 0:
         raise NotALattice("empty carrier has no bounds")
-    bottoms = [a for a in range(n) if all(poset.leq(a, b) for b in range(n))]
-    tops = [a for a in range(n) if all(poset.leq(b, a) for b in range(n))]
+    bottoms = [a for a in range(n) if all(leq(poset, a, b) for b in range(n))]
+    tops = [a for a in range(n) if all(leq(poset, b, a) for b in range(n))]
     if not bottoms:
         raise NotALattice("no bottom element")
     if not tops:
@@ -96,16 +100,16 @@ def ref_lattice(poset):
     for a in range(n):
         jrow, mrow = [], []
         for b in range(n):
-            uppers = [c for c in range(n) if poset.leq(a, c) and poset.leq(b, c)]
-            least = [c for c in uppers if all(poset.leq(c, d) for d in uppers)]
+            uppers = [c for c in range(n) if leq(poset, a, c) and leq(poset, b, c)]
+            least = [c for c in uppers if all(leq(poset, c, d) for d in uppers)]
             if not least:
                 raise NotALattice(
                     "no least upper bound for %s, %s" % (poset.labels[a], poset.labels[b]),
                     witness=(a, b),
                 )
             jrow.append(least[0])
-            lowers = [c for c in range(n) if poset.leq(c, a) and poset.leq(c, b)]
-            greatest = [c for c in lowers if all(poset.leq(d, c) for d in lowers)]
+            lowers = [c for c in range(n) if leq(poset, c, a) and leq(poset, c, b)]
+            greatest = [c for c in lowers if all(leq(poset, d, c) for d in lowers)]
             if not greatest:
                 raise NotALattice(
                     "no greatest lower bound for %s, %s"
@@ -119,8 +123,8 @@ def ref_lattice(poset):
 
 
 def ref_covers(poset, a):
-    above = [b for b in range(poset.size) if b != a and poset.leq(a, b)]
-    return [b for b in above if not any(c != b and poset.leq(c, b) for c in above)]
+    above = [b for b in range(poset.size) if b != a and leq(poset, a, b)]
+    return [b for b in above if not any(c != b and leq(poset, c, b) for c in above)]
 
 
 def ref_lower_covers(lattice):
@@ -136,7 +140,7 @@ def ref_lower_covers(lattice):
 
 
 def ref_is_isotone(f):
-    leq_dom, leq_cod = f.dom.poset.leq, f.cod.poset.leq
+    leq_dom, leq_cod = f.dom.leq, f.cod.leq
     n = f.dom.size
     return all(
         leq_cod(f.values[a], f.values[b])
@@ -172,7 +176,7 @@ def ref_fold(table, start, subset):
 
 
 def ref_adjunction(f, g):
-    leq_dom, leq_cod = f.dom.poset.leq, f.cod.poset.leq
+    leq_dom, leq_cod = f.dom.leq, f.cod.leq
     return all(
         leq_cod(f.values[a], b) == leq_dom(a, g.values[b])
         for a in range(f.dom.size)
@@ -455,6 +459,81 @@ def test_a_built_poset_is_proved_once(monkeypatch):
     assert calls == [built.up]
 
 
+def ref_table_lattice(poset):
+    """(bottom, top, join rows, meet rows) of a bounded order by its full
+    tables, each entry one up-set (down-set) lookup; NotALattice names the
+    first pair, in row-major order, with a gap in either table."""
+    n, up, down = poset.size, poset.up, poset.down
+    by_up = {row: a for a, row in enumerate(up)}
+    by_down = {row: a for a, row in enumerate(down)}
+    join_rows = tuple(tuple(by_up.get(ua & ub) for ub in up) for ua in up)
+    meet_rows = tuple(tuple(by_down.get(da & db) for db in down) for da in down)
+    for a in range(n):
+        for b in range(n):
+            for missing, rows in (("least upper", join_rows), ("greatest lower", meet_rows)):
+                if rows[a][b] is None:
+                    raise NotALattice(
+                        "no %s bound for %s, %s" % (missing, poset.labels[a], poset.labels[b]),
+                        witness=(a, b),
+                    )
+    return by_up[(1 << n) - 1], by_down[(1 << n) - 1], join_rows, meet_rows
+
+
+def random_bounded_poset(rng):
+    """A bounded order on at most 9 elements, renumbered: its inner elements
+    in 2 or 3 levels, each element ordered below a drawn share of the next
+    level's.  About 3 in 10 are not lattices."""
+    n = rng.randint(6, 9) if rng.random() < 0.8 else rng.randint(1, 5)
+    inner = range(1, n - 1)
+    depth = rng.randint(2, 3)
+    level = {a: rng.randint(1, depth) for a in inner}
+    share = rng.uniform(0.5, 1.0)
+    pairs = [(0, a) for a in range(1, n)] + [(a, n - 1) for a in range(n - 1)]
+    pairs += [(a, b) for a in inner for b in inner if level[b] == level[a] + 1 and rng.random() < share]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_poset(n, [(perm[a], perm[b]) for a, b in pairs])
+
+
+def test_the_join_irreducible_proof_matches_the_full_join_table():
+    # lattice_from_poset checks a ∨ b only for join-irreducible b; the
+    # reference fills both full tables.
+    rng = random.Random(2028)
+    seen = {"lattice": 0, "least upper": 0, "greatest lower": 0}
+    for _ in range(20000):
+        poset = random_bounded_poset(rng)
+        got = outcome(lattice_from_poset, poset)
+        want = outcome(ref_table_lattice, poset)
+        if isinstance(got, tuple):
+            assert got == want
+            seen[got[1].split(" bound for ")[0][len("no "):]] += 1
+        else:
+            assert "join_table" not in got.__dict__
+            assert (got.bottom, got.top, got.join_table, got.meet_table) == want
+            seen["lattice"] += 1
+    assert min(seen.values()) >= 500 and seen["lattice"] <= 15000, seen
+
+
+def test_a_proof_on_pairs_of_join_irreducibles_alone_is_refuted():
+    # 0 < p, q, r; s covers p, q; w covers p, r; w2 covers q, r; u and v
+    # each cover s, w and w2; 1 covers u and v.  p, q and r are the
+    # join-irreducibles, and each pair of them has a join, but p and w2 have
+    # two minimal upper bounds, u and v.
+    labels = "0 p q r s w w2 u v 1".split()
+    covers = ("0<p 0<q 0<r p<s q<s p<w r<w q<w2 r<w2 "
+              "s<u w<u w2<u s<v w<v w2<v u<1 v<1")
+    at = {label: i for i, label in enumerate(labels)}
+    pairs = [(at[a], at[b]) for a, _, b in (token.partition("<") for token in covers.split())]
+    poset = build_poset(len(labels), pairs, labels)
+    up = poset.up
+    for a, b in itertools.combinations("pqr", 2):
+        assert up[at[a]] & up[at[b]] in up
+    with pytest.raises(NotALattice) as err:
+        lattice_from_poset(poset)
+    assert str(err.value) == "no least upper bound for p, w2"
+    assert err.value.witness == (at["p"], at["w2"])
+
+
 def ref_restriction(lattice, elems):
     """The order of lattice on elems, in index order, built by hand."""
     rows = [sum(1 << i for i, b in enumerate(elems) if lattice.leq(a, b)) for a in elems]
@@ -500,6 +579,39 @@ def test_restrictions_and_upper_extensions_are_proved_once(monkeypatch):
     for built, ref in zip(got + extensions, want + want_extensions):
         if not isinstance(built, tuple):
             assert built.poset.down == ref.poset.down
+
+
+def test_an_unproved_retract_is_proved_when_sublattice_on_reads_it(monkeypatch):
+    # retract trusts its table.  With a table that is not isotone, the fixed
+    # points {}, {0}, {1}, {0,1,2}, {0,1,3}, {0,1,2,3} of B16 are no lattice:
+    # sublattice_on of that set must still refuse it, after retract has
+    # cached its restriction, and again on a second read.
+    lattice = corpus.named_lattices()["B16"]
+    at = {label: a for a, label in enumerate(lattice.labels)}
+    fixed = [at[x] for x in ("{}", "{0}", "{1}", "{0,1,2}", "{0,1,3}", "{0,1,2,3}")]
+    table = tuple(a if a in fixed else at["{}"] for a in lattice.elements())
+    image = core.retract(lattice, table).lattice
+    for _ in range(2):
+        with pytest.raises(NotALattice) as err:
+            core.sublattice_on(lattice, fixed)
+        assert str(err.value) == "no least upper bound for {0}, {1}"
+    assert image.size == 6
+    # The retract of a checked table is proved on the first sublattice_on of
+    # its set and not again, and both read the same lattice.
+    proofs = []
+    real = core._joins_exist
+
+    def spy(up, down):
+        proofs.append(up)
+        return real(up, down)
+
+    monkeypatch.setattr(core, "_joins_exist", spy)
+    interval = core.lower_interval(lattice, at["{0,1}"]).lattice
+    assert proofs == []
+    down = [at[x] for x in ("{}", "{0}", "{1}", "{0,1}")]
+    assert core.sublattice_on(lattice, down) is interval
+    assert core.sublattice_on(lattice, down) is interval
+    assert len(proofs) == 1
 
 
 def ref_direct_product(factors):
@@ -698,7 +810,7 @@ def test_adjoints_match_definitions(f):
         g = right_adjoint(f)
         assert g.values == tuple(
             ref_fold(dom.join_table, dom.bottom,
-                     [a for a in dom.elements() if cod.poset.leq(f.values[a], b)])
+                     [a for a in dom.elements() if cod.leq(f.values[a], b)])
             for b in cod.elements()
         )
         assert ref_adjunction(f, g)
@@ -711,7 +823,7 @@ def test_adjoints_match_definitions(f):
         h = left_adjoint(f)
         assert h.values == tuple(
             ref_fold(dom.meet_table, dom.top,
-                     [b for b in dom.elements() if cod.poset.leq(a, f.values[b])])
+                     [b for b in dom.elements() if cod.leq(a, f.values[b])])
             for a in cod.elements()
         )
         assert ref_adjunction(h, f)

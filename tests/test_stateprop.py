@@ -28,14 +28,18 @@ from latkit.stateprop import (
     evolution_adjoint,
     map_to_causal,
     observable_spectrum,
-    propagation,
     validate_causal,
 )
-from latkit.weak import WeakMeetMap
+from latkit.weak import WeakMeetMap, pointed_extend
 
 from test_maps import nonempty_meets
 
 ORTHOS = corpus.ortho_lattices()
+
+
+def state_orthogonal(system, p, q):
+    """p and q orthogonal as states: p below the complement of q."""
+    return system.properties.lattice.leq(p, system.properties.comp(q))
 
 
 def test_build_system_on_corpus():
@@ -64,8 +68,8 @@ def test_state_orthogonality_matches_complement():
     o6 = ORTHOS["O6"]
     system = build_system(o6)
     a, b = system.states[0], system.states[1]
-    assert not system.state_orthogonal(a, a)
-    assert system.state_orthogonal(a, o6.lattice.atoms()[2]) == o6.lattice.leq(
+    assert not state_orthogonal(system, a, a)
+    assert state_orthogonal(system, a, o6.lattice.atoms()[2]) == o6.lattice.leq(
         a, o6.comp(o6.lattice.atoms()[2])
     )
 
@@ -178,7 +182,7 @@ def test_meet_stability_witness():
 def test_propagation_is_pointed_extension_adjoint():
     d4 = corpus.diamond()
     g = identity_map(d4)
-    upper = propagation(WeakMeetMap(g))
+    upper = pointed_extend(WeakMeetMap(g))[1]
     assert upper.base_source == d4 and upper.base_target == d4
 
 

@@ -130,11 +130,11 @@ def ref_causal_to_map(relation):
     src, tgt = relation.source, relation.target
     values = []
     for a2 in tgt.elements():
-        values.append(src.join([a1 for a1 in src.elements() if relation.holds(a1, a2)]))
+        values.append(src.join([a1 for a1 in src.elements() if (a1, a2) in relation.pairs]))
     g = core.LatticeMap(tgt, src, tuple(values))
     for a1 in src.elements():
         for a2 in tgt.elements():
-            if relation.holds(a1, a2) != src.leq(a1, g(a2)):
+            if ((a1, a2) in relation.pairs) != src.leq(a1, g(a2)):
                 raise ValidationError(
                     "relation is not representable by its induced map", witness=(a1, a2)
                 )
@@ -214,8 +214,8 @@ def assert_representation_witness(relation):
     sends each effect to the join of its causes differ."""
     src, tgt = relation.source, relation.target
     a1, a2 = witness(stateprop.causal_to_map, relation)
-    top = src.join([x for x in src.elements() if relation.holds(x, a2)])
-    assert relation.holds(a1, a2) != src.leq(a1, top)
+    top = src.join([x for x in src.elements() if (x, a2) in relation.pairs])
+    assert ((a1, a2) in relation.pairs) != src.leq(a1, top)
 
 
 # -------------------------------------------------------------------- kernel
