@@ -4,8 +4,9 @@ power and Boolean functors."""
 
 from __future__ import annotations
 
-import itertools
+from functools import cached_property, lru_cache
 
+from . import corpus
 from .core import Frozen, LatticeMap, lattice_of_sets, retract
 from .errors import (
     NotAdjoint,
@@ -83,89 +84,131 @@ def monad_from_adjunction(f, g):
     return ClosureOperator(f.dom, tuple(gv[y] for y in f.values))
 
 
+def _mask(points, size):
+    """The mask of points, point p as bit p; ShapeMismatch outside range(size)."""
+    out = 0
+    for p in points:
+        if not 0 <= p < size:
+            raise ShapeMismatch("point %r outside a space of %d points" % (p, size))
+        out |= 1 << p
+    return out
+
+
+def _points(mask):
+    return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
 class ClosureSpace(Frozen):
-    """Point set with an explicit Moore family of closed subsets."""
+    """Point set with a Moore family of closed subsets (any iterable of
+    point sets), stored as masks (point p is bit p) sorted by size, then by
+    sorted points, as lattice_of_sets sorts: masks[i] is element i of
+    space_to_lattice(space), and the first closed mask above a mask is its
+    closure.  position maps each closed mask to its index; closed, a
+    frozenset of frozensets for readers that print or compare sets, is
+    built on first read."""
 
     def __init__(self, size, closed, labels=()):
+        # Reverse order of (-size, bits from point 0 up): within a size the
+        # set holding the least point of the two's difference comes first.
+        masks = sorted({_mask(s, size) for s in closed},
+                       key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
+        position = {m: i for i, m in enumerate(masks)}
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "closed", closed)  # a frozenset of frozensets
+        object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "labels", labels or tuple("p%d" % i for i in range(size)))
-        if frozenset(range(size)) not in closed:
+        object.__setattr__(self, "position", position)
+        if len(self.labels) != size:
+            raise ShapeMismatch("label count does not match point count")
+        if (1 << size) - 1 not in position:
             raise NotClosure("the whole point set must be closed")
-        for a in closed:
-            for b in closed:
-                if a & b not in closed:
-                    raise NotClosure("family not intersection closed", witness=(a, b))
+        for i, a in enumerate(masks):
+            for b in masks[i + 1:]:
+                if a & b not in position:
+                    raise NotClosure("family not intersection closed",
+                                     witness=(_points(a), _points(b)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.size, self.closed, self.labels) == (
-                other.size, other.closed, other.labels
-            )
+            return (self.size, self.masks, self.labels) == (other.size, other.masks, other.labels)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.size, self.closed, self.labels))
+        return hash((self.size, self.masks, self.labels))
+
+    @cached_property
+    def closed(self):
+        return frozenset(map(_points, self.masks))
 
     def points(self):
         return range(self.size)
 
+    def closure_mask(self, mask):
+        return next(c for c in self.masks if mask & c == mask)
+
     def closure_of(self, subset):
-        subset = frozenset(subset)
-        out = frozenset(range(self.size))
-        for c in self.closed:
-            if subset <= c:
-                out &= c
-        return out
+        return _points(self.closure_mask(_mask(subset, self.size)))
 
     def is_simple(self):
-        if frozenset() not in self.closed:
-            return False
-        return all(frozenset([p]) in self.closed for p in self.points())
+        return 0 in self.position and all(1 << p in self.position for p in self.points())
 
 
+@lru_cache(maxsize=None)
 def discrete_space(n):
-    family = frozenset(
-        frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)
-    )
-    return ClosureSpace(n, family)
+    return ClosureSpace(n, map(_points, range(1 << n)))
 
 
 class PartialContinuousMap(Frozen):
     """Partially defined point map whose preimages of closed sets close up
-    with the kernel."""
+    with the kernel.  kernel is the frozenset of points without an image,
+    kernel_mask its mask; mapping holds the (defined point, image) pairs in
+    point order, and table maps each defined point to its image.
+    ShapeMismatch refuses a kernel point or an image outside its space."""
 
     def __init__(self, source, target, kernel, mapping):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "kernel", kernel)  # a frozenset of points
-        object.__setattr__(self, "mapping", mapping)  # (defined point, image point) pairs
-        if {p for p, _ in mapping} != set(source.points()) - set(kernel):
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "kernel_mask", _mask(kernel, source.size))
+        object.__setattr__(self, "table", dict(mapping))
+        if self.table.keys() != set(source.points()) - set(kernel):
             raise ShapeMismatch("map must be defined exactly off its kernel")
+        _mask(self.table.values(), target.size)
 
     def __call__(self, p):
-        return dict(self.mapping)[p]
+        return self.table[p]
 
-    def defined_points(self):
-        return [p for p in self.source.points() if p not in self.kernel]
+    def preimage_mask(self, mask):
+        """The defined points whose image is in mask, as a mask."""
+        out = 0
+        for p, q in self.mapping:
+            if mask >> q & 1:
+                out |= 1 << p
+        return out
+
+    def image_mask(self, mask):
+        """The images of the defined points in mask, as a mask."""
+        out = 0
+        for p, q in self.mapping:
+            if mask >> p & 1:
+                out |= 1 << q
+        return out
 
     def preimage(self, subset):
-        table = dict(self.mapping)
-        return frozenset(p for p in self.defined_points() if table[p] in subset)
+        return _points(self.preimage_mask(_mask(subset, self.target.size)))
 
 
 def partial_map(source, target, kernel, mapping):
-    return PartialContinuousMap(
-        source, target, frozenset(kernel), tuple(sorted(mapping.items()))
-    )
+    return PartialContinuousMap(source, target, frozenset(kernel), tuple(sorted(mapping.items())))
 
 
 def check_continuity(alpha):
-    """Kernel union preimage of any closed set must be closed."""
-    for closed_set in sorted(alpha.target.closed, key=lambda s: (len(s), sorted(s))):
-        pulled = alpha.kernel | alpha.preimage(closed_set)
-        if pulled not in alpha.source.closed:
-            return False, closed_set
+    """The kernel with the preimage of each closed set must be closed: (True,
+    None), or (False, the first failing closed set of the target's masks)."""
+    closed, kernel = alpha.source.position, alpha.kernel_mask
+    for t in alpha.target.masks:
+        if kernel | alpha.preimage_mask(t) not in closed:
+            return False, _points(t)
     return True, None
 
 
@@ -180,47 +223,46 @@ def compose_continuous(second, first):
     """Kernel of the composite is K1 union the first map's preimage of K2."""
     if first.target != second.source:
         raise ShapeMismatch("maps not composable")
-    kernel = first.kernel | first.preimage(second.kernel)
-    mapping = {
-        p: second(first(p)) for p in first.source.points() if p not in kernel
-    }
-    composite = partial_map(first.source, second.target, kernel, mapping)
-    return require_continuous(composite)
+    kernel = first.kernel_mask | first.preimage_mask(second.kernel_mask)
+    mapping = {p: second.table[q] for p, q in first.mapping if not kernel >> p & 1}
+    return require_continuous(partial_map(first.source, second.target, _points(kernel), mapping))
 
 
 def space_to_lattice(space):
-    """Closed sets ordered by inclusion; the atoms are the singletons."""
-    if not space.is_simple():
-        raise NotSimple("space must have empty set and singletons closed")
-    return lattice_of_sets(space.closed)
+    """Closed sets ordered by inclusion, and the sets in element order; the
+    atoms are the singletons.  Kept on the space; NotSimple is not."""
+    memo = space.__dict__
+    if "closed_lattice" not in memo:
+        if not space.is_simple():
+            raise NotSimple("space must have empty set and singletons closed")
+        lattice, sets = lattice_of_sets(space.closed)
+        memo["closed_lattice"] = lattice, tuple(sets)
+    return memo["closed_lattice"]
 
 
 def map_to_join_map(alpha):
-    """Forward functor on morphisms: A |-> closure of the direct image off the kernel."""
+    """Forward functor on morphisms: A |-> closure of the direct image off
+    the kernel; its right adjoint B |-> the kernel with the preimage of B,
+    which continuity makes closed.  Closed set i is lattice element i."""
     require_continuous(alpha)
-    lat1, sets1 = space_to_lattice(alpha.source)
-    lat2, sets2 = space_to_lattice(alpha.target)
-    index2 = {s: i for i, s in enumerate(sets2)}
-    table = dict(alpha.mapping)
-    values = []
-    for s in sets1:
-        image = frozenset(table[p] for p in s if p not in alpha.kernel)
-        values.append(index2[alpha.target.closure_of(image)])
-    forward = LatticeMap(lat1, lat2, tuple(values))
-    index1 = {s: i for i, s in enumerate(sets1)}
-    back_values = tuple(
-        index1[alpha.source.closure_of(alpha.kernel | alpha.preimage(s))] for s in sets2
-    )
-    return forward, LatticeMap(lat2, lat1, back_values)
+    source, target, kernel = alpha.source, alpha.target, alpha.kernel_mask
+    forward = [target.position[target.closure_mask(alpha.image_mask(s))] for s in source.masks]
+    backward = [source.position[kernel | alpha.preimage_mask(t)] for t in target.masks]
+    lat1, lat2 = space_to_lattice(source)[0], space_to_lattice(target)[0]
+    return LatticeMap(lat1, lat2, tuple(forward)), LatticeMap(lat2, lat1, tuple(backward))
 
 
 def lattice_to_space(lattice):
-    """Atoms with closure A |-> atoms below the join of A."""
-    if not lattice.is_atomistic():
-        raise NotAtomistic("lattice must be atomistic")
-    ats = lattice.atoms()
-    labels = tuple(lattice.labels[p] for p in ats)
-    return ClosureSpace(len(ats), frozenset(lattice.atom_sets), labels), ats
+    """Atoms with closure A |-> atoms below the join of A.  Kept on the
+    lattice as atom_space; NotAtomistic is not."""
+    memo = lattice.__dict__
+    if "atom_space" not in memo:
+        if not lattice.is_atomistic():
+            raise NotAtomistic("lattice must be atomistic")
+        ats = tuple(lattice.atoms())
+        labels = tuple(lattice.labels[p] for p in ats)
+        memo["atom_space"] = ClosureSpace(len(ats), lattice.atom_sets, labels), ats
+    return memo["atom_space"]
 
 
 def join_map_to_partial(f):
@@ -228,7 +270,7 @@ def join_map_to_partial(f):
     space1, ats1 = lattice_to_space(f.dom)
     space2, ats2 = lattice_to_space(f.cod)
     position2 = {p: i for i, p in enumerate(ats2)}
-    allowed = set(f.cod.atoms()) | {f.cod.bottom}
+    allowed = set(ats2) | {f.cod.bottom}
     for p in ats1:
         if f(p) not in allowed:
             raise NotAtomicMap("map sends an atom outside atoms and bottom", witness=p)
@@ -240,22 +282,16 @@ def join_map_to_partial(f):
 def space_roundtrip(space):
     """p |-> {p} must be an isomorphism onto the closed-set lattice's space:
     None if it is, else what fails."""
-    lattice, sets = space_to_lattice(space)
+    lattice, _ = space_to_lattice(space)
     back, ats = lattice_to_space(lattice)
-    # Atom i of the closed-set lattice is the singleton set; match points up.
-    atom_of = {}
-    for i, a in enumerate(ats):
-        (point,) = sets[a]
-        atom_of[point] = i
-    if sorted(atom_of) != list(space.points()):
+    # Atom i of the closed-set lattice is a singleton; match points up.
+    point_of = [space.masks[a].bit_length() - 1 for a in ats]
+    if sorted(point_of) != list(space.points()):
         return "atom/point mismatch"
-    point_of = {i: p for p, i in atom_of.items()}
-    pulled = {frozenset(point_of[i] for i in s) for s in back.closed}
-    differ = pulled ^ space.closed
+    pulled = {sum(1 << p for i, p in enumerate(point_of) if m >> i & 1) for m in back.masks}
+    differ = pulled ^ set(space.masks)
     if differ:
-        # Report the first differing subset in bitmask order.
-        first = min(differ, key=lambda s: sum(1 << p for p in s))
-        return "closed families differ at %s" % sorted(first)
+        return "closed families differ at %s" % sorted(_points(min(differ)))
     return None
 
 
@@ -282,27 +318,19 @@ def lattice_roundtrip(lattice):
 
 
 def power_functors(mapping, n_source, n_target):
-    """Direct image and preimage on full powerset lattices, as an adjoint pair."""
-    lat1, sets1 = lattice_of_sets(discrete_space(n_source).closed)
-    lat2, sets2 = lattice_of_sets(discrete_space(n_target).closed)
-    index1 = {s: i for i, s in enumerate(sets1)}
-    index2 = {s: i for i, s in enumerate(sets2)}
-    direct = LatticeMap(
-        lat1, lat2, tuple(index2[frozenset(mapping[p] for p in s)] for s in sets1)
-    )
-    inverse = LatticeMap(
-        lat2,
-        lat1,
-        tuple(index1[frozenset(p for p in range(n_source) if mapping[p] in s)] for s in sets2),
-    )
-    return direct, inverse
+    """Direct image and preimage on full powerset lattices, as an adjoint
+    pair: the functor images of the total map between discrete spaces."""
+    spaces = discrete_space(n_source), discrete_space(n_target)
+    return map_to_join_map(partial_map(*spaces, (), dict(enumerate(mapping))))
 
 
 def is_boolean(lattice):
-    """Finite Boolean means atomistic with 2^atoms elements and complements."""
-    if not lattice.is_atomistic():
-        return False
-    return lattice.size == 1 << len(lattice.atoms())
+    """Finite Boolean means atomistic with 2^atoms elements and complements.
+    Kept on the lattice."""
+    memo = lattice.__dict__
+    if "is_boolean" not in memo:
+        memo["is_boolean"] = lattice.is_atomistic() and lattice.size == 1 << len(lattice.atoms())
+    return memo["is_boolean"]
 
 
 class BooleanDualityReport(Frozen):
@@ -317,7 +345,7 @@ def atom_set_maps(lattice):
     if not is_boolean(lattice):
         raise NotBoolean("lattice is not a finite Boolean algebra")
     ats = lattice.atoms()
-    powerset, sets = lattice_of_sets(discrete_space(len(ats)).closed)
+    powerset, sets = space_to_lattice(discrete_space(len(ats)))
     index = {s: i for i, s in enumerate(sets)}
     mu = LatticeMap(lattice, powerset, tuple(index[s] for s in lattice.atom_sets))
     rho = LatticeMap(
@@ -333,12 +361,14 @@ def boolean_duality(f, g):
         raise NotBoolean("both lattices must be finite Boolean algebras")
     if not check_adjunction(f, g):
         raise NotAdjoint("maps are not adjoint")
-    from .corpus import boolean_ortho
-
-    ortho2 = boolean_ortho(f.cod)
-    ortho1 = boolean_ortho(f.dom)
-    atoms_to_atoms = all(f(p) in set(f.cod.atoms()) for p in f.dom.atoms())
-    ortho_preserved = all(g(ortho2[b]) == ortho1[g(b)] for b in f.cod.elements())
+    ortho2 = corpus.boolean_ortho(f.cod)
+    ortho1 = corpus.boolean_ortho(f.dom)
+    fv, gv, cod_sets = f.values, g.values, f.cod.atom_sets
+    # An atom is an element with one atom below it.
+    atoms_to_atoms = all(
+        len(cod_sets[fv[a]]) == 1 for a, s in enumerate(f.dom.atom_sets) if len(s) == 1
+    )
+    ortho_preserved = all(gv[ortho2[b]] == ortho1[gv[b]] for b in f.cod.elements())
     return BooleanDualityReport(
         atoms_to_atoms=atoms_to_atoms,
         ortho_preserved_by_adjoint=ortho_preserved,

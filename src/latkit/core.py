@@ -222,9 +222,12 @@ class FiniteLattice(Frozen):
     join table, the meet table (the dual's join table), the size, the hash,
     the dual, the lower covers, the down-set index, the atom sets, the upper
     extension, the sublattices, the lower intervals, the Hom-sets out of the
-    lattice with their value masks (maps._value_masks) and the data of the
-    join Hom-set search (maps._join_search) are computed on first use and
-    kept on the instance.
+    lattice with their value masks (maps._value_masks), the data of the
+    join Hom-set search (maps._join_search), the atom space
+    (closure.lattice_to_space, as atom_space), whether the lattice is
+    Boolean (closure.is_boolean) and its set-complement ortho
+    (corpus.boolean_ortho) are computed on first use and kept on the
+    instance.
     """
 
     def __init__(self, poset, bottom, top):

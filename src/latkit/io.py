@@ -495,11 +495,11 @@ def format_ospace(name, space):
 def format_cspace(name, space):
     lines = ["cspace %s" % name]
     lines.append("points: %s" % " ".join(space.labels))
-    sets = sorted(space.closed, key=lambda s: (len(s), sorted(s)))
+    full = (1 << space.size) - 1
     tokens = [
-        "{%s}" % ",".join(space.labels[p] for p in sorted(s))
-        for s in sets
-        if s != frozenset(range(space.size))
+        "{%s}" % ",".join(space.labels[p] for p in space.points() if m >> p & 1)
+        for m in space.masks
+        if m != full
     ]
     if tokens:
         lines.append("closed: %s" % " ".join(tokens))

@@ -3,11 +3,12 @@ the power and Boolean functors."""
 
 import functools
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
 
-from latkit import closure, corpus
+from latkit import closure, corpus, io, suite
 from latkit.closure import (
     BooleanDualityReport,
     ClosureSpace,
@@ -33,10 +34,12 @@ from latkit.closure import (
 from latkit.core import lattice_of_sets
 from latkit.errors import (
     NotAtomicMap,
+    NotAtomistic,
     NotBoolean,
     NotClosure,
     NotContinuous,
     NotSimple,
+    ShapeMismatch,
 )
 from latkit.maps import check_adjunction, compose, hom_set, right_adjoint
 
@@ -98,16 +101,7 @@ def test_closure_of_is_smallest_closed_superset():
 
 
 def all_partial_maps(source, target):
-    out = []
-    points = list(source.points())
-    for kernel_mask in range(1 << source.size):
-        kernel = [p for p in points if kernel_mask >> p & 1]
-        defined = [p for p in points if p not in kernel]
-        for images in itertools.product(range(target.size), repeat=len(defined)):
-            candidate = partial_map(source, target, kernel, dict(zip(defined, images)))
-            if check_continuity(candidate)[0]:
-                out.append(candidate)
-    return out
+    return [alpha for alpha in every_partial_map(source, target) if check_continuity(alpha)[0]]
 
 
 def test_continuity_and_composition():
@@ -193,7 +187,10 @@ def test_space_roundtrip_matches_the_subset_loop(monkeypatch):
         k, shift = len(ats), variant["shift"]
         moved = [ats[(i - shift) % k] for i in range(k)]
         closed = {frozenset((i + shift) % k for i in s) for s in space.closed}
-        return SimpleNamespace(closed=frozenset(closed ^ variant["toggle"])), moved
+        closed ^= variant["toggle"]
+        # The reference reads the sets, space_roundtrip the masks.
+        masks = tuple(sum(1 << i for i in s) for s in closed)
+        return SimpleNamespace(closed=frozenset(closed), masks=masks), moved
 
     monkeypatch.setattr(closure, "lattice_to_space", rebuilt)
     details = set()
@@ -213,6 +210,21 @@ def test_space_to_lattice_requires_simple():
     not_simple = ClosureSpace(2, frozenset([frozenset(), frozenset([0, 1])]))
     with pytest.raises(NotSimple):
         space_to_lattice(not_simple)
+
+
+def test_bridges_are_kept_and_refusals_are_raised_on_every_call():
+    space = corpus.closure_spaces()["S3line"]
+    assert space_to_lattice(space) is space_to_lattice(space)
+    lattice = space_to_lattice(space)[0]
+    assert lattice_to_space(lattice) is lattice_to_space(lattice)
+    assert discrete_space(3) is discrete_space(3)
+    not_simple, n5 = ClosureSpace(2, [[], [0, 1]]), corpus.n5()
+    for _ in range(2):
+        with pytest.raises(NotSimple):
+            space_to_lattice(not_simple)
+        with pytest.raises(NotAtomistic):
+            lattice_to_space(n5)
+    assert is_boolean(lattice) is is_boolean(lattice) is False
 
 
 def test_morphism_functors_are_mutually_inverse():
@@ -284,3 +296,166 @@ def test_closed_set_lattice_of_discrete_space_is_boolean():
     space, ats = lattice_to_space(lattice)
     assert space.size == 3
     del sets, ats
+
+
+# ------------------------------------------------ input contracts, mask oracles
+# The references below are the frozenset code that closure spaces, continuous
+# maps, the sweep's continuous-map loop and io.format_cspace ran before they
+# moved to masks.
+
+
+def test_closure_space_refuses_a_point_outside_or_a_wrong_label_count():
+    with pytest.raises(ShapeMismatch):
+        ClosureSpace(2, frozenset({frozenset({0, 1}), frozenset({0, 1, 5})}))
+    with pytest.raises(ShapeMismatch):
+        ClosureSpace(2, discrete_space(2).closed, labels=("a",))
+
+
+def test_closure_space_takes_any_iterable_of_sets():
+    listed = ClosureSpace(2, [{0, 1}, [0], (), {0}])
+    family = frozenset([frozenset(), frozenset([0]), frozenset([0, 1])])
+    assert listed.closed == family
+    assert listed == ClosureSpace(2, family)
+    assert hash(listed) == hash(ClosureSpace(2, family))
+
+
+@pytest.mark.parametrize("kernel, mapping", [((), {0: 9, 1: 0}), ((7,), {0: 0, 1: 0})])
+def test_partial_map_refuses_a_kernel_point_or_an_image_outside_its_space(kernel, mapping):
+    space = discrete_space(2)
+    with pytest.raises(ShapeMismatch):
+        partial_map(space, space, kernel, mapping)
+
+
+def ref_closure_of(space, subset):
+    subset = frozenset(subset)
+    out = frozenset(range(space.size))
+    for c in space.closed:
+        if subset <= c:
+            out &= c
+    return out
+
+
+def ref_check_continuity(alpha):
+    table = dict(alpha.mapping)
+    for closed_set in sorted(alpha.target.closed, key=lambda s: (len(s), sorted(s))):
+        pulled = alpha.kernel | frozenset(p for p in table if table[p] in closed_set)
+        if pulled not in alpha.source.closed:
+            return False, closed_set
+    return True, None
+
+
+def ref_continuous_maps(s1, s2):
+    """The sweep's loop over every kernel mask, with the frozenset check."""
+    return [alpha for alpha in every_partial_map(s1, s2) if ref_check_continuity(alpha)[0]]
+
+
+def every_partial_map(s1, s2):
+    points = list(s1.points())
+    for kernel_mask in range(1 << s1.size):
+        kernel = frozenset(p for p in points if kernel_mask >> p & 1)
+        free = [p for p in points if p not in kernel]
+        for choice in itertools.product(range(s2.size), repeat=len(free)):
+            yield partial_map(s1, s2, kernel, dict(zip(free, choice)))
+
+
+def ref_format_cspace(name, space):
+    lines = ["cspace %s" % name, "points: %s" % " ".join(space.labels)]
+    sets = sorted(space.closed, key=lambda s: (len(s), sorted(s)))
+    tokens = [
+        "{%s}" % ",".join(space.labels[p] for p in sorted(s))
+        for s in sets
+        if s != frozenset(range(space.size))
+    ]
+    if tokens:
+        lines.append("closed: %s" % " ".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+def moore_families(n):
+    """Every family of subsets of n points, as frozensets, and whether it is
+    a Moore family: it holds the full set and is closed under intersection."""
+    subsets = [frozenset(p for p in range(n) if m >> p & 1) for m in range(1 << n)]
+    for bits in range(1 << len(subsets)):
+        family = frozenset(s for j, s in enumerate(subsets) if bits >> j & 1)
+        closed = all(a & b in family for a in family for b in family)
+        moore = frozenset(range(n)) in family and closed
+        yield family, moore
+
+
+@functools.lru_cache(maxsize=None)
+def spaces_on(n):
+    """Every closure space on n points, one per Moore family."""
+    return tuple(ClosureSpace(n, family) for family, moore in moore_families(n) if moore)
+
+
+def test_closure_spaces_are_exactly_the_moore_families():
+    for n, count in enumerate([1, 2, 7, 61]):  # OEIS A102896
+        accepted = 0
+        for family, moore in moore_families(n):
+            try:
+                space = ClosureSpace(n, family)
+            except NotClosure:
+                assert not moore, family
+                continue
+            assert moore, family
+            assert space.closed == family
+            assert [space.position[m] for m in space.masks] == list(range(len(family)))
+            assert [set(s) for s in lattice_of_sets(family)[1]] == [
+                set(p for p in range(n) if m >> p & 1) for m in space.masks
+            ]
+            accepted += 1
+        assert accepted == count == len(spaces_on(n))
+    for n in range(7):
+        points = [frozenset(p for p in range(n) if m >> p & 1) for m in range(1 << n)]
+        in_order = sorted(points, key=lambda s: (len(s), sorted(s)))
+        assert discrete_space(n).masks == tuple(sum(1 << p for p in s) for s in in_order)
+
+
+def test_closure_of_matches_the_frozenset_reference():
+    for n in range(4):
+        for space in spaces_on(n):
+            for m in range(1 << n):
+                subset = [p for p in range(n) if m >> p & 1]
+                assert space.closure_of(subset) == ref_closure_of(space, subset)
+
+
+def assert_continuity_matches_the_reference(s1, s2):
+    """check_continuity gives the reference's verdict and witness on every
+    partial map s1 -> s2, and the pruned sweep loop the reference's list."""
+    continuous = []
+    for alpha in every_partial_map(s1, s2):
+        verdict = check_continuity(alpha)
+        assert verdict == ref_check_continuity(alpha), (alpha.kernel, alpha.mapping)
+        if verdict[0]:
+            continuous.append(alpha)
+    pruned = suite._continuous_maps(s1, s2)
+    assert [(a.kernel, a.mapping) for a in pruned] == [(a.kernel, a.mapping) for a in continuous]
+
+
+def test_continuity_matches_the_reference_on_every_pair_up_to_two_points():
+    small = [space for n in range(3) for space in spaces_on(n)]
+    for s1, s2 in itertools.product(small, repeat=2):
+        assert_continuity_matches_the_reference(s1, s2)
+
+
+def test_continuity_matches_the_reference_on_sampled_pairs_of_three_points():
+    rng = random.Random(29)
+    pairs = list(itertools.product(spaces_on(3), repeat=2))
+    for s1, s2 in rng.sample(pairs, 2000):
+        assert_continuity_matches_the_reference(s1, s2)
+
+
+def test_the_pruned_loop_gives_the_old_list_on_every_corpus_pair():
+    spaces = corpus.closure_spaces()
+    for s1, s2 in itertools.product(spaces.values(), repeat=2):
+        old = ref_continuous_maps(s1, s2)
+        assert [(a.kernel, a.mapping) for a in suite._continuous_maps(s1, s2)] == [
+            (a.kernel, a.mapping) for a in old
+        ]
+
+
+def test_format_cspace_writes_the_old_text():
+    named = list(corpus.closure_spaces().items())
+    named += [("M%d" % i, space) for n in range(4) for i, space in enumerate(spaces_on(n))]
+    for name, space in named:
+        assert io.format_cspace(name, space) == ref_format_cspace(name, space)

@@ -36,6 +36,7 @@ from latkit.maps import (
 )
 from latkit.stateprop import CausalRelation, validate_causal
 
+from test_closure import ref_check_continuity, ref_continuous_maps
 from test_maps import map_leq
 
 LATTICES = corpus.named_lattices()
@@ -398,6 +399,47 @@ def test_causal_relations_of_weak_maps_are_the_scanned_ones():
     assert count == 4073
 
 
+def ref_continuity_composition(s1, s2, s3):
+    """The continuity-composition body before the masks: the kernel formula
+    on frozensets, over the unpruned continuous-map loop."""
+    seconds = ref_continuous_maps(s2, s3)
+    for a1 in ref_continuous_maps(s1, s2):
+        for a2 in seconds:
+            composite = closure.compose_continuous(a2, a1)
+            if composite.kernel != a1.kernel | a1.preimage(a2.kernel):
+                return "kernel formula fails"
+    return None
+
+
+def ref_space_functors(s1, s2):
+    """The space-functors body before the masks."""
+    for alpha in ref_continuous_maps(s1, s2):
+        forward, backward = closure.map_to_join_map(alpha)
+        if not check_adjunction(forward, backward):
+            return "functor image not adjoint"
+        back = closure.join_map_to_partial(forward)
+        if back.kernel != alpha.kernel:
+            return "kernel not recovered"
+    return None
+
+
+def ref_boolean_duality(f, g):
+    """closure.boolean_duality before it read the value tables."""
+    if not (closure.is_boolean(f.dom) and closure.is_boolean(f.cod)):
+        raise closure.NotBoolean("both lattices must be finite Boolean algebras")
+    if not check_adjunction(f, g):
+        raise closure.NotAdjoint("maps are not adjoint")
+    ortho2 = corpus.boolean_ortho(f.cod)
+    ortho1 = corpus.boolean_ortho(f.dom)
+    atoms_to_atoms = all(f(p) in set(f.cod.atoms()) for p in f.dom.atoms())
+    ortho_preserved = all(g(ortho2[b]) == ortho1[g(b)] for b in f.cod.elements())
+    return closure.BooleanDualityReport(
+        atoms_to_atoms=atoms_to_atoms,
+        ortho_preserved_by_adjoint=ortho_preserved,
+        agree=atoms_to_atoms == ortho_preserved,
+    )
+
+
 # ---------------------------------------------------------- planted defects
 
 
@@ -501,6 +543,76 @@ def broken_closure(monkeypatch):
     return d4, d4
 
 
+IDENTITY_2 = ((0, 0), (1, 1))
+
+
+def backward_not_adjoint(monkeypatch):
+    """map_to_join_map gives the identity on S2 the constant-top backward
+    map, which is not adjoint to the forward identity."""
+    s2 = corpus.closure_spaces()["S2"]
+    real = closure.map_to_join_map
+
+    def planted(alpha):
+        forward, backward = real(alpha)
+        if alpha.mapping == IDENTITY_2:
+            top = backward.cod.top
+            backward = core.LatticeMap(backward.dom, backward.cod, (top,) * backward.dom.size)
+        return forward, backward
+
+    monkeypatch.setattr(closure, "map_to_join_map", planted)
+    return s2, s2
+
+
+def kernel_point_dropped(monkeypatch):
+    """join_map_to_partial sends the least kernel point of each map with a
+    kernel to point 0 instead."""
+    s3, s2 = corpus.closure_spaces()["S3line"], corpus.closure_spaces()["S2"]
+    real = closure.join_map_to_partial
+
+    def planted(f):
+        back = real(f)
+        if not back.kernel:
+            return back
+        dropped = min(back.kernel)
+        table = dict(back.mapping) | {dropped: 0}
+        return closure.partial_map(back.source, back.target, back.kernel - {dropped}, table)
+
+    monkeypatch.setattr(closure, "join_map_to_partial", planted)
+    return s3, s2
+
+
+def composite_kernel_wrong(monkeypatch):
+    """compose_continuous gives the composite of two identities on S2 the
+    whole point set as its kernel."""
+    s2 = corpus.closure_spaces()["S2"]
+    real = closure.compose_continuous
+
+    def planted(second, first):
+        composite = real(second, first)
+        if first.mapping == second.mapping == IDENTITY_2:
+            return closure.partial_map(composite.source, composite.target, range(2), {})
+        return composite
+
+    monkeypatch.setattr(closure, "compose_continuous", planted)
+    return s2, s2, s2
+
+
+def boolean_ortho_wrong(monkeypatch):
+    """boolean_ortho gives one of two copies of B4 the identity on its atoms
+    in place of their complements."""
+    b4, other = corpus.boolean_lattice(2), corpus.boolean_lattice(2)
+    real = corpus.boolean_ortho
+
+    def planted(lattice):
+        ortho = real(lattice)
+        if lattice is other:
+            return (ortho[0],) + tuple(lattice.elements())[1:-1] + (ortho[-1],)
+        return ortho
+
+    monkeypatch.setattr(corpus, "boolean_ortho", planted)
+    return b4, other
+
+
 def old_validators(monkeypatch):
     monkeypatch.setattr(stateprop, "validate_causal", ref_validate_causal)
     monkeypatch.setattr(stateprop, "causal_to_map", ref_causal_to_map)
@@ -508,6 +620,8 @@ def old_validators(monkeypatch):
     monkeypatch.setattr(closure, "validate_closure", ref_validate_closure)
     monkeypatch.setattr(maps, "classify_morphism", ref_classify)
     monkeypatch.setattr(suite, "classify_morphism", ref_classify)
+    monkeypatch.setattr(closure, "check_continuity", ref_check_continuity)
+    monkeypatch.setattr(closure, "boolean_duality", ref_boolean_duality)
 
 
 # (law, planted defect, the old body or None for the law's own body under
@@ -526,6 +640,12 @@ PLANTED = [
     ("state-causal", dropped_causal_pair, None,
      "NotFullyIsotone: relation misses a dominated pair"),
     ("closure-monad", broken_closure, None, "NotClosure: not isotone"),
+    ("space-functors", backward_not_adjoint, ref_space_functors, "functor image not adjoint"),
+    ("space-functors", kernel_point_dropped, ref_space_functors, "kernel not recovered"),
+    ("continuity-composition", composite_kernel_wrong, ref_continuity_composition,
+     "kernel formula fails"),
+    ("boolean-duality", boolean_ortho_wrong, None,
+     "atom criterion disagrees with ortho criterion"),
 ]
 
 
@@ -559,11 +679,17 @@ def test_planted_defects_give_the_old_bodies_witness(monkeypatch, prop, plant, o
 
 def test_every_rewritten_law_has_a_planted_defect():
     rewritten = {"adjoint-unique", "duality-involution", "classification", "state-causal",
-                 "closure-monad"}
+                 "closure-monad", "space-functors", "continuity-composition", "boolean-duality"}
     assert {prop for prop, *_ in PLANTED} == rewritten
     # Without the defect each law passes on the same objects.
     assert suite._adjoint_unique(corpus.diamond(), corpus.chain(3)) is None
     assert suite._closure_monad(corpus.diamond(), corpus.diamond()) is None
+    spaces = corpus.closure_spaces()
+    assert suite._space_functors(spaces["S2"], spaces["S2"]) is None
+    assert suite._space_functors(spaces["S3line"], spaces["S2"]) is None
+    assert suite._continuity_composition(spaces["S2"], spaces["S2"], spaces["S2"]) is None
+    b4 = corpus.boolean_lattice(2)
+    assert suite._boolean_duality(b4, corpus.boolean_lattice(2)) is None
 
 
 def test_the_atom_space_is_tested_once(monkeypatch):
