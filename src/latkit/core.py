@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cached_property
 
 from .errors import (
     CycleDetected,
@@ -28,6 +27,24 @@ from .errors import (
 MAX_LATTICE_SIZE = 64
 # Bound on the base of anything materializing a powerset.
 MAX_POWER_BASE = 16
+
+
+class cached_property:
+    """A value computed on its first read and stored in the instance
+    __dict__, which later reads find first (no __set__ here); unlike
+    functools.cached_property up to Python 3.11, no lock is taken."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class Frozen:
@@ -226,8 +243,9 @@ class FiniteLattice(Frozen):
     join Hom-set search (maps._join_search), the atom space
     (closure.lattice_to_space, as atom_space), whether the lattice is
     Boolean (closure.is_boolean) and its set-complement ortho
-    (corpus.boolean_ortho) are computed on first use and kept on the
-    instance.
+    (corpus.boolean_ortho) are computed on first use and kept in the
+    instance __dict__ (by cached_property or by the function that computes
+    them), where every later read finds them without a call.
     """
 
     def __init__(self, poset, bottom, top):

@@ -13,7 +13,7 @@ from .closure import ClosureSpace, partial_map
 from .core import LatticeMap
 from .stateprop import CausalRelation
 from .transition import nonzero, union_map
-from .weak import partial_from_table
+from .weak import PartialJoinMap
 
 
 class Block:
@@ -352,7 +352,7 @@ def _resolve_map(ws, block):
         anchor = _label_index(dom.label_index, text.strip(), lineno, "element")
         if sum(1 << x for x in entries) != dom.poset.down[anchor]:
             _refuse_partial_lines(block, dom, anchor, entries)
-        ws.maps[block.name] = partial_from_table(dom, cod, anchor, entries)
+        ws.maps[block.name] = PartialJoinMap(dom, cod, anchor, entries.items())
         return
     if len(entries) != dom.size:
         missing = next(x for x in dom.elements() if x not in entries)

@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import cached_property
 
 from . import core
-from .core import Frozen, LatticeMap, lattice_of_sets
+from .core import Frozen, LatticeMap, cached_property, lattice_of_sets
 from .errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
 from .maps import _hom_tables, _residual, compose, pointwise_join
 

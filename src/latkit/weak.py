@@ -7,8 +7,6 @@ maps derived here preserve joins by theorem, so they are built unchecked."""
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .core import Frozen, LatticeMap, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
 from .maps import _residual, _residual_table, left_adjoint, right_adjoint
@@ -55,53 +53,41 @@ class WeakMeetMap(Frozen):
 class PartialJoinMap(Frozen):
     """Join-preserving map defined on the lower interval below an anchor.
 
-    values holds one (source element <= anchor, target element) pair for
-    each element below the anchor.  The constructor checks the pairs and
+    values holds one (x, value) pair for each element x below the anchor,
+    as a tuple in index order of x; the map is its four fields, and
+    equality and hashing read them.  The constructor checks the pairs and
     decides joins on the source lattice itself (see maps._residual_table),
-    so it builds no interval.  inner is the same map as a LatticeMap on
-    lower_interval(source, anchor), built on first read; equality and
-    hashing read the other four fields.
+    so it builds no interval; the routes below read and write the pairs.
     """
 
     def __init__(self, source, target, anchor, values):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "values", values)
         below = source.poset.down[anchor]
-        seen = 0
+        value = {}
         for x, v in values:
             if x < 0 or not below >> x & 1:
                 raise ShapeMismatch("partial map value at %r outside [0, anchor]" % (x,))
-            if seen >> x & 1:
+            if x in value:
                 raise ShapeMismatch("partial map has two values at %r" % (x,))
             if not 0 <= v < target.size:
                 raise ShapeMismatch("value %d outside codomain" % v)
-            seen |= 1 << x
-        if seen != below:
+            value[x] = v
+        if len(value) != below.bit_count():
             raise ShapeMismatch("partial map missing value below its anchor")
+        values = tuple(sorted(value.items()))
+        object.__setattr__(self, "values", values)
         if _residual_table(values, source, target) is None:
             raise NotJoinPreserving("partial map not join preserving on its interval")
 
     @classmethod
-    def _of(cls, source, anchor, inner):
-        """The partial map whose map on lower_interval(source, anchor) is
-        inner, a join map by construction: not validated."""
+    def _of(cls, source, target, anchor, values):
+        """The partial map with these (x, value) pairs, in index order of x,
+        a join map by construction: not validated."""
         partial = object.__new__(cls)
-        elements = lower_interval(source, anchor).elements
-        partial.__dict__.update(
-            source=source, target=inner.cod, anchor=anchor,
-            values=tuple(zip(elements, inner.values)), inner=inner,
-        )
+        partial.__dict__.update(source=source, target=target, anchor=anchor, values=values)
         return partial
-
-    @cached_property
-    def inner(self):
-        interval = lower_interval(self.source, self.anchor)
-        value = dict(self.values)
-        return LatticeMap._unchecked(
-            interval.lattice, self.target, tuple(value[x] for x in interval.elements)
-        )
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -112,21 +98,6 @@ class PartialJoinMap(Frozen):
 
     def __hash__(self):
         return hash((self.source, self.target, self.anchor, self.values))
-
-    def __call__(self, x):
-        """The value at x, which must lie below the anchor."""
-        return self.inner.values[lower_interval(self.source, self.anchor).elements.index(x)]
-
-    def interval_map(self):
-        return lower_interval(self.source, self.anchor), self.inner
-
-
-def partial_from_table(source, target, anchor, mapping):
-    """The partial map x |-> mapping[x] on [0, anchor], checked as the
-    constructor checks it: the builder for maps read from a file."""
-    return PartialJoinMap(
-        source, target, anchor, tuple((x, mapping[x]) for x in source.downset(anchor))
-    )
 
 
 class UpperMap(Frozen):
@@ -168,17 +139,19 @@ class UpperMap(Frozen):
 
 
 def restrict_codomain(weak):
-    """Corestrict a weak meet map onto [0, g(1)]; the result preserves all meets."""
+    """Corestrict a weak meet map onto [0, g(1)]; the result preserves all
+    meets, and its left adjoint on the interval is the partial map."""
     g = weak.map
-    anchor = g(g.dom.top)
+    anchor = g.values[g.dom.top]
     interval = lower_interval(g.cod, anchor)
     # Every g(b) lies below g(1), so the projection gives its interval index.
     position = interval.projection.values
-    restricted = LatticeMap._unchecked(
-        g.dom, interval.lattice, tuple(position[v] for v in g.values)
-    )
-    # The left adjoint, on the interval, is the partial map's interval map.
-    return restricted, PartialJoinMap._of(g.cod, anchor, left_adjoint(restricted)), anchor
+    table = tuple(position[v] for v in g.values)
+    restricted = LatticeMap._unchecked(g.dom, interval.lattice, table)
+    # The left adjoint is the residual of the same table in the dual orders.
+    adjoint = _residual_table(enumerate(table), g.dom.dual, interval.lattice.dual)
+    partial = PartialJoinMap._of(g.cod, g.dom, anchor, tuple(zip(interval.elements, adjoint)))
+    return restricted, partial, anchor
 
 
 def pointed_extend(weak):
@@ -190,9 +163,8 @@ def pointed_extend(weak):
 def partial_to_upper(partial):
     """Send x below the anchor to its value and everything else to the new top."""
     src, tgt = partial.source, partial.target
-    interval, inner = partial.interval_map()
     table = [tgt.size] * (src.size + 1)  # index size is the adjoined top
-    for x, value in zip(interval.elements, inner.values):
+    for x, value in partial.values:
         table[x] = value
     upper = LatticeMap._unchecked(upper_extension(src), upper_extension(tgt), tuple(table))
     return UpperMap._of(src, tgt, upper)
@@ -200,30 +172,24 @@ def partial_to_upper(partial):
 
 def upper_to_partial(upper):
     """Anchor at F*(1) and restrict F to the interval below it."""
-    src = upper.base_source
-    anchor = right_adjoint(upper.map)(upper.base_target.top)
-    interval = lower_interval(src, anchor)
+    src, tgt = upper.base_source, upper.base_target
+    anchor = right_adjoint(upper.map).values[tgt.top]
     # F(x) <= 1 iff x <= F*(1), so F sends the interval into the base target.
-    values = tuple(map(upper.map.values.__getitem__, interval.elements))
+    values = upper.map.values
     return PartialJoinMap._of(
-        src, anchor, LatticeMap._unchecked(interval.lattice, upper.base_target, values)
+        src, tgt, anchor, tuple((x, values[x]) for x in lower_interval(src, anchor).elements)
     )
 
 
 def compose_partial(second, first):
-    """Anchor of the composite is first's adjoint applied to second's anchor."""
+    """Defined where first lands below second's anchor: for a join map a
+    principal down-set of first's source, whose top is the anchor."""
     if first.target != second.source:
         raise ShapeMismatch("partial maps not composable")
-    interval, inner = first.interval_map()
-    anchor = interval.elements[right_adjoint(inner)(second.anchor)]
-    # first sends [0, anchor] below second's anchor; each projection gives
-    # the position of an element below its anchor in its interval.
-    composite = lower_interval(first.source, anchor)
-    at_first = interval.projection.values
-    at_second = lower_interval(second.source, second.anchor).projection.values
-    values = tuple(
-        second.inner.values[at_second[inner.values[at_first[x]]]] for x in composite.elements
-    )
-    return PartialJoinMap._of(
-        first.source, anchor, LatticeMap._unchecked(composite.lattice, second.target, values)
-    )
+    # second is defined exactly below its anchor.
+    at_second = dict(second.values)
+    values = tuple((x, at_second[v]) for x, v in first.values if v in at_second)
+    anchor = first.source.down_index.get(sum(1 << x for x, _ in values))
+    if anchor is None:
+        raise NotJoinPreserving("first map's preimage of the second's domain is not principal")
+    return PartialJoinMap._of(first.source, second.target, anchor, values)

@@ -31,7 +31,7 @@ from latkit.closure import (
     space_to_lattice,
     validate_closure,
 )
-from latkit.core import lattice_of_sets
+from latkit.core import LatticeMap, lattice_of_sets
 from latkit.errors import (
     NotAtomicMap,
     NotAtomistic,
@@ -42,6 +42,8 @@ from latkit.errors import (
     ShapeMismatch,
 )
 from latkit.maps import check_adjunction, compose, hom_set, right_adjoint
+
+from test_hom_oracle import renumber
 
 
 def test_validate_closure_rejects_each_axiom():
@@ -139,6 +141,47 @@ def test_space_lattice_equivalence_roundtrips():
             witness, psi = lattice_roundtrip(lattice)
             assert witness is None, name
             assert psi is not None
+
+
+def ref_lattice_roundtrip(lattice):
+    """lattice_roundtrip with the order compared pair by pair."""
+    space, _ = closure.lattice_to_space(lattice)
+    if not space.is_simple():
+        return "space of atoms is not simple", None
+    closed_lattice, sets = closure.space_to_lattice(space)
+    index = {s: i for i, s in enumerate(sets)}
+    psi = []
+    for a, image in enumerate(lattice.atom_sets):
+        if image not in index:
+            return "image of %s not closed" % lattice.labels[a], None
+        psi.append(index[image])
+    if len(set(psi)) != lattice.size or closed_lattice.size != lattice.size:
+        return "not bijective", None
+    for a in lattice.elements():
+        for b in lattice.elements():
+            if lattice.leq(a, b) != closed_lattice.leq(psi[a], psi[b]):
+                return "order not preserved", None
+    return None, LatticeMap(lattice, closed_lattice, tuple(psi))
+
+
+def test_lattice_roundtrip_compares_rows_as_the_pairwise_loop_compares_pairs(monkeypatch):
+    rng = random.Random(30)
+    atomistic = [lat for lat in corpus.named_lattices().values() if lat.is_atomistic()]
+    atomistic += [renumber(lat, rng.sample(range(lat.size), lat.size)) for lat in atomistic]
+    for lattice in atomistic:
+        assert lattice_roundtrip(lattice) == ref_lattice_roundtrip(lattice)
+        assert lattice_roundtrip(lattice)[0] is None
+    # The same closed sets, ordered as a chain: a bijection that does not
+    # preserve the order unless the lattice is a chain too.
+    real = closure.space_to_lattice
+    monkeypatch.setattr(closure, "space_to_lattice", lambda space: (
+        corpus.chain(real(space)[0].size), real(space)[1]
+    ))
+    verdicts = set()
+    for lattice in atomistic:
+        verdicts.add(lattice_roundtrip(lattice)[0])
+        assert lattice_roundtrip(lattice) == ref_lattice_roundtrip(lattice)
+    assert verdicts == {None, "order not preserved"}
 
 
 def ref_space_roundtrip(space):

@@ -204,7 +204,7 @@ def test_partial_map_blocks():
     ws = io.load_workspace(text)
     partial = ws.maps["p"]
     assert partial.anchor == 1
-    assert partial(1) == 1
+    assert partial.values == ((0, 0), (1, 1))
 
 
 @pytest.mark.parametrize(

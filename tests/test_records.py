@@ -1,13 +1,18 @@
 """The record classes: immutable, equal by value, and built without code
 generation at import time."""
 
+import ast
+import functools
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
-from latkit import corpus, suite, transition, weak
+import latkit
+from latkit import core, corpus, suite, transition, weak
 from latkit.closure import validate_closure
 from latkit.core import (
     build_poset,
@@ -31,6 +36,47 @@ def test_importing_latkit_leaves_out_dataclasses():
     assert result.stdout == "False\n"
 
 
+def test_kept_values_use_the_plain_descriptor():
+    # functools.cached_property takes a lock on every first read up to
+    # Python 3.11; the records keep their values with core.cached_property.
+    for info in pkgutil.iter_modules(latkit.__path__):
+        module = importlib.import_module("latkit." + info.name)
+        with open(module.__file__) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cached_property" not in [alias.name for alias in node.names], info.name
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert (node.value.id, node.attr) != ("functools", "cached_property"), info.name
+        for cls in vars(module).values():
+            if isinstance(cls, type):
+                for kept in vars(cls).values():
+                    assert not isinstance(kept, functools.cached_property), (info.name, cls)
+    calls = []
+
+    class Probe(core.Frozen):
+        @core.cached_property
+        def kept(self):
+            """The number of reads that computed it."""
+            calls.append(self)
+            return len(calls)
+
+    assert isinstance(Probe.kept, core.cached_property)
+    assert Probe.kept.__doc__ == "The number of reads that computed it."
+    probe = Probe()
+    assert probe.kept == 1 and probe.__dict__ == {"kept": 1}
+    assert probe.kept == 1 and calls == [probe]
+    with pytest.raises(AttributeError):
+        probe.kept = 2
+    lattice = diamond()
+    assert lattice.size == 4 and "size" in lattice.__dict__
+    with pytest.raises(AttributeError):
+        lattice.size = 5
+    with pytest.raises(AttributeError):
+        lattice.bottom = 3
+    assert lattice.size == 4
+
+
 def diamond():
     """A fresh D4 (0 < a, b < 1), sharing nothing with another call's."""
     return lattice_from_poset(build_poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)], "0ab1"))
@@ -44,7 +90,7 @@ HOT_RECORDS = {
     "UnionMap": (lambda: transition.power_map(identity_map(diamond())), "pack"),
     "WeakMeetMap": (lambda: weak.WeakMeetMap(identity_map(diamond())), "map"),
     "PartialJoinMap": (
-        lambda: weak.partial_from_table(diamond(), diamond(), 1, {0: 0, 1: 2}), "anchor"
+        lambda: weak.PartialJoinMap(diamond(), diamond(), 1, {0: 0, 1: 2}.items()), "anchor"
     ),
     "UpperMap": (
         lambda: weak.pointed_extend(weak.WeakMeetMap(identity_map(diamond())))[1], "map"

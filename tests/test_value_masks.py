@@ -37,7 +37,14 @@ from latkit.maps import (
 from latkit.stateprop import CausalRelation, validate_causal
 
 from test_closure import ref_check_continuity, ref_continuous_maps
+from test_hom_oracle import renumber
 from test_maps import map_leq
+from test_weak import (
+    ref_compose_partial,
+    ref_partial_to_upper,
+    ref_restrict_codomain,
+    ref_upper_to_partial,
+)
 
 LATTICES = corpus.named_lattices()
 
@@ -285,29 +292,39 @@ def test_union_maps_are_the_union_maps_of_their_choices():
 
 
 def test_derived_partial_maps_equal_the_checked_constructor():
+    # Every weak meet map between corpus lattices of at most 5 elements and
+    # between renumbered copies of them, then 3,000 seeded compositions: the
+    # routes on (x, value) pairs give what the interval-map routes give, and
+    # each partial map they build unchecked is the checked constructor's.
     def checked(partial):
         return weak.PartialJoinMap(
             partial.source, partial.target, partial.anchor, partial.values
         )
 
-    small = [lat for lat in LATTICES.values() if lat.size <= 4]
-    by_source = {}
-    for l1, l2 in itertools.product(small, repeat=2):
-        for wm in suite._weak_meet_maps(l2, l1):
-            partial = weak.restrict_codomain(wm)[1]
-            back = weak.upper_to_partial(weak.pointed_extend(wm)[1])
-            for p in (partial, back):
-                assert p == checked(p) and p.inner == checked(p).inner
-                assert p.inner.dom is core.lower_interval(p.source, p.anchor).lattice
-            by_source.setdefault(l1, []).append(partial)
     rng = random.Random(24)
+    small = [lat for lat in LATTICES.values() if lat.size <= 5]
+    renumbered = [renumber(lat, rng.sample(range(lat.size), lat.size)) for lat in small]
+    by_source, count = {}, 0
+    for pool in (small, renumbered):
+        for l1, l2 in itertools.product(pool, repeat=2):
+            for wm in suite._weak_meet_maps(l2, l1):
+                restricted, partial, anchor = weak.restrict_codomain(wm)
+                assert (restricted, partial, anchor) == ref_restrict_codomain(wm)
+                upper = weak.pointed_extend(wm)[1]
+                assert weak.partial_to_upper(partial) == ref_partial_to_upper(partial) == upper
+                back = weak.upper_to_partial(upper)
+                assert back == ref_upper_to_partial(upper) == partial == checked(back)
+                by_source.setdefault(l1, []).append(partial)
+                count += 1
+    assert count == 2 * 15015
     everything = [p for ps in by_source.values() for p in ps]
     for _ in range(3000):
         p1 = rng.choice(everything)
         p2 = rng.choice(by_source[p1.target])
         composite = weak.compose_partial(p2, p1)
-        assert composite == checked(composite) and composite.inner == checked(composite).inner
-        assert all(value == p2(p1(x)) for x, value in composite.values)
+        assert composite == ref_compose_partial(p2, p1) == checked(composite)
+        first, second = dict(p1.values), dict(p2.values)
+        assert all(value == second[first[x]] for x, value in composite.values)
 
 
 # ---------------------------------------------------------------- validators
@@ -613,6 +630,70 @@ def boolean_ortho_wrong(monkeypatch):
     return b4, other
 
 
+def restricted_value_wrong(monkeypatch):
+    """restrict_codomain gives the identity on C2 a partial map that sends
+    the top to the bottom."""
+    c2 = corpus.chain(2)
+    real = weak.restrict_codomain
+
+    def planted(wm):
+        restricted, partial, anchor = real(wm)
+        if wm.map.values == (0, 1):
+            partial = weak.PartialJoinMap._of(c2, c2, anchor, ((0, 0), (1, 0)))
+        return restricted, partial, anchor
+
+    monkeypatch.setattr(weak, "restrict_codomain", planted)
+    return c2, c2
+
+
+def upper_anchor_wrong(monkeypatch):
+    """upper_to_partial anchors the upper map of the identity on C2 at the
+    bottom."""
+    c2 = corpus.chain(2)
+    real = weak.upper_to_partial
+
+    def planted(upper):
+        partial = real(upper)
+        if partial.values == IDENTITY_2:
+            partial = weak.PartialJoinMap._of(c2, c2, 0, ((0, 0),))
+        return partial
+
+    monkeypatch.setattr(weak, "upper_to_partial", planted)
+    return c2, c2
+
+
+def pointed_extension_wrong(monkeypatch):
+    """pointed_extend gives the identity on C2 the constant-bottom map as its
+    extension, beside the right upper map."""
+    c2 = corpus.chain(2)
+    real = weak.pointed_extend
+
+    def planted(wm):
+        extended, upper = real(wm)
+        if wm.map.values == (0, 1):
+            extended = core.LatticeMap(extended.dom, extended.cod, (0, 0, 0))
+        return extended, upper
+
+    monkeypatch.setattr(weak, "pointed_extend", planted)
+    return c2, c2
+
+
+def composite_value_wrong(monkeypatch):
+    """compose_partial sends the top of the composite of two identities on
+    C2 to the bottom."""
+    c2 = corpus.chain(2)
+    real = weak.compose_partial
+
+    def planted(second, first):
+        composite = real(second, first)
+        if first.values == second.values == IDENTITY_2:
+            composite = weak.PartialJoinMap._of(c2, c2, 1, ((0, 0), (1, 0)))
+        return composite
+
+    monkeypatch.setattr(weak, "compose_partial", planted)
+    return c2, c2, c2
+
+
 def old_validators(monkeypatch):
     monkeypatch.setattr(stateprop, "validate_causal", ref_validate_causal)
     monkeypatch.setattr(stateprop, "causal_to_map", ref_causal_to_map)
@@ -622,6 +703,10 @@ def old_validators(monkeypatch):
     monkeypatch.setattr(suite, "classify_morphism", ref_classify)
     monkeypatch.setattr(closure, "check_continuity", ref_check_continuity)
     monkeypatch.setattr(closure, "boolean_duality", ref_boolean_duality)
+    monkeypatch.setattr(weak, "restrict_codomain", ref_restrict_codomain)
+    monkeypatch.setattr(weak, "partial_to_upper", ref_partial_to_upper)
+    monkeypatch.setattr(weak, "upper_to_partial", ref_upper_to_partial)
+    monkeypatch.setattr(weak, "compose_partial", ref_compose_partial)
 
 
 # (law, planted defect, the old body or None for the law's own body under
@@ -646,6 +731,10 @@ PLANTED = [
      "kernel formula fails"),
     ("boolean-duality", boolean_ortho_wrong, None,
      "atom criterion disagrees with ortho criterion"),
+    ("weak-roundtrips", restricted_value_wrong, None, "partial and pointed routes disagree"),
+    ("weak-roundtrips", upper_anchor_wrong, None, "upper to partial roundtrip fails"),
+    ("weak-roundtrips", pointed_extension_wrong, None, "pointed extension is not the adjoint"),
+    ("partial-composition", composite_value_wrong, None, "two composition routes disagree"),
 ]
 
 
@@ -679,7 +768,8 @@ def test_planted_defects_give_the_old_bodies_witness(monkeypatch, prop, plant, o
 
 def test_every_rewritten_law_has_a_planted_defect():
     rewritten = {"adjoint-unique", "duality-involution", "classification", "state-causal",
-                 "closure-monad", "space-functors", "continuity-composition", "boolean-duality"}
+                 "closure-monad", "space-functors", "continuity-composition", "boolean-duality",
+                 "weak-roundtrips", "partial-composition"}
     assert {prop for prop, *_ in PLANTED} == rewritten
     # Without the defect each law passes on the same objects.
     assert suite._adjoint_unique(corpus.diamond(), corpus.chain(3)) is None
@@ -690,6 +780,9 @@ def test_every_rewritten_law_has_a_planted_defect():
     assert suite._continuity_composition(spaces["S2"], spaces["S2"], spaces["S2"]) is None
     b4 = corpus.boolean_lattice(2)
     assert suite._boolean_duality(b4, corpus.boolean_lattice(2)) is None
+    c2 = corpus.chain(2)
+    assert suite._weak_roundtrips(c2, c2) is None
+    assert suite._partial_composition(c2, c2, c2) is None
 
 
 def test_the_atom_space_is_tested_once(monkeypatch):

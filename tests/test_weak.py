@@ -1,20 +1,25 @@
-"""Weak meet maps and their partial / pointed-extension adjoints."""
+"""Weak meet maps and their partial / pointed-extension adjoints.
+
+The references below are the routes as they ran on interval maps: a partial
+map read as a LatticeMap on lower_interval(source, anchor), its inner map,
+and the adjoint objects built on it.  The routes on (x, value) pairs must
+give equal results.
+"""
 
 import itertools
 import random
 
 import pytest
 
-from latkit import corpus, maps
+from latkit import core, corpus, maps
 from latkit.core import LatticeMap, lower_interval, upper_extension
 from latkit.errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from latkit.maps import hom_set, preservation_profile, right_adjoint
+from latkit.maps import compose, hom_set, left_adjoint, preservation_profile, right_adjoint
 from latkit.weak import (
     PartialJoinMap,
     UpperMap,
     WeakMeetMap,
     compose_partial,
-    partial_from_table,
     partial_to_upper,
     pointed_extend,
     restrict_codomain,
@@ -23,6 +28,83 @@ from latkit.weak import (
 
 from test_hom_oracle import renumber
 from test_maps import nonempty_meets
+
+
+# ---------------------------------------------------------------- references
+
+
+def ref_of(source, anchor, inner):
+    """The partial map whose map on lower_interval(source, anchor) is inner."""
+    elements = lower_interval(source, anchor).elements
+    return PartialJoinMap._of(source, inner.cod, anchor, tuple(zip(elements, inner.values)))
+
+
+def ref_inner(partial):
+    """The partial map as a LatticeMap on its interval's lattice."""
+    interval = lower_interval(partial.source, partial.anchor)
+    value = dict(partial.values)
+    return LatticeMap._unchecked(
+        interval.lattice, partial.target, tuple(value[x] for x in interval.elements)
+    )
+
+
+def ref_interval_map(partial):
+    return lower_interval(partial.source, partial.anchor), ref_inner(partial)
+
+
+def ref_call(partial, x):
+    """The value at x, which must lie below the anchor."""
+    elements = lower_interval(partial.source, partial.anchor).elements
+    return ref_inner(partial).values[elements.index(x)]
+
+
+def ref_restrict_codomain(weak):
+    g = weak.map
+    anchor = g(g.dom.top)
+    interval = lower_interval(g.cod, anchor)
+    position = interval.projection.values
+    restricted = LatticeMap._unchecked(
+        g.dom, interval.lattice, tuple(position[v] for v in g.values)
+    )
+    return restricted, ref_of(g.cod, anchor, left_adjoint(restricted)), anchor
+
+
+def ref_partial_to_upper(partial):
+    src, tgt = partial.source, partial.target
+    interval, inner = ref_interval_map(partial)
+    table = [tgt.size] * (src.size + 1)
+    for x, value in zip(interval.elements, inner.values):
+        table[x] = value
+    upper = LatticeMap._unchecked(upper_extension(src), upper_extension(tgt), tuple(table))
+    return UpperMap._of(src, tgt, upper)
+
+
+def ref_upper_to_partial(upper):
+    src = upper.base_source
+    anchor = right_adjoint(upper.map)(upper.base_target.top)
+    interval = lower_interval(src, anchor)
+    values = tuple(map(upper.map.values.__getitem__, interval.elements))
+    return ref_of(src, anchor, LatticeMap._unchecked(interval.lattice, upper.base_target, values))
+
+
+def ref_compose_partial(second, first):
+    if first.target != second.source:
+        raise ShapeMismatch("partial maps not composable")
+    interval, inner = ref_interval_map(first)
+    anchor = interval.elements[right_adjoint(inner)(second.anchor)]
+    composite = lower_interval(first.source, anchor)
+    at_first = interval.projection.values
+    at_second = lower_interval(second.source, second.anchor).projection.values
+    second_inner = ref_inner(second)
+    values = tuple(
+        second_inner.values[at_second[inner.values[at_first[x]]]] for x in composite.elements
+    )
+    return ref_of(
+        first.source, anchor, LatticeMap._unchecked(composite.lattice, second.target, values)
+    )
+
+
+# ---------------------------------------------------------------- tests
 
 
 def weak_meet_maps(dom, cod):
@@ -121,8 +203,6 @@ def test_partial_upper_roundtrips():
 
 
 def test_compose_partial_matches_weak_composition():
-    from latkit.maps import compose
-
     table = corpus.named_lattices()
     c3, d4, b4 = table["C3"], table["D4"], table["B4"]
     for g1 in weak_meet_maps(d4, c3):
@@ -137,13 +217,13 @@ def test_partial_map_validation():
     c2 = corpus.chain(2)
     with pytest.raises(ShapeMismatch):
         PartialJoinMap(c3, c2, 1, ((0, 0),))  # missing value at 1
-    partial = partial_from_table(c3, c2, 1, {0: 0, 1: 1})
-    assert partial(1) == 1
-    interval, inner = partial.interval_map()
+    partial = PartialJoinMap(c3, c2, 1, {0: 0, 1: 1}.items())
+    assert ref_call(partial, 1) == 1
+    interval, inner = ref_interval_map(partial)
     assert inner.values == (0, 1)
     d4 = corpus.diamond()  # a, b |-> 0 but a v b |-> 1
     with pytest.raises(NotJoinPreserving):
-        partial_from_table(d4, c2, d4.top, {0: 0, 1: 0, 2: 0, 3: 1})
+        PartialJoinMap(d4, c2, d4.top, {0: 0, 1: 0, 2: 0, 3: 1}.items())
 
 
 def test_partial_map_refuses_pairs_outside_its_interval():
@@ -194,9 +274,8 @@ def test_partial_maps_are_decided_as_on_their_interval_lattice():
                     verdicts.add(False)
                     continue
                 assert maps._residual(expected) is not None, (src, tgt, anchor, table)
-                assert "inner" not in partial.__dict__
-                assert partial.inner == expected
-                assert partial.inner.dom is interval.lattice
+                assert set(partial.__dict__) == {"source", "target", "anchor", "values"}
+                assert ref_inner(partial) == expected
                 verdicts.add(True)
     assert verdicts == {True, False}
 
@@ -214,7 +293,49 @@ def test_upper_map_checks_shape_and_its_adjoint_checks_joins():
 
 def test_compose_partial_shape_guard():
     c2, c3 = corpus.chain(2), corpus.chain(3)
-    p1 = partial_from_table(c2, c2, 1, {0: 0, 1: 1})
-    p2 = partial_from_table(c3, c3, 2, {0: 0, 1: 1, 2: 2})
+    p1 = PartialJoinMap(c2, c2, 1, {0: 0, 1: 1}.items())
+    p2 = PartialJoinMap(c3, c3, 2, {0: 0, 1: 1, 2: 2}.items())
     with pytest.raises(ShapeMismatch):
         compose_partial(p2, p1)
+
+
+def test_partial_map_values_are_kept_as_a_tuple_in_index_order():
+    c2 = corpus.chain(2)
+    given = PartialJoinMap(c2, c2, 1, [(0, 0), (1, 1)])
+    reordered = PartialJoinMap(c2, c2, 1, ((1, 1), (0, 0)))
+    assert given.values == reordered.values == ((0, 0), (1, 1))
+    assert hash(given) == hash(reordered) and given == reordered
+    assert partial_to_upper(given) == partial_to_upper(reordered)
+
+
+def test_routes_read_no_map_dual_and_build_no_retract(monkeypatch):
+    # Once the intervals are built, the four routes are residual passes and
+    # lookups on (x, value) pairs: no dual map, adjoint object or interval.
+    table = corpus.named_lattices()
+    weak_maps = weak_meet_maps(table["D4"], table["D4"])
+    steps = []
+    for wm in weak_maps:
+        partial = restrict_codomain(wm)[1]
+        steps.append((wm, partial, pointed_extend(wm)[1]))
+        upper_to_partial(steps[-1][2])
+    reads = []
+    dual = LatticeMap.__dict__["dual"]
+    monkeypatch.setattr(LatticeMap, "dual", property(lambda f: reads.append(f) or dual.func(f)))
+    monkeypatch.setattr(core, "retract", lambda *args: reads.append(args))
+    for wm, partial, upper in steps:
+        assert restrict_codomain(wm)[1] == partial
+        assert partial_to_upper(partial) == upper
+        assert upper_to_partial(upper) == partial
+        for _, other, _ in steps:
+            compose_partial(other, partial)
+    assert reads == []
+
+
+def test_compose_partial_refuses_a_preimage_that_is_not_principal():
+    # An unchecked map that does not preserve joins: both atoms of D4 land
+    # below the anchor 0 of the second map, the top does not.
+    d4, c2 = corpus.diamond(), corpus.chain(2)
+    first = PartialJoinMap._of(d4, c2, d4.top, ((0, 0), (1, 0), (2, 0), (3, 1)))
+    second = PartialJoinMap(c2, c2, 0, {0: 0}.items())
+    with pytest.raises(NotJoinPreserving):
+        compose_partial(second, first)
