@@ -27,9 +27,46 @@ def _load_files(paths):
     return io.load_workspace([io.read_text(path) for path in paths])
 
 
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _json(payload, newline="\n"):
+    """The text of json.dumps(payload, indent=2, sort_keys=True) for a
+    payload of dicts with string keys, lists, tuples, strings, bools, ints,
+    floats and None.  With indent set, json.dumps runs its pure-Python
+    encoder; this one writes each container in one join.  newline is the
+    line break and the indent of the payload's own line."""
+    kind = payload.__class__
+    if kind is str:
+        return _encode(payload)
+    if kind is dict:
+        if not payload:
+            return "{}"
+        inner = newline + "  "
+        items = [_encode(key) + ": " + _json(value, inner) for key, value in sorted(payload.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not payload:
+            return "[]"
+        inner = newline + "  "
+        items = [_json(value, inner) for value in payload]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if payload is None:
+        return "null"
+    if payload is True:
+        return "true"
+    if payload is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(payload)
+    if kind is float:
+        return float.__repr__(payload)
+    raise TypeError("cannot write %s as JSON" % kind.__name__)
+
+
 def _emit(payload, as_json):
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         for key, value in payload.items():
             print("%s: %s" % (key, value))
@@ -115,7 +152,7 @@ def cmd_check(args):
     for name in ws.ospaces:
         reports.append({"object": name, "kind": "ospace", "status": "pass"})
     if args.json:
-        print(json.dumps(reports, indent=2, sort_keys=True))
+        print(_json(reports))
     else:
         for entry in reports:
             line = "%s %s %s" % (entry["status"].upper(), entry["kind"], entry["object"])
@@ -142,7 +179,7 @@ def cmd_adjoint(args):
         dom_labels, cod_labels = result.dom.labels, result.cod.labels
         values = {dom_labels[a]: cod_labels[v] for a, v in enumerate(result.values)}
         payload = {"map": out_name, "dom": cod_name, "cod": dom_name, "values": values}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         sys.stdout.write(io.format_map(out_name, result, cod_name, dom_name))
     return EXIT_OK
@@ -210,7 +247,7 @@ def cmd_equiv(args):
         for name, body, obj in checks
     ]
     if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
+        print(_json(results))
     else:
         for entry in results:
             print("%s %s" % (entry["status"].upper(), entry["object"]))
@@ -251,7 +288,7 @@ def cmd_suite(args):
     )
     failed = [r for r in reports if r.status != "pass"]  # fail or error
     if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
+        print(_json([r.to_dict() for r in reports]))
     else:
         for r in reports:
             line = "%s %s %s (%.1f ms)" % (r.status.upper(), r.prop, r.object, r.millis)

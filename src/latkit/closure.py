@@ -80,8 +80,7 @@ def monad_from_adjunction(f, g):
     """
     if not check_adjunction(f, g):
         raise NotAdjoint("maps are not adjoint")
-    gv = g.values
-    return ClosureOperator(f.dom, tuple(gv[y] for y in f.values))
+    return ClosureOperator(f.dom, tuple(map(g.values.__getitem__, f.values)))
 
 
 def _mask(points, size):

@@ -239,7 +239,8 @@ class FiniteLattice(Frozen):
     join table, the meet table (the dual's join table), the size, the hash,
     the dual, the lower covers, the down-set index, the atom sets, the upper
     extension, the sublattices, the lower intervals, the Hom-sets out of the
-    lattice with their value masks (maps._value_masks), the data of the
+    lattice with their value masks (maps._value_masks), the weak meet maps
+    out of it (weak.weak_meet_maps), the data of the
     join Hom-set search (maps._join_search), the atom space
     (closure.lattice_to_space, as atom_space), whether the lattice is
     Boolean (closure.is_boolean) and its set-complement ortho
@@ -320,12 +321,25 @@ class FiniteLattice(Frozen):
     @cached_property
     def lower_covers(self):
         """(b, the lower covers of b in index order) for every b, in a linear
-        extension: a is a lower cover of b iff a is the only element of
-        ↓b - {b} at or above a.  Nothing below a tested element is a cover,
-        so its down-set leaves the elements still to test."""
+        extension: the elements by the size of their down-sets.
+
+        The lower covers of the dual are the upper covers here, so when the
+        dual already keeps them they are transposed.  Otherwise a is a lower
+        cover of b iff a is the only element of ↓b - {b} at or above a;
+        nothing below a tested element is a cover, so its down-set leaves
+        the elements still to test.  No dual is built for this."""
         up, down = self.poset.up, self.poset.down
+        order = sorted(self.elements(), key=lambda b: down[b].bit_count())
+        dual = self.__dict__.get("dual")
+        if dual is not None and "lower_covers" in dual.__dict__:
+            lower = [[] for _ in order]
+            # The upper covers of c in index order of c, so each list is too.
+            for c, upper in sorted(dual.lower_covers):
+                for b in upper:
+                    lower[b].append(c)
+            return tuple(zip(order, map(tuple, map(lower.__getitem__, order))))
         out = []
-        for b in sorted(self.elements(), key=lambda b: down[b].bit_count()):
+        for b in order:
             below = rest = down[b] & ~(1 << b)
             covers = []
             while rest:
@@ -560,10 +574,10 @@ def retract(lattice, table):
     theorem (see Retract), so the restriction is not proved one: the table
     is trusted, and sublattice_on proves the same element set when it
     first reads it."""
-    elems = tuple(a for a, p in enumerate(table) if p == a)
+    elems = tuple([a for a, p in enumerate(table) if p == a])
     sub = _restriction(lattice, elems, False)
-    index = {e: i for i, e in enumerate(elems)}
-    projection = LatticeMap._unchecked(lattice, sub, tuple(index[p] for p in table))
+    index = dict(zip(elems, range(len(elems))))
+    projection = LatticeMap._unchecked(lattice, sub, tuple(map(index.__getitem__, table)))
     return Retract(sub, elems, LatticeMap._unchecked(sub, lattice, elems), projection)
 
 

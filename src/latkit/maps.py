@@ -22,8 +22,9 @@ MAP_CLASSES = ("isotone", "join", "meet", "balanced-join", "dense-join", "atomic
 class PreservationProfile:
     """Preservation flags of one map.
 
-    The four O(n) flags are set when the profile is built.  joins and meets
-    read the map's residual (see _residual).
+    The four O(n) flags are set when the profile is built, each by a lookup
+    or a count of the value table.  joins and meets read the map's residual
+    (see _residual).
     """
 
     def __init__(self, f):
@@ -31,10 +32,10 @@ class PreservationProfile:
         self._map = f
         self.bottom_fixed = values[dom.bottom] == cod.bottom  # f(0)=0
         self.balanced = values[dom.top] == cod.top  # f(1)=1
-        # f(a)=0 only for a=0
-        self.dense = all(v != cod.bottom for a, v in enumerate(values) if a != dom.bottom)
+        # f(a)=0 only for a=0: the bottom is a value once if f(0)=0, else never.
+        self.dense = values.count(cod.bottom) == self.bottom_fixed
         # f(a)=1 only for a=1; the dense notion for meet maps
-        self.top_reflecting = all(v != cod.top for a, v in enumerate(values) if a != dom.top)
+        self.top_reflecting = values.count(cod.top) == self.balanced
 
     @property
     def joins(self):
@@ -190,7 +191,7 @@ def check_adjunction(f, g):
 def compose(f2, f1):
     if f1.cod is not f2.dom and f1.cod != f2.dom:
         raise ShapeMismatch("maps not composable")
-    return LatticeMap._unchecked(f1.dom, f2.cod, tuple(f2.values[y] for y in f1.values))
+    return LatticeMap._unchecked(f1.dom, f2.cod, tuple(map(f2.values.__getitem__, f1.values)))
 
 
 def pointwise_join(fs):

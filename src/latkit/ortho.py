@@ -66,11 +66,9 @@ def conjugate(alpha, dom, cod):
     """a |-> alpha(a')' for an isotone map between ortholattices."""
     if alpha.dom != dom.lattice or alpha.cod != cod.lattice:
         raise ShapeMismatch("map does not match the given ortholattices")
-    return LatticeMap._unchecked(
-        alpha.dom,
-        alpha.cod,
-        tuple(cod.comp(alpha(dom.comp(a))) for a in alpha.dom.elements()),
-    )
+    # dom.ortho lists a' for every a in index order.
+    values = map(cod.ortho.__getitem__, map(alpha.values.__getitem__, dom.ortho))
+    return LatticeMap._unchecked(alpha.dom, alpha.cod, tuple(values))
 
 
 def dagger(f, dom, cod):

@@ -13,7 +13,7 @@ import random
 import time
 from . import closure, corpus, io, ortho, stateprop, transition, weak
 from .core import Frozen, direct_product, horizontal_sum, identity_map
-from .errors import LatkitError, NotWeakMeet, ParseError, ShapeMismatch
+from .errors import LatkitError, ParseError, ShapeMismatch
 from .maps import (
     _adjoint_sets,
     _lowest,
@@ -422,20 +422,9 @@ def _lattice_of_orthospace(space):
 # ---------------------------------------------------------------- weak maps
 
 
-@functools.lru_cache(maxsize=4096)
-def _weak_meet_maps(l2, l1):
-    out = []
-    for g in _homs(l2, l1, "isotone"):
-        try:
-            out.append(weak.WeakMeetMap(g))
-        except NotWeakMeet:
-            pass
-    return tuple(out)
-
-
 def _weak_roundtrips(l1, l2):
-    for wm in _weak_meet_maps(l2, l1):
-        restricted, partial, anchor = weak.restrict_codomain(wm)
+    for wm in weak.weak_meet_maps(l2, l1):
+        partial, _ = weak.restrict_codomain(wm)
         extended, upper = weak.pointed_extend(wm)
         if weak.partial_to_upper(partial).map != upper.map:
             return "partial and pointed routes disagree"
@@ -450,8 +439,8 @@ def _weak_roundtrips(l1, l2):
 
 
 def _partial_composition(l1, l2, l3):
-    firsts = [weak.restrict_codomain(wm)[1] for wm in _weak_meet_maps(l2, l1)[:6]]
-    seconds = [weak.restrict_codomain(wm)[1] for wm in _weak_meet_maps(l3, l2)[:6]]
+    firsts = [weak.restrict_codomain(wm)[0] for wm in weak.weak_meet_maps(l2, l1)[:6]]
+    seconds = [weak.restrict_codomain(wm)[0] for wm in weak.weak_meet_maps(l3, l2)[:6]]
     for p1 in firsts:
         for p2 in seconds:
             direct = weak.compose_partial(p2, p1)
@@ -479,12 +468,16 @@ def _closure_monad(l1, l2):
         elems, sub = fixed.elements, fixed.lattice
         if sorted(elems) != g.image():
             return "fixed points differ from the image"
-        # Meets are inherited; joins are closures of ambient joins.
-        for i, a in enumerate(elems):
+        # Meets are inherited; joins are closures of ambient joins.  Each
+        # pair reads its rows of the four tables, with no call per pair.
+        closed = operator.table
+        rows = zip(sub.meet_table, sub.join_table, map(l1.meet_table.__getitem__, elems),
+                   map(l1.join_table.__getitem__, elems))
+        for meets, joins, ambient_meets, ambient_joins in rows:
             for j, b in enumerate(elems):
-                if elems[sub.meet2(i, j)] != l1.meet2(a, b):
+                if elems[meets[j]] != ambient_meets[b]:
                     return "fixed-point meet differs for %s" % (f.values,)
-                if elems[sub.join2(i, j)] != operator(l1.join2(a, b)):
+                if elems[joins[j]] != closed[ambient_joins[b]]:
                     return "fixed-point join differs for %s" % (f.values,)
     return None
 
@@ -736,7 +729,7 @@ def _state_causal(l1, l2, rng):
         wm = stateprop.causal_to_map(relation)
         if stateprop.map_to_causal(wm) != relation:
             return "relation not recovered from its map"
-    for wm in _weak_meet_maps(l2, l1)[:12]:
+    for wm in weak.weak_meet_maps(l2, l1)[:12]:
         relation = stateprop.map_to_causal(wm)
         if stateprop.causal_to_map(relation).map != wm.map:
             return "map not recovered from its relation"
@@ -744,7 +737,7 @@ def _state_causal(l1, l2, rng):
 
 
 def _state_evolution(l1, l2):
-    for wm in _weak_meet_maps(l2, l1):
+    for wm in weak.weak_meet_maps(l2, l1):
         g = wm.map
         if g(g.dom.bottom) != g.cod.bottom:
             continue

@@ -3,13 +3,14 @@ adjoint extensions: codomain restriction to an interval, and pointed
 extension with an adjoined universal top.
 
 WeakMeetMap checks meets and PartialJoinMap checks joins on file input;
-maps derived here preserve joins by theorem, so they are built unchecked."""
+maps derived here preserve joins or meets by theorem, so they are built
+unchecked."""
 
 from __future__ import annotations
 
 from .core import Frozen, LatticeMap, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from .maps import _residual, _residual_table, left_adjoint, right_adjoint
+from .maps import _hom_tables, _residual, _residual_table, left_adjoint, right_adjoint
 
 
 class WeakMeetMap(Frozen):
@@ -17,9 +18,10 @@ class WeakMeetMap(Frozen):
 
     extended, the map on the upper extensions that also sends the adjoined
     top to the adjoined top, preserves all meets iff the map preserves the
-    non-empty ones: one residual pass on its dual decides the map and
-    leaves the left adjoint that pointed_extend reads.  Equality and
-    hashing read map alone."""
+    non-empty ones: the constructor decides the map by one residual pass on
+    its dual, which leaves the left adjoint that pointed_extend reads, and
+    weak_meet_maps builds the maps from the meet tables of the extensions.
+    Equality and hashing read map alone."""
 
     def __init__(self, map):
         object.__setattr__(self, "map", map)
@@ -29,6 +31,14 @@ class WeakMeetMap(Frozen):
         if _residual(extended.dual) is None:
             raise NotWeakMeet("map does not preserve non-empty meets")
         object.__setattr__(self, "extended", extended)
+
+    @classmethod
+    def _of(cls, map, extended):
+        """The weak meet map with this map and pointed extension, a meet
+        map by construction: not validated."""
+        weak = object.__new__(cls)
+        weak.__dict__.update(map=map, extended=extended)
+        return weak
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -138,20 +148,48 @@ class UpperMap(Frozen):
         return hash((self.base_source, self.base_target, self.map))
 
 
+def weak_meet_maps(dom, cod):
+    """Every weak meet map dom -> cod, in lexicographic table order, as a
+    tuple kept on dom per cod.
+
+    g preserves non-empty meets iff its pointed extension (the adjoined top
+    to the adjoined top) preserves all meets, and a meet map between the
+    upper extensions is such an extension iff it does not send dom's top to
+    the adjoined top (Davey & Priestley ch. 7).  So the maps are the meet
+    Hom-set of the upper extensions, each table without its last entry,
+    where that entry at dom.top is not cod.size; the order of the tables is
+    kept, since the last entry of each is the adjoined top.
+    """
+    cache = dom.__dict__.setdefault("weak_meet_maps", {})
+    weak = cache.get(cod)
+    if weak is None:
+        ext_dom, ext_cod = upper_extension(dom), upper_extension(cod)
+        top, adjoined = dom.top, cod.size
+        weak = cache[cod] = tuple(
+            WeakMeetMap._of(
+                LatticeMap._unchecked(dom, cod, table[:-1]),
+                LatticeMap._unchecked(ext_dom, ext_cod, table),
+            )
+            for table in _hom_tables(ext_dom, ext_cod, "meet")
+            if table[top] != adjoined
+        )
+    return weak
+
+
 def restrict_codomain(weak):
-    """Corestrict a weak meet map onto [0, g(1)]; the result preserves all
-    meets, and its left adjoint on the interval is the partial map."""
+    """(the partial map, its anchor g(1)): the left adjoint of the
+    corestriction of a weak meet map g onto [0, g(1)], which preserves all
+    meets, read on the interval's elements."""
     g = weak.map
     anchor = g.values[g.dom.top]
     interval = lower_interval(g.cod, anchor)
-    # Every g(b) lies below g(1), so the projection gives its interval index.
-    position = interval.projection.values
-    table = tuple(position[v] for v in g.values)
-    restricted = LatticeMap._unchecked(g.dom, interval.lattice, table)
-    # The left adjoint is the residual of the same table in the dual orders.
+    # Every g(b) lies below g(1), so the projection gives its interval index:
+    # the table of the corestriction, whose left adjoint is its residual in
+    # the dual orders.
+    table = map(interval.projection.values.__getitem__, g.values)
     adjoint = _residual_table(enumerate(table), g.dom.dual, interval.lattice.dual)
     partial = PartialJoinMap._of(g.cod, g.dom, anchor, tuple(zip(interval.elements, adjoint)))
-    return restricted, partial, anchor
+    return partial, anchor
 
 
 def pointed_extend(weak):
@@ -175,10 +213,9 @@ def upper_to_partial(upper):
     src, tgt = upper.base_source, upper.base_target
     anchor = right_adjoint(upper.map).values[tgt.top]
     # F(x) <= 1 iff x <= F*(1), so F sends the interval into the base target.
-    values = upper.map.values
-    return PartialJoinMap._of(
-        src, tgt, anchor, tuple((x, values[x]) for x in lower_interval(src, anchor).elements)
-    )
+    elements = lower_interval(src, anchor).elements
+    values = tuple(zip(elements, map(upper.map.values.__getitem__, elements)))
+    return PartialJoinMap._of(src, tgt, anchor, values)
 
 
 def compose_partial(second, first):

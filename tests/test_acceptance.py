@@ -200,7 +200,7 @@ def test_criterion_06_weak_adjunctions():
         for _, l1 in pool:
             for _, l2 in pool:
                 for g in weak_meet_maps(l1, l2):
-                    partial = weak.restrict_codomain(g)[1]
+                    partial = weak.restrict_codomain(g)[0]
                     upper = weak.pointed_extend(g)[1]
                     # The three routes between the presentations agree.
                     assert weak.partial_to_upper(partial) == upper
@@ -215,8 +215,8 @@ def test_criterion_06_weak_adjunctions():
             for g2 in weak_meet_maps(c3, d4):
                 composite = weak.WeakMeetMap(compose(g1.map, g2.map))
                 assert weak.compose_partial(
-                    weak.restrict_codomain(g2)[1], weak.restrict_codomain(g1)[1]
-                ) == weak.restrict_codomain(composite)[1]
+                    weak.restrict_codomain(g2)[0], weak.restrict_codomain(g1)[0]
+                ) == weak.restrict_codomain(composite)[0]
 
 
 def test_criterion_07_closure_and_space_equivalence():

@@ -874,3 +874,104 @@ def test_readme_command_block_names_every_command_and_option():
         for flag, _ in specs:
             if flag.startswith("--"):
                 assert re.search(r"%s\b" % flag, lines), (name, flag)
+
+
+# ---------------------------------------------------------------- JSON writer
+
+
+def written_payloads(monkeypatch):
+    """The payloads cli._json is called on at the top level, in call order."""
+    seen = []
+    real = cli._json
+
+    def spy(payload, *inner):
+        if not inner:
+            seen.append(payload)
+        return real(payload, *inner)
+
+    monkeypatch.setattr(cli, "_json", spy)
+    return seen
+
+
+def dumped(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_writer_prints_the_text_of_json_dumps_for_every_command(
+    tmp_path, doc_file, capsys, monkeypatch
+):
+    # Each --json command but hom, count and witness, which print compact
+    # JSON through json.dumps, writes through cli._json: check (passing and
+    # failing maps), adjoint, equiv, closure (through _emit) and suite.
+    ortho = tmp_path / "ortho.lat"
+    ortho.write_text(DOC.replace("covers: 0<1\n", "covers: 0<1\northo: 0->1 1->0\n"))
+    failing = tmp_path / "failing.lat"
+    failing.write_text(DOC + "\nmap g : C2 -> D4\n0 |-> a\n1 |-> 0\n")
+    whole = corpus_file(tmp_path)
+    runs = [
+        ["check", doc_file, "--json"],
+        ["check", str(failing), "--json"],
+        ["check", whole, "--json"],
+        *[["adjoint", str(ortho), "--name", "f", "--direction", d, "--json"]
+          for d in ("right", "left", "dualize", "dagger")],
+        ["equiv", whole, "--json"],
+        ["closure", doc_file, "--map", "f", "--json"],
+        ["closure", whole, "--space", "S2", "--subset", "p0", "--json"],
+        ["suite", "--json", "--filter", "weak", "--max-size", "3"],
+    ]
+    seen = written_payloads(monkeypatch)
+    for argv in runs:
+        assert cli.main(argv) in (0, 1), argv
+        out = capsys.readouterr().out
+        assert out == dumped(seen[-1]) + "\n", argv
+    assert len(seen) == len(runs)
+    kinds = {type(p) for p in seen}
+    assert kinds == {list, dict}
+    assert any(entry.get("witness") for entry in seen[1])
+
+
+WITNESSES = [
+    "",
+    "plain",
+    'quote " and apostrophe \'',
+    "back\\slash and /slash",
+    "tab\tline\nfeed\rbell\x07nul\x00unit\x1fdel\x7f",
+    "café → ∀x \U0001d54a",
+    "  ﻿퟿",
+]
+
+
+def test_json_writer_matches_json_dumps_on_awkward_payloads():
+    reports = [
+        suite.Report("weak-roundtrips", "C2~>D4", "fail", witness, millis)
+        for witness in WITNESSES
+        for millis in (0.0, 1e-7, 0.0004, 0.1234567, 2.5, 1234.5678, 1e16, 3e-320)
+    ]
+    payloads = [
+        [r.to_dict() for r in reports],
+        [{"millis": r.millis, "witness": r.witness} for r in reports],
+        [],
+        {},
+        [[], {}, [[]], [{}], {"": []}],
+        {"b": {}, "a": [], "A": None, "é": True, "z": False, "_": 0, "-": -7},
+        {"ints": [0, 1, -1, 2**70, -(2**70)], "bools": [True, False], "none": None},
+        {w: w for w in WITNESSES},
+        ("a", ("tuple", 1), [2.0, -0.5]),
+        "top-level string →",
+        17,
+        -0.0,
+        None,
+        True,
+        False,
+    ]
+    for payload in payloads:
+        assert cli._json(payload) == dumped(payload), payload
+
+
+def test_check_and_suite_stdout_is_json_dumps_of_itself(doc_file, capsys):
+    # A pin on the printed text itself: reading it back and dumping it as
+    # json.dumps does gives the same bytes.
+    for argv in (["check", doc_file, "--json"], ["suite", "--json", "--filter", "weak"]):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == dumped(json.loads(out)) + "\n"

@@ -366,15 +366,29 @@ def test_the_meet_table_is_the_dual_join_table_built_on_first_read(poset):
     assert lattice.dual.meet_table is lattice.join_table
 
 
+def test_lower_covers_build_no_dual():
+    # A lattice without a dual scans its own down-sets; only a dual that is
+    # already there is read.
+    for lattice in corpus.named_lattices().values():
+        fresh = lattice_from_poset(FinitePoset(lattice.poset.up, lattice.labels))
+        assert fresh.lower_covers == ref_lower_covers(fresh)
+        assert "dual" not in fresh.__dict__
+
+
 @settings(deadline=None, max_examples=300)
 @given(poset=cover_posets(), data=st.data())
 def test_pruned_lower_covers_match_the_whole_down_set_scan(poset, data):
+    # Half the examples read the dual's covers first, so the lattice's are
+    # the dual's transposed; the others scan the lattice and transpose it
+    # for the dual.
     try:
         lattice = renumbered(lattice_from_poset(poset), data.draw)
     except ValidationError:
         return
-    for each in (lattice, lattice.dual):
+    dual_first = data.draw(st.booleans())
+    for each in (lattice.dual, lattice) if dual_first else (lattice, lattice.dual):
         assert each.lower_covers == ref_lower_covers(each)
+    for each in (lattice, lattice.dual):
         leq = each.leq
         for b, covers in each.lower_covers:
             for a in covers:

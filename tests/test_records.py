@@ -129,7 +129,7 @@ def test_unchecked_upper_maps_pass_the_checked_constructor():
                     w = weak.WeakMeetMap(f)
                 except LatkitError:
                     continue
-                _, partial, _ = weak.restrict_codomain(w)
+                partial, _ = weak.restrict_codomain(w)
                 for upper in (weak.pointed_extend(w)[1], weak.partial_to_upper(partial)):
                     checked = weak.UpperMap(upper.base_source, upper.base_target, upper.map)
                     assert checked == upper and hash(checked) == hash(upper)

@@ -197,3 +197,34 @@ def test_reports_identical_under_python_and_python_O():
     assert runs[0] == runs[1]
     assert {r["prop"] for r in runs[0]} == {"adjoint-laws", "balanced-dense", "closure-monad"}
     assert all(r["status"] == "pass" for r in runs[0])
+
+
+def test_only_conjugation_reads_the_isotone_hom_set(monkeypatch):
+    # The four weak laws read weak.weak_meet_maps, built from the meet
+    # kernel on the upper extensions; in a full sweep the isotone Hom-set is
+    # asked for by conjugation alone.
+    from latkit import maps
+
+    current, readers = [], Counter()
+    real_hom_set, real_collect = maps.hom_set, suite._collect
+
+    def spy(dom, cod, cls="join"):
+        if cls == "isotone":
+            readers[current[-1]] += 1
+        return real_hom_set(dom, cod, cls)
+
+    def collect(checks, reports):
+        for prop, obj, fn in checks:
+            current.append(prop)
+            real_collect([(prop, obj, fn)], reports)
+
+    monkeypatch.setattr(maps, "hom_set", spy)
+    monkeypatch.setattr(suite, "hom_set", spy)
+    monkeypatch.setattr(suite, "_collect", collect)
+    suite._homs.cache_clear()
+    try:
+        reports = suite.run_suite()
+    finally:
+        suite._homs.cache_clear()
+    assert len(reports) == 3800 and all(r.status == "pass" for r in reports)
+    assert set(readers) == {"conjugation"}

@@ -307,9 +307,9 @@ def test_derived_partial_maps_equal_the_checked_constructor():
     by_source, count = {}, 0
     for pool in (small, renumbered):
         for l1, l2 in itertools.product(pool, repeat=2):
-            for wm in suite._weak_meet_maps(l2, l1):
-                restricted, partial, anchor = weak.restrict_codomain(wm)
-                assert (restricted, partial, anchor) == ref_restrict_codomain(wm)
+            for wm in weak.weak_meet_maps(l2, l1):
+                partial, anchor = weak.restrict_codomain(wm)
+                assert (partial, anchor) == ref_restrict_codomain(wm)
                 upper = weak.pointed_extend(wm)[1]
                 assert weak.partial_to_upper(partial) == ref_partial_to_upper(partial) == upper
                 back = weak.upper_to_partial(upper)
@@ -408,7 +408,7 @@ def test_validate_causal_raises_exactly_where_the_scan_does():
 def test_causal_relations_of_weak_maps_are_the_scanned_ones():
     count = 0
     for l1, l2 in pairs(4):
-        for wm in suite._weak_meet_maps(l2, l1):
+        for wm in weak.weak_meet_maps(l2, l1):
             relation = stateprop.map_to_causal(wm)
             assert relation == ref_map_to_causal(wm)
             assert stateprop.causal_to_map(relation).map == ref_causal_to_map(relation).map
@@ -637,10 +637,10 @@ def restricted_value_wrong(monkeypatch):
     real = weak.restrict_codomain
 
     def planted(wm):
-        restricted, partial, anchor = real(wm)
+        partial, anchor = real(wm)
         if wm.map.values == (0, 1):
             partial = weak.PartialJoinMap._of(c2, c2, anchor, ((0, 0), (1, 0)))
-        return restricted, partial, anchor
+        return partial, anchor
 
     monkeypatch.setattr(weak, "restrict_codomain", planted)
     return c2, c2
@@ -764,6 +764,29 @@ def test_planted_defects_give_the_old_bodies_witness(monkeypatch, prop, plant, o
         old = law
     objects = plant(monkeypatch)
     assert law_witness(old, objects) == witness
+
+
+@pytest.mark.parametrize(
+    "prop, plant, witness",
+    [(prop, plant, witness) for prop, plant, _, witness in PLANTED
+     if prop in ("weak-roundtrips", "partial-composition")],
+)
+def test_weak_plants_are_caught_on_the_meet_kernel_maps(monkeypatch, prop, plant, witness):
+    # The weak laws read their maps from weak.weak_meet_maps, which builds
+    # them from the meet kernel; no isotone Hom-set is read, and each plant
+    # is still caught with its witness.
+    built = []
+    real = weak.weak_meet_maps
+
+    def homs(dom, cod, cls):
+        assert cls != "isotone"
+        return tuple(hom_set(dom, cod, cls))
+
+    monkeypatch.setattr(weak, "weak_meet_maps", lambda dom, cod: built.append(dom) or real(dom, cod))
+    monkeypatch.setattr(suite, "_homs", homs)
+    objects = plant(monkeypatch)
+    assert law_witness(law_named(prop), objects) == witness
+    assert built
 
 
 def test_every_rewritten_law_has_a_planted_defect():

@@ -25,6 +25,7 @@ from latkit.weak import (
     restrict_codomain,
     upper_to_partial,
 )
+from latkit.weak import weak_meet_maps as weak_meet_maps_of
 
 from test_hom_oracle import renumber
 from test_maps import nonempty_meets
@@ -58,15 +59,20 @@ def ref_call(partial, x):
     return ref_inner(partial).values[elements.index(x)]
 
 
+def ref_corestriction(weak):
+    """The weak meet map g corestricted onto [0, g(1)], as a LatticeMap."""
+    g = weak.map
+    interval = lower_interval(g.cod, g(g.dom.top))
+    position = interval.projection.values
+    return LatticeMap._unchecked(g.dom, interval.lattice, tuple(position[v] for v in g.values))
+
+
 def ref_restrict_codomain(weak):
+    """(partial, anchor): the corestriction's left adjoint object, read on
+    the interval's elements."""
     g = weak.map
     anchor = g(g.dom.top)
-    interval = lower_interval(g.cod, anchor)
-    position = interval.projection.values
-    restricted = LatticeMap._unchecked(
-        g.dom, interval.lattice, tuple(position[v] for v in g.values)
-    )
-    return restricted, ref_of(g.cod, anchor, left_adjoint(restricted)), anchor
+    return ref_of(g.cod, anchor, left_adjoint(ref_corestriction(weak))), anchor
 
 
 def ref_partial_to_upper(partial):
@@ -146,6 +152,32 @@ def test_weak_meet_maps_are_decided_as_the_meet_scan_decides_them():
     assert (len(verdicts), sum(verdicts)) == (20252, 16292)
 
 
+def test_weak_meet_maps_from_the_meet_kernel_are_the_isotone_filter():
+    # weak_meet_maps reads the meet Hom-set of the upper extensions; the
+    # checked constructor over the isotone Hom-set is the oracle, map for map
+    # and in order, with the same pointed extensions, on every corpus pair of
+    # at most 5 elements and on renumbered copies of them.
+    rng = random.Random(31)
+    small = list(corpus.named_lattices(max_size=5).values())
+    renumbered = [renumber(lat, rng.sample(range(lat.size), lat.size)) for lat in small]
+    count = 0
+    for pool in (small, renumbered):
+        for dom, cod in itertools.product(pool, repeat=2):
+            built = weak_meet_maps_of(dom, cod)
+            expected = []
+            for g in hom_set(dom, cod, "isotone"):
+                try:
+                    expected.append(WeakMeetMap(g))
+                except NotWeakMeet:
+                    pass
+            assert list(built) == expected
+            assert [w.extended for w in built] == [w.extended for w in expected]
+            assert all(w.map.dom is dom and w.map.cod is cod for w in built)
+            assert weak_meet_maps_of(dom, cod) is built
+            count += len(built)
+    assert count == 2 * 15015
+
+
 def test_pointed_extend_reads_the_extension_the_constructor_decided(monkeypatch):
     table = corpus.named_lattices()
     weak_maps = weak_meet_maps(table["D4"], table["C3"])
@@ -166,11 +198,13 @@ def test_restrict_codomain_lands_on_interval():
     for name1 in SMALL:
         for name2 in SMALL:
             for g in weak_meet_maps(table[name1], table[name2]):
-                restricted, partial, anchor = restrict_codomain(g)
-                assert anchor == g(g.dom.top)
-                # The corestriction preserves all meets including the empty one.
+                partial, anchor = restrict_codomain(g)
+                assert anchor == g(g.dom.top) == partial.anchor
+                # The corestriction preserves all meets including the empty
+                # one, and the partial map is its left adjoint.
+                restricted = ref_corestriction(g)
                 assert preservation_profile(restricted).meets
-                assert partial.anchor == anchor
+                assert (partial, anchor) == ref_restrict_codomain(g)
 
 
 def test_pointed_extension_balanced_adjoint():
@@ -192,7 +226,7 @@ def test_partial_upper_roundtrips():
     for name1 in SMALL:
         for name2 in SMALL:
             for g in weak_meet_maps(table[name1], table[name2]):
-                partial = restrict_codomain(g)[1]
+                partial = restrict_codomain(g)[0]
                 upper = pointed_extend(g)[1]
                 assert partial_to_upper(partial) == upper
                 assert upper_to_partial(upper) == partial
@@ -208,8 +242,8 @@ def test_compose_partial_matches_weak_composition():
     for g1 in weak_meet_maps(d4, c3):
         for g2 in weak_meet_maps(b4, d4):
             composite_weak = WeakMeetMap(compose(g1.map, g2.map))
-            left = compose_partial(restrict_codomain(g2)[1], restrict_codomain(g1)[1])
-            assert left == restrict_codomain(composite_weak)[1]
+            left = compose_partial(restrict_codomain(g2)[0], restrict_codomain(g1)[0])
+            assert left == restrict_codomain(composite_weak)[0]
 
 
 def test_partial_map_validation():
@@ -315,7 +349,7 @@ def test_routes_read_no_map_dual_and_build_no_retract(monkeypatch):
     weak_maps = weak_meet_maps(table["D4"], table["D4"])
     steps = []
     for wm in weak_maps:
-        partial = restrict_codomain(wm)[1]
+        partial = restrict_codomain(wm)[0]
         steps.append((wm, partial, pointed_extend(wm)[1]))
         upper_to_partial(steps[-1][2])
     reads = []
@@ -323,7 +357,7 @@ def test_routes_read_no_map_dual_and_build_no_retract(monkeypatch):
     monkeypatch.setattr(LatticeMap, "dual", property(lambda f: reads.append(f) or dual.func(f)))
     monkeypatch.setattr(core, "retract", lambda *args: reads.append(args))
     for wm, partial, upper in steps:
-        assert restrict_codomain(wm)[1] == partial
+        assert restrict_codomain(wm)[0] == partial
         assert partial_to_upper(partial) == upper
         assert upper_to_partial(upper) == partial
         for _, other, _ in steps:
