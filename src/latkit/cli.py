@@ -185,10 +185,16 @@ def cmd_adjoint(args):
     return EXIT_OK
 
 
-def cmd_hom(args):
+def _bounded_pair(args):
+    """The lattices args.dom and args.cod, refused past --max-size."""
     dom, cod = _corpus_lattices(args, args.dom, args.cod)
-    if args.max_size and max(dom.size, cod.size) > args.max_size:
+    if args.max_size is not None and max(dom.size, cod.size) > args.max_size:
         raise SizeLimit("lattice exceeds --max-size %d" % args.max_size)
+    return dom, cod
+
+
+def cmd_hom(args):
+    dom, cod = _bounded_pair(args)
     maps = hom_set(dom, cod, args.cls)
     if args.json:
         print(json.dumps([list(f.values) for f in maps]))
@@ -199,9 +205,7 @@ def cmd_hom(args):
 
 
 def cmd_count(args):
-    dom, cod = _corpus_lattices(args, args.dom, args.cod)
-    if args.max_size and max(dom.size, cod.size) > args.max_size:
-        raise SizeLimit("lattice exceeds --max-size %d" % args.max_size)
+    dom, cod = _bounded_pair(args)
     count = transition.hom_count(args.category, dom, cod)
     if args.json:
         payload = {"category": args.category, "dom": args.dom, "cod": args.cod, "count": count}
@@ -302,7 +306,7 @@ def cmd_suite(args):
 _JSON = ("--json", {"action": "store_true"})
 _FILES = ("files", {"nargs": "+"})
 _FILES_OPTION = ("--files", {"nargs": "*", "default": []})
-_MAX_SIZE = ("--max-size", {"type": int, "default": 0})
+_MAX_SIZE = ("--max-size", {"type": int})
 
 # name -> (handler, help, argument specs), in the order help lists them.
 COMMANDS = {
@@ -332,7 +336,7 @@ COMMANDS = {
     ]),
     "suite": (cmd_suite, "run the full proposition sweep", [
         ("corpus", {"nargs": "?", "help": "directory of corpus files"}), _JSON,
-        ("--filter", {}), ("--max-size", {"type": int}), ("--seed", {"type": int, "default": 0}),
+        ("--filter", {}), _MAX_SIZE, ("--seed", {"type": int, "default": 0}),
     ]),
 }
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import corpus
-from .core import Frozen, LatticeMap, cached_property, lattice_of_sets, retract
+from .core import Frozen, LatticeMap, cached_property, compared_by, lattice_of_sets, retract
 from .errors import (
     NotAdjoint,
     NotAtomicMap,
@@ -23,16 +23,9 @@ from .maps import check_adjunction
 
 class ClosureOperator(Frozen):
     def __init__(self, lattice, table):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "table", table)
+        self.__dict__.update(lattice=lattice, table=table)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lattice, self.table) == (other.lattice, other.table)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lattice, self.table))
+    __eq__, __hash__ = compared_by("lattice", "table")
 
     def __call__(self, a):
         return self.table[a]
@@ -112,11 +105,9 @@ class ClosureSpace(Frozen):
         masks = sorted({_mask(s, size) for s in closed},
                        key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
         position = {m: i for i, m in enumerate(masks)}
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "labels", labels or tuple("p%d" % i for i in range(size)))
-        object.__setattr__(self, "position", position)
-        if len(self.labels) != size:
+        labels = labels or tuple("p%d" % i for i in range(size))
+        self.__dict__.update(size=size, masks=tuple(masks), labels=labels, position=position)
+        if len(labels) != size:
             raise ShapeMismatch("label count does not match point count")
         if (1 << size) - 1 not in position:
             raise NotClosure("the whole point set must be closed")
@@ -126,13 +117,7 @@ class ClosureSpace(Frozen):
                     raise NotClosure("family not intersection closed",
                                      witness=(_points(a), _points(b)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.size, self.masks, self.labels) == (other.size, other.masks, other.labels)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.size, self.masks, self.labels))
+    __eq__, __hash__ = compared_by("size", "masks", "labels")
 
     @cached_property
     def closed(self):
@@ -164,12 +149,8 @@ class PartialContinuousMap(Frozen):
     ShapeMismatch refuses a kernel point or an image outside its space."""
 
     def __init__(self, source, target, kernel, mapping):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "mapping", mapping)
-        object.__setattr__(self, "kernel_mask", _mask(kernel, source.size))
-        object.__setattr__(self, "table", dict(mapping))
+        self.__dict__.update(source=source, target=target, kernel=kernel, mapping=mapping,
+                             kernel_mask=_mask(kernel, source.size), table=dict(mapping))
         if self.table.keys() != set(source.points()) - set(kernel):
             raise ShapeMismatch("map must be defined exactly off its kernel")
         _mask(self.table.values(), target.size)
@@ -335,9 +316,8 @@ def is_boolean(lattice):
 
 class BooleanDualityReport(Frozen):
     def __init__(self, atoms_to_atoms, ortho_preserved_by_adjoint, agree):
-        object.__setattr__(self, "atoms_to_atoms", atoms_to_atoms)
-        object.__setattr__(self, "ortho_preserved_by_adjoint", ortho_preserved_by_adjoint)
-        object.__setattr__(self, "agree", agree)
+        self.__dict__.update(atoms_to_atoms=atoms_to_atoms,
+                             ortho_preserved_by_adjoint=ortho_preserved_by_adjoint, agree=agree)
 
 
 def atom_set_maps(lattice):

@@ -10,6 +10,7 @@ above this module is a table lookup.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 from .errors import (
@@ -50,11 +51,13 @@ class cached_property:
 class Frozen:
     """Mixin of the immutable records.
 
-    Each record's __init__ sets its fields once through object.__setattr__;
-    memos (cached_property, or a write into the instance __dict__) bypass
-    __setattr__, so they still work.  A record that something compares or
-    hashes writes its own __eq__ and __hash__ over the tuple of its fields
-    in order (a lattice compares its order alone).
+    Each record's __init__ validates its arguments and sets its fields in
+    one self.__dict__.update(...), which bypasses __setattr__, as memos do
+    (cached_property, or a write into the instance __dict__); assigning or
+    deleting an attribute raises.  A record that something compares or
+    hashes takes its __eq__ and __hash__ from compared_by over its fields
+    in order; FiniteLattice writes its own, over its order alone.  Every
+    other record is equal to itself alone.
     """
 
     __slots__ = ()
@@ -66,6 +69,23 @@ class Frozen:
         raise AttributeError("cannot delete field %r" % name)
 
 
+def compared_by(*fields):
+    """The (__eq__, __hash__) of a record equal to a record of its own class
+    with equal fields, hashed as the tuple of them (the field itself when
+    there is one)."""
+    key = operator.attrgetter(*fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    return __eq__, __hash__
+
+
 class FinitePoset(Frozen):
     """Finite partially ordered set.
 
@@ -73,18 +93,12 @@ class FinitePoset(Frozen):
     """
 
     def __init__(self, up, labels=()):
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "labels", labels or tuple("e%d" % i for i in range(len(up))))
-        if len(self.labels) != len(up):
+        labels = labels or tuple("e%d" % i for i in range(len(up)))
+        self.__dict__.update(up=up, labels=labels)
+        if len(labels) != len(up):
             raise ShapeMismatch("label count does not match element count")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.up, self.labels) == (other.up, other.labels)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.up, self.labels))
+    __eq__, __hash__ = compared_by("up", "labels")
 
     @property
     def size(self):
@@ -250,9 +264,7 @@ class FiniteLattice(Frozen):
     """
 
     def __init__(self, poset, bottom, top):
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "top", top)
+        self.__dict__.update(poset=poset, bottom=bottom, top=top)
 
     def __eq__(self, other):
         """Equality of the orders, after an identity test."""
@@ -489,22 +501,14 @@ class LatticeMap(Frozen):
     """Total map between lattice carriers, stored as a value table."""
 
     def __init__(self, dom, cod, values):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(dom=dom, cod=cod, values=values)
         if len(values) != dom.size:
             raise ShapeMismatch("value table does not cover the domain")
         if not (0 <= min(values) and max(values) < cod.size):
             bad = next(v for v in values if not 0 <= v < cod.size)
             raise ShapeMismatch("value %d outside codomain" % bad)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dom, self.cod, self.values) == (other.dom, other.cod, other.values)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.values))
+    __eq__, __hash__ = compared_by("dom", "cod", "values")
 
     @classmethod
     def _unchecked(cls, dom, cod, values):
@@ -549,23 +553,14 @@ def identity_map(lattice):
 
 class Retract(Frozen):
     """The image of an idempotent isotone map p, ordered as in the lattice
-    (a lattice: Davey & Priestley, ch. 7), with its inclusion and x |-> p(x)."""
+    (a lattice: Davey & Priestley, ch. 7), with its inclusion and x |-> p(x).
+    elements are indices into the ambient carrier."""
 
     def __init__(self, lattice, elements, inclusion, projection):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "elements", elements)  # indices into the ambient carrier
-        object.__setattr__(self, "inclusion", inclusion)
-        object.__setattr__(self, "projection", projection)
+        self.__dict__.update(lattice=lattice, elements=elements, inclusion=inclusion,
+                             projection=projection)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lattice, self.elements, self.inclusion, self.projection) == (
-                other.lattice, other.elements, other.inclusion, other.projection
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lattice, self.elements, self.inclusion, self.projection))
+    __eq__, __hash__ = compared_by("lattice", "elements", "inclusion", "projection")
 
 
 def retract(lattice, table):
@@ -644,14 +639,13 @@ def lower_interval(lattice, a):
 
 
 class Product(Frozen):
+    """A direct product: elements are coordinate tuples, and the sections
+    pad the other factors with 0, or with 1."""
+
     def __init__(self, lattice, factors, elements, projections, bottom_sections, top_sections):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "elements", elements)  # coordinate tuples
-        object.__setattr__(self, "projections", projections)
-        # Sections pad the other factors with 0, or with 1.
-        object.__setattr__(self, "bottom_sections", bottom_sections)
-        object.__setattr__(self, "top_sections", top_sections)
+        self.__dict__.update(lattice=lattice, factors=factors, elements=elements,
+                             projections=projections, bottom_sections=bottom_sections,
+                             top_sections=top_sections)
 
 
 def direct_product(factors):
@@ -702,13 +696,12 @@ def direct_product(factors):
 
 
 class HorizontalSum(Frozen):
+    """A horizontal sum: the inclusions keep interiors and share the bounds,
+    and the collapses send the foreign interiors to 1, or to 0."""
+
     def __init__(self, lattice, factors, inclusions, top_collapses, bottom_collapses):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "inclusions", inclusions)  # interiors kept, bounds shared
-        # Collapses send the foreign interiors to 1, or to 0.
-        object.__setattr__(self, "top_collapses", top_collapses)
-        object.__setattr__(self, "bottom_collapses", bottom_collapses)
+        self.__dict__.update(lattice=lattice, factors=factors, inclusions=inclusions,
+                             top_collapses=top_collapses, bottom_collapses=bottom_collapses)
 
 
 def horizontal_sum(factors):

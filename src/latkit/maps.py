@@ -3,7 +3,7 @@ special morphisms, classification, and Hom-set enumeration."""
 
 from __future__ import annotations
 
-from .core import Frozen, LatticeMap, lower_interval
+from .core import Frozen, LatticeMap, compared_by, lower_interval
 from .errors import (
     EmptyFamily,
     NotInClass,
@@ -214,24 +214,26 @@ def pointwise_meet(gs):
 
 
 class SpecialMaps(Frozen):
-    """The eight canonical maps attached to an element a of L, and [0,a]."""
+    """The eight canonical maps attached to an element a of L, and [0,a]:
+
+    - point: 2 -> L, 1 |-> a (join preserving);
+    - above_test: L -> 2, x |-> 1 iff a <= x (meet preserving);
+    - copoint: 2 -> L, 0 |-> a (meet preserving);
+    - below_test: L -> 2, x |-> 0 iff x <= a (join preserving);
+    - inclusion: [0,a] -> L, x |-> x;
+    - projection: L -> [0,a], x |-> x /\\ a;
+    - capped_inclusion: [0,a] -> L, a |-> 1;
+    - capped_projection: L -> [0,a], x |-> x if x <= a else a.
+    """
 
     def __init__(
         self, point, above_test, copoint, below_test, inclusion, projection,
         capped_inclusion, capped_projection, interval,
     ):
-        object.__setattr__(self, "point", point)  # 2 -> L, 1 |-> a (join preserving)
-        # L -> 2, x |-> 1 iff a <= x (meet preserving)
-        object.__setattr__(self, "above_test", above_test)
-        object.__setattr__(self, "copoint", copoint)  # 2 -> L, 0 |-> a (meet preserving)
-        # L -> 2, x |-> 0 iff x <= a (join preserving)
-        object.__setattr__(self, "below_test", below_test)
-        object.__setattr__(self, "inclusion", inclusion)  # [0,a] -> L, x |-> x
-        object.__setattr__(self, "projection", projection)  # L -> [0,a], x |-> x /\ a
-        object.__setattr__(self, "capped_inclusion", capped_inclusion)  # [0,a] -> L, a |-> 1
-        # L -> [0,a], x |-> x if x <= a else a
-        object.__setattr__(self, "capped_projection", capped_projection)
-        object.__setattr__(self, "interval", interval)
+        self.__dict__.update(point=point, above_test=above_test, copoint=copoint,
+                             below_test=below_test, inclusion=inclusion, projection=projection,
+                             capped_inclusion=capped_inclusion,
+                             capped_projection=capped_projection, interval=interval)
 
 
 def special_maps(lattice, a, two):
@@ -487,28 +489,12 @@ class MorphismFlags(Frozen):
     def __init__(
         self, epic, monic, section, retraction, injective, surjective, balanced, dense
     ):
-        object.__setattr__(self, "epic", epic)
-        object.__setattr__(self, "monic", monic)
-        object.__setattr__(self, "section", section)
-        object.__setattr__(self, "retraction", retraction)
-        object.__setattr__(self, "injective", injective)
-        object.__setattr__(self, "surjective", surjective)
-        object.__setattr__(self, "balanced", balanced)
-        object.__setattr__(self, "dense", dense)
+        self.__dict__.update(epic=epic, monic=monic, section=section, retraction=retraction,
+                             injective=injective, surjective=surjective, balanced=balanced,
+                             dense=dense)
 
-    def _key(self):
-        return (
-            self.epic, self.monic, self.section, self.retraction,
-            self.injective, self.surjective, self.balanced, self.dense,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+    __eq__, __hash__ = compared_by("epic", "monic", "section", "retraction", "injective",
+                                   "surjective", "balanced", "dense")
 
 
 def _inverts(h, f):

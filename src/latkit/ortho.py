@@ -30,9 +30,10 @@ from .maps import (
 
 
 class OrthoLattice(Frozen):
+    """A lattice with its orthocomplement ortho, a |-> a'."""
+
     def __init__(self, lattice, ortho):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "ortho", ortho)  # a |-> a'
+        self.__dict__.update(lattice=lattice, ortho=ortho)
 
     @property
     def size(self):
@@ -108,13 +109,12 @@ def colatt_check(h, dom, cod):
 
 
 class OrthoSpace(Frozen):
-    """Point set with a symmetric, antireflexive, separating orthogonality."""
+    """Point set with a symmetric, antireflexive, separating orthogonality,
+    kept as bitmask rows: bit q of orth[p] set iff p _|_ q."""
 
     def __init__(self, size, orth, labels=()):
-        object.__setattr__(self, "size", size)
-        # Bitmask rows: bit q of orth[p] set iff p _|_ q.
-        object.__setattr__(self, "orth", orth)
-        object.__setattr__(self, "labels", labels or tuple("p%d" % i for i in range(size)))
+        labels = labels or tuple("p%d" % i for i in range(size))
+        self.__dict__.update(size=size, orth=orth, labels=labels)
 
     def perp(self, p, q):
         return bool(self.orth[p] >> q & 1)

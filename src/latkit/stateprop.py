@@ -5,7 +5,7 @@ causal relations with their weak meet morphisms, and evolution adjoints."""
 from __future__ import annotations
 
 from .closure import is_boolean
-from .core import Frozen, LatticeMap, direct_product, lower_interval, sublattice_on
+from .core import Frozen, LatticeMap, compared_by, direct_product, lower_interval, sublattice_on
 from .errors import (
     NotAtomistic,
     NotBalancedAtZero,
@@ -21,11 +21,11 @@ from .weak import WeakMeetMap
 
 
 class StatePropertySystem(Frozen):
-    """Atomistic ortholattice of properties with its atoms as states."""
+    """Atomistic ortholattice of properties (an OrthoLattice) with its
+    atoms as states, in carrier order."""
 
     def __init__(self, properties, states):
-        object.__setattr__(self, "properties", properties)  # an OrthoLattice
-        object.__setattr__(self, "states", states)  # atoms, in carrier order
+        self.__dict__.update(properties=properties, states=states)
 
     def atom_support(self, a):
         """The set of states actualizing property a."""
@@ -58,11 +58,11 @@ def center_sublattice(ortho_lattice):
 
 
 class Decomposition(Frozen):
+    """A lattice split over its center: factor_tops are the center atoms in
+    carrier order, and iso maps the carrier onto the product."""
+
     def __init__(self, product, factors, factor_tops, iso):
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "factor_tops", factor_tops)  # center atoms, carrier order
-        object.__setattr__(self, "iso", iso)  # carrier -> product
+        self.__dict__.update(product=product, factors=factors, factor_tops=factor_tops, iso=iso)
 
 
 def classical_decomposition(ortho_lattice):
@@ -89,16 +89,16 @@ def classical_decomposition(ortho_lattice):
 
 
 class SpectrumReport(Frozen):
+    """The split of an outcome lattice: null_part N is the largest property
+    reported impossible, discrete_part D the join of the sharp outcomes,
+    and continuous_part C what remains, zero on finite carriers."""
+
     def __init__(
         self, null_part, discrete_part, continuous_part, discrete_interval, continuous_interval
     ):
-        # N: largest property reported impossible
-        object.__setattr__(self, "null_part", null_part)
-        object.__setattr__(self, "discrete_part", discrete_part)  # D: join of sharp outcomes
-        # C: what remains; zero on finite carriers
-        object.__setattr__(self, "continuous_part", continuous_part)
-        object.__setattr__(self, "discrete_interval", discrete_interval)
-        object.__setattr__(self, "continuous_interval", continuous_interval)
+        self.__dict__.update(null_part=null_part, discrete_part=discrete_part,
+                             continuous_part=continuous_part, discrete_interval=discrete_interval,
+                             continuous_interval=continuous_interval)
 
 
 def observable_spectrum(m, dom_ortho, cod_ortho):
@@ -133,22 +133,13 @@ def observable_spectrum(m, dom_ortho, cod_ortho):
 
 
 class CausalRelation(Frozen):
-    """Relation telling which earlier properties guarantee later ones."""
+    """Relation telling which earlier properties guarantee later ones:
+    pairs is a frozenset of (a1, a2)."""
 
     def __init__(self, source, target, pairs):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "pairs", pairs)  # a frozenset of (a1, a2)
+        self.__dict__.update(source=source, target=target, pairs=pairs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.source, self.target, self.pairs) == (
-                other.source, other.target, other.pairs
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.pairs))
+    __eq__, __hash__ = compared_by("source", "target", "pairs")
 
 
 def validate_causal(relation):
@@ -265,12 +256,13 @@ def map_to_causal(weak):
 
 
 class EvolutionReport(Frozen):
+    """backward is the given meet-direction map and forward its adjoint in
+    the direction of time; atom_orthogonality lists the atom pairs (p, q)
+    whose orthogonality forward does not keep (informational)."""
+
     def __init__(self, backward, forward, dense, atom_orthogonality):
-        object.__setattr__(self, "backward", backward)  # the given meet-direction map
-        object.__setattr__(self, "forward", forward)  # its adjoint in the direction of time
-        object.__setattr__(self, "dense", dense)
-        # Atom pairs (p, q) whose orthogonality forward does not keep; informational.
-        object.__setattr__(self, "atom_orthogonality", atom_orthogonality)
+        self.__dict__.update(backward=backward, forward=forward, dense=dense,
+                             atom_orthogonality=atom_orthogonality)
 
 
 def evolution_adjoint(phi, dom_ortho=None, cod_ortho=None):

@@ -12,7 +12,7 @@ import os
 import random
 import time
 from . import closure, corpus, io, ortho, stateprop, transition, weak
-from .core import Frozen, direct_product, horizontal_sum, identity_map
+from .core import Frozen, compared_by, direct_product, horizontal_sum, identity_map
 from .errors import LatkitError, ParseError, ShapeMismatch
 from .maps import (
     _adjoint_sets,
@@ -31,27 +31,15 @@ from .maps import (
 )
 
 
-# Report's field "object" hides the builtin in its __init__.
-_setattr = object.__setattr__
-
-
 class Report(Frozen):
+    """One law on one object: status is "pass", "fail", or "error" for an
+    unexpected exception, and witness is None or a string."""
+
     def __init__(self, prop, object, status, witness=None, millis=0.0):
-        _setattr(self, "prop", prop)
-        _setattr(self, "object", object)
-        _setattr(self, "status", status)  # "pass", "fail", or "error" for an unexpected exception
-        _setattr(self, "witness", witness)  # None or a string
-        _setattr(self, "millis", millis)
+        self.__dict__.update(prop=prop, object=object, status=status, witness=witness,
+                             millis=millis)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.prop, self.object, self.status, self.witness, self.millis) == (
-                other.prop, other.object, other.status, other.witness, other.millis
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prop, self.object, self.status, self.witness, self.millis))
+    __eq__, __hash__ = compared_by("prop", "object", "status", "witness", "millis")
 
     def to_dict(self):
         out = {
@@ -103,11 +91,7 @@ class Law(Frozen):
     takes rng, one random.Random(seed) shared by all the law's checks."""
 
     def __init__(self, prop, pool, bound, body, seeded=False):
-        object.__setattr__(self, "prop", prop)
-        object.__setattr__(self, "pool", pool)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "seeded", seeded)
+        self.__dict__.update(prop=prop, pool=pool, bound=bound, body=body, seeded=seeded)
 
     def checks(self, bundle, max_size=None, seed=0):
         """A (prop, label, zero-argument check) per object tuple of the pool."""

@@ -8,7 +8,7 @@ import math
 from collections.abc import Sequence
 
 from . import core
-from .core import Frozen, LatticeMap, cached_property, lattice_of_sets
+from .core import Frozen, LatticeMap, cached_property, compared_by, lattice_of_sets
 from .errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
 from .maps import _hom_tables, _residual, compose, pointwise_join
 
@@ -86,19 +86,9 @@ class UnionMap(Frozen):
     """
 
     def __init__(self, source, target, pack):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "pack", pack)
+        self.__dict__.update(source=source, target=target, pack=pack)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.source, self.target, self.pack) == (
-                other.source, other.target, other.pack
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.pack))
+    __eq__, __hash__ = compared_by("source", "target", "pack")
 
     def images(self):
         """The fields of pack: each nonzero source element's image mask."""
@@ -135,11 +125,12 @@ def all_subsets(lattice):
 
 
 class Resolution(Frozen):
+    """The truncated powerset: sets are the subsets in power_lattice order,
+    collapse is A |-> join of A, and expand is a |-> (0, a]."""
+
     def __init__(self, power_lattice, sets, collapse, expand):
-        object.__setattr__(self, "power_lattice", power_lattice)
-        object.__setattr__(self, "sets", sets)  # the subsets, in power_lattice order
-        object.__setattr__(self, "collapse", collapse)  # A |-> join of A
-        object.__setattr__(self, "expand", expand)  # a |-> (0, a]
+        self.__dict__.update(power_lattice=power_lattice, sets=sets, collapse=collapse,
+                             expand=expand)
 
 
 def resolution(lattice):
@@ -385,8 +376,7 @@ class TransitionPair(Frozen):
     """A join map together with a coherent union map."""
 
     def __init__(self, map, union):
-        object.__setattr__(self, "map", map)
-        object.__setattr__(self, "union", union)
+        self.__dict__.update(map=map, union=union)
         if not coherence_check(map, union):
             raise IncoherentInput("pair fails the coherence condition")
 

@@ -8,7 +8,7 @@ unchecked."""
 
 from __future__ import annotations
 
-from .core import Frozen, LatticeMap, lower_interval, upper_extension
+from .core import Frozen, LatticeMap, compared_by, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
 from .maps import _hom_tables, _residual, _residual_table, left_adjoint, right_adjoint
 
@@ -24,13 +24,12 @@ class WeakMeetMap(Frozen):
     Equality and hashing read map alone."""
 
     def __init__(self, map):
-        object.__setattr__(self, "map", map)
         extended = LatticeMap._unchecked(
             upper_extension(map.dom), upper_extension(map.cod), map.values + (map.cod.size,)
         )
         if _residual(extended.dual) is None:
             raise NotWeakMeet("map does not preserve non-empty meets")
-        object.__setattr__(self, "extended", extended)
+        self.__dict__.update(map=map, extended=extended)
 
     @classmethod
     def _of(cls, map, extended):
@@ -40,13 +39,7 @@ class WeakMeetMap(Frozen):
         weak.__dict__.update(map=map, extended=extended)
         return weak
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.map == other.map
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.map,))
+    __eq__, __hash__ = compared_by("map")
 
     @property
     def dom(self):
@@ -71,9 +64,6 @@ class PartialJoinMap(Frozen):
     """
 
     def __init__(self, source, target, anchor, values):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "anchor", anchor)
         below = source.poset.down[anchor]
         value = {}
         for x, v in values:
@@ -87,7 +77,7 @@ class PartialJoinMap(Frozen):
         if len(value) != below.bit_count():
             raise ShapeMismatch("partial map missing value below its anchor")
         values = tuple(sorted(value.items()))
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(source=source, target=target, anchor=anchor, values=values)
         if _residual_table(values, source, target) is None:
             raise NotJoinPreserving("partial map not join preserving on its interval")
 
@@ -99,15 +89,7 @@ class PartialJoinMap(Frozen):
         partial.__dict__.update(source=source, target=target, anchor=anchor, values=values)
         return partial
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.source, self.target, self.anchor, self.values) == (
-                other.source, other.target, other.anchor, other.values
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.anchor, self.values))
+    __eq__, __hash__ = compared_by("source", "target", "anchor", "values")
 
 
 class UpperMap(Frozen):
@@ -116,12 +98,11 @@ class UpperMap(Frozen):
     The adjoined top of L is always the extra index len(L); it is never
     aliased with the old top, and equality of upper maps is index-exact.
     Only the shape is checked: every upper map is built from join maps.
+    map acts on the extensions.
     """
 
     def __init__(self, base_source, base_target, map):
-        object.__setattr__(self, "base_source", base_source)
-        object.__setattr__(self, "base_target", base_target)
-        object.__setattr__(self, "map", map)  # on the extensions
+        self.__dict__.update(base_source=base_source, base_target=base_target, map=map)
         ext1 = upper_extension(base_source)
         ext2 = upper_extension(base_target)
         if map.dom != ext1 or map.cod != ext2:
@@ -137,15 +118,7 @@ class UpperMap(Frozen):
         upper.__dict__.update(base_source=base_source, base_target=base_target, map=map)
         return upper
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base_source, self.base_target, self.map) == (
-                other.base_source, other.base_target, other.map
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base_source, self.base_target, self.map))
+    __eq__, __hash__ = compared_by("base_source", "base_target", "map")
 
 
 def weak_meet_maps(dom, cod):

@@ -195,6 +195,13 @@ def test_hom_and_count_read_the_files_once(doc_file, capsys, monkeypatch):
 def test_hom_size_guard(capsys):
     assert cli.main(["hom", "B16", "B16", "--max-size", "8"]) == 3
     assert "size limit" in capsys.readouterr().err
+    # 0 is a bound like any other, as it is for suite.
+    for argv in (["hom", "C2", "D4"], ["count", "PS", "C2", "D4"]):
+        assert cli.main(argv + ["--max-size", "0"]) == 3
+        assert capsys.readouterr() == ("", "size limit: lattice exceeds --max-size 0\n")
+        for bound in (["--max-size", "4"], []):
+            assert cli.main(argv + bound) == 0
+            assert capsys.readouterr().out
 
 
 def test_count_builtin_corpus(capsys):

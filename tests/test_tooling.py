@@ -169,19 +169,57 @@ def test_a_union_map_is_stored_one_way():
     (union_map,) = [
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "UnionMap"
     ]
-    # The fields are what __init__ sets, in order.
+    # The fields are the keywords of the one __dict__.update in __init__, in order.
     (init,) = [
         node for node in union_map.body
         if isinstance(node, ast.FunctionDef) and node.name == "__init__"
     ]
-    fields = [
-        call.args[1].value for call in ast.walk(init)
-        if isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__"
+    (update,) = [
+        call for call in ast.walk(init)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "self.__dict__.update"
     ]
-    assert fields == ["source", "target", "pack"]
+    assert [keyword.arg for keyword in update.keywords] == ["source", "target", "pack"]
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert defined & {"_unchecked", "_pack", "_factor"} == set()
     assert {"union_map", "underlying_map", "images"} <= defined
+
+
+def test_records_are_built_and_compared_one_way():
+    # A record sets its fields in one self.__dict__.update, never through
+    # object.__setattr__, and takes __eq__ and __hash__ from core.compared_by;
+    # FiniteLattice alone writes its pair.  Nothing generates code: dataclass
+    # compiles its methods and namedtuple builds its __new__ with eval.
+    generators = {"exec", "eval", "compile", "namedtuple", "dataclass"}
+    setters, generated, written = [], [], []
+    for module, tree in source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                setters.append((module, node.lineno))
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            names = [alias.name for alias in getattr(node, "names", ())] + [name]
+            if "_setattr" in names or generators & set(names):
+                generated.append((module, node.lineno))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                written += [
+                    "%s.%s.%s" % (module, node.name, inner.name) for inner in node.body
+                    if isinstance(inner, ast.FunctionDef) and inner.name in ("__eq__", "__hash__")
+                ]
+    assert setters == [] and generated == []
+    assert sorted(written) == [
+        "core.FiniteLattice.__eq__", "core.FiniteLattice.__hash__",
+        "core.compared_by.__eq__", "core.compared_by.__hash__",
+    ]
+    compared = []
+    for info in pkgutil.iter_modules(latkit.__path__):
+        module = importlib.import_module("latkit." + info.name)
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                for method in ("__eq__", "__hash__"):
+                    function = vars(cls).get(method)
+                    if function is not None and cls.__name__ != "FiniteLattice":
+                        assert function.__qualname__ == "compared_by.<locals>." + method, cls
+                        compared.append(cls.__name__)
+    assert len(compared) == 2 * 12
 
 
 def test_every_module_name_in_the_readme_resolves():
