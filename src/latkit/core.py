@@ -2,8 +2,9 @@
 
 Elements are identified by index; labels are cosmetic.  The order relation
 is kept as one bitmask row per element (bit j of ``up[i]`` set iff i <= j).
-A lattice is proved one by its join-irreducibles, and builds its join table
-and its meet table, the join table of its dual, on first read; everything
+A poset keeps the Hasse diagram it was built from.  A lattice is proved
+one by the joins of pairs of upper covers, and builds its join table and
+its meet table, the join table of its dual, on first read; everything
 above this module is a table lookup.
 """
 
@@ -152,18 +153,27 @@ class FinitePoset(Frozen):
                 )
         return True
 
-    def covers(self, a):
-        """Elements covering a: minimal elements strictly above a, in index order."""
-        above = self.up[a] & ~(1 << a)
-        down = self.down
-        return [
-            b
-            for b in range(len(self.up))
-            if above >> b & 1 and down[b] & above == 1 << b
-        ]
-
-    def cover_pairs(self):
-        return [(a, b) for a in self.elements() for b in self.covers(a)]
+    @cached_property
+    def upper_covers(self):
+        """upper_covers[a] lists the elements covering a, the minimal ones
+        strictly above a, in index order.  A construction that knows its
+        Hasse diagram keeps it here; otherwise each up-set is scanned: b is
+        a cover of a iff b is the only element of ↑a - {a} at or below b,
+        and nothing above a tested element is a cover, so its up-set leaves
+        the elements still to test."""
+        up, down = self.up, self.down
+        out = []
+        for a, row in enumerate(up):
+            above = rest = row ^ 1 << a
+            covers = []
+            while rest:
+                low = rest & -rest
+                b = low.bit_length() - 1
+                if down[b] & above == low:
+                    covers.append(b)
+                rest &= ~up[b]
+            out.append(covers)
+        return out
 
 
 def _antisymmetry_witness(up, down):
@@ -184,7 +194,10 @@ def build_poset(n, pairs, labels=None):
     successors, filled from the last element of the extension back, and each
     down-set the same over predecessors, filled forward.  That costs
     O(n + len(pairs)) big-integer ORs, and the result is an order by
-    construction, so it is not validated again.
+    construction, so it is not validated again.  The same loop keeps the
+    Hasse diagram: all of ↑a - {a} is at or above a successor of a, so the
+    upper covers of a are the successors strictly above no other one, and
+    repeated, reflexive and transitive pairs change neither.
     """
     succ = [[] for _ in range(n)]
     pred = [[] for _ in range(n)]
@@ -206,23 +219,37 @@ def build_poset(n, pairs, labels=None):
     up = [0] * n
     down = [0] * n
     for a in reversed(order):
-        row = 1 << a
-        for b in succ[a]:
-            row |= up[b]
+        above = succ[a]  # becomes the upper covers of a
+        if len(above) == 1:
+            up[a] = up[above[0]] | 1 << a
+            continue
+        row, strict = 1 << a, 0
+        for b in above:
+            u = up[b]
+            row |= u
+            strict |= u ^ 1 << b
         up[a] = row
+        covers = row & ~strict ^ 1 << a
+        if covers.bit_count() == len(above):  # each successor once, and a cover
+            above.sort()
+        else:
+            above[:] = [b for b in range(n) if covers >> b & 1]
     for b in order:
         row = 1 << b
         for a in pred[b]:
             row |= down[a]
         down[b] = row
-    return _proved_poset(up, down, tuple(labels) if labels else ())
+    return _proved_poset(up, down, tuple(labels) if labels else (), succ)
 
 
-def _proved_poset(up, down, labels):
+def _proved_poset(up, down, labels, upper_covers=None):
     """The poset of up-sets that are an order by construction, with its
-    down-sets filled in: neither transposed nor validated again."""
+    down-sets filled in: neither transposed nor validated again.  The
+    upper covers, when given, are kept as its Hasse diagram."""
     poset = FinitePoset(tuple(up), labels)
     poset.__dict__.update(down=tuple(down), _proved=True)
+    if upper_covers is not None:
+        poset.__dict__["upper_covers"] = upper_covers
     return poset
 
 
@@ -248,10 +275,12 @@ class FiniteLattice(Frozen):
     """Complete lattice on a finite carrier: an order and its bounds.
 
     The order determines the rest, so lattices are equal iff their posets
-    are.  lattice_from_poset proves the order a lattice, and the
-    constructions below that are lattices by theorem skip the proof.  The
-    join table, the meet table (the dual's join table), the size, the hash,
-    the dual, the lower covers, the down-set index, the atom sets, the upper
+    are.  lattice_from_poset proves the order a lattice; the constructions
+    that are lattices by theorem (products, horizontal sums, upper
+    extensions and retracts below, chains and Boolean lattices in corpus)
+    skip the proof.  The join table, the meet table (the dual's join
+    table), the size, the hash, the dual, the lower covers (from the Hasse
+    diagram the poset keeps), the down-set index, the atom sets, the upper
     extension, the sublattices, the lower intervals, the Hom-sets out of the
     lattice with their value masks (maps._value_masks), the weak meet maps
     out of it (weak.weak_meet_maps), the data of the
@@ -335,33 +364,21 @@ class FiniteLattice(Frozen):
         """(b, the lower covers of b in index order) for every b, in a linear
         extension: the elements by the size of their down-sets.
 
-        The lower covers of the dual are the upper covers here, so when the
-        dual already keeps them they are transposed.  Otherwise a is a lower
-        cover of b iff a is the only element of ↓b - {b} at or above a;
-        nothing below a tested element is a cover, so its down-set leaves
-        the elements still to test.  No dual is built for this."""
-        up, down = self.poset.up, self.poset.down
-        order = sorted(self.elements(), key=lambda b: down[b].bit_count())
+        The lower covers of b are its upper covers in the dual, so a dual
+        reads its lattice's Hasse diagram as they are; otherwise the
+        poset's upper covers (kept, or scanned once) are transposed.  No
+        dual is built for this."""
+        down = self.poset.down
+        order = sorted(range(len(down)), key=list(map(int.bit_count, down)).__getitem__)
         dual = self.__dict__.get("dual")
-        if dual is not None and "lower_covers" in dual.__dict__:
+        lower = None if dual is None else dual.poset.__dict__.get("upper_covers")
+        if lower is None:
             lower = [[] for _ in order]
-            # The upper covers of c in index order of c, so each list is too.
-            for c, upper in sorted(dual.lower_covers):
+            # a runs in index order, so each list is in index order too.
+            for a, upper in enumerate(self.poset.upper_covers):
                 for b in upper:
-                    lower[b].append(c)
-            return tuple(zip(order, map(tuple, map(lower.__getitem__, order))))
-        out = []
-        for b in order:
-            below = rest = down[b] & ~(1 << b)
-            covers = []
-            while rest:
-                low = rest & -rest
-                a = low.bit_length() - 1
-                if up[a] & below == low:
-                    covers.append(a)
-                rest &= ~down[a]
-            out.append((b, tuple(covers)))
-        return tuple(out)
+                    lower[b].append(a)
+        return tuple(zip(order, map(tuple, map(lower.__getitem__, order))))
 
     @cached_property
     def down_index(self):
@@ -412,7 +429,8 @@ class FiniteLattice(Frozen):
         return out
 
     def atoms(self):
-        return self.poset.covers(self.bottom)
+        # The covers of the bottom, listed together in index order.
+        return [b for b, lower in self.lower_covers if lower == (self.bottom,)]
 
     def is_atomistic(self):
         # The join b of the atoms below a has the same atom set as a, so
@@ -434,18 +452,26 @@ def _join_rows(up):
 
 def lattice_from_poset(poset):
     """Validate the order (once per poset), find the bounds, and prove the
-    poset a lattice by its join-irreducibles (_joins_exist), building no
-    table.  A bounded poset in which every pair has a join has every meet,
-    so the join table, and the meet table as the dual's join table, are
-    built on first read.  Raises NotALattice at the first pair, in row-major
-    order, that lacks a join (checked first) or a meet.
+    poset a lattice by its Hasse diagram, building no table: one set
+    lookup, of up[b] & up[c] among the up-sets, for every two upper covers
+    b, c of each element.  A bounded poset in which every pair has a join
+    has every meet, so the join table, and the meet table as the dual's
+    join table, are built on first read.  Raises NotALattice at the first
+    pair, in row-major order, that lacks a join (checked first) or a meet.
+
+    The covers suffice, by the local confluence of Newman's lemma (Ann.
+    Math. 43, 1942; Davey & Priestley, ch. 2).  By induction down from the
+    top, any x, y >= a have a join.  If x or y is a, it is the other; else
+    x >= b and y >= c for upper covers b, c of a, and b = c is the case of
+    b.  Else d = b v c, e = x v d (above b) and e v y (above c) exist, and
+    e v y = x v y: an upper bound of x and y is above d, so above e.  The
+    case of a the bottom is every pair.
     """
     poset.validate()
     bottom, top = _bounds(poset)
-    up, down = poset.up, poset.down
-    if not _joins_exist(up, down):
+    if not _cover_joins_exist(poset.up, poset.upper_covers):
         n = poset.size
-        join_rows, meet_rows = _join_rows(up), _join_rows(down)
+        join_rows, meet_rows = _join_rows(poset.up), _join_rows(poset.down)
         a, b = next(
             (a, b)
             for a in range(n)
@@ -460,41 +486,29 @@ def lattice_from_poset(poset):
     return FiniteLattice(poset, bottom, top)
 
 
+def _cover_joins_exist(up, upper_covers):
+    """Whether every two upper covers b, c of each element have a join, the
+    element whose up-set is up[b] & up[c]."""
+    ups = set(up)
+    for covers in upper_covers:
+        if len(covers) > 1 and not ups.issuperset(
+            [up[b] & up[c] for b, c in itertools.combinations(covers, 2)]
+        ):
+            return False
+    return True
+
+
 def _bounds(poset):
     """(bottom, top) of the order, or NotALattice if one is missing."""
-    n = poset.size
-    if n == 0:
+    if not poset.up:
         raise NotALattice("empty carrier has no bounds")
     up, down = poset.up, poset.down
-    full = (1 << n) - 1
-    bottom = next((a for a in range(n) if up[a] == full), None)
-    top = next((a for a in range(n) if down[a] == full), None)
-    if bottom is None:
-        raise NotALattice("no bottom element")
-    if top is None:
-        raise NotALattice("no top element")
-    return bottom, top
-
-
-def _joins_exist(up, down):
-    """Whether every pair has a join in the order with a bottom given by its
-    up- and down-sets: a ∨ b is the element whose up-set is up[a] & up[b].
-
-    It is enough that every a has a join with every join-irreducible b
-    (Davey & Priestley, ch. 2): by induction on |↓b|, an element b with two
-    lower covers c1, c2 is c1 ∨ c2, so a ∨ b = (a ∨ c1) ∨ c2.  b is
-    join-irreducible iff ↓b - {b} is a principal down-set, and b comparable
-    to every element has a join with each, so the test costs one pass over
-    the up-sets per join-irreducible that is incomparable to some element.
-    """
-    ups, downs = set(up), set(down)
     full = (1 << len(up)) - 1
-    for b, row in enumerate(down):
-        if (row ^ 1 << b) in downs and (row | up[b]) != full:
-            ub = up[b]
-            if not {ua & ub for ua in up} <= ups:
-                return False
-    return True
+    if full not in up:
+        raise NotALattice("no bottom element")
+    if full not in down:
+        raise NotALattice("no top element")
+    return up.index(full), down.index(full)
 
 
 class LatticeMap(Frozen):
@@ -658,13 +672,14 @@ def direct_product(factors):
         raise SizeLimit("product carrier %d exceeds bound %d" % (total, MAX_LATTICE_SIZE))
     elems = tuple(itertools.product(*[range(f.size) for f in factors]))
     index = {e: i for i, e in enumerate(elems)}
-    # e is covered where one coordinate moves up to a cover in its factor.
-    upper = [[f.poset.covers(x) for x in f.elements()] for f in factors]
+    # e covers what one coordinate moving down to a lower cover in its
+    # factor gives, and nothing else.
+    lower = [dict(f.lower_covers) for f in factors]
     pairs = [
-        (i, index[e[:k] + (y,) + e[k + 1:]])
+        (index[e[:k] + (y,) + e[k + 1:]], i)
         for i, e in enumerate(elems)
         for k, x in enumerate(e)
-        for y in upper[k][x]
+        for y in lower[k][x]
     ]
     if len(factors) == 1:
         labels = tuple(factors[0].labels[e[0]] for e in elems)
@@ -672,7 +687,9 @@ def direct_product(factors):
         labels = tuple(
             "(%s)" % ",".join(f.labels[x] for f, x in zip(factors, e)) for e in elems
         )
-    lattice = lattice_from_poset(build_poset(total, pairs, labels))
+    # A product of lattices is a lattice, bounded coordinatewise.
+    bottom, top = index[tuple(f.bottom for f in factors)], index[tuple(f.top for f in factors)]
+    lattice = FiniteLattice(build_poset(total, pairs, labels), bottom, top)
     projections = []
     bottom_sections = []
     top_sections = []
@@ -730,11 +747,14 @@ def horizontal_sum(factors):
         for k, f in enumerate(factors)
     ]
     # The covers of the sum are the factors' covers, carried by the
-    # inclusions; (0, top) orders the bounds when there is no factor.
+    # inclusions; (0, top) orders the bounds when there is no factor.  Two
+    # interior elements of different factors have join 1 and meet 0, so the
+    # sum is a lattice.
     pairs = [(0, top)] + [
-        (inc[a], inc[b]) for f, inc in zip(factors, incs) for a, b in f.poset.cover_pairs()
+        (inc[a], inc[b]) for f, inc in zip(factors, incs)
+        for b, lower in f.lower_covers for a in lower
     ]
-    lattice = lattice_from_poset(build_poset(n, pairs, labels))
+    lattice = FiniteLattice(build_poset(n, pairs, labels), 0, top)
     inclusions = []
     top_collapses = []
     bottom_collapses = []
@@ -768,8 +788,17 @@ def lattice_of_sets(family):
             if a <= sets[j]:
                 up[i] |= 1 << j
                 down[j] |= 1 << i
+    # The highest index left below a set is a lower cover of it: a set
+    # strictly between would be larger, so later, and left too.
+    upper = [[] for _ in sets]
+    for j, row in enumerate(down):
+        rest = row ^ 1 << j
+        while rest:
+            a = rest.bit_length() - 1
+            upper[a].append(j)
+            rest &= ~down[a]
     labels = tuple("{%s}" % ",".join(map(str, sorted(s))) for s in sets)
-    return lattice_from_poset(_proved_poset(up, down, labels)), sets
+    return lattice_from_poset(_proved_poset(up, down, labels, upper)), sets
 
 
 def random_moore_lattice(seed, n_points, n_generators):

@@ -5,28 +5,38 @@ from __future__ import annotations
 import itertools
 
 from .core import (
+    FiniteLattice,
     build_poset,
     direct_product,
     horizontal_sum,
     lattice_from_poset,
-    lattice_of_sets,
     random_moore_lattice,
 )
+from .errors import NotALattice
 
 
 def chain(n):
-    """Total order 0 < 1 < ... < n-1."""
-    return lattice_from_poset(
-        build_poset(n, [(i, i + 1) for i in range(n - 1)], labels=[str(i) for i in range(n)])
-    )
+    """Total order 0 < 1 < ... < n-1, for n >= 1: a lattice by theorem,
+    built from its covers with its bounds and not proved one."""
+    if n < 1:
+        raise NotALattice("empty carrier has no bounds")
+    poset = build_poset(n, [(i, i + 1) for i in range(n - 1)], labels=[str(i) for i in range(n)])
+    return FiniteLattice(poset, 0, n - 1)
 
 
 def boolean_lattice(n_atoms):
-    """Powerset of n_atoms points ordered by inclusion."""
-    points = range(n_atoms)
-    family = [frozenset(c) for k in range(n_atoms + 1) for c in itertools.combinations(points, k)]
-    lattice, _ = lattice_of_sets(family)
-    return lattice
+    """Powerset of n_atoms points ordered by inclusion, with the element
+    order, labels and bounds of lattice_of_sets: a lattice by theorem,
+    built from its covers (a set below the set with one point more) and not
+    proved one."""
+    subsets = [c for k in range(n_atoms + 1) for c in itertools.combinations(range(n_atoms), k)]
+    index = {sum(1 << p for p in c): i for i, c in enumerate(subsets)}
+    pairs = [
+        (i, index[mask | 1 << p])
+        for mask, i in index.items() for p in range(n_atoms) if not mask >> p & 1
+    ]
+    labels = ["{%s}" % ",".join(map(str, c)) for c in subsets]
+    return FiniteLattice(build_poset(len(subsets), pairs, labels), 0, len(subsets) - 1)
 
 
 def diamond():

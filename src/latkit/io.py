@@ -447,7 +447,7 @@ def format_lattice(name, lattice, ortho=None):
     lines.append("elements: %s" % " ".join(lattice.labels))
     covers = [
         "%s<%s" % (lattice.labels[a], lattice.labels[b])
-        for a, b in lattice.poset.cover_pairs()
+        for a, b in sorted((a, b) for b, lower in lattice.lower_covers for a in lower)
     ]
     if covers:
         lines.append("covers: %s" % " ".join(covers))

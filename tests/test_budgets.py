@@ -72,12 +72,12 @@ O6_SPACE = ortho.orthospace_from_lattice(corpus.ortho_lattices()["O6"])[0]
 BUDGETS = {
     "direct_product": (
         core, "MAX_LATTICE_SIZE", 3,
-        building(core, "lattice_from_poset", lambda: core.direct_product([C2, C2])),
+        building(core, "build_poset", lambda: core.direct_product([C2, C2])),
         "product carrier 4 exceeds bound 3",
     ),
     "horizontal_sum": (
         core, "MAX_LATTICE_SIZE", 3,
-        building(core, "lattice_from_poset", lambda: core.horizontal_sum([C3, C3])),
+        building(core, "build_poset", lambda: core.horizontal_sum([C3, C3])),
         "sum carrier 4 exceeds bound 3",
     ),
     "load_workspace": (

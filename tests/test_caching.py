@@ -3,6 +3,7 @@ upper extensions, sublattices and lower intervals, adjoints, Hom-sets,
 preservation profiles read on demand, lattice equality and hashing, and the
 corpus lookup by name."""
 
+import itertools
 import json
 
 import pytest
@@ -356,14 +357,18 @@ def test_lower_interval_lattice_is_the_cached_sublattice():
 
 
 def test_lattices_by_theorem_match_the_proved_build(monkeypatch):
-    # Upper extensions, lower intervals and closure fixed points skip the
-    # lattice proof; the same order through lattice_from_poset gives the
-    # same bounds and tables.
+    # Upper extensions, lower intervals, closure fixed points, chains,
+    # Boolean lattices, products and horizontal sums skip the lattice
+    # proof; the same order through lattice_from_poset gives the same
+    # bounds, tables and lower covers.
     table = corpus.named_lattices()
     small = [lattice for lattice in table.values() if lattice.size <= 4]
+    factors = [table[name] for name in ("C2", "C3", "D4", "N5")]
     proofs = []
-    real = core._joins_exist
-    monkeypatch.setattr(core, "_joins_exist", lambda up, down: proofs.append(up) or real(up, down))
+    real = core._cover_joins_exist
+    monkeypatch.setattr(
+        core, "_cover_joins_exist", lambda up, covers: proofs.append(up) or real(up, covers)
+    )
     built = []
     for lattice in table.values():
         built.append(upper_extension(lattice))
@@ -371,11 +376,21 @@ def test_lattices_by_theorem_match_the_proved_build(monkeypatch):
         for cod in small:
             for f in hom_set(lattice, cod, "join"):
                 built.append(fixed_points(monad_from_adjunction(f, right_adjoint(f))).lattice)
+    constructed = (
+        [corpus.chain(n) for n in range(1, 10)]
+        + [corpus.boolean_lattice(n) for n in range(5)]
+        + [core.direct_product(pair).lattice for pair in itertools.product(factors, repeat=2)]
+        + [core.direct_product(factors[:3]).lattice]
+        + [core.horizontal_sum(pair).lattice for pair in itertools.product(factors, repeat=2)]
+        + [core.horizontal_sum(factors).lattice, core.horizontal_sum([]).lattice]
+    )
     assert proofs == []
     unique = list({id(sub): sub for sub in built}.values())
-    for sub in unique:
+    for sub in unique + constructed:
         proved = lattice_from_poset(FinitePoset(sub.poset.up, sub.labels))
-        assert (sub.bottom, sub.top, sub.join_table, sub.meet_table) == (
-            proved.bottom, proved.top, proved.join_table, proved.meet_table
+        assert (sub.bottom, sub.top, sub.join_table, sub.meet_table, sub.lower_covers) == (
+            proved.bottom, proved.top, proved.join_table, proved.meet_table,
+            proved.lower_covers,
         )
     assert (len(built), len(unique)) == (14794, 904)
+    assert len(proofs) == len(unique) + len(constructed)

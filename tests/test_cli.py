@@ -61,6 +61,48 @@ def test_check_json(doc_file, capsys):
     assert any(entry["object"] == "f" for entry in payload)
 
 
+def redundant_covers(text):
+    """The covers: line of a formatted lattice with its first pair repeated,
+    a pair x<x, and x<z for its first pair x<y and a pair y<z, in front."""
+    head, _, rest = text.partition("covers: ")
+    line, _, tail = rest.partition("\n")
+    pairs = [token.split("<") for token in line.split()]
+    x, y = pairs[0]
+    extra = ["%s<%s" % (x, y), "%s<%s" % (x, x)]
+    extra += ["%s<%s" % (x, z) for w, z in pairs if w == y][:1]
+    return head + "covers: " + " ".join(extra + [line]) + "\n" + tail
+
+
+def test_redundant_cover_pairs_change_no_result(tmp_path, capsys):
+    # Repeated, reflexive and transitive pairs in a covers: field build the
+    # order of the covers alone: the same check output, lower covers and
+    # formatted text.  An order that is no lattice is refused as before.
+    for name, lattice in corpus.named_lattices().items():
+        if lattice.size < 2:
+            continue
+        text = io.format_lattice(name, lattice)
+        identity = io.format_map("f", LatticeMap(lattice, lattice, tuple(lattice.elements())),
+                                 name, name)
+        redundant = redundant_covers(text)
+        assert len(redundant) > len(text)
+        outputs = []
+        for variant in (text, redundant):
+            path = tmp_path / "variant.lat"
+            path.write_text(variant + "\n" + identity)
+            code = cli.main(["check", str(path), "--json"])
+            built = io.load_workspace(variant).lattices[name]
+            outputs.append((code, capsys.readouterr(), built.lower_covers,
+                            io.format_lattice(name, built)))
+        assert outputs[0] == outputs[1], name
+        assert outputs[0][2:] == (lattice.lower_covers, text), name
+    not_a_lattice = "lattice BAD\nelements: 0 a b c d 1\ncovers: 0<a 0<b a<c a<d b<c b<d c<1 d<1\n"
+    for variant in (not_a_lattice, redundant_covers(not_a_lattice)):
+        path = tmp_path / "bad.lat"
+        path.write_text(variant)
+        assert cli.main(["check", str(path), "--json"]) == 1
+        assert capsys.readouterr() == ("", "error: NotALattice: no least upper bound for a, b\n")
+
+
 def test_check_lists_union_maps(tmp_path, capsys):
     path = tmp_path / "umap.lat"
     path.write_text(DOC + "\numap t : C2 -> D4\n1 |-> {a,b}\n")

@@ -31,6 +31,8 @@ from latkit.errors import (
 )
 from latkit.maps import hom_set, right_adjoint
 
+from test_kernel_oracle import cover_pairs, covers
+
 
 def test_build_poset_transitive_closure():
     poset = build_poset(3, [(0, 1), (1, 2)])
@@ -51,8 +53,11 @@ def test_full_leq_mode_rejects_missing_transitivity():
 
 def test_poset_covers():
     chain4 = corpus.chain(4)
-    assert chain4.poset.covers(0) == [1]
-    assert chain4.poset.cover_pairs() == [(0, 1), (1, 2), (2, 3)]
+    assert covers(chain4.poset, 0) == [1]
+    assert cover_pairs(chain4.poset) == [(0, 1), (1, 2), (2, 3)]
+    # The chain keeps the diagram it was built from, and its lattice reads it.
+    assert chain4.poset.upper_covers == [[1], [2], [3], []]
+    assert chain4.lower_covers == ((0, ()), (1, (0,)), (2, (1,)), (3, (2,)))
 
 
 def test_lattice_tables_on_diamond():

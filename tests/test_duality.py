@@ -30,10 +30,10 @@ def test_lattice_dual_reverses_the_order():
 
 def test_meet_side_read_off_the_dual():
     for name, lat in LATTICES.items():
-        covers = lat.poset.covers
-        assert lat.dual.atoms() == [a for a in lat.elements() if covers(a) == [lat.top]], name
+        covers = lat.poset.upper_covers
+        assert lat.dual.atoms() == [a for a in lat.elements() if covers[a] == [lat.top]], name
         assert _JoinSearch(lat.dual).irr == [
-            a for a in lat.elements() if len(covers(a)) == 1
+            a for a in lat.elements() if len(covers[a]) == 1
         ], name
 
 

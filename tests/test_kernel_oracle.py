@@ -127,6 +127,33 @@ def ref_covers(poset, a):
     return [b for b in above if not any(c != b and leq(poset, c, b) for c in above)]
 
 
+def covers(poset, a):
+    """Elements covering a, in index order: the elements b strictly above a
+    whose down-set meets the strict up-set of a in b alone."""
+    above = poset.up[a] & ~(1 << a)
+    down = poset.down
+    return [b for b in range(poset.size) if above >> b & 1 and down[b] & above == 1 << b]
+
+
+def cover_pairs(poset):
+    return [(a, b) for a in range(poset.size) for b in covers(poset, a)]
+
+
+def ref_join_table(poset):
+    """Entry (a, b) is the least upper bound of a and b, or None, by
+    searching all upper bounds."""
+    n = poset.size
+    rows = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            uppers = [c for c in range(n) if leq(poset, a, c) and leq(poset, b, c)]
+            least = [c for c in uppers if all(leq(poset, c, d) for d in uppers)]
+            row.append(least[0] if least else None)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def ref_lower_covers(lattice):
     """The lower covers by a scan of the whole down-set: for each b, in the
     order of its down-set size, every element below b is tested."""
@@ -367,7 +394,8 @@ def test_the_meet_table_is_the_dual_join_table_built_on_first_read(poset):
 
 
 def test_lower_covers_build_no_dual():
-    # A lattice without a dual scans its own down-sets; only a dual that is
+    # A lattice without a dual transposes its poset's upper covers, scanned
+    # here since an order given as up-sets keeps none; only a dual that is
     # already there is read.
     for lattice in corpus.named_lattices().values():
         fresh = lattice_from_poset(FinitePoset(lattice.poset.up, lattice.labels))
@@ -378,9 +406,9 @@ def test_lower_covers_build_no_dual():
 @settings(deadline=None, max_examples=300)
 @given(poset=cover_posets(), data=st.data())
 def test_pruned_lower_covers_match_the_whole_down_set_scan(poset, data):
-    # Half the examples read the dual's covers first, so the lattice's are
-    # the dual's transposed; the others scan the lattice and transpose it
-    # for the dual.
+    # A renumbered order keeps no diagram, so its proof scans the upper
+    # covers; the dual reads them as they are and the lattice transposes
+    # them, the dual first in half the examples.
     try:
         lattice = renumbered(lattice_from_poset(poset), data.draw)
     except ValidationError:
@@ -613,13 +641,13 @@ def test_an_unproved_retract_is_proved_when_sublattice_on_reads_it(monkeypatch):
     # The retract of a checked table is proved on the first sublattice_on of
     # its set and not again, and both read the same lattice.
     proofs = []
-    real = core._joins_exist
+    real = core._cover_joins_exist
 
-    def spy(up, down):
+    def spy(up, upper_covers):
         proofs.append(up)
-        return real(up, down)
+        return real(up, upper_covers)
 
-    monkeypatch.setattr(core, "_joins_exist", spy)
+    monkeypatch.setattr(core, "_cover_joins_exist", spy)
     interval = core.lower_interval(lattice, at["{0,1}"]).lattice
     assert proofs == []
     down = [at[x] for x in ("{}", "{0}", "{1}", "{0,1}")]
@@ -753,14 +781,107 @@ def test_library_orders_are_built_proved(factors, family):
 @given(poset=cover_posets())
 def test_covers_match_definition(poset):
     n = poset.size
-    assert [poset.covers(a) for a in range(n)] == [ref_covers(poset, a) for a in range(n)]
-    assert poset.cover_pairs() == [(a, b) for a in range(n) for b in ref_covers(poset, a)]
+    assert [covers(poset, a) for a in range(n)] == [ref_covers(poset, a) for a in range(n)]
+    assert cover_pairs(poset) == [(a, b) for a in range(n) for b in ref_covers(poset, a)]
+    # The diagram build_poset kept, and the scan of an equal poset that
+    # keeps none.
+    assert poset.upper_covers == [ref_covers(poset, a) for a in range(n)]
+    assert FinitePoset(poset.up, poset.labels).upper_covers == poset.upper_covers
     try:
         lattice = lattice_from_poset(poset)
     except ValidationError:
         return
     assert lattice.atoms() == ref_covers(poset, lattice.bottom)
     assert lattice.dual.atoms() == [a for a in range(n) if lattice.top in ref_covers(poset, a)]
+
+
+def renumbered_poset(poset, perm):
+    """The order with element a renumbered perm[a], given as up-sets, so it
+    keeps no Hasse diagram."""
+    up = [0] * poset.size
+    for a, row in enumerate(poset.up):
+        up[perm[a]] = sum(1 << perm[b] for b in range(poset.size) if row >> b & 1)
+    labels = [None] * poset.size
+    for a, label in enumerate(poset.labels):
+        labels[perm[a]] = label
+    return FinitePoset(tuple(up), tuple(labels))
+
+
+@settings(deadline=None, max_examples=400)
+@given(poset=cover_posets(), data=st.data())
+@example(poset=NO_JOIN_NO_MEET, data=None)
+def test_the_cover_proof_accepts_exactly_the_complete_join_tables(poset, data):
+    # With its kept diagram, and renumbered with a scanned one, an order is
+    # a lattice iff it has a bottom and its brute-force join table misses
+    # no entry (then the join of all elements is a top, and every meet is
+    # the join of the lower bounds); a refusal names the first pair of the
+    # full-table search, with its message and witness.
+    n = poset.size
+    perm = data.draw(st.permutations(range(n))) if data else list(reversed(range(n)))
+    for each in (poset, renumbered_poset(poset, perm)):
+        joins = ref_join_table(each)
+        complete = (1 << n) - 1 in each.up and all(None not in row for row in joins)
+        got = outcome(lattice_from_poset, each)
+        assert isinstance(got, core.FiniteLattice) == complete
+        if complete:
+            assert got.join_table == joins
+        else:
+            assert got == outcome(ref_lattice, each)
+
+
+@settings(deadline=None, max_examples=300)
+@given(relation=relations, data=st.data())
+def test_repeated_reflexive_and_transitive_pairs_keep_the_diagram(relation, data):
+    # build_poset given each pair twice, some pairs a<a and every a<c beside
+    # a<b and b<c, in a drawn order, builds the same order with the same
+    # upper covers as the pairs alone, or refuses it the same way.
+    n, pairs = relation
+    if data.draw(st.booleans()):  # acyclic: every pair along index order
+        pairs = [(min(pair), max(pair)) for pair in pairs]
+    loops = [(a, a) for a in data.draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    closing = [(a, d) for a, b in pairs for c, d in pairs if b == c]
+    extended = data.draw(st.permutations(pairs + pairs + loops + closing))
+    got = outcome(build_poset, n, extended)
+    assert got == outcome(build_poset, n, pairs)
+    if isinstance(got, FinitePoset):
+        want = [ref_covers(got, a) for a in range(n)]
+        assert got.upper_covers == want == build_poset(n, pairs).upper_covers
+
+
+def interval_above(lattice, a):
+    """The elements of [a, 1], a sublattice restricted with a proof."""
+    return [x for x in lattice.elements() if lattice.leq(a, x)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(poset=cover_posets(), factors=factor_lists(), family=set_families, data=st.data())
+def test_lower_covers_match_the_scan_on_every_construction(poset, factors, family, data):
+    # Orders built from pairs, from sets, from up-sets and from theorems;
+    # each with its upper extension and two restrictions, a lower interval
+    # (unproved) and an upper one (proved); each read before or after its
+    # dual.
+    built = [
+        core.direct_product(factors).lattice,
+        core.horizontal_sum(factors).lattice,
+        corpus.chain(data.draw(st.integers(1, 9))),
+        corpus.boolean_lattice(data.draw(st.integers(0, 4))),
+    ]
+    of_sets = outcome(lattice_of_sets, family + [frozenset(), frozenset(range(5))])
+    if isinstance(of_sets[0], core.FiniteLattice):
+        built.append(of_sets[0])
+    lattice = outcome(lattice_from_poset, poset)
+    if isinstance(lattice, core.FiniteLattice):
+        built += [lattice, renumbered(lattice, data.draw)]
+    for lattice in list(built):
+        a = data.draw(st.sampled_from(lattice.elements()))
+        built += [
+            core.upper_extension(lattice),
+            core.lower_interval(lattice, a).lattice,
+            core.sublattice_on(lattice, interval_above(lattice, a)),
+        ]
+    for lattice in built:
+        for each in (lattice.dual, lattice) if data.draw(st.booleans()) else (lattice, lattice.dual):
+            assert each.lower_covers == ref_lower_covers(each)
 
 
 @settings(deadline=None, max_examples=400)

@@ -162,6 +162,17 @@ def test_orders_are_made_in_one_place_and_argparse_is_imported_late():
     assert [entry for entry in imports if entry[1] == "argparse"] == []
 
 
+def test_covers_are_computed_in_one_place():
+    # A poset's upper covers are kept by the construction that knows them or
+    # scanned by FinitePoset.upper_covers, and lattices read them as
+    # lower_covers; no second cover scan or join-irreducible proof is left.
+    nodes = [node for module, tree in source_trees() for node in ast.walk(tree)]
+    defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert (defined | read) & {"_joins_exist", "covers", "cover_pairs"} == set()
+    assert {"upper_covers", "lower_covers", "_cover_joins_exist"} <= defined
+
+
 def test_a_union_map_is_stored_one_way():
     # A union map is its packed integer; no second form, no unchecked
     # constructor, no other packer and no separate strong-isotonicity factor.
