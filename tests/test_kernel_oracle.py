@@ -838,6 +838,8 @@ def test_repeated_reflexive_and_transitive_pairs_keep_the_diagram(relation, data
     n, pairs = relation
     if data.draw(st.booleans()):  # acyclic: every pair along index order
         pairs = [(min(pair), max(pair)) for pair in pairs]
+        if data.draw(st.booleans()):  # and bounded, so often a lattice
+            pairs += [(0, x) for x in range(n)] + [(x, n - 1) for x in range(n)]
     loops = [(a, a) for a in data.draw(st.lists(st.integers(0, n - 1), max_size=3))]
     closing = [(a, d) for a, b in pairs for c, d in pairs if b == c]
     extended = data.draw(st.permutations(pairs + pairs + loops + closing))
@@ -846,6 +848,10 @@ def test_repeated_reflexive_and_transitive_pairs_keep_the_diagram(relation, data
     if isinstance(got, FinitePoset):
         want = [ref_covers(got, a) for a in range(n)]
         assert got.upper_covers == want == build_poset(n, pairs).upper_covers
+        lattice = outcome(lattice_from_poset, got)
+        if isinstance(lattice, core.FiniteLattice):
+            for each in (lattice, lattice.dual):
+                assert each.lower_covers == ref_lower_covers(each)
 
 
 def interval_above(lattice, a):
