@@ -220,9 +220,6 @@ def build_poset(n, pairs, labels=None):
     down = [0] * n
     for a in reversed(order):
         above = succ[a]  # becomes the upper covers of a
-        if len(above) == 1:
-            up[a] = up[above[0]] | 1 << a
-            continue
         row, strict = 1 << a, 0
         for b in above:
             u = up[b]
@@ -788,17 +785,8 @@ def lattice_of_sets(family):
             if a <= sets[j]:
                 up[i] |= 1 << j
                 down[j] |= 1 << i
-    # The highest index left below a set is a lower cover of it: a set
-    # strictly between would be larger, so later, and left too.
-    upper = [[] for _ in sets]
-    for j, row in enumerate(down):
-        rest = row ^ 1 << j
-        while rest:
-            a = rest.bit_length() - 1
-            upper[a].append(j)
-            rest &= ~down[a]
     labels = tuple("{%s}" % ",".join(map(str, sorted(s))) for s in sets)
-    return lattice_from_poset(_proved_poset(up, down, labels, upper)), sets
+    return lattice_from_poset(_proved_poset(up, down, labels)), sets
 
 
 def random_moore_lattice(seed, n_points, n_generators):
