@@ -31,6 +31,13 @@ MAX_LATTICE_SIZE = 64
 MAX_POWER_BASE = 16
 
 
+def _check_carrier(what, total):
+    """Refuse, before it is built, a carrier of total elements past
+    MAX_LATTICE_SIZE; what names it in the message."""
+    if total > MAX_LATTICE_SIZE:
+        raise SizeLimit("%s carrier %d exceeds bound %d" % (what, total, MAX_LATTICE_SIZE))
+
+
 class cached_property:
     """A value computed on its first read and stored in the instance
     __dict__, which later reads find first (no __set__ here); unlike
@@ -665,8 +672,7 @@ def direct_product(factors):
     total = 1
     for f in factors:
         total *= f.size
-    if total > MAX_LATTICE_SIZE:
-        raise SizeLimit("product carrier %d exceeds bound %d" % (total, MAX_LATTICE_SIZE))
+    _check_carrier("product", total)
     elems = tuple(itertools.product(*[range(f.size) for f in factors]))
     index = {e: i for i, e in enumerate(elems)}
     # e covers what one coordinate moving down to a lower cover in its
@@ -727,8 +733,7 @@ def horizontal_sum(factors):
         [e for e in f.elements() if e not in (f.bottom, f.top)] for f in factors
     ]
     total = 2 + sum(len(i) for i in interiors)
-    if total > MAX_LATTICE_SIZE:
-        raise SizeLimit("sum carrier %d exceeds bound %d" % (total, MAX_LATTICE_SIZE))
+    _check_carrier("sum", total)
     # Index 0 is the shared bottom, last index the shared top.
     labels = ["0"]
     where = {}  # (factor, element) -> sum index
@@ -776,7 +781,9 @@ def upper_extension(lattice):
 
 def lattice_of_sets(family):
     """Lattice of a family of sets ordered by inclusion."""
-    sets = sorted(set(map(frozenset, family)), key=lambda s: (len(s), sorted(s)))
+    sets = set(map(frozenset, family))
+    _check_carrier("lattice of sets", len(sets))
+    sets = sorted(sets, key=lambda s: (len(s), sorted(s)))
     # Inclusion is an order.  A proper subset is smaller, so it comes first.
     up = [0] * len(sets)
     down = [0] * len(sets)

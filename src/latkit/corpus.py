@@ -6,6 +6,7 @@ import itertools
 
 from .core import (
     FiniteLattice,
+    _check_carrier,
     build_poset,
     direct_product,
     horizontal_sum,
@@ -20,6 +21,7 @@ def chain(n):
     built from its covers with its bounds and not proved one."""
     if n < 1:
         raise NotALattice("empty carrier has no bounds")
+    _check_carrier("chain", n)
     poset = build_poset(n, [(i, i + 1) for i in range(n - 1)], labels=[str(i) for i in range(n)])
     return FiniteLattice(poset, 0, n - 1)
 
@@ -29,6 +31,7 @@ def boolean_lattice(n_atoms):
     order, labels and bounds of lattice_of_sets: a lattice by theorem,
     built from its covers (a set below the set with one point more) and not
     proved one."""
+    _check_carrier("Boolean", 1 << n_atoms)
     subsets = [c for k in range(n_atoms + 1) for c in itertools.combinations(range(n_atoms), k)]
     index = {sum(1 << p for p in c): i for i, c in enumerate(subsets)}
     pairs = [

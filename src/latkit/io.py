@@ -7,7 +7,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from . import core
-from .errors import CycleDetected, ParseError, SizeLimit
+from .errors import CycleDetected, ParseError
 from .ortho import OrthoSpace, validate_ortho, validate_orthospace
 from .closure import ClosureSpace, partial_map
 from .core import LatticeMap
@@ -167,11 +167,7 @@ def _build_lattice(block):
     _reject_unknown_fields(block, _FIELDS["lattice"])
     labels, _ = block.fields["elements"]
     labels = labels.split()
-    if len(labels) > core.MAX_LATTICE_SIZE:
-        raise SizeLimit(
-            "lattice %s carrier %d exceeds bound %d"
-            % (block.name, len(labels), core.MAX_LATTICE_SIZE)
-        )
+    core._check_carrier("lattice %s" % block.name, len(labels))
     index = _indexed(labels)
     if len(index) != len(labels):
         raise ParseError("duplicate element labels", line=block.fields["elements"][1])

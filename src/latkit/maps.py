@@ -413,6 +413,12 @@ def _hom_tables(dom, cod, cls):
     return tables
 
 
+def _kept_join_tables(dom, cod):
+    """The join tables _hom_tables keeps on dom for cod, or None when none
+    are kept yet; nothing is enumerated."""
+    return dom.__dict__.get("hom_tables", {}).get((cod, "join"))
+
+
 def _value_masks(dom, cod, cls):
     """E[a][v] = the bitmask of the indices i, in hom_set order, of the maps
     f_i: dom -> cod of class cls with f_i(a) = v; kept on dom per (cod, cls)

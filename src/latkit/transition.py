@@ -10,7 +10,16 @@ from collections.abc import Sequence
 from . import core
 from .core import Frozen, LatticeMap, cached_property, compared_by, lattice_of_sets
 from .errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
-from .maps import _hom_tables, _residual, compose, pointwise_join
+from .maps import (
+    _guard,
+    _hom_tables,
+    _join_search,
+    _kept_join_tables,
+    _residual,
+    _residual_table,
+    compose,
+    pointwise_join,
+)
 
 # Budget: the most subsets of a carrier, or union maps between two
 # lattices, that an enumeration may materialize.
@@ -139,6 +148,7 @@ def resolution(lattice):
         raise SizeLimit(
             "lattice size %d exceeds powerset bound %d" % (lattice.size, core.MAX_POWER_BASE)
         )
+    core._check_carrier("lattice of sets", 1 << (lattice.size - 1))
     power_lattice, sets = lattice_of_sets(all_subsets(lattice))
     index = {s: i for i, s in enumerate(sets)}
     collapse = LatticeMap(power_lattice, lattice, tuple(lattice.join(s) for s in sets))
@@ -278,10 +288,67 @@ def _hull(pack, powers):
     return out
 
 
+def _searched_hull(theta):
+    """The packed union of the power maps of the join maps g that theta
+    dominates, found by the join search of maps._enumerate_preserving
+    restricted to them: g is dominated iff g(a) lies in S_a = theta(a) with
+    0 for every a.  Each irreducible j gets only the values of S_j at or
+    above its floor; at a leaf the steps fill the table, a value outside
+    its S_a drops the leaf, and off a distributive domain the leaf is kept
+    iff its residual exists.  SizeLimit is raised on the product of the
+    |S_j| before the search starts, and nothing is kept."""
+    src, tgt = theta.source, theta.target
+    search, fields = _join_search(src), _fields(src, tgt)
+    # allowed[a] = S_a as a mask over the target's elements: the image mask
+    # with a 0 bit inserted at the bottom's place, which is then set.
+    bottom = tgt.bottom
+    low = (1 << bottom) - 1
+    allowed = [1 << bottom] * src.size
+    for a, m in zip(nonzero(src), theta.images()):
+        allowed[a] |= m & low | (m & ~low) << 1
+    order, preds, steps = search.order, search.preds, search.steps
+    _guard(math.prod(allowed[j].bit_count() for j in order))
+    join, up, tested = tgt.join_table, tgt.poset.up, not search.prime
+    values = [bottom] * src.size
+
+    def hull(k):
+        """The packed union of the power maps kept below the assignment of
+        order[:k]."""
+        if k == len(order):
+            for a, x, y in steps:
+                v = values[a] = join[values[x]][values[y]]
+                if not allowed[a] >> v & 1:
+                    return 0
+            if tested and _residual_table(enumerate(values), src, tgt) is None:
+                return 0
+            return sum(map(list.__getitem__, fields, values))
+        floor, out = bottom, 0
+        for i in preds[k]:
+            floor = join[floor][values[i]]
+        j = order[k]
+        choices = up[floor] & allowed[j]
+        while choices:
+            values[j] = (choices & -choices).bit_length() - 1
+            choices &= choices - 1
+            out |= hull(k + 1)
+        return out
+
+    return hull(0)
+
+
 def based_hull(theta):
     """Union of every power map dominated by theta; theta is based iff this
-    reproduces it (based Hom-sets are exactly unions of power maps)."""
+    reproduces it (based Hom-sets are exactly unions of power maps).
+
+    Where the join tables source -> target are kept, the hull scans their
+    packed power maps, one & each.  Otherwise it searches only the join
+    maps theta dominates (see _searched_hull), and keeps no Hom-set: one
+    witness asked about once enumerates a handful of maps, not the whole
+    Hom-set, while a sweep that has read the tables anyway scans them
+    faster than it would search."""
     src, tgt = theta.source, theta.target
+    if _kept_join_tables(src, tgt) is None:
+        return UnionMap(src, tgt, _searched_hull(theta))
     return UnionMap(src, tgt, _hull(theta.pack, _power_packs(src, tgt)))
 
 
@@ -292,8 +359,10 @@ def is_based(theta):
 def strictness_witness(lattice, a):
     """theta fixing every set without the top and adjoining a to sets with it.
 
-    Coherent with the identity, but based only when every nonzero, nontop
-    element sits below a.
+    Coherent with the identity, and based exactly when a is the top or some
+    join map sends the top to a and every other element to itself or to
+    zero (the identity's power map covers the rest): at every element of a
+    chain, but at no atom of M3 and not at N5's a.
     """
     if a == lattice.bottom:
         raise ShapeMismatch("parameter must be nonzero")

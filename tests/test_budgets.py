@@ -65,6 +65,18 @@ def power_map_of_a_fresh_d4(monkeypatch):
     return lambda: transition.underlying_map(theta), lambda: calls
 
 
+def witness_of_a_fresh_m3(monkeypatch):
+    """A row setup: is_based of a strictness witness on M3, which keeps no
+    join Hom-set, so the hull searches the join maps the witness dominates;
+    its leaves' residual tests, and the Hom-sets kept on M3."""
+    m3 = corpus.m3()
+    theta = transition.strictness_witness(m3, 1)
+    calls = calls_of(monkeypatch, transition, "_residual_table")
+    return lambda: transition.is_based(theta), lambda: calls + [
+        key for memo in ("hom_tables", "power_packs") for key in m3.__dict__.get(memo, {})
+    ]
+
+
 C2, C3, D4 = corpus.chain(2), corpus.chain(3), corpus.diamond()
 O6_SPACE = ortho.orthospace_from_lattice(corpus.ortho_lattices()["O6"])[0]
 
@@ -86,6 +98,26 @@ BUDGETS = {
             "lattice L\nelements: 0 a b 1\ncovers: 0<a 0<b a<1 b<1\n"
         )),
         "lattice L carrier 4 exceeds bound 3",
+    ),
+    "chain": (
+        core, "MAX_LATTICE_SIZE", 3,
+        building(corpus, "build_poset", lambda: corpus.chain(4)),
+        "chain carrier 4 exceeds bound 3",
+    ),
+    "boolean_lattice": (
+        core, "MAX_LATTICE_SIZE", 3,
+        building(corpus, "build_poset", lambda: corpus.boolean_lattice(2)),
+        "Boolean carrier 4 exceeds bound 3",
+    ),
+    "lattice_of_sets": (
+        core, "MAX_LATTICE_SIZE", 3,
+        building(core, "_proved_poset", lambda: core.lattice_of_sets([(), (0,), (1,), (0, 1)])),
+        "lattice of sets carrier 4 exceeds bound 3",
+    ),
+    "resolution-carrier": (
+        core, "MAX_LATTICE_SIZE", 7,
+        building(transition, "all_subsets", lambda: transition.resolution(D4)),
+        "lattice of sets carrier 8 exceeds bound 7",
     ),
     "random_moore_lattice": (
         core, "MAX_POWER_BASE", 4,
@@ -119,6 +151,12 @@ BUDGETS = {
             core.LatticeMap(c3, d4, (0, 1, 3)))
         ),
         "9 candidate maps exceed bound 8",
+    ),
+    # The witness dominates 2 values at each of M3's 3 atoms.
+    "is_based-search": (
+        maps, "HOM_SET_CANDIDATE_BOUND", 7,
+        witness_of_a_fresh_m3,
+        "8 candidate maps exceed bound 7",
     ),
     "all_subsets": (
         transition, "ENUMERATION_BOUND", 4,

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latkit
-from latkit import cli, closure, corpus, io, suite, transition
+from latkit import cli, closure, corpus, io, maps, suite, transition
 from latkit.core import LatticeMap
 from latkit.errors import NotJoinPreserving
 from latkit.maps import preservation_profile
@@ -548,6 +548,49 @@ def test_witness_checks_coherence_with_the_identity(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["coherent_with_identity"] is False
     assert cli.main(["witness", "M3", "a"]) == 0
     assert "# coherent with the identity: False;" in capsys.readouterr().out
+
+
+def test_witness_enumerates_no_hom_set(capsys, monkeypatch):
+    # A cold witness searches only the join maps it dominates.
+    def refuse(*args):
+        raise AssertionError("a Hom-set was enumerated")
+
+    monkeypatch.setattr(maps, "_enumerate", refuse)
+    assert cli.main(["witness", "B16", "{0}", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "lattice": "B16", "element": "{0}", "coherent_with_identity": True, "based": False,
+    }
+
+
+def test_witness_refuses_by_the_dominated_candidates(tmp_path, capsys):
+    # B64's witness dominates 2 values at each of its 6 atoms (64
+    # candidates, where the whole join Hom-set faces 64 ** 6), and C20's 2
+    # at each of 18 elements and 3 at its top (2 ** 18 * 3 = 786,432).
+    path = tmp_path / "big.lat"
+    path.write_text(
+        io.format_lattice("B64", corpus.boolean_lattice(6))
+        + io.format_lattice("C20", corpus.chain(20))
+    )
+    assert cli.main(["witness", "B64", "{0}", "--files", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["based"] is False
+    assert cli.main(["witness", "C20", "1", "--files", str(path), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "size limit: 786432 candidate maps exceed bound 500000\n"
+
+
+def test_equiv_refuses_a_closed_set_lattice_past_the_carrier_bound(tmp_path, capsys):
+    # The discrete space on 7 points has 128 closed sets.
+    points = ["p%d" % i for i in range(7)]
+    closed = [
+        "{%s}" % ",".join(c) for k in range(8) for c in itertools.combinations(points, k)
+    ]
+    path = tmp_path / "discrete.lat"
+    path.write_text("cspace F\npoints: %s\nclosed: %s\n" % (" ".join(points), " ".join(closed)))
+    assert cli.main(["equiv", str(path), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "size limit: lattice of sets carrier 128 exceeds bound 64\n"
 
 
 def test_witness_unknown_element(capsys):

@@ -234,6 +234,62 @@ def test_hull_matches_the_power_map_union_on_small_corpus_pairs():
             assert hom_count("BS", source, target) == based
 
 
+def copy_of(lattice, perm):
+    """A new lattice instance with element i at lattice's perm[i], built
+    from its up-sets, so it keeps no Hom-set."""
+    up = tuple(
+        sum(1 << j for j in range(lattice.size) if lattice.leq(perm[i], perm[j]))
+        for i in range(lattice.size)
+    )
+    return core.lattice_from_poset(core.FinitePoset(up, tuple(lattice.labels[e] for e in perm)))
+
+
+def keeps_no_hom_set(lattice):
+    return not lattice.__dict__.get("hom_tables") and not lattice.__dict__.get("power_packs")
+
+
+@pytest.mark.parametrize("renumber", [False, True])
+def test_hull_searched_on_lattices_that_keep_no_hom_set(renumber):
+    # The same comparison as above, on copies that keep no join Hom-set, so
+    # based_hull searches the maps theta dominates; renumbered, reversed,
+    # the bottom is no longer element 0 (C1 aside).  The power maps come
+    # from equal copies of their own, which keep the Hom-set instead.
+    pool = [
+        copy_of(lattice, list(range(lattice.size))[:: -1 if renumber else 1])
+        for lattice in corpus.named_lattices(max_size=4).values()
+    ]
+    if renumber:
+        assert all(lattice.bottom == lattice.size - 1 for lattice in pool)
+    for source, target in itertools.product(pool, repeat=2):
+        twin = copy_of(source, range(source.size))
+        power_tables = [
+            {a: frozenset([g(a)]) - {target.bottom} for a in nonzero(source)}
+            for g in hom_set(twin, target, "join")
+        ]
+        for theta in all_union_maps(source, target):
+            hull = ref_based_hull(theta, power_tables)
+            assert based_hull(theta) == hull
+            assert is_based(theta) == (hull == theta)
+        assert keeps_no_hom_set(source)
+
+
+def test_witness_basedness_is_the_same_on_both_paths(monkeypatch):
+    # Every corpus lattice's strictness witnesses, and those of a reversed
+    # copy: searched on a lattice that keeps no join Hom-set, then scanned,
+    # with no search, once the Hom-set is kept.
+    search = transition._searched_hull
+    for lattice in corpus.named_lattices().values():
+        for copy in (lattice, copy_of(lattice, list(range(lattice.size))[::-1])):
+            witnesses = [strictness_witness(copy, a) for a in nonzero(copy)]
+            monkeypatch.setattr(transition, "_searched_hull", search)
+            searched = [is_based(theta) for theta in witnesses]
+            assert keeps_no_hom_set(copy)
+            hom_set(copy, copy, "join")
+            monkeypatch.setattr(transition, "_searched_hull", None)
+            assert [is_based(theta) for theta in witnesses] == searched
+            assert not keeps_no_hom_set(copy)
+
+
 def test_based_counts_frozen():
     table = corpus.named_lattices()
     assert hom_count("BS", table["C2"], table["B8"]) == 128
