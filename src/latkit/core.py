@@ -570,15 +570,27 @@ def identity_map(lattice):
 
 
 class Retract(Frozen):
-    """The image of an idempotent isotone map p, ordered as in the lattice
-    (a lattice: Davey & Priestley, ch. 7), with its inclusion and x |-> p(x).
-    elements are indices into the ambient carrier."""
+    """The image of an idempotent isotone map p on ambient, ordered as in
+    ambient (a lattice: Davey & Priestley, ch. 7).  lattice is the image,
+    elements its members as indices into ambient, in index order, and table
+    p's value table.  The inclusion and x |-> p(x) are built on first read
+    and kept, so a reader of elements and lattice alone builds no map."""
 
-    def __init__(self, lattice, elements, inclusion, projection):
-        self.__dict__.update(lattice=lattice, elements=elements, inclusion=inclusion,
-                             projection=projection)
+    def __init__(self, lattice, elements, ambient, table):
+        self.__dict__.update(lattice=lattice, elements=elements, ambient=ambient, table=table)
 
-    __eq__, __hash__ = compared_by("lattice", "elements", "inclusion", "projection")
+    __eq__, __hash__ = compared_by("lattice", "elements", "ambient", "table")
+
+    @cached_property
+    def inclusion(self):
+        return LatticeMap._unchecked(self.lattice, self.ambient, self.elements)
+
+    @cached_property
+    def projection(self):
+        index = dict(zip(self.elements, range(len(self.elements))))
+        return LatticeMap._unchecked(
+            self.ambient, self.lattice, tuple(map(index.__getitem__, self.table))
+        )
 
 
 def retract(lattice, table):
@@ -586,12 +598,10 @@ def retract(lattice, table):
     in index order, with the sublattice_on cache.  They are a lattice by
     theorem (see Retract), so the restriction is not proved one: the table
     is trusted, and sublattice_on proves the same element set when it
-    first reads it."""
+    first reads it.  No map is built (see Retract)."""
+    table = tuple(table)
     elems = tuple([a for a, p in enumerate(table) if p == a])
-    sub = _restriction(lattice, elems, False)
-    index = dict(zip(elems, range(len(elems))))
-    projection = LatticeMap._unchecked(lattice, sub, tuple(map(index.__getitem__, table)))
-    return Retract(sub, elems, LatticeMap._unchecked(sub, lattice, elems), projection)
+    return Retract(_restriction(lattice, elems, False), elems, lattice, table)
 
 
 def sublattice_on(lattice, elems):
@@ -657,13 +667,38 @@ def lower_interval(lattice, a):
 
 
 class Product(Frozen):
-    """A direct product: elements are coordinate tuples, and the sections
-    pad the other factors with 0, or with 1."""
+    """A direct product: elements are coordinate tuples, in the order of
+    itertools.product, and the sections pad the other factors with 0, or
+    with 1.  The projections and the sections are built on first read and
+    kept, so a reader of lattice alone builds no map."""
 
-    def __init__(self, lattice, factors, elements, projections, bottom_sections, top_sections):
-        self.__dict__.update(lattice=lattice, factors=factors, elements=elements,
-                             projections=projections, bottom_sections=bottom_sections,
-                             top_sections=top_sections)
+    def __init__(self, lattice, factors, elements):
+        self.__dict__.update(lattice=lattice, factors=factors, elements=elements)
+
+    @cached_property
+    def projections(self):
+        return tuple(
+            LatticeMap._unchecked(self.lattice, f, tuple(e[k] for e in self.elements))
+            for k, f in enumerate(self.factors)
+        )
+
+    @cached_property
+    def bottom_sections(self):
+        return self._sections(tuple(f.bottom for f in self.factors))
+
+    @cached_property
+    def top_sections(self):
+        return self._sections(tuple(f.top for f in self.factors))
+
+    def _sections(self, pad):
+        """Factor k's section: b |-> the tuple pad with b in place k."""
+        index = {e: i for i, e in enumerate(self.elements)}
+        return tuple(
+            LatticeMap._unchecked(
+                f, self.lattice, tuple(index[pad[:k] + (b,) + pad[k + 1:]] for b in f.elements())
+            )
+            for k, f in enumerate(self.factors)
+        )
 
 
 def direct_product(factors):
@@ -693,35 +728,43 @@ def direct_product(factors):
     # A product of lattices is a lattice, bounded coordinatewise.
     bottom, top = index[tuple(f.bottom for f in factors)], index[tuple(f.top for f in factors)]
     lattice = FiniteLattice(build_poset(total, pairs, labels), bottom, top)
-    projections = []
-    bottom_sections = []
-    top_sections = []
-    for k, f in enumerate(factors):
-        projections.append(LatticeMap(lattice, f, tuple(e[k] for e in elems)))
-        lo = []
-        hi = []
-        for b in f.elements():
-            lo.append(index[tuple(b if i == k else g.bottom for i, g in enumerate(factors))])
-            hi.append(index[tuple(b if i == k else g.top for i, g in enumerate(factors))])
-        bottom_sections.append(LatticeMap(f, lattice, tuple(lo)))
-        top_sections.append(LatticeMap(f, lattice, tuple(hi)))
-    return Product(
-        lattice,
-        tuple(factors),
-        elems,
-        tuple(projections),
-        tuple(bottom_sections),
-        tuple(top_sections),
-    )
+    return Product(lattice, tuple(factors), elems)
 
 
 class HorizontalSum(Frozen):
     """A horizontal sum: the inclusions keep interiors and share the bounds,
-    and the collapses send the foreign interiors to 1, or to 0."""
+    and the collapses send the foreign interiors to 1, or to 0.  tables
+    holds the inclusions' value tables; the maps are built on first read
+    and kept, so a reader of lattice alone builds no map."""
 
-    def __init__(self, lattice, factors, inclusions, top_collapses, bottom_collapses):
-        self.__dict__.update(lattice=lattice, factors=factors, inclusions=inclusions,
-                             top_collapses=top_collapses, bottom_collapses=bottom_collapses)
+    def __init__(self, lattice, factors, tables):
+        self.__dict__.update(lattice=lattice, factors=factors, tables=tables)
+
+    @cached_property
+    def inclusions(self):
+        return tuple(
+            LatticeMap._unchecked(f, self.lattice, inc) for f, inc in zip(self.factors, self.tables)
+        )
+
+    @cached_property
+    def top_collapses(self):
+        return self._collapses("top")
+
+    @cached_property
+    def bottom_collapses(self):
+        return self._collapses("bottom")
+
+    def _collapses(self, bound):
+        """Each factor's collapse: the inverse of its inclusion on the
+        inclusion's image, and the factor's bound ("top" or "bottom")
+        elsewhere."""
+        out = []
+        for f, inc in zip(self.factors, self.tables):
+            table = [getattr(f, bound)] * self.lattice.size
+            for e, x in enumerate(inc):
+                table[x] = e
+            out.append(LatticeMap._unchecked(self.lattice, f, tuple(table)))
+        return tuple(out)
 
 
 def horizontal_sum(factors):
@@ -757,21 +800,7 @@ def horizontal_sum(factors):
         for b, lower in f.lower_covers for a in lower
     ]
     lattice = FiniteLattice(build_poset(n, pairs, labels), 0, top)
-    inclusions = []
-    top_collapses = []
-    bottom_collapses = []
-    for f, inc in zip(factors, incs):
-        inclusions.append(LatticeMap(f, lattice, inc))
-        back = {v: e for e, v in zip(f.elements(), inc)}.get
-        top_collapses.append(LatticeMap(lattice, f, tuple(back(x, f.top) for x in range(n))))
-        bottom_collapses.append(LatticeMap(lattice, f, tuple(back(x, f.bottom) for x in range(n))))
-    return HorizontalSum(
-        lattice,
-        tuple(factors),
-        tuple(inclusions),
-        tuple(top_collapses),
-        tuple(bottom_collapses),
-    )
+    return HorizontalSum(lattice, tuple(factors), tuple(incs))
 
 
 def upper_extension(lattice):

@@ -23,8 +23,9 @@ class PreservationProfile:
     """Preservation flags of one map.
 
     The four O(n) flags are set when the profile is built, each by a lookup
-    or a count of the value table.  joins and meets read the map's residual
-    (see _residual).
+    or a count of the value table.  joins reads the map's residual and meets
+    its left residual (see _residual and _left_residual), kept on the map,
+    so no dual map is built for meets.
     """
 
     def __init__(self, f):
@@ -45,7 +46,7 @@ class PreservationProfile:
     @property
     def meets(self):
         """All meets, including the empty one (f(1)=1)."""
-        return self.balanced and _residual(self._map.dual) is not None
+        return self.balanced and _left_residual(self._map) is not None
 
 
 def _failing_pair(values, dom_table, cod_table):
@@ -67,11 +68,14 @@ def preservation_profile(f):
     return PreservationProfile(f)
 
 
-def _join_witness(f):
-    dom, cod = f.dom, f.cod
-    if f.values[dom.bottom] != cod.bottom:
+def _join_witness(values, dom, cod):
+    """The first failure of joins of the map dom -> cod with this table:
+    (dom.bottom,) if it moves the bottom, else its first failing pair.  On
+    the dual lattices it is the first failure of meets, with no dual map
+    built."""
+    if values[dom.bottom] != cod.bottom:
         return (dom.bottom,)
-    return _failing_pair(f.values, dom.join_table, cod.join_table)
+    return _failing_pair(values, dom.join_table, cod.join_table)
 
 
 def _residual(f):
@@ -81,6 +85,16 @@ def _residual(f):
     if "residual" not in memo:
         memo["residual"] = _residual_table(enumerate(f.values), f.dom, f.cod)
     return memo["residual"]
+
+
+def _left_residual(f):
+    """The table of f's left adjoint, or None if f does not preserve all
+    meets: its residual between the dual lattices, kept in f's memo, so no
+    dual map is built (see _residual_table)."""
+    memo = f.__dict__
+    if "left_residual" not in memo:
+        memo["left_residual"] = _residual_table(enumerate(f.values), f.dom.dual, f.cod.dual)
+    return memo["left_residual"]
 
 
 def _residual_table(pairs, dom, cod):
@@ -124,7 +138,9 @@ def right_adjoint(f):
         return memo["right_adjoint"]
     table = _residual(f)
     if table is None:
-        raise NotJoinPreserving("map does not preserve joins", witness=_join_witness(f))
+        raise NotJoinPreserving(
+            "map does not preserve joins", witness=_join_witness(f.values, f.dom, f.cod)
+        )
     g = LatticeMap._unchecked(f.cod, f.dom, table)
     memo["right_adjoint"] = g
     return g
@@ -133,14 +149,24 @@ def right_adjoint(f):
 def left_adjoint(g):
     """g_*(a) = meet of everything g sends above a.  Requires all meets.
 
-    This is the right adjoint of g in the dual order, so it is kept on
-    g.dual.  Neither adjoint links its result back to its source:
+    This is the right adjoint of g in the dual order: its table is g's left
+    residual (see _left_residual), and the map is kept on g, so no dual map
+    is built.  A failure is raised again on every call, with the top, if g
+    moves it, or else the first pair whose meet g moves as its witness.
+    Neither adjoint links its result back to its source:
     left_adjoint(right_adjoint(f)) is computed afresh.
     """
-    try:
-        return right_adjoint(g.dual).dual
-    except NotJoinPreserving as exc:
-        raise NotMeetPreserving("map does not preserve meets", witness=exc.witness) from None
+    memo = g.__dict__
+    if "left_adjoint" in memo:
+        return memo["left_adjoint"]
+    table = _left_residual(g)
+    if table is None:
+        raise NotMeetPreserving(
+            "map does not preserve meets",
+            witness=_join_witness(g.values, g.dom.dual, g.cod.dual),
+        )
+    f = memo["left_adjoint"] = LatticeMap._unchecked(g.cod, g.dom, table)
+    return f
 
 
 def _below(f):
@@ -588,11 +614,16 @@ def classify_morphism(f, cls="join"):
     profile = preservation_profile(f)
     if cls == "join":
         if not profile.joins:
-            raise NotInClass("map does not preserve joins", witness=_join_witness(f))
+            raise NotInClass(
+                "map does not preserve joins", witness=_join_witness(f.values, f.dom, f.cod)
+            )
         g = right_adjoint(f)
     elif cls == "meet":
         if not profile.meets:
-            raise NotInClass("map does not preserve meets", witness=_join_witness(f.dual))
+            raise NotInClass(
+                "map does not preserve meets",
+                witness=_join_witness(f.values, f.dom.dual, f.cod.dual),
+            )
         g = left_adjoint(f)
     else:
         raise ValueError("cls must be 'join' or 'meet'")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .core import Frozen, LatticeMap, compared_by, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from .maps import _hom_tables, _residual, _residual_table, left_adjoint, right_adjoint
+from .maps import _hom_tables, _left_residual, _residual_table, left_adjoint, right_adjoint
 
 
 class WeakMeetMap(Frozen):
@@ -18,16 +18,17 @@ class WeakMeetMap(Frozen):
 
     extended, the map on the upper extensions that also sends the adjoined
     top to the adjoined top, preserves all meets iff the map preserves the
-    non-empty ones: the constructor decides the map by one residual pass on
-    its dual, which leaves the left adjoint that pointed_extend reads, and
-    weak_meet_maps builds the maps from the meet tables of the extensions.
-    Equality and hashing read map alone."""
+    non-empty ones: the constructor decides the map by one pass for the
+    left residual of extended (see maps._left_residual), which is kept on
+    extended for the left adjoint that pointed_extend reads; no dual map is
+    built.  weak_meet_maps builds the maps from the meet tables of the
+    extensions.  Equality and hashing read map alone."""
 
     def __init__(self, map):
         extended = LatticeMap._unchecked(
             upper_extension(map.dom), upper_extension(map.cod), map.values + (map.cod.size,)
         )
-        if _residual(extended.dual) is None:
+        if _left_residual(extended) is None:
             raise NotWeakMeet("map does not preserve non-empty meets")
         self.__dict__.update(map=map, extended=extended)
 

@@ -1,15 +1,25 @@
 """Order duality: L.dual and f.dual, and the meet side derived from them."""
 
+import random
+
+import pytest
+
 from latkit import corpus
-from latkit.core import lattice_from_poset
+from latkit.core import LatticeMap, lattice_from_poset
+from latkit.errors import NotJoinPreserving, NotMeetPreserving
 from latkit.maps import (
     _JoinSearch,
+    _left_residual,
+    _residual,
     hom_set,
     left_adjoint,
     pointwise_join,
     pointwise_meet,
+    preservation_profile,
     right_adjoint,
 )
+
+from test_hom_oracle import renumber
 
 LATTICES = corpus.named_lattices()
 SMALL = [lat for lat in LATTICES.values() if lat.size <= 4]
@@ -54,13 +64,70 @@ def test_map_dual_keeps_the_table():
 
 
 def test_left_adjoint_is_the_right_adjoint_of_the_dual():
+    # The left adjoint is kept on the map itself, built from its left
+    # residual with no dual map; it equals the right adjoint of the dual.
     for dom in SMALL:
         for cod in SMALL:
-            for g in hom_set(dom, cod, "meet"):
+            for meet in hom_set(dom, cod, "meet"):
+                g = LatticeMap(dom, cod, meet.values)
                 f = left_adjoint(g)
                 assert left_adjoint(g) is f
-                assert f is right_adjoint(g.dual).dual
+                assert "dual" not in g.__dict__
+                assert f == right_adjoint(g.dual).dual
                 assert f.dom is cod and f.cod is dom
+
+
+def meet_outcome(g):
+    """(left residual, left adjoint or the witness of its failure, meets),
+    read from g alone."""
+    try:
+        adjoint = left_adjoint(g)
+    except NotMeetPreserving as exc:
+        adjoint = exc.witness
+    return _left_residual(g), adjoint, preservation_profile(g).meets
+
+
+def dual_outcome(g):
+    """The same, read from the right adjoint of g.dual."""
+    try:
+        adjoint = right_adjoint(g.dual).dual
+    except NotJoinPreserving as exc:
+        adjoint = exc.witness
+    meets = g.values[g.dom.top] == g.cod.top and _residual(g.dual) is not None
+    return _residual(g.dual), adjoint, meets
+
+
+def fails_meets(g, witness):
+    """The witness names a real failure of meets: g(1) != 1, or a pair."""
+    values, meet = g.values, g.cod.meet2
+    if len(witness) == 1:
+        return witness == (g.dom.top,) and values[g.dom.top] != g.cod.top
+    a, b = witness
+    return values[g.dom.meet2(a, b)] != meet(values[a], values[b])
+
+
+@pytest.mark.parametrize("renumbered", [False, True])
+def test_the_kept_left_residual_is_the_residual_of_the_dual(renumbered):
+    # On every pair of corpus lattices of at most 5 elements, renumbered or
+    # not, every isotone map: its left residual, left adjoint (or the
+    # witness it fails with) and meet flag are those read from its dual
+    # map, and reading them builds no dual map.
+    rng = random.Random(7)
+    lattices = list(corpus.named_lattices(max_size=5).values())
+    if renumbered:
+        lattices = [renumber(lat, rng.sample(range(lat.size), lat.size)) for lat in lattices]
+    seen = {True: 0, False: 0}
+    for dom in lattices:
+        for cod in lattices:
+            for g in hom_set(dom, cod, "isotone"):
+                got = meet_outcome(g)
+                assert "dual" not in g.__dict__
+                assert meet_outcome(g) == got
+                assert got == dual_outcome(g), (g.values, got)
+                if got[0] is None:
+                    assert fails_meets(g, got[1]), (g.values, got)
+                seen[got[0] is not None] += 1
+    assert seen[True] and seen[False] and sum(seen.values()) == 23556
 
 
 def test_meet_hom_set_is_the_join_hom_set_of_the_duals():

@@ -147,16 +147,14 @@ RECORDS = {
     "FinitePoset": (lambda: diamond().poset, ("up", "labels")),
     "FiniteLattice": (diamond, ("poset", "bottom", "top")),
     "LatticeMap": (identity_d4, ("dom", "cod", "values")),
-    "Retract": (
-        lambda: lower_interval(diamond(), 2), ("lattice", "elements", "inclusion", "projection")
-    ),
+    "Retract": (lambda: lower_interval(diamond(), 2), ("lattice", "elements", "ambient", "table")),
     "Product": (
         lambda: core.direct_product([corpus.chain(2), corpus.chain(2)]),
-        ("lattice", "factors", "elements", "projections", "bottom_sections", "top_sections"),
+        ("lattice", "factors", "elements"),
     ),
     "HorizontalSum": (
         lambda: core.horizontal_sum([corpus.chain(3), corpus.chain(3)]),
-        ("lattice", "factors", "inclusions", "top_collapses", "bottom_collapses"),
+        ("lattice", "factors", "tables"),
     ),
     "SpecialMaps": (
         lambda: maps.special_maps(diamond(), 1, corpus.chain(2)),
@@ -243,8 +241,7 @@ COMPARED = {
         lambda: core.LatticeMap(chain(4, "wxyz"), chain(4, "stuv"), (0, 0, 0, 0)),
     ),
     "Retract": (
-        ("lattice", "elements", "inclusion", "projection"),
-        lambda: lower_interval(chain(4, "wxyz"), 2),
+        ("lattice", "elements", "ambient", "table"), lambda: lower_interval(chain(4, "wxyz"), 2)
     ),
     "ClosureOperator": (
         ("lattice", "table"), lambda: validate_closure(chain(3, "xyz"), (1, 1, 2))
@@ -311,6 +308,24 @@ def test_every_record_compares_by_its_fields_or_by_identity():
             changed.__dict__.update({f: getattr(first, f) for f in fields})
             changed.__dict__[field] = getattr(other, field)
             assert first != changed and changed != first, (name, field)
+
+
+def test_retracts_compare_as_their_maps_do():
+    # A Retract keeps its ambient lattice and table and builds its maps on
+    # first read; the table and the elements fix the projection, so two
+    # retracts are equal exactly when their lattices, elements, inclusions
+    # and projections are.
+    retracts = []
+    for lattice in corpus.named_lattices(max_size=5).values():
+        twin = lattice_from_poset(core.FinitePoset(lattice.poset.up, lattice.labels))
+        for lat in (lattice, twin):
+            retracts += [lower_interval(lat, a) for a in lat.elements()]
+            retracts += [core.retract(lat, lat.join_table[a]) for a in lat.elements()]
+    assert not any({"inclusion", "projection"} & vars(r).keys() for r in retracts)
+    for first in retracts:
+        for second in retracts:
+            fields = [(r.lattice, r.elements, r.inclusion, r.projection) for r in (first, second)]
+            assert (first == second) == (fields[0] == fields[1])
 
 
 def test_unchecked_upper_maps_pass_the_checked_constructor():

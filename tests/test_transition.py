@@ -526,3 +526,25 @@ def test_packs_rebuild_from_their_images_on_small_corpus_pairs():
             packs.add(theta.pack)
             images.add(frozenset(mine.items()))
         assert len(packs) == len(images) == len(maps)
+
+
+def test_the_coherence_sample_skips_only_maps_that_are_not_strongly_isotone(monkeypatch):
+    # The transition-coherence law skips a sampled union map with no
+    # coherent join map, and nothing else: another error from a check of
+    # the sample fails the law with its name.
+    from latkit import suite
+
+    d4 = corpus.diamond()
+    (law,) = [law for law in suite.LAWS if law.prop == "transition-coherence"]
+    assert law.body(d4, d4) is None
+    real = transition.coherence_check
+
+    def planted(f, theta, method="fast"):
+        if method == "exhaustive":  # read by the sample alone
+            raise ShapeMismatch("planted")
+        return real(f, theta, method)
+
+    monkeypatch.setattr(transition, "coherence_check", planted)
+    reports = []
+    suite._collect([(law.prop, "D4", lambda: law.body(d4, d4))], reports)
+    assert (reports[0].status, reports[0].witness) == ("fail", "ShapeMismatch: planted")

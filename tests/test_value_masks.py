@@ -98,6 +98,22 @@ def ref_duality(l1, l2):
     return None
 
 
+def ref_adjoint_laws(l1, l2):
+    """The adjoint-laws body before the value tables: four compose maps and
+    two record compares per join map."""
+    for f in suite._homs(l1, l2, "join"):
+        g = suite.right_adjoint(f)
+        if not suite.check_adjunction(f, g):
+            return "adjunction fails for %s" % (f.values,)
+        if not suite.preservation_profile(g).meets:
+            return "adjoint not meet preserving for %s" % (f.values,)
+        if maps.compose(maps.compose(f, g), f) != f:
+            return "f o f* o f != f for %s" % (f.values,)
+        if maps.compose(maps.compose(g, f), g) != g:
+            return "f* o f o f* != f* for %s" % (f.values,)
+    return None
+
+
 def ref_classify(f, cls="join"):
     """classify_morphism with its one-sided inverses found by the _inverts
     scan over the reverse Hom-set."""
@@ -487,6 +503,39 @@ drop_third_meet_map = planted_meet_maps(lambda tables: tables[:2] + tables[3:])
 non_isotone_meet_map = planted_meet_maps(lambda tables: tables[:-1] + ((3, 0, 0),))
 
 
+def planted_adjoint(values, replacement=None):
+    """A defect on D4: right_adjoint gives the join map with these values
+    the map with the replacement table, which check_adjunction accepts; with
+    no replacement, check_adjunction refuses the map's true adjoint."""
+
+    def plant(monkeypatch):
+        d4 = corpus.diamond()
+        target = core.LatticeMap(d4, d4, values)
+        wrong = None if replacement is None else core.LatticeMap(d4, d4, replacement)
+
+        def adjoint(f):
+            return wrong if wrong is not None and f == target else right_adjoint(f)
+
+        def adjunction(f, g):
+            return wrong is not None if f == target else check_adjunction(f, g)
+
+        monkeypatch.setattr(suite, "right_adjoint", adjoint)
+        monkeypatch.setattr(suite, "check_adjunction", adjunction)
+        return d4, d4
+
+    return plant
+
+
+# The identity's true adjoint refused.
+adjunction_refused = planted_adjoint((0, 1, 2, 3))
+# The identity given an adjoint that moves the top.
+adjoint_moves_top = planted_adjoint((0, 1, 2, 3), (0, 1, 2, 2))
+# The identity given the constant top, a meet map: f o f* o f is constant.
+adjoint_constant_top = planted_adjoint((0, 1, 2, 3), (3, 3, 3, 3))
+# The zero map given the identity, a meet map: f* o f o f* is the zero map.
+adjoint_of_zero_identity = planted_adjoint((0, 0, 0, 0), (0, 1, 2, 3))
+
+
 def swap_two_adjoints(monkeypatch):
     """right_adjoint and left_adjoint of two comparable join maps D4 -> C3
     swapped, so the double dual still holds and antitonicity fails."""
@@ -712,6 +761,12 @@ def old_validators(monkeypatch):
 # (law, planted defect, the old body or None for the law's own body under
 # the old library functions, the witness both give)
 PLANTED = [
+    ("adjoint-laws", adjunction_refused, ref_adjoint_laws, "adjunction fails for (0, 1, 2, 3)"),
+    ("adjoint-laws", adjoint_moves_top, ref_adjoint_laws,
+     "adjoint not meet preserving for (0, 1, 2, 3)"),
+    ("adjoint-laws", adjoint_constant_top, ref_adjoint_laws, "f o f* o f != f for (0, 1, 2, 3)"),
+    ("adjoint-laws", adjoint_of_zero_identity, ref_adjoint_laws,
+     "f* o f o f* != f* for (0, 0, 0, 0)"),
     ("adjoint-unique", drop_third_meet_map, ref_adjoint_unique,
      "0 adjoint candidates for (0, 2, 1, 2)"),
     ("adjoint-unique", non_isotone_meet_map, ref_adjoint_unique,
@@ -790,11 +845,13 @@ def test_weak_plants_are_caught_on_the_meet_kernel_maps(monkeypatch, prop, plant
 
 
 def test_every_rewritten_law_has_a_planted_defect():
-    rewritten = {"adjoint-unique", "duality-involution", "classification", "state-causal",
-                 "closure-monad", "space-functors", "continuity-composition", "boolean-duality",
-                 "weak-roundtrips", "partial-composition"}
+    rewritten = {"adjoint-laws", "adjoint-unique", "duality-involution", "classification",
+                 "state-causal", "closure-monad", "space-functors", "continuity-composition",
+                 "boolean-duality", "weak-roundtrips", "partial-composition"}
     assert {prop for prop, *_ in PLANTED} == rewritten
     # Without the defect each law passes on the same objects.
+    assert suite._adjoint_laws(corpus.diamond(), corpus.diamond()) is None
+    assert ref_adjoint_laws(corpus.diamond(), corpus.diamond()) is None
     assert suite._adjoint_unique(corpus.diamond(), corpus.chain(3)) is None
     assert suite._closure_monad(corpus.diamond(), corpus.diamond()) is None
     spaces = corpus.closure_spaces()
