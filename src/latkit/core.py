@@ -286,9 +286,9 @@ class FiniteLattice(Frozen):
     table), the size, the hash, the dual, the lower covers (from the Hasse
     diagram the poset keeps), the down-set index, the atom sets, the upper
     extension, the sublattices, the lower intervals, the Hom-sets out of the
-    lattice with their value masks (maps._value_masks), the weak meet maps
-    out of it (weak.weak_meet_maps), the data of the
-    join Hom-set search (maps._join_search), the atom space
+    lattice, one record each with its tables, value masks and maps
+    (maps._hom), the weak meet maps out of it (weak.weak_meet_maps), the
+    data of the join Hom-set search (maps._join_search), the atom space
     (closure.lattice_to_space, as atom_space), whether the lattice is
     Boolean (closure.is_boolean) and its set-complement ortho
     (corpus.boolean_ortho) are computed on first use and kept in the
@@ -342,7 +342,8 @@ class FiniteLattice(Frozen):
 
     @cached_property
     def _hom_sets(self):
-        """(cod, cls) -> maps.hom_set(self, cod, cls) as a tuple."""
+        """(cod, cls) -> the record of the Hom-set self -> cod of class cls,
+        made by maps._hom alone."""
         return {}
 
     @cached_property
@@ -537,17 +538,6 @@ class LatticeMap(Frozen):
 
     def __call__(self, a):
         return self.values[a]
-
-    @cached_property
-    def dual(self):
-        """The same value table between the dual lattices.  f.dual.dual is f.
-
-        The dual lattices have the sizes of dom and cod, so the table is
-        not validated again.
-        """
-        dual = LatticeMap._unchecked(self.dom.dual, self.cod.dual, self.values)
-        dual.__dict__["dual"] = self
-        return dual
 
     def is_isotone(self):
         # A finite order is the transitive closure of its covers (Davey &

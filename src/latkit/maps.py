@@ -3,7 +3,7 @@ special morphisms, classification, and Hom-set enumeration."""
 
 from __future__ import annotations
 
-from .core import Frozen, LatticeMap, compared_by, lower_interval
+from .core import Frozen, LatticeMap, cached_property, compared_by, lower_interval
 from .errors import (
     EmptyFamily,
     NotInClass,
@@ -24,8 +24,7 @@ class PreservationProfile:
 
     The four O(n) flags are set when the profile is built, each by a lookup
     or a count of the value table.  joins reads the map's residual and meets
-    its left residual (see _residual and _left_residual), kept on the map,
-    so no dual map is built for meets.
+    its left residual (see _residual and _left_residual), kept on the map.
     """
 
     def __init__(self, f):
@@ -71,8 +70,7 @@ def preservation_profile(f):
 def _join_witness(values, dom, cod):
     """The first failure of joins of the map dom -> cod with this table:
     (dom.bottom,) if it moves the bottom, else its first failing pair.  On
-    the dual lattices it is the first failure of meets, with no dual map
-    built."""
+    the dual lattices it is the first failure of meets."""
     if values[dom.bottom] != cod.bottom:
         return (dom.bottom,)
     return _failing_pair(values, dom.join_table, cod.join_table)
@@ -89,8 +87,8 @@ def _residual(f):
 
 def _left_residual(f):
     """The table of f's left adjoint, or None if f does not preserve all
-    meets: its residual between the dual lattices, kept in f's memo, so no
-    dual map is built (see _residual_table)."""
+    meets: its residual between the dual lattices, kept in f's memo (see
+    _residual_table)."""
     memo = f.__dict__
     if "left_residual" not in memo:
         memo["left_residual"] = _residual_table(enumerate(f.values), f.dom.dual, f.cod.dual)
@@ -150,9 +148,9 @@ def left_adjoint(g):
     """g_*(a) = meet of everything g sends above a.  Requires all meets.
 
     This is the right adjoint of g in the dual order: its table is g's left
-    residual (see _left_residual), and the map is kept on g, so no dual map
-    is built.  A failure is raised again on every call, with the top, if g
-    moves it, or else the first pair whose meet g moves as its witness.
+    residual (see _left_residual), and the map is kept on g.  A failure is
+    raised again on every call, with the top, if g moves it, or else the
+    first pair whose meet g moves as its witness.
     Neither adjoint links its result back to its source:
     left_adjoint(right_adjoint(f)) is computed afresh.
     """
@@ -221,22 +219,24 @@ def compose(f2, f1):
 
 
 def pointwise_join(fs):
+    return _pointwise(fs, "join")
+
+
+def pointwise_meet(gs):
+    return _pointwise(gs, "meet")
+
+
+def _pointwise(fs, op):
+    """The map a |-> the op, cod.join or cod.meet, of the f(a) for f in fs."""
     fs = list(fs)
     if not fs:
-        raise EmptyFamily("pointwise join of no maps")
+        raise EmptyFamily("pointwise %s of no maps" % op)
     dom, cod = fs[0].dom, fs[0].cod
     for f in fs:
         if f.dom != dom or f.cod != cod:
             raise ShapeMismatch("family does not share dom/cod")
-    values = tuple(cod.join([f(a) for f in fs]) for a in dom.elements())
-    return LatticeMap._unchecked(dom, cod, values)
-
-
-def pointwise_meet(gs):
-    duals = [g.dual for g in gs]
-    if not duals:
-        raise EmptyFamily("pointwise meet of no maps")
-    return pointwise_join(duals).dual
+    fold = getattr(cod, op)
+    return LatticeMap._unchecked(dom, cod, tuple(fold([f(a) for f in fs]) for a in dom.elements()))
 
 
 class SpecialMaps(Frozen):
@@ -406,7 +406,7 @@ def _search(dom, cod, order, preds, steps):
 
 def _enumerate(dom, cod, cls):
     """Value tables of the maps dom -> cod in class cls, any class of
-    MAP_CLASSES but meet, in any order."""
+    MAP_CLASSES but meet, in any order; any other class is a ValueError."""
     if cls == "isotone":
         return _enumerate_isotone(dom, cod)
     if cls == "join":
@@ -416,52 +416,65 @@ def _enumerate(dom, cod, cls):
     if cls == "dense-join":
         # A join map sends bottom to bottom, so it is dense iff nothing else goes there.
         return [v for v in _enumerate_preserving(dom, cod) if v.count(cod.bottom) == 1]
-    targets = set(cod.atoms()) | {cod.bottom}  # atomic-join
-    return [
-        v for v in _enumerate_preserving(dom, cod) if all(v[p] in targets for p in dom.atoms())
-    ]
+    if cls == "atomic-join":
+        targets = set(cod.atoms()) | {cod.bottom}
+        return [
+            v for v in _enumerate_preserving(dom, cod) if all(v[p] in targets for p in dom.atoms())
+        ]
+    raise ValueError("unknown map class %r" % cls)
 
 
-def _hom_tables(dom, cod, cls):
-    """The value tables of the maps dom -> cod in class cls, sorted, as a
-    tuple kept on dom.  Readers of tables alone build no map from them.
+class _HomSet:
+    """The maps dom -> cod of one class of MAP_CLASSES, kept on dom per
+    (cod, cls) by _hom, the one place that makes it.
 
-    A meet map has the table of its dual, a join map between the dual
-    lattices, so the meet tables are kept on dom.dual.
+    tables are their value tables, sorted, enumerated when the record is
+    made, so a SizeLimit keeps nothing.  masks and maps, one map per table
+    in table order, are built on first read.  A meet map has the table of
+    a join map between the dual lattices, so a meet record shares the
+    tables and masks of that join record, twin, and builds its own maps.
     """
-    if cls == "meet":
-        return _hom_tables(dom.dual, cod.dual, "join")
-    cache = dom.__dict__.setdefault("hom_tables", {})
-    key = (cod, cls)
-    tables = cache.get(key)
-    if tables is None:
-        tables = cache[key] = tuple(sorted(_enumerate(dom, cod, cls)))
-    return tables
+
+    def __init__(self, dom, cod, tables, twin=None):
+        self.dom, self.cod, self.tables, self.twin = dom, cod, tables, twin
+
+    @cached_property
+    def masks(self):
+        """E[a][v] = the bitmask of the indices i, in table order, of the
+        maps f_i with f_i(a) = v.
+
+        A set of maps is a bitmask over the Hom-set, so a search over maps
+        is a few ANDs and ORs of these rows: the maps with v <= f(a) are the
+        OR of E[a] over the up-set of v (see _at_most).
+        """
+        if self.twin is not None:
+            return self.twin.masks
+        return _masks_of(self.tables, self.dom.size, self.cod.size)
+
+    @cached_property
+    def maps(self):
+        dom, cod = self.dom, self.cod
+        return tuple(LatticeMap._unchecked(dom, cod, v) for v in self.tables)
 
 
-def _kept_join_tables(dom, cod):
-    """The join tables _hom_tables keeps on dom for cod, or None when none
-    are kept yet; nothing is enumerated."""
-    return dom.__dict__.get("hom_tables", {}).get((cod, "join"))
+def _hom(dom, cod, cls):
+    """The _HomSet of the maps dom -> cod in class cls, kept on dom; a class
+    outside MAP_CLASSES is a ValueError."""
+    kept = dom._hom_sets
+    hom = kept.get((cod, cls))
+    if hom is None:
+        if cls == "meet":
+            twin = _hom(dom.dual, cod.dual, "join")
+            hom = _HomSet(dom, cod, twin.tables, twin)
+        else:
+            hom = _HomSet(dom, cod, tuple(sorted(_enumerate(dom, cod, cls))))
+        kept[cod, cls] = hom
+    return hom
 
 
-def _value_masks(dom, cod, cls):
-    """E[a][v] = the bitmask of the indices i, in hom_set order, of the maps
-    f_i: dom -> cod of class cls with f_i(a) = v; kept on dom per (cod, cls)
-    beside _hom_tables, the meet masks on dom.dual as the meet tables are.
-
-    A set of maps is a bitmask over the Hom-set, so a search over maps is a
-    few ANDs and ORs of these rows: the maps with v <= f(a) are the OR of
-    E[a] over the up-set of v (see _at_most).
-    """
-    if cls == "meet":
-        return _value_masks(dom.dual, cod.dual, "join")
-    cache = dom.__dict__.setdefault("value_masks", {})
-    key = (cod, cls)
-    masks = cache.get(key)
-    if masks is None:
-        masks = cache[key] = _masks_of(_hom_tables(dom, cod, cls), dom.size, cod.size)
-    return masks
+def _keeps_hom(dom, cod, cls):
+    """Whether _hom keeps the Hom-set dom -> cod of class cls; nothing is enumerated."""
+    return (cod, cls) in dom._hom_sets
 
 
 def _masks_of(tables, n, m):
@@ -488,33 +501,17 @@ def _at_most(row, lattice):
     return out
 
 
-def _hom_tuple(dom, cod, cls):
-    """The maps of hom_set as a tuple, one per table of _hom_tables, kept
-    on dom.  The meet maps are the duals of the join maps between the dual
-    lattices, map for map."""
-    cache = dom._hom_sets
-    key = (cod, cls)
-    maps = cache.get(key)
-    if maps is None:
-        if cls == "meet":
-            maps = tuple(f.dual for f in _hom_tuple(dom.dual, cod.dual, "join"))
-        else:
-            maps = tuple(LatticeMap._unchecked(dom, cod, v) for v in _hom_tables(dom, cod, cls))
-        cache[key] = maps
-    return maps
-
-
 def hom_set(dom, cod, cls="join"):
     """Complete, duplicate-free enumeration in lexicographic table order.
 
     Each Hom-set is enumerated once per domain instance and kept on it, keyed
-    by (cod, cls); every call returns a fresh list of the shared maps.  A
-    SizeLimit is not kept: it is raised again on every call, against the
+    by (cod, cls), as one record (see _hom); every call returns a fresh list
+    of its shared maps.  A meet map is built from its own table, which is
+    the table of a join map between the dual lattices.  A SizeLimit is not
+    kept: it is raised again on every call, against the
     HOM_SET_CANDIDATE_BOUND of that call.
     """
-    if cls not in MAP_CLASSES:
-        raise ValueError("unknown map class %r" % cls)
-    return list(_hom_tuple(dom, cod, cls))
+    return list(_hom(dom, cod, cls).maps)
 
 
 class MorphismFlags(Frozen):
@@ -545,7 +542,7 @@ def _one_sided_inverses(f, cls):
     f o h = 1 iff h(b) lies in f's preimage of b for every b: the AND over b
     of the OR of E[b][a] over that preimage, the same cells grouped by f(a).
     """
-    masks = _value_masks(f.cod, f.dom, cls)
+    masks = _hom(f.cod, f.dom, cls).masks
     sections, hits = -1, [0] * f.cod.size
     for a, y in enumerate(f.values):
         cell = masks[y][a]
@@ -570,14 +567,14 @@ def _adjoint_sets(l1, l2):
     relation f(a) <= b, one dict lookup, as check_adjunction compares them.
     admitted: the g that the unit a <= g(f(a)) and the counit f(g(b)) <= b
     admit, from the meet maps' value masks."""
-    by_relation = {}
-    for j, g in enumerate(_hom_tuple(l2, l1, "meet")):
+    meets, by_relation = _hom(l2, l1, "meet"), {}
+    for j, g in enumerate(meets.maps):
         relation = _above(g)
         by_relation[relation] = by_relation.get(relation, 0) | 1 << j
-    values = _value_masks(l2, l1, "meet")  # values[b][x]: the g with g(b) = x
+    values = meets.masks  # values[b][x]: the g with g(b) = x
     above = [_at_most(row, l1.dual) for row in values]  # x <= g(b)
     up2 = l2.poset.up
-    for f in _hom_tuple(l1, l2, "join"):
+    for f in _hom(l1, l2, "join").maps:
         fv = f.values
         admitted = -1
         for a, y in enumerate(fv):
@@ -597,9 +594,10 @@ def _order_sets(l1, l2, stars):
     table of the i-th map's right adjoint.  Each set is an AND over the
     points of the order masks, read off the value masks of the maps and of
     the adjoints."""
-    above = [_at_most(row, l2.dual) for row in _value_masks(l1, l2, "join")]
+    joins = _hom(l1, l2, "join")
+    above = [_at_most(row, l2.dual) for row in joins.masks]
     below = [_at_most(row, l1) for row in _masks_of(stars, l2.size, l1.size)]
-    for f, star in zip(_hom_tuple(l1, l2, "join"), stars):
+    for f, star in zip(joins.maps, stars):
         over = under = -1
         for a, v in enumerate(f.values):
             over &= above[a][v]
@@ -609,24 +607,17 @@ def _order_sets(l1, l2, stars):
 
 
 def classify_morphism(f, cls="join"):
-    """Classification via the adjoint criteria; one-sided inverses by the
-    value masks of the reverse Hom-set."""
-    profile = preservation_profile(f)
-    if cls == "join":
-        if not profile.joins:
-            raise NotInClass(
-                "map does not preserve joins", witness=_join_witness(f.values, f.dom, f.cod)
-            )
-        g = right_adjoint(f)
-    elif cls == "meet":
-        if not profile.meets:
-            raise NotInClass(
-                "map does not preserve meets",
-                witness=_join_witness(f.values, f.dom.dual, f.cod.dual),
-            )
-        g = left_adjoint(f)
-    else:
+    """Classification via the adjoint criteria: f is in the class iff its
+    adjoint exists, and NotInClass carries the adjoint's failure (a residual
+    exists only where f fixes the bound, so no profile flag is read for it).
+    One-sided inverses by the value masks of the reverse Hom-set."""
+    if cls not in ("join", "meet"):
         raise ValueError("cls must be 'join' or 'meet'")
+    try:
+        g = right_adjoint(f) if cls == "join" else left_adjoint(f)
+    except (NotJoinPreserving, NotMeetPreserving) as exc:
+        raise NotInClass(str(exc), witness=exc.witness) from None
+    profile = preservation_profile(f)
     injective = len(set(f.values)) == f.dom.size
     surjective = len(set(f.values)) == f.cod.size
     section, retraction = _one_sided_inverses(f, cls)

@@ -16,12 +16,12 @@ from .core import Frozen, compared_by, direct_product, horizontal_sum, identity_
 from .errors import LatkitError, NotStronglyIsotone, ParseError, ShapeMismatch
 from .maps import (
     _adjoint_sets,
+    _hom,
     _lowest,
     _order_sets,
     check_adjunction,
     classify_morphism,
     compose,
-    hom_set,
     left_adjoint,
     pointwise_join,
     pointwise_meet,
@@ -53,9 +53,7 @@ class Report(Frozen):
         return out
 
 
-@functools.lru_cache(maxsize=4096)
-def _homs(dom, cod, cls):
-    return tuple(hom_set(dom, cod, cls))
+_homs = functools.lru_cache(maxsize=4096)(lambda dom, cod, cls: _hom(dom, cod, cls).maps)
 
 
 def _collect(checks, reports):

@@ -12,9 +12,9 @@ from .core import Frozen, LatticeMap, cached_property, compared_by, lattice_of_s
 from .errors import IncoherentInput, NotStronglyIsotone, ShapeMismatch, SizeLimit
 from .maps import (
     _guard,
-    _hom_tables,
+    _hom,
     _join_search,
-    _kept_join_tables,
+    _keeps_hom,
     _residual,
     _residual_table,
     compose,
@@ -273,7 +273,7 @@ def _power_packs(source, target):
     if packs is None:
         fields = _fields(source, target)
         packs = memo[target] = [
-            sum(map(list.__getitem__, fields, g)) for g in _hom_tables(source, target, "join")
+            sum(map(list.__getitem__, fields, g)) for g in _hom(source, target, "join").tables
         ]
     return packs
 
@@ -347,7 +347,7 @@ def based_hull(theta):
     Hom-set, while a sweep that has read the tables anyway scans them
     faster than it would search."""
     src, tgt = theta.source, theta.target
-    if _kept_join_tables(src, tgt) is None:
+    if not _keeps_hom(src, tgt, "join"):
         return UnionMap(src, tgt, _searched_hull(theta))
     return UnionMap(src, tgt, _hull(theta.pack, _power_packs(src, tgt)))
 
@@ -421,7 +421,7 @@ def hom_count(category, source, target):
     where enumerating the union maps would.
     """
     if category == "PS":
-        return len(_hom_tables(source, target, "join"))
+        return len(_hom(source, target, "join").tables)
     if category == "FS":
         return (1 << (target.size - 1)) ** (source.size - 1)
     if category not in ("TS", "BS"):
@@ -437,7 +437,7 @@ def hom_count(category, source, target):
     for v in _subset_joins(target):
         joining[v] += 1
     return sum(
-        math.prod(map(joining.__getitem__, g)) for g in _hom_tables(source, target, "join")
+        math.prod(map(joining.__getitem__, g)) for g in _hom(source, target, "join").tables
     )
 
 

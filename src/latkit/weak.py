@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .core import Frozen, LatticeMap, compared_by, lower_interval, upper_extension
 from .errors import NotJoinPreserving, NotWeakMeet, ShapeMismatch
-from .maps import _hom_tables, _left_residual, _residual_table, left_adjoint, right_adjoint
+from .maps import _hom, _left_residual, _residual_table, left_adjoint, right_adjoint
 
 
 class WeakMeetMap(Frozen):
@@ -20,9 +20,9 @@ class WeakMeetMap(Frozen):
     top to the adjoined top, preserves all meets iff the map preserves the
     non-empty ones: the constructor decides the map by one pass for the
     left residual of extended (see maps._left_residual), which is kept on
-    extended for the left adjoint that pointed_extend reads; no dual map is
-    built.  weak_meet_maps builds the maps from the meet tables of the
-    extensions.  Equality and hashing read map alone."""
+    extended for the left adjoint that pointed_extend reads.  weak_meet_maps
+    builds the maps from the meet tables of the extensions.  Equality and
+    hashing read map alone."""
 
     def __init__(self, map):
         extended = LatticeMap._unchecked(
@@ -144,7 +144,7 @@ def weak_meet_maps(dom, cod):
                 LatticeMap._unchecked(dom, cod, table[:-1]),
                 LatticeMap._unchecked(ext_dom, ext_cod, table),
             )
-            for table in _hom_tables(ext_dom, ext_cod, "meet")
+            for table in _hom(ext_dom, ext_cod, "meet").tables
             if table[top] != adjoined
         )
     return weak

@@ -72,9 +72,9 @@ def witness_of_a_fresh_m3(monkeypatch):
     m3 = corpus.m3()
     theta = transition.strictness_witness(m3, 1)
     calls = calls_of(monkeypatch, transition, "_residual_table")
-    return lambda: transition.is_based(theta), lambda: calls + [
-        key for memo in ("hom_tables", "power_packs") for key in m3.__dict__.get(memo, {})
-    ]
+    return lambda: transition.is_based(theta), lambda: (
+        calls + list(m3._hom_sets) + list(m3.__dict__.get("power_packs", {}))
+    )
 
 
 C2, C3, D4 = corpus.chain(2), corpus.chain(3), corpus.diamond()
@@ -176,7 +176,7 @@ BUDGETS = {
     # The counts read the join Hom-set's value tables, not the union maps.
     "hom_count-TS": (
         transition, "ENUMERATION_BOUND", 256,
-        building(transition, "_hom_tables", lambda: transition.hom_count("TS", D4, D4)),
+        building(transition, "_hom", lambda: transition.hom_count("TS", D4, D4)),
         "512 union maps exceed bound 256",
     ),
     "hom_count-BS": (

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from latkit import cli, core, corpus, io, maps, transition
+from latkit import cli, core, corpus, io, maps, suite, transition
 from latkit.closure import fixed_points, monad_from_adjunction
 from latkit.core import (
     FinitePoset,
@@ -24,6 +24,7 @@ from latkit.maps import (
     check_adjunction,
     hom_set,
     left_adjoint,
+    pointwise_meet,
     preservation_profile,
     right_adjoint,
 )
@@ -165,26 +166,66 @@ def test_hom_set_budget_is_read_at_call_time_and_a_refusal_is_not_memoised(monke
     assert hom_set(d4, c3, "join") == maps_at_nine
 
 
-def test_hom_tables_are_kept_once_and_read_without_building_maps(monkeypatch):
-    d4, m3 = corpus.diamond(), corpus.m3()
+def spy_on_unchecked_maps(monkeypatch):
+    """The (dom, cod, values) of every map LatticeMap._unchecked builds from now on."""
     built = []
     real = LatticeMap._unchecked.__func__
     monkeypatch.setattr(
         LatticeMap, "_unchecked", classmethod(lambda cls, *a: built.append(a) or real(cls, *a))
     )
-    tables = maps._hom_tables(d4, m3, "join")
-    assert maps._hom_tables(d4, m3, "join") is tables and list(tables) == sorted(tables)
+    return built
+
+
+def test_hom_tables_are_kept_once_and_read_without_building_maps(monkeypatch):
+    d4, m3 = corpus.diamond(), corpus.m3()
+    built = spy_on_unchecked_maps(monkeypatch)
+    hom = maps._hom(d4, m3, "join")
+    tables = hom.tables
+    assert maps._hom(d4, m3, "join") is hom and list(tables) == sorted(tables)
     assert transition.hom_count("PS", d4, m3) == len(tables)
     assert len(transition._power_packs(d4, m3)) == len(tables)
     assert transition.hom_count("TS", d4, m3) > transition.hom_count("BS", d4, m3) > 0
-    assert built == [] and d4._hom_sets == {}
+    assert built == [] and list(d4._hom_sets) == [(m3, "join")] and "maps" not in vars(hom)
     # hom_set builds one map per kept table, in table order.
     assert [f.values for f in hom_set(d4, m3, "join")] == list(tables)
     assert len(built) == len(tables)
-    # A meet map has the table of its dual, a join map between the duals.
-    meet_tables = maps._hom_tables(d4, m3, "meet")
-    assert meet_tables is maps._hom_tables(d4.dual, m3.dual, "join")
+    # A meet map has the table of a join map between the duals.
+    meet_tables = maps._hom(d4, m3, "meet").tables
+    assert meet_tables is maps._hom(d4.dual, m3.dual, "join").tables
     assert [g.values for g in hom_set(d4, m3, "meet")] == list(meet_tables)
+
+
+def test_a_meet_hom_set_builds_one_map_per_table(monkeypatch):
+    d4, m3 = corpus.diamond(), corpus.m3()
+    built = spy_on_unchecked_maps(monkeypatch)
+    meets = hom_set(d4, m3, "meet")
+    record, twin = maps._hom(d4, m3, "meet"), maps._hom(d4.dual, m3.dual, "join")
+    # One map per table, each built from its own table between d4 and m3.
+    assert [(g.dom, g.cod, g.values) for g in meets] == built
+    assert [g.values for g in meets] == list(record.tables) and len(meets) > 1
+    assert all(g.dom is d4 and g.cod is m3 for g in meets)
+    # The tables and masks are those of the join record between the duals,
+    # which builds no map of its own.
+    assert record.tables is twin.tables and record.masks is twin.masks
+    assert "maps" not in vars(twin)
+    # The pointwise meet is one map, folded with cod.meet.
+    family = meets[1:6]
+    built.clear()
+    meet = pointwise_meet(family)
+    assert built == [(d4, m3, meet.values)] and meet.dom is d4 and meet.cod is m3
+    assert meet.values == tuple(m3.meet([g(a) for g in family]) for a in d4.elements())
+
+
+def test_an_unknown_map_class_is_refused_and_keeps_nothing():
+    # Every reader of a Hom-set goes through maps._hom, which refuses a class
+    # outside MAP_CLASSES before any enumeration; "joins" is not atomic-join.
+    d4 = corpus.diamond()
+    reads = (maps._hom, hom_set, suite._homs)
+    for read, cls in itertools.product(reads, ("joins", "atomic", "")):
+        with pytest.raises(ValueError, match="unknown map class %r" % cls):
+            read(d4, d4, cls)
+    assert d4._hom_sets == {} and "join_search" not in vars(d4)
+    assert len(maps._hom(d4, d4, "atomic-join").tables) == 9
 
 
 def test_hom_set_into_an_equal_codomain_built_apart():

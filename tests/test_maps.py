@@ -269,6 +269,39 @@ def test_classification_matches_composite_definition(cls):
             assert got == ref_classify(f, cls), (cls, f.values)
 
 
+def ref_classify_refusal(f, cls):
+    """The refusal of classify_morphism's old branches, read off the
+    profile: (message, witness), or None for a map in the class."""
+    if cls == "join":
+        if preservation_profile(f).joins:
+            return None
+        return "map does not preserve joins", maps._join_witness(f.values, f.dom, f.cod)
+    if preservation_profile(f).meets:
+        return None
+    return "map does not preserve meets", maps._join_witness(f.values, f.dom.dual, f.cod.dual)
+
+
+@pytest.mark.parametrize("cls", ["join", "meet"])
+def test_classification_refuses_as_the_profile_did(cls):
+    # classify_morphism takes NotInClass from the adjoint it computes: a
+    # residual exists only where the map fixes the bound, so the adjoint
+    # fails exactly where the profile flag is false, with the same witness.
+    outcomes = set()
+    for l1, l2 in SMALL_PAIRS:
+        for f in hom_set(l1, l2, "isotone"):
+            try:
+                classify_morphism(f, cls)
+                got = None
+            except NotInClass as exc:
+                got = (str(exc), exc.witness)
+            assert got == ref_classify_refusal(f, cls), (cls, f.values)
+            outcomes.add(got if got is None else len(got[1]))
+    # Maps in the class, maps that move the bound and maps that fail a pair.
+    assert outcomes == {None, 1, 2}
+    with pytest.raises(ValueError, match="cls must be 'join' or 'meet'"):
+        classify_morphism(identity_map(TWO), "isotone")
+
+
 def test_map_leq_matches_pointwise_definition():
     for l1, l2 in SMALL_PAIRS:
         fs = hom_set(l1, l2, "isotone")

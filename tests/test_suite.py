@@ -203,23 +203,24 @@ def test_only_conjugation_reads_the_isotone_hom_set(monkeypatch):
     # The four weak laws read weak.weak_meet_maps, built from the meet
     # kernel on the upper extensions; in a full sweep the isotone Hom-set is
     # asked for by conjugation alone.
-    from latkit import maps
+    from latkit import maps, transition, weak
 
     current, readers = [], Counter()
-    real_hom_set, real_collect = maps.hom_set, suite._collect
+    real_hom, real_collect = maps._hom, suite._collect
 
-    def spy(dom, cod, cls="join"):
+    def spy(dom, cod, cls):
         if cls == "isotone":
             readers[current[-1]] += 1
-        return real_hom_set(dom, cod, cls)
+        return real_hom(dom, cod, cls)
 
     def collect(checks, reports):
         for prop, obj, fn in checks:
             current.append(prop)
             real_collect([(prop, obj, fn)], reports)
 
-    monkeypatch.setattr(maps, "hom_set", spy)
-    monkeypatch.setattr(suite, "hom_set", spy)
+    # Every Hom-set record is read through maps._hom, bound in these modules.
+    for module in (maps, suite, transition, weak):
+        monkeypatch.setattr(module, "_hom", spy)
     monkeypatch.setattr(suite, "_collect", collect)
     suite._homs.cache_clear()
     try:

@@ -9,7 +9,7 @@ import pkgutil
 import re
 
 import latkit
-from latkit import suite
+from latkit import core, suite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
@@ -171,6 +171,24 @@ def test_covers_are_computed_in_one_place():
     read = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert (defined | read) & {"_joins_exist", "covers", "cover_pairs"} == set()
     assert {"upper_covers", "lower_covers", "_cover_joins_exist"} <= defined
+
+
+def test_a_hom_set_is_kept_in_one_place():
+    # The Hom-set dom -> cod of class cls is one record, kept in
+    # dom._hom_sets and made by maps._hom alone: no module but core and maps
+    # names that store, no memo key keeps tables or masks beside it, and a
+    # meet map is built from its own table, so no map has a dual.
+    named, keys, makers = set(), [], set()
+    for module, tree in source_trees():
+        for node in ast.walk(tree):
+            if "_hom_sets" in [getattr(node, field, None) for field in ("attr", "id", "name")]:
+                named.add(module)
+            if isinstance(node, ast.Constant) and node.value in ("hom_tables", "value_masks"):
+                keys.append((module, node.lineno))
+            if isinstance(node, ast.FunctionDef) and calls_to(node, "_HomSet"):
+                makers.add("%s.%s" % (module, node.name))
+    assert named == {"core", "maps"} and keys == [] and makers == {"maps._hom"}
+    assert not hasattr(core.LatticeMap, "dual")
 
 
 def test_a_union_map_is_stored_one_way():

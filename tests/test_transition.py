@@ -245,7 +245,7 @@ def copy_of(lattice, perm):
 
 
 def keeps_no_hom_set(lattice):
-    return not lattice.__dict__.get("hom_tables") and not lattice.__dict__.get("power_packs")
+    return not lattice._hom_sets and not lattice.__dict__.get("power_packs")
 
 
 @pytest.mark.parametrize("renumber", [False, True])

@@ -26,8 +26,8 @@ from latkit.errors import (
     ValidationError,
 )
 from latkit.maps import (
+    _hom,
     _inverts,
-    _value_masks,
     check_adjunction,
     classify_morphism,
     hom_set,
@@ -249,7 +249,7 @@ def assert_representation_witness(relation):
 def test_value_masks_are_the_columns_of_the_hom_set(cls):
     for l1, l2 in pairs(4):
         homs = hom_set(l1, l2, cls)
-        masks = _value_masks(l1, l2, cls)
+        masks = _hom(l1, l2, cls).masks
         assert masks == [
             [mask(f(a) == v for f in homs) for v in l2.elements()] for a in l1.elements()
         ]
@@ -482,15 +482,15 @@ def planted_meet_maps(edit):
 
     def plant(monkeypatch):
         d4, c3 = corpus.diamond(), corpus.chain(3)
-        real = maps._hom_tables
+        real = maps._enumerate
 
         def planted(dom, cod, cls):
             tables = real(dom, cod, cls)
             if dom is c3.dual and cod is d4.dual:
-                return edit(tables)
+                return edit(tuple(sorted(tables)))
             return tables
 
-        monkeypatch.setattr(maps, "_hom_tables", planted)
+        monkeypatch.setattr(maps, "_enumerate", planted)
         return d4, c3
 
     return plant

@@ -27,6 +27,7 @@ from latkit.weak import (
 )
 from latkit.weak import weak_meet_maps as weak_meet_maps_of
 
+from test_caching import spy_on_unchecked_maps
 from test_hom_oracle import renumber
 from test_maps import nonempty_meets
 
@@ -345,16 +346,16 @@ def test_partial_map_values_are_kept_as_a_tuple_in_index_order():
 def test_routes_read_no_map_dual_and_build_no_retract(monkeypatch):
     # Once the intervals are built, the four routes are residual passes and
     # lookups on (x, value) pairs: no dual map, adjoint object or interval.
-    table = corpus.named_lattices()
-    weak_maps = weak_meet_maps(table["D4"], table["D4"])
+    # The one map they build is partial_to_upper's, on the upper extension.
+    d4 = corpus.named_lattices()["D4"]
+    ext = upper_extension(d4)
     steps = []
-    for wm in weak_maps:
+    for wm in weak_meet_maps(d4, d4):
         partial = restrict_codomain(wm)[0]
         steps.append((wm, partial, pointed_extend(wm)[1]))
         upper_to_partial(steps[-1][2])
-    reads = []
-    dual = LatticeMap.__dict__["dual"]
-    monkeypatch.setattr(LatticeMap, "dual", property(lambda f: reads.append(f) or dual.func(f)))
+    reads, built = [], spy_on_unchecked_maps(monkeypatch)
+    monkeypatch.setattr(LatticeMap, "__init__", lambda *args: reads.append(args))
     monkeypatch.setattr(core, "retract", lambda *args: reads.append(args))
     for wm, partial, upper in steps:
         assert restrict_codomain(wm)[0] == partial
@@ -362,7 +363,8 @@ def test_routes_read_no_map_dual_and_build_no_retract(monkeypatch):
         assert upper_to_partial(upper) == partial
         for _, other, _ in steps:
             compose_partial(other, partial)
-    assert reads == []
+    assert reads == [] and len(built) == len(steps) > 0
+    assert all(dom is ext and cod is ext for dom, cod, _ in built)
 
 
 def test_compose_partial_refuses_a_preimage_that_is_not_principal():
